@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -203,19 +203,15 @@ def wave_convergence_study(meshes, N, config=None, T=1.0, medium=MediumField(),
     """Final-time pressure L2 error of the disk standing mode per mesh.
 
     Returns {mass_mode: ConvergenceRecord}.  With dt_check=True the coarsest
-    level is rerun at half the time step and the relative error change is
-    stored in record.label (must be < 1% for the spatial error to dominate).
+    level is rerun at half the time step that `run` uses there and the
+    relative error change is stored in record.label (must be < 1% for the
+    spatial error to dominate).
     """
     if config is None:
         config = SolverConfig(N=N, cfl=1.0)
     out = {}
     for mode in mass_modes:
-        cfg = SolverConfig(N=N, formulation=config.formulation, mass_mode=mode,
-                           flux=config.flux, cfl=config.cfl,
-                           volume_quad_degree=config.volume_quad_degree,
-                           face_quad_degree=config.face_quad_degree,
-                           update_quad_degree=config.update_quad_degree,
-                           unsafe_quadrature=config.unsafe_quadrature)
+        cfg = replace(config, N=N, mass_mode=mode)
         hs, errs = [], []
         for mesh in meshes:
             _, diag = solver.run(mesh, cfg, solver.bessel_initial_condition, T,
@@ -225,8 +221,7 @@ def wave_convergence_study(meshes, N, config=None, T=1.0, medium=MediumField(),
             errs.append(diag["l2_error_p"][-1])
         label = f"wave-N{N}-{mode.value}"
         if dt_check:
-            ref = refelem.build_reference_element(N, meshes[0].shape)
-            dt0 = solver.stable_dt(meshes[0], ref, medium, cfg.cfl)
+            dt0 = solver.stable_dt(solver.Discretization(meshes[0], cfg, medium))
             _, diag2 = solver.run(meshes[0], cfg, solver.bessel_initial_condition, T,
                                   medium=medium, exact_p=solver.bessel_pressure,
                                   n_outputs=n_outputs, dt=0.5 * dt0)

@@ -14,7 +14,7 @@ import argparse
 import csv
 import json
 import sys
-import time
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -67,39 +67,27 @@ def _parse_mesh_spec(spec, N_geo):
     raise ConfigError(f"unrecognized mesh spec {spec!r}")
 
 
-def _families(kind, levels, N_geo, omega=None, amplitude=0.15, seed=0):
-    if kind == "arnold":
-        return [meshgen.arnold_mesh(l, N_geo=N_geo) for l in range(levels)]
-    if kind == "uniform":
-        return meshgen.mesh_family("uniform", levels, N_geo=N_geo, K1D=2)
-    if kind == "random":
-        return meshgen.mesh_family("random", levels, N_geo=N_geo, K1D=2,
-                                   amplitude=amplitude, seed=seed)
-    if kind == "warped":
-        return [meshgen.warped_arnold_mesh(meshgen.WarpParams(omega, 4 * 2**l), N_geo)
-                for l in range(levels)]
-    if kind == "disk":
-        return [meshgen.disk_mesh(l, N_geo) for l in range(levels)]
-    raise ConfigError(f"unknown mesh family {kind!r}")
-
-
-def _solver_config(args):
-    form = Formulation.StrongWeak if args.formulation == "strong-weak" else Formulation.Strong
-    mode = MassMode.ExactCurvedMass if getattr(args, "mass_mode", "wadg") == "exact" else MassMode.WADG
+def _solver_config(values):
+    """SolverConfig from resolved option values: parsed flags or the keys of
+    a config file; keys a config file leaves out take these defaults."""
     return SolverConfig(
-        N=args.N, formulation=form, mass_mode=mode,
-        flux=FluxParams(args.tau_p, args.tau_u), cfl=args.cfl,
-        volume_quad_degree=getattr(args, "volume_quad_degree", None),
-        face_quad_degree=getattr(args, "face_quad_degree", None),
-        unsafe_quadrature=getattr(args, "unsafe_quadrature", False))
+        N=int(values.get("N", 3)),
+        formulation=Formulation(values.get("formulation", "strong")),
+        mass_mode=MassMode(values.get("mass_mode", "wadg")),
+        flux=FluxParams(values.get("tau_p", 1.0), values.get("tau_u", 1.0)),
+        cfl=values.get("cfl", 0.5),
+        volume_quad_degree=values.get("volume_quad_degree"),
+        face_quad_degree=values.get("face_quad_degree"),
+        unsafe_quadrature=values.get("unsafe_quadrature", False))
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 def cmd_mesh(args, rd):
-    mesh = _families(args.family, args.level + 1, args.N_geo,
-                     omega=args.omega, amplitude=args.amplitude, seed=args.seed)[-1]
+    mesh = meshgen.mesh_family(args.family, args.level + 1, N_geo=args.N_geo,
+                               omega=args.omega, amplitude=args.amplitude,
+                               seed=args.seed)[-1]
     out = rd.path / (args.out or f"{args.family}{args.level}.json")
     meshgen.save_mesh(mesh, out)
     rd.log(f"wrote {out} (K={mesh.K}, h={mesh.h:.5g})")
@@ -107,8 +95,9 @@ def cmd_mesh(args, rd):
 
 
 def cmd_project_convergence(args, rd):
-    meshes = _families(args.family, args.levels, args.N_geo or args.N,
-                       omega=args.omega, amplitude=args.amplitude, seed=args.seed)
+    meshes = meshgen.mesh_family(args.family, args.levels, N_geo=args.N_geo or args.N,
+                                 omega=args.omega, amplitude=args.amplitude,
+                                 seed=args.seed)
     rec = analysis.projection_convergence_study(meshes, args.N, args.method)
     out = rd.path / f"projection_{args.family}_{args.method}_N{args.N}.csv"
     rec.to_csv(out)
@@ -121,7 +110,7 @@ def cmd_wave_convergence(args, rd):
     meshes = [meshgen.disk_mesh(l, args.N_geo or args.N) for l in range(args.levels)]
     modes = [MassMode.WADG, MassMode.ExactCurvedMass] if args.both_modes else [MassMode.WADG]
     recs = analysis.wave_convergence_study(
-        meshes, args.N, config=_solver_config(args), T=args.T,
+        meshes, args.N, config=_solver_config(vars(args)), T=args.T,
         medium=MEDIA[args.medium](), mass_modes=modes, dt_check=args.dt_check)
     for mode, rec in recs.items():
         out = rd.path / f"wave_N{args.N}_{mode.value}.csv"
@@ -151,7 +140,7 @@ def cmd_conservation_study(args, rd):
 
 def cmd_spectrum(args, rd):
     mesh = _parse_mesh_spec(args.mesh, args.N_geo or args.N)
-    cfg = _solver_config(args)
+    cfg = _solver_config(vars(args))
     A = analysis.assemble_evolution_matrix(mesh, cfg, MEDIA[args.medium]())
     spec = analysis.eigenspectrum(A)
     out = rd.path / "spectrum.csv"
@@ -162,36 +151,10 @@ def cmd_spectrum(args, rd):
     return EXIT_OK
 
 
-def _load_flat_toml(path):
-    """Flat key = value subset (strings, numbers, booleans); fallback for
-    interpreters without tomllib."""
-    doc = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if not _ or not key:
-            raise ConfigError(f"cannot parse config line {raw!r}")
-        if val.startswith('"') and val.endswith('"'):
-            doc[key] = val[1:-1]
-        elif val in ("true", "false"):
-            doc[key] = val == "true"
-        else:
-            num = float(val)
-            doc[key] = int(num) if num == int(num) and "." not in val else num
-    return doc
-
-
 def cmd_run(args, rd):
     if args.config.endswith(".toml"):
-        try:
-            import tomllib
-            with open(args.config, "rb") as fb:
-                doc = tomllib.load(fb)
-        except ModuleNotFoundError:
-            doc = _load_flat_toml(args.config)
+        with open(args.config, "rb") as fb:
+            doc = tomllib.load(fb)
     else:
         with open(args.config) as f:
             doc = json.load(f)
@@ -201,17 +164,8 @@ def cmd_run(args, rd):
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    N = int(doc.get("N", 3))
-    ngeo = int(doc.get("N_geo", N))
-    mesh = _parse_mesh_spec(doc.get("mesh", "disk1"), ngeo)
-    form = Formulation(doc.get("formulation", "strong"))
-    mode = MassMode(doc.get("mass_mode", "wadg"))
-    cfg = SolverConfig(N=N, formulation=form, mass_mode=mode,
-                       flux=FluxParams(doc.get("tau_p", 1.0), doc.get("tau_u", 1.0)),
-                       cfl=doc.get("cfl", 0.5),
-                       volume_quad_degree=doc.get("volume_quad_degree"),
-                       face_quad_degree=doc.get("face_quad_degree"),
-                       unsafe_quadrature=doc.get("unsafe_quadrature", False))
+    cfg = _solver_config(doc)
+    mesh = _parse_mesh_spec(doc.get("mesh", "disk1"), int(doc.get("N_geo", cfg.N)))
     medium = MEDIA[doc.get("medium", "constant")]()
     T = float(doc.get("T", 1.0))
     n_out = int(round(T / doc.get("output_interval", T / 10)))
@@ -254,8 +208,6 @@ def cmd_bench(args, rd):
 def build_parser():
     p = argparse.ArgumentParser(prog="wadg", description=__doc__)
     p.add_argument("--out-dir", default="wadg-out", help="run directory for artifacts")
-    p.add_argument("--deterministic", action="store_true",
-                   help="fixed evaluation order (always on; flag recorded for audit)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common_solver(q):

@@ -434,9 +434,10 @@ def refine(mesh):
     """Next member of the mesh family: each element splits in four.
 
     Self-similar families (trapezoid, cosine-warped) reproduce their own
-    pattern and disk meshes re-blend the boundary, both regenerated from
-    recorded provenance; randomly perturbed meshes keep their curved
-    geometry fixed and are split geometrically."""
+    pattern and disk meshes re-blend the boundary (those from `disk_mesh`
+    are rebuilt one level up), all regenerated from recorded provenance;
+    randomly perturbed meshes keep their curved geometry fixed and are
+    split geometrically."""
     p = dict(mesh.provenance)
     kind = p.pop("kind", None)
     if kind == "uniform":
@@ -449,6 +450,8 @@ def refine(mesh):
         return warped_arnold_mesh(WarpParams(p["omega"], 2 * p["K1D"]), p["N_geo"])
     if kind == "disk_base":
         return disk_base_mesh(2 * p["n"], a=p["a"], radial=2 * p["radial"])
+    if kind == "disk" and "level" in p:
+        return disk_mesh(p["level"] + 1, p["N_geo"], n0=p["n0"], a=p["a"])
     if kind == "disk":
         base = disk_base_mesh(2 * p["n"], a=p["a"], radial=2 * p["radial"])
         return gordon_hall_disk_mesh(base, p["N_geo"])
@@ -470,7 +473,7 @@ def mesh_family(kind, levels, N_geo=1, **params):
     elif kind == "warped":
         m = warped_arnold_mesh(WarpParams(params["omega"], params.get("K1D", 4)), N_geo)
     elif kind == "disk":
-        m = disk_mesh(params.get("level", 0), N_geo, n0=params.get("n0", 1))
+        m = disk_mesh(params.get("level", 0), N_geo, n0=params.get("n0", 2))
     else:
         raise ValueError(f"unknown mesh family {kind!r}")
     out = [m]

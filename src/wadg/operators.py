@@ -61,16 +61,23 @@ def apply_weight_adjusted_inverse(ref, w_inv, rhs, premultiplied=True):
     return out[0] if single else out
 
 
-def l2_project(ref, geo, exact_fn):
+def l2_project(ref, geo, exact_fn, mass=None):
     """Per-element coefficients of the J-weighted L2 projection of exact_fn.
 
     Solves M_J c = Vq^T diag(w J) f elementwise by dense factorization; the
-    accuracy of M_J is set by ref's quadrature degree.
+    accuracy of M_J is set by ref's quadrature degree.  When exact_fn returns
+    a tuple of fields, all of them share one factorization per element and a
+    tuple of coefficient arrays is returned.  `mass` is M_J when the caller
+    already holds it.
     """
     fq = exact_fn(geo.xq, geo.yq)
-    M = weighted_mass_matrix(ref, geo.Jq, check=False)
-    rhs = (ref.wq[None, :] * geo.Jq * fq) @ ref.Vq
-    return np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+    fields = fq if isinstance(fq, tuple) else (fq,)
+    M = weighted_mass_matrix(ref, geo.Jq, check=False) if mass is None else mass
+    wJ = ref.wq[None, :] * geo.Jq
+    rhs = np.stack([(wJ * f) @ ref.Vq for f in fields], axis=-1)   # (K, Np, n)
+    c = np.linalg.solve(M, rhs)
+    out = tuple(np.ascontiguousarray(c[:, :, i]) for i in range(len(fields)))
+    return out if isinstance(fq, tuple) else out[0]
 
 
 def wadg_pseudo_project(ref, geo, exact_fn, project_weight=False):

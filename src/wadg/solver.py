@@ -12,11 +12,12 @@ supplies the remaining weight-adjusted (or exact) factor per field.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
-from . import bessel, geometry, operators, refelem
+from . import geometry, operators, refelem
 from .refelem import ElementShape
 
 
@@ -73,7 +74,6 @@ class SolverConfig:
     cfl: float = 0.5
     volume_quad_degree: int | None = None   # default: formulation rule
     face_quad_degree: int | None = None
-    update_quad_degree: int | None = None   # default 2N+1
     unsafe_quadrature: bool = False         # allow under-integrated strong form
 
 
@@ -102,19 +102,16 @@ class FieldState:
     def copy(self):
         return FieldState(self.p.copy(), self.u1.copy(), self.u2.copy(), self.t)
 
-    def check_finite(self):
-        if not (np.all(np.isfinite(self.p)) and np.all(np.isfinite(self.u1))
-                and np.all(np.isfinite(self.u2))):
-            raise FloatingPointError("non-finite field values")
-
 
 class Discretization:
     """Prepared operator data for one (mesh, config, medium) triple.
 
-    Holds the volume/face reference element of the formulation, the
-    degree-(2N+1) update quadrature data for the weight-adjusted mass
-    inverse, face-trace gather tables, and (in exact mass mode only) dense
-    per-element mass inverses.
+    The only owner of reference elements and their geometry: `rule` builds
+    each distinct Gauss rule once.  Holds the volume/face rule of the
+    formulation (`ref`, `geo`), the degree-(2N+1) update rule of the
+    weight-adjusted mass inverse (`ref_upd`), face-trace gather tables, and
+    (in exact mass mode only) the J-weighted mass matrix and dense
+    per-element mass inverses on the mass-exact rule.
     """
 
     def __init__(self, mesh, config, medium=MediumField()):
@@ -137,14 +134,11 @@ class Discretization:
         self.config = config
         self.medium = medium
         self.flux = config.flux
-        self.ref = refelem.build_reference_element(
-            N, mesh.shape, volume_quad_degree=vol_deg, face_quad_degree=face_deg)
-        self.geo = geometry.compute_geometric_data(mesh, self.ref)
-
-        upd_deg = config.update_quad_degree or (2 * N + 1)
-        self.ref_upd = refelem.build_reference_element(
-            N, mesh.shape, volume_quad_degree=upd_deg, face_quad_degree=1)
-        geo_upd = geometry.compute_geometric_data(mesh, self.ref_upd)
+        self.mass_deg = 2 * N + 2 * mesh.N_geo   # mass-exact rule
+        self._face_deg = face_deg
+        self._rules = {}
+        self.ref, self.geo = self.rule(vol_deg)
+        self.ref_upd, geo_upd = self.rule(2 * N + 1)
         c2_upd = medium.values(geo_upd.xq, geo_upd.yq)
         self.c2q = medium.values(self.geo.xq, self.geo.yq)
         self.c_max = np.sqrt(self.c2q.max(axis=1))
@@ -153,18 +147,14 @@ class Discretization:
         self.w_upd_p = c2_upd / geo_upd.Jq
         self.w_upd_u = 1.0 / geo_upd.Jq
 
-        self.mass_inv_p = None
-        self.mass_inv_u = None
+        self.mass_J = self.mass_inv_p = self.mass_inv_u = None
         if config.mass_mode is MassMode.ExactCurvedMass:
-            mass_deg = 2 * N + 2 * mesh.N_geo
-            ref_m = refelem.build_reference_element(
-                N, mesh.shape, volume_quad_degree=mass_deg, face_quad_degree=1)
-            geo_m = geometry.compute_geometric_data(mesh, ref_m)
+            ref_m, geo_m = self.rule(self.mass_deg)
             c2_m = medium.values(geo_m.xq, geo_m.yq)
             Mp = operators.weighted_mass_matrix(ref_m, geo_m.Jq / c2_m)
-            Mu = operators.weighted_mass_matrix(ref_m, geo_m.Jq)
+            self.mass_J = operators.weighted_mass_matrix(ref_m, geo_m.Jq)
             self.mass_inv_p = np.linalg.inv(Mp)
-            self.mass_inv_u = np.linalg.inv(Mu)
+            self.mass_inv_u = np.linalg.inv(self.mass_J)
 
         # fused geometric factors, (K, Nq) and flat (K, n_faces*nfq)
         geo = self.geo
@@ -177,6 +167,19 @@ class Discretization:
         self._Jfnx_half = self._Jf_half * geo.nxq
         self._Jfny_half = self._Jf_half * geo.nyq
         self._build_face_gather()
+
+    def rule(self, degree):
+        """(ReferenceElement, GeometricData) of the Gauss rule exact to
+        `degree` (floored at 2N), with the formulation's face rule.  Keyed
+        by the 1D point count, so degrees landing on one rule share it."""
+        N = self.config.N
+        n1d = (max(degree, 2 * N) + 2) // 2
+        if n1d not in self._rules:
+            ref = refelem.build_reference_element(
+                N, self.mesh.shape, volume_quad_degree=2 * n1d - 1,
+                face_quad_degree=self._face_deg)
+            self._rules[n1d] = (ref, geometry.compute_geometric_data(self.mesh, ref))
+        return self._rules[n1d]
 
     def _build_face_gather(self):
         mesh, ref = self.mesh, self.ref
@@ -265,26 +268,14 @@ def _volume_terms(state, disc, strong_weak):
     return rp, ru1, ru2
 
 
-def rhs_strong(state, disc):
-    """Strong-form DG right-hand side, Mhat^-1-premultiplied (no mass
-    weighting applied yet)."""
-    vp, vu1, vu2 = _volume_terms(state, disc, strong_weak=False)
-    sp, su1, su2 = _surface_terms(state, disc, strong_weak=False)
-    return FieldState(vp + sp, vu1 + su1, vu2 + su2, state.t)
-
-
-def rhs_strong_weak(state, disc):
-    """Strong-weak DG right-hand side (pressure equation integrated by parts
-    once), Mhat^-1-premultiplied."""
-    vp, vu1, vu2 = _volume_terms(state, disc, strong_weak=True)
-    sp, su1, su2 = _surface_terms(state, disc, strong_weak=True)
-    return FieldState(vp + sp, vu1 + su1, vu2 + su2, state.t)
-
-
 def rhs_pre_mass(state, disc):
-    if disc.config.formulation is Formulation.Strong:
-        return rhs_strong(state, disc)
-    return rhs_strong_weak(state, disc)
+    """DG right-hand side of the configured formulation, Mhat^-1-premultiplied
+    (no mass weighting applied yet).  The strong-weak form integrates the
+    pressure equation by parts once."""
+    sw = disc.config.formulation is Formulation.StrongWeak
+    vp, vu1, vu2 = _volume_terms(state, disc, sw)
+    sp, su1, su2 = _surface_terms(state, disc, sw)
+    return FieldState(vp + sp, vu1 + su1, vu2 + su2, state.t)
 
 
 def apply_mass_inverse(rhs_pre, disc):
@@ -313,12 +304,11 @@ def rhs_full(state, disc):
 
 def energy(state, disc):
     """Discrete energy 1/2 int (p^2/c^2 + |u|^2) by volume quadrature."""
-    ref, geo = disc.ref, disc.geo
     pq = disc.interp(state.p)
     u1q = disc.interp(state.u1)
     u2q = disc.interp(state.u2)
     dens = pq**2 / disc.c2q + u1q**2 + u2q**2
-    return 0.5 * float(np.sum(ref.wq[None, :] * geo.Jq * dens))
+    return 0.5 * float(np.sum(disc._wJ * dens))
 
 
 # Carpenter-Kennedy low-storage five-stage fourth-order coefficients
@@ -363,30 +353,26 @@ def lsrk_step(state, dt, rhs_fn):
     return y
 
 
-def stable_dt(mesh, ref, medium, cfl):
-    """dt = cfl * min_k h_k / (c_max,k (N+1)^2) with h_k = 2 area/perimeter."""
+def stable_dt(disc):
+    """dt = cfl * min_k h_k / (c_max,k (N+1)^2) with h_k = 2 area/perimeter,
+    measured on the formulation's rule."""
+    cfl = disc.config.cfl
     if cfl <= 0:
         raise ConfigError("cfl must be positive")
-    geo = geometry.compute_geometric_data(mesh, ref)
-    area = geometry.element_areas(geo)
-    perim = geometry.element_perimeters(geo)
-    c2 = medium.values(geo.xq, geo.yq)
-    c_max = np.sqrt(c2.max(axis=1))
+    area = geometry.element_areas(disc.geo)
+    perim = geometry.element_perimeters(disc.geo)
     hmin = 2.0 * area / perim
-    return float(cfl * np.min(hmin / (c_max * (ref.N + 1) ** 2)))
+    return float(cfl * np.min(hmin / (disc.c_max * (disc.config.N + 1) ** 2)))
 
 
-def project_initial_condition(mesh, config, initial_fn, medium=MediumField()):
-    """L2-project (p, u1, u2) at t = 0 with a mass-exact quadrature."""
-    N = config.N
-    ref_m = refelem.build_reference_element(
-        N, mesh.shape, volume_quad_degree=2 * N + 2 * mesh.N_geo, face_quad_degree=1)
-    geo_m = geometry.compute_geometric_data(mesh, ref_m)
-
-    def comp(i):
-        return operators.l2_project(ref_m, geo_m, lambda x, y: initial_fn(x, y)[i])
-
-    return FieldState(comp(0), comp(1), comp(2), 0.0)
+def project_initial_condition(disc, initial_fn):
+    """L2-project (p, u1, u2) at t = 0 on the mass-exact rule: initial_fn is
+    evaluated once and all three fields share one J-weighted mass matrix
+    (the exact-mass one, when there is one) and its factorization."""
+    ref, geo = disc.rule(disc.mass_deg)
+    p, u1, u2 = operators.l2_project(
+        ref, geo, lambda x, y: tuple(initial_fn(x, y)), mass=disc.mass_J)
+    return FieldState(p, u1, u2, 0.0)
 
 
 def run(mesh, config, initial_fn, T, medium=MediumField(), exact_p=None,
@@ -399,9 +385,9 @@ def run(mesh, config, initial_fn, T, medium=MediumField(), exact_p=None,
     1e6 x its initial value.
     """
     disc = Discretization(mesh, config, medium)
-    state = project_initial_condition(mesh, config, initial_fn, medium)
+    state = project_initial_condition(disc, initial_fn)
     if dt is None:
-        dt = stable_dt(mesh, disc.ref, medium, config.cfl)
+        dt = stable_dt(disc)
 
     rhs_fn = lambda s: rhs_full(s, disc)
     sample_ts = np.linspace(0.0, T, n_outputs + 1)
@@ -411,10 +397,7 @@ def run(mesh, config, initial_fn, T, medium=MediumField(), exact_p=None,
     if exact_p is not None:
         # degree 2N+1 Gauss rules are blind to the leading P_{N+1} error
         # mode (its roots are the quadrature points); use a richer rule
-        ref_err = refelem.build_reference_element(
-            config.N, mesh.shape, volume_quad_degree=2 * config.N + 4,
-            face_quad_degree=1)
-        geo_err = geometry.compute_geometric_data(mesh, ref_err)
+        ref_err, geo_err = disc.rule(2 * config.N + 4)
 
     def record(s):
         e = energy(s, disc)
@@ -442,19 +425,20 @@ def run(mesh, config, initial_fn, T, medium=MediumField(), exact_p=None,
 # ---------------------------------------------------------------------------
 # Exact disk solution
 
-DISK_LAMBDA = bessel.J0_ZERO_2
+# second zero of J0; Dirichlet eigenvalue of the disk pressure mode
+DISK_LAMBDA = float(special.jn_zeros(0, 2)[1])
 
 
 def bessel_pressure(x, y, t, lam=DISK_LAMBDA):
     """Standing pressure mode of the unit disk, p = J0(lam r) cos(lam t)."""
     r = np.hypot(x, y)
-    return bessel.j0(lam * r) * np.cos(lam * t)
+    return special.j0(lam * r) * np.cos(lam * t)
 
 
 def bessel_velocity(x, y, t, lam=DISK_LAMBDA):
     """Velocity of the standing mode, u = J1(lam r) sin(lam t) r_hat."""
     r = np.hypot(x, y)
-    mag = bessel.j1(lam * r) * np.sin(lam * t)
+    mag = special.j1(lam * r) * np.sin(lam * t)
     with np.errstate(invalid="ignore", divide="ignore"):
         cx = np.where(r > 0, x / np.where(r > 0, r, 1.0), 0.0)
         cy = np.where(r > 0, y / np.where(r > 0, r, 1.0), 0.0)

@@ -110,7 +110,7 @@ class TestDeterminism:
     def test_idempotent_rerun_identical_artifacts(self, tmp_path):
         digests = []
         for out in ("a", "b"):
-            r = run_cli("--out-dir", out, "--deterministic", "project-convergence",
+            r = run_cli("--out-dir", out, "project-convergence",
                         "--family", "random", "--N", "2", "--levels", "4",
                         "--seed", "3", cwd=tmp_path)
             assert r.returncode == 0, r.stderr

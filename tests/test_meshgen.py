@@ -180,6 +180,14 @@ class TestRefine:
         assert np.array_equal(mg.refine(mg.disk_mesh(1, 3)).elem_map_nodes,
                               mg.disk_mesh(2, 3).elem_map_nodes)
 
+    def test_disk_family_matches_disk_mesh(self):
+        fam = mg.mesh_family("disk", 3, N_geo=2)
+        for level, m in enumerate(fam):
+            ref = mg.disk_mesh(level, 2)
+            assert np.array_equal(m.elem_map_nodes, ref.elem_map_nodes)
+            assert np.array_equal(m.face_connectivity, ref.face_connectivity)
+            assert m.provenance == ref.provenance
+
     def test_area_preserved(self):
         m = mg.arnold_mesh(0)
         _, g0 = geo_for(m)

@@ -149,6 +149,15 @@ class TestProjections:
         c = ops.l2_project(ref, g, lambda x, y: np.full_like(x, 2.5))
         assert ops.global_l2_error(ref, g, c, lambda x, y: np.full_like(x, 2.5)) < 1e-10
 
+    def test_field_tuple_matches_single_fields(self, warped):
+        ref, g = make_geo(warped, 3, vdeg=14)
+        f = lambda x, y: np.exp(x) * np.cos(y)
+        single = [ops.l2_project(ref, g, fn) for fn in (sin2d, f)]
+        M = ops.weighted_mass_matrix(ref, g.Jq)
+        both = ops.l2_project(ref, g, lambda x, y: (sin2d(x, y), f(x, y)), mass=M)
+        for a, b in zip(single, both):
+            assert np.max(np.abs(a - b)) < 1e-13 * np.max(np.abs(a))
+
     def test_l2_rate_uniform(self):
         N = 3
         hs, errs = [], []

@@ -42,7 +42,7 @@ class TestRHS:
         disc = sv.Discretization(m, cfg)
         K, Np = m.K, disc.ref.Np
         st = FieldState(np.full((K, Np), 3.14), np.zeros((K, Np)), np.zeros((K, Np)))
-        d = sv.rhs_strong(st, disc)
+        d = sv.rhs_pre_mass(st, disc)
         interior = ~m.boundary_tags.any(axis=1)
         assert interior.sum() == 4
         for arr in (d.p, d.u1, d.u2):
@@ -57,8 +57,8 @@ class TestRHS:
             volume_quad_degree=vdeg, face_quad_degree=fdeg))
         for _ in range(5):
             st = random_state(dS, rng)
-            a = sv.rhs_strong(st, dS)
-            b = sv.rhs_strong_weak(st, dW)
+            a = sv.rhs_pre_mass(st, dS)
+            b = sv.rhs_pre_mass(st, dW)
             for x, y in ((a.p, b.p), (a.u1, b.u1), (a.u2, b.u2)):
                 assert np.max(np.abs(x - y)) < 1e-9
 
@@ -222,22 +222,21 @@ class TestStableDt:
         # N=1 uniform unit-speed mesh, h = 0.5: per element area h^2,
         # perimeter 4h -> h_min = h/2; dt = cfl * (h/2) / (N+1)^2
         m = mg.uniform_quad_mesh(4, domain=((0, 2), (0, 2)))
-        ref = rf.build_reference_element(1, QUAD)
-        dt = sv.stable_dt(m, ref, sv.MediumField(1.0), cfl=1.0)
+        dt = sv.stable_dt(sv.Discretization(m, SolverConfig(N=1, cfl=1.0)))
         assert dt == pytest.approx(0.25 / 4, rel=1e-12)
 
     def test_doubling_wavespeed_halves_dt(self):
         m = mg.disk_mesh(1, 2)
-        ref = rf.build_reference_element(2, QUAD)
-        dt1 = sv.stable_dt(m, ref, sv.MediumField(1.0), cfl=0.5)
-        dt2 = sv.stable_dt(m, ref, sv.MediumField(4.0), cfl=0.5)
+        cfg = SolverConfig(N=2, cfl=0.5)
+        dt1 = sv.stable_dt(sv.Discretization(m, cfg, sv.MediumField(1.0)))
+        dt2 = sv.stable_dt(sv.Discretization(m, cfg, sv.MediumField(4.0)))
         assert dt2 == pytest.approx(dt1 / 2, rel=1e-12)
 
     def test_invalid_cfl(self):
         m = mg.uniform_quad_mesh(2)
-        ref = rf.build_reference_element(1, QUAD)
+        disc = sv.Discretization(m, SolverConfig(N=1, cfl=0.0))
         with pytest.raises(sv.ConfigError):
-            sv.stable_dt(m, ref, sv.MediumField(1.0), cfl=0.0)
+            sv.stable_dt(disc)
 
 
 class TestRun:
@@ -293,6 +292,21 @@ class TestRun:
 
 
 class TestExactSolution:
+    def test_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        assert abs(float(mpmath.besselj(0, sv.DISK_LAMBDA))) < 1e-15
+        r = np.linspace(0.0, 1.0, 101)
+        t = 0.3
+        p = sv.bessel_pressure(r, np.zeros_like(r), t)
+        u1, u2 = sv.bessel_velocity(r, np.zeros_like(r), t)
+        lam = sv.DISK_LAMBDA
+        for i, ri in enumerate(r):
+            j0 = float(mpmath.besselj(0, lam * ri))
+            j1 = float(mpmath.besselj(1, lam * ri))
+            assert abs(p[i] - j0 * np.cos(lam * t)) <= 1e-12
+            assert abs(u1[i] - j1 * np.sin(lam * t)) <= 1e-12
+        assert np.all(u2 == 0.0)
+
     def test_pressure_vanishes_on_boundary(self):
         th = np.linspace(0, 2 * np.pi, 50)
         p = sv.bessel_pressure(np.cos(th), np.sin(th), 0.37)
