@@ -111,26 +111,45 @@ def element_perimeters(geo):
     return geo.Jfq @ wf
 
 
-def validate_positive_jacobian(mesh, quad_degree=None):
-    """Check J > 0 at volume and face quadrature points, plus (for
-    quadrilaterals) on a dense corner-including Gauss-Lobatto grid, where
-    near-degenerate bilinear maps take their extremes.  Returns min J."""
+def jacobian_at(mesh, points):
+    """Mapping Jacobian J = x_r y_s - x_s y_r of every element at reference
+    `points`, shape (K, n_points)."""
+    Er, Es = refelem.nodal_grad_matrices(mesh.shape, mesh.N_geo, points)
+    X, Y = mesh.elem_map_nodes[..., 0], mesh.elem_map_nodes[..., 1]
+    return (X @ Er.T) * (Y @ Es.T) - (X @ Es.T) * (Y @ Er.T)
+
+
+def check_points(mesh, quad_degree=None):
+    """Reference point sets at which a mesh is checked: the Gauss volume rule
+    and the stacked per-face Gauss rules exact to `quad_degree` (default
+    4 N_geo + 2), plus, for quadrilaterals, a dense corner-including
+    Gauss-Lobatto grid, where near-degenerate bilinear maps take their
+    extremes."""
     if quad_degree is None:
         quad_degree = 4 * mesh.N_geo + 2
-    ref = refelem.build_reference_element(
-        max(1, mesh.N_geo), mesh.shape,
-        volume_quad_degree=quad_degree, face_quad_degree=quad_degree)
-    geo = compute_geometric_data(mesh, ref)
-    jmin = float(geo.Jq.min())
-    if mesh.shape is refelem.ElementShape.Quadrilateral:
-        grid = _sample_grid(2 * mesh.N_geo + 3)
-        Er, Es = refelem.nodal_grad_matrices(mesh.shape, mesh.N_geo, grid)
-        X, Y = mesh.elem_map_nodes[..., 0], mesh.elem_map_nodes[..., 1]
-        Jg = (X @ Er.T) * (Y @ Es.T) - (X @ Es.T) * (Y @ Er.T)
-        if np.any(Jg <= 0):
-            k, q = np.argwhere(Jg <= 0)[0]
-            raise NonPositiveJacobian(int(k), int(q), float(Jg[k, q]))
-        jmin = min(jmin, float(Jg.min()))
+    vol = refelem.build_quadrature(mesh.shape, max(quad_degree, 2 * mesh.N_geo))
+    xi = refelem.gauss_legendre_1d(max(1, (quad_degree + 2) // 2)).points
+    face = np.vstack([refelem.face_points(mesh.shape, f, xi)
+                      for f in range(mesh.shape.n_faces)])
+    sets = {"volume": vol.points, "face": face}
+    if mesh.shape is ElementShape.Quadrilateral:
+        sets["grid"] = _sample_grid(2 * mesh.N_geo + 3)
+    return sets
+
+
+def validate_positive_jacobian(mesh, quad_degree=None):
+    """Check J > 0 at the volume and face quadrature points and (for
+    quadrilaterals) the dense grid of `check_points`, in that order.
+    Raises NonPositiveJacobian for the first element failing in the first
+    failing set, with the point's index within that set; returns min J."""
+    jmin = np.inf
+    for points in check_points(mesh, quad_degree).values():
+        J = jacobian_at(mesh, points)
+        bad = ~(J > 0)
+        if bad.any():
+            k, q = np.argwhere(bad)[0]
+            raise NonPositiveJacobian(int(k), int(q), float(J[k, q]))
+        jmin = min(jmin, float(J.min()))
     return jmin
 
 

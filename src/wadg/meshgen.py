@@ -73,31 +73,40 @@ def _corner_indices(N_geo):
 
 
 _QUAD_FACE_CORNERS = ((0, 1), (1, 2), (2, 3), (3, 0))
+_FACE_FROM, _FACE_TO = np.array(_QUAD_FACE_CORNERS).T
 
 
 def _build_connectivity(elem_map_nodes, N_geo):
-    """Match quadrilateral faces by shared corner vertices."""
+    """Match quadrilateral faces by shared corner vertices.
+
+    Corners equal after rounding to 9 decimals are one vertex; faces with
+    the same (min, max) vertex pair are neighbours, and unmatched faces are
+    Dirichlet boundary.  Raises ValueError if more than two faces share a
+    vertex pair."""
     K = elem_map_nodes.shape[0]
-    corners = elem_map_nodes[:, _corner_indices(N_geo), :]  # (K, 4, 2)
-    keys = np.round(corners, 9)
+    keys = np.round(elem_map_nodes[:, _corner_indices(N_geo), :], 9).reshape(-1, 2)
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    sk = keys[order]
+    new = np.ones(len(sk), dtype=bool)
+    new[1:] = np.any(sk[1:] != sk[:-1], axis=1)
+    vid = np.empty(len(sk), dtype=np.int64)
+    vid[order] = np.cumsum(new) - 1
+    vid = vid.reshape(K, 4)
 
-    def vkey(k, c):
-        return (keys[k, c, 0], keys[k, c, 1])
-
-    conn = np.full((K, 4, 2), -1, dtype=np.int64)
-    tags = np.zeros((K, 4), dtype=np.int64)
-    seen = {}
-    for k in range(K):
-        for f, (ca, cb) in enumerate(_QUAD_FACE_CORNERS):
-            key = frozenset((vkey(k, ca), vkey(k, cb)))
-            if key in seen:
-                k2, f2 = seen.pop(key)
-                conn[k, f] = (k2, f2)
-                conn[k2, f2] = (k, f)
-            else:
-                seen[key] = (k, f)
-    for k, f in seen.values():
-        tags[k, f] = BOUNDARY_DIRICHLET
+    a, b = vid[:, _FACE_FROM], vid[:, _FACE_TO]
+    face_key = (np.minimum(a, b) * (vid.max() + 1) + np.maximum(a, b)).ravel()
+    order = np.argsort(face_key, kind="stable")
+    same = face_key[order[1:]] == face_key[order[:-1]]
+    if np.any(same[1:] & same[:-1]):
+        k, f = divmod(int(order[np.argmax(same[1:] & same[:-1])]), 4)
+        raise ValueError(f"face {f} of element {k} is shared by more than two faces")
+    first = order[:-1][same]
+    second = order[1:][same]
+    conn = np.full((K * 4, 2), -1, dtype=np.int64)
+    conn[first] = np.column_stack(divmod(second, 4))
+    conn[second] = np.column_stack(divmod(first, 4))
+    conn = conn.reshape(K, 4, 2)
+    tags = np.where(conn[:, :, 0] < 0, BOUNDARY_DIRICHLET, BOUNDARY_NONE).astype(np.int64)
     return conn, tags
 
 
@@ -129,15 +138,12 @@ def _elements_from_global_grid(gx, gy, K1D, N_geo):
     """Scatter a global tensor grid (gx, gy of shape (M, M)) into per-element
     node arrays; element k = ey*K1D + ex, node index j*(N_geo+1) + i."""
     n = N_geo + 1
-    K = K1D * K1D
-    out = np.empty((K, n * n, 2))
-    for ey in range(K1D):
-        for ex in range(K1D):
-            sl = (slice(ex * N_geo, ex * N_geo + n), slice(ey * N_geo, ey * N_geo + n))
-            # local (i, j) -> global (ex*N_geo+i, ey*N_geo+j); j-major flattening
-            out[ey * K1D + ex, :, 0] = gx[sl].T.ravel()
-            out[ey * K1D + ex, :, 1] = gy[sl].T.ravel()
-    return out
+    start = N_geo * np.arange(K1D)
+    # local (i, j) of element (ex, ey) -> global (ex*N_geo+i, ey*N_geo+j)
+    gi = start[None, :, None, None] + np.arange(n)[None, None, None, :]
+    gj = start[:, None, None, None] + np.arange(n)[None, None, :, None]
+    out = np.stack([gx[gi, gj], gy[gi, gj]], axis=-1)
+    return out.reshape(K1D * K1D, n * n, 2)
 
 
 def uniform_quad_mesh(K1D, domain=((-1.0, 1.0), (-1.0, 1.0)), N_geo=1):
@@ -171,9 +177,8 @@ def arnold_mesh(level, N_geo=1):
     vx = np.arange(K1D + 1) * h
     VX, VY = np.meshgrid(vx, vx, indexing="ij")
     VY = VY.copy()
-    for i in range(K1D + 1):
-        for j in range(1, K1D):
-            VY[i, j] += (-1.0) ** (i + j) * h / 4.0
+    sign = np.where(np.add.outer(np.arange(K1D + 1), np.arange(1, K1D)) % 2, -1.0, 1.0)
+    VY[:, 1:K1D] += sign * h / 4.0
     nodes = _bilinear_elements(VX, VY, K1D, N_geo)
     prov = {"kind": "arnold", "level": level, "N_geo": N_geo}
     return _assemble_quad_mesh(nodes, N_geo, h, prov, validate=False)
@@ -188,16 +193,12 @@ def _bilinear_elements(VX, VY, K1D, N_geo):
     w10 = (UI * (1 - UJ)).T.ravel()
     w11 = (UI * UJ).T.ravel()
     w01 = ((1 - UI) * UJ).T.ravel()
-    K = K1D * K1D
-    n = N_geo + 1
-    out = np.empty((K, n * n, 2))
-    for ey in range(K1D):
-        for ex in range(K1D):
-            k = ey * K1D + ex
-            for arr, G in ((0, VX), (1, VY)):
-                c00, c10 = G[ex, ey], G[ex + 1, ey]
-                c11, c01 = G[ex + 1, ey + 1], G[ex, ey + 1]
-                out[k, :, arr] = w00 * c00 + w10 * c10 + w11 * c11 + w01 * c01
+    out = np.empty((K1D * K1D, w00.size, 2))
+    for arr, G in ((0, VX), (1, VY)):
+        # corner values per element k = ey*K1D + ex
+        c00, c10 = G[:-1, :-1].T.reshape(-1, 1), G[1:, :-1].T.reshape(-1, 1)
+        c11, c01 = G[1:, 1:].T.reshape(-1, 1), G[:-1, 1:].T.reshape(-1, 1)
+        out[:, :, arr] = w00 * c00 + w10 * c10 + w11 * c11 + w01 * c01
     return out
 
 
@@ -313,17 +314,10 @@ def disk_base_mesh(n, a=0.5, radial=None):
 def _bilinear_block_elements(BX, BY):
     """Slice an (n1+1) x (n2+1) vertex grid into n1*n2 bilinear elements
     (nodes in the degree-1 tensor layout: bl, br, tl, tr)."""
-    n1, n2 = BX.shape[0] - 1, BX.shape[1] - 1
-    out = np.empty((n1 * n2, 4, 2))
-    for ej in range(n2):
-        for ei in range(n1):
-            k = ej * n1 + ei
-            for arr, G in ((0, BX), (1, BY)):
-                out[k, 0, arr] = G[ei, ej]
-                out[k, 1, arr] = G[ei + 1, ej]
-                out[k, 2, arr] = G[ei, ej + 1]
-                out[k, 3, arr] = G[ei + 1, ej + 1]
-    return out
+    G = np.stack([BX, BY], axis=-1)
+    corners = (G[:-1, :-1], G[1:, :-1], G[:-1, 1:], G[1:, 1:])
+    # element k = ej*n1 + ei
+    return np.stack([c.transpose(1, 0, 2).reshape(-1, 2) for c in corners], axis=1)
 
 
 def gordon_hall_disk_mesh(base, N_geo, _prov=None):
@@ -337,55 +331,52 @@ def gordon_hall_disk_mesh(base, N_geo, _prov=None):
     if base.N_geo != 1:
         raise ValueError("base mesh must be straight-sided (N_geo = 1)")
     corners = base.elem_map_nodes[:, _corner_indices(1), :]  # (K, 4, 2)
+    tagged = base.boundary_tags != 0
     on_circle = np.abs(np.hypot(corners[..., 0], corners[..., 1]) - 1.0) < 1e-12
-    for k in range(base.K):
-        for f in range(4):
-            if base.boundary_tags[k, f]:
-                ca, cb = _QUAD_FACE_CORNERS[f]
-                if not (on_circle[k, ca] and on_circle[k, cb]):
-                    raise ValueError(
-                        f"boundary vertex of element {k} face {f} off the unit circle")
+    off = tagged & ~(on_circle[:, _FACE_FROM] & on_circle[:, _FACE_TO])
+    if off.any():
+        k, f = np.argwhere(off)[0]
+        raise ValueError(f"boundary vertex of element {k} face {f} off the unit circle")
 
     gll = refelem.gauss_lobatto_1d(N_geo + 1).points
     u = 0.5 * (gll + 1.0)       # [0, 1] edge parameter at the nodes
     n = N_geo + 1
-
-    def edge_curve(k, f, t):
-        """Edge f of element k at parameters t in [0, 1], CCW orientation."""
-        ca, cb = _QUAD_FACE_CORNERS[f]
-        A, B = corners[k, ca], corners[k, cb]
-        if base.boundary_tags[k, f]:
-            th0 = np.arctan2(A[1], A[0])
-            th1 = np.arctan2(B[1], B[0])
-            dth = (th1 - th0 + np.pi) % (2.0 * np.pi) - np.pi
-            th = th0 + dth * t
-            return np.column_stack([np.cos(th), np.sin(th)])
-        return (1.0 - t)[:, None] * A[None, :] + t[:, None] * B[None, :]
-
     UI, UJ = np.meshgrid(u, u, indexing="ij")
     Ul = UI.T.ravel()[:, None]  # node-ordered local coordinates in [0, 1]
     Vl = UJ.T.ravel()[:, None]
 
-    nodes = np.empty((base.K, n * n, 2))
-    for k in range(base.K):
-        if not base.boundary_tags[k].any():
-            c = corners[k]
-            nodes[k] = ((1 - Ul) * (1 - Vl) * c[0] + Ul * (1 - Vl) * c[1]
-                        + Ul * Vl * c[2] + (1 - Ul) * Vl * c[3])
-            continue
-        B = edge_curve(k, 0, u)            # bottom, left -> right
-        R = edge_curve(k, 1, u)            # right, bottom -> top
-        T = edge_curve(k, 2, 1.0 - u)      # top re-parametrized left -> right
-        L = edge_curve(k, 3, 1.0 - u)      # left re-parametrized bottom -> top
-        c = corners[k]
-        for j in range(n):
-            for i in range(n):
-                uu, vv = u[i], u[j]
-                blend = ((1 - vv) * B[i] + vv * T[i]
-                         + (1 - uu) * L[j] + uu * R[j]
-                         - ((1 - uu) * (1 - vv) * c[0] + uu * (1 - vv) * c[1]
-                            + uu * vv * c[2] + (1 - uu) * vv * c[3]))
-                nodes[k, j * n + i] = blend
+    def bilinear(c):
+        """Bilinear interpolant of corners c (..., 4, 2) at every node."""
+        c0, c1, c2, c3 = (c[..., None, i, :] for i in range(4))
+        return ((1 - Ul) * (1 - Vl) * c0 + Ul * (1 - Vl) * c1
+                + Ul * Vl * c2 + (1 - Ul) * Vl * c3)
+
+    nodes = bilinear(corners)
+
+    # transfinite blend on every element touching the boundary
+    kb = np.flatnonzero(tagged.any(axis=1))
+    cbnd = corners[kb]                                    # (Kb, 4, 2)
+
+    def edge_curve(f, t):
+        """Edge f of the boundary elements at parameters t (n, 1) in [0, 1],
+        CCW orientation: the arc where the face is tagged, else the segment;
+        shape (Kb, n, 2)."""
+        A, B = cbnd[:, None, _FACE_FROM[f]], cbnd[:, None, _FACE_TO[f]]   # (Kb, 1, 2)
+        th0 = np.arctan2(A[..., 1], A[..., 0])
+        th1 = np.arctan2(B[..., 1], B[..., 0])
+        dth = (th1 - th0 + np.pi) % (2.0 * np.pi) - np.pi
+        th = th0 + dth * t[:, 0]
+        arc = np.stack([np.cos(th), np.sin(th)], axis=-1)
+        return np.where(tagged[kb, f, None, None], arc, (1.0 - t) * A + t * B)
+
+    I = np.tile(np.arange(n), n)          # node j*n + i -> i
+    J = np.repeat(np.arange(n), n)        # node j*n + i -> j
+    t = u[:, None]
+    B = edge_curve(0, t)[:, I]            # bottom, left -> right
+    R = edge_curve(1, t)[:, J]            # right, bottom -> top
+    T = edge_curve(2, 1.0 - t)[:, I]      # top re-parametrized left -> right
+    L = edge_curve(3, 1.0 - t)[:, J]      # left re-parametrized bottom -> top
+    nodes[kb] = ((1 - Vl) * B + Vl * T + (1 - Ul) * L + Ul * R) - bilinear(cbnd)
     corners_new = nodes[:, _corner_indices(N_geo), :]
     h = float(np.max(np.linalg.norm(corners_new - np.roll(corners_new, 2, axis=1), axis=2)))
     prov = _prov or {"kind": "disk", "n": base.provenance.get("n"),
@@ -501,7 +492,47 @@ def save_mesh(mesh, path):
         json.dump(doc, f)
 
 
+def validate_mesh(mesh):
+    """Check a mesh before it reaches the solver.
+
+    In order: the face connectivity is an involution, boundary tags are
+    nonzero exactly on unmatched faces, J > 0 (`validate_positive_jacobian`),
+    and the face quadrature points of each interior face coincide with its
+    neighbour's after CCW reversal, to 1e-10 of the element size.  Raises
+    ValueError naming the failed check and the first bad element and face.
+    """
+    K, nf = mesh.K, mesh.n_faces
+    nk, nfc = mesh.face_connectivity[..., 0], mesh.face_connectivity[..., 1]
+    inner = nk >= 0
+    ok = np.where(inner, (nk < K) & (nfc >= 0) & (nfc < nf), (nk == -1) & (nfc == -1))
+    k_ext, f_ext = np.where(ok & inner, nk, 0), np.where(ok & inner, nfc, 0)
+    ok &= ~inner | ((nk[k_ext, f_ext] == np.arange(K)[:, None])
+                    & (nfc[k_ext, f_ext] == np.arange(nf)[None, :]))
+    _fail_at(~ok, "face connectivity is not an involution")
+    _fail_at((mesh.boundary_tags != 0) != ~inner,
+             "boundary tags are not nonzero exactly on unmatched faces")
+    try:
+        geometry.validate_positive_jacobian(mesh)
+    except geometry.NonPositiveJacobian as exc:
+        raise ValueError(f"mesh check failed, Jacobian not positive: {exc}") from None
+
+    face = geometry.check_points(mesh)["face"]
+    E = refelem.nodal_eval_matrix(mesh.shape, mesh.N_geo, face)
+    xf = (E @ mesh.elem_map_nodes).reshape(K, nf, -1, 2)     # (K, nf, nfq, 2)
+    gap = np.linalg.norm(xf - xf[k_ext, f_ext, ::-1], axis=-1).max(axis=-1)
+    size = np.ptp(mesh.elem_map_nodes, axis=1).max(axis=-1)
+    _fail_at(inner & ~(gap <= 1e-10 * size[:, None]),
+             "face quadrature points do not match the neighbour's")
+
+
+def _fail_at(bad, check):
+    if bad.any():
+        k, f = np.argwhere(bad)[0]
+        raise ValueError(f"mesh check failed, {check}: element {k} face {f}")
+
+
 def load_mesh(path):
+    """Read a wadg-mesh-v1 JSON file and validate it (see `validate_mesh`)."""
     with open(path) as f:
         doc = json.load(f)
     if doc.get("version") != MESH_SCHEMA_VERSION:
@@ -515,6 +546,8 @@ def load_mesh(path):
         raise ValueError("elem_map_nodes shape inconsistent with K and N_geo")
     if conn.shape != (doc["K"], shape.n_faces, 2) or tags.shape != (doc["K"], shape.n_faces):
         raise ValueError("connectivity arrays inconsistent with K")
-    return CurvedMesh2D(shape=shape, N_geo=doc["N_geo"], elem_map_nodes=nodes,
+    mesh = CurvedMesh2D(shape=shape, N_geo=doc["N_geo"], elem_map_nodes=nodes,
                         face_connectivity=conn, boundary_tags=tags,
                         h=float(doc["h"]), provenance=doc.get("provenance", {}))
+    validate_mesh(mesh)
+    return mesh

@@ -22,7 +22,8 @@ from .refelem import ElementShape
 
 
 class BlowUp(Exception):
-    """Discrete energy exceeded 1e6 x initial; the run is unstable."""
+    """Energy exceeded 1e6 x initial or a field went non-finite; the run is
+    unstable."""
 
 
 class ConfigError(ValueError):
@@ -375,14 +376,19 @@ def project_initial_condition(disc, initial_fn):
     return FieldState(p, u1, u2, 0.0)
 
 
+FINITE_CHECK_STEPS = 10
+
+
 def run(mesh, config, initial_fn, T, medium=MediumField(), exact_p=None,
         n_outputs=10, dt=None):
     """Advance the projected initial condition to time T.
 
     Records (t, energy) at n_outputs+1 evenly spaced sample times (and the
-    pressure L2 error when exact_p(x, y, t) is given); the final step is
-    truncated to land on T exactly.  Raises BlowUp when the energy exceeds
-    1e6 x its initial value.
+    pressure L2 error when exact_p(x, y, t) is given).  Each output interval
+    takes a precomputed number of steps of dt, the last one shortened to
+    land on the sample time.  Raises BlowUp when the energy at a sample time
+    exceeds 1e6 x its initial value, or when a field holds non-finite values
+    (checked every FINITE_CHECK_STEPS steps).
     """
     disc = Discretization(mesh, config, medium)
     state = project_initial_condition(disc, initial_fn)
@@ -410,10 +416,19 @@ def run(mesh, config, initial_fn, T, medium=MediumField(), exact_p=None,
         return e
 
     e0 = record(state)
+    steps = 0
     for target in sample_ts[1:]:
-        while state.t < target - 1e-12:
-            step = min(dt, target - state.t)
-            state = lsrk_step(state, step, rhs_fn)
+        # n - 1 steps of dt, then one that lands on the target
+        t_start = state.t
+        n = int(np.ceil((target - t_start) / dt - 1e-9))
+        for i in range(n):
+            state.t = t_start + i * dt
+            state = lsrk_step(state, dt if i < n - 1 else target - state.t, rhs_fn)
+            steps += 1
+            if steps % FINITE_CHECK_STEPS == 0 and not all(
+                    np.isfinite(f).all() for f in (state.p, state.u1, state.u2)):
+                raise BlowUp(f"non-finite field values at t = {state.t:.4f} "
+                             f"(step {steps})")
         state.t = target
         e = record(state)
         if not np.isfinite(e) or (e0 > 0 and e > 1e6 * e0):

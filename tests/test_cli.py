@@ -47,6 +47,15 @@ class TestExitCodes:
         assert r.returncode == 2, r.stderr
         assert "nonsense99" in r.stderr
 
+    def test_folded_mesh_file_exits_2(self, tmp_path):
+        mesh = mg.uniform_quad_mesh(2, N_geo=2)
+        mesh.elem_map_nodes[0, [0, 2]] = mesh.elem_map_nodes[0, [2, 0]]
+        mg.save_mesh(mesh, tmp_path / "bad.json")
+        (tmp_path / "c.json").write_text(json.dumps({"N": 2, "mesh": "bad.json", "T": 0.1}))
+        r = run_cli("--out-dir", "out", "run", "--config", "c.json", cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "Jacobian not positive" in r.stderr and "element 0" in r.stderr
+
 
 class TestCommands:
     def test_mesh_command_roundtrip(self, tmp_path):

@@ -80,6 +80,37 @@ class TestMetricData:
             geom.compute_geometric_data(folded, ref)
         assert exc.value.element == 0
 
+    def test_validate_reports_folded_element(self):
+        m = mg.uniform_quad_mesh(2)
+        bad = m.elem_map_nodes.copy()
+        bad[0, [0, 1]] = bad[0, [1, 0]]
+        folded = mg.CurvedMesh2D(shape=QUAD, N_geo=1, elem_map_nodes=bad,
+                                 face_connectivity=m.face_connectivity,
+                                 boundary_tags=m.boundary_tags, h=m.h, provenance={})
+        with pytest.raises(geom.NonPositiveJacobian) as exc:
+            geom.validate_positive_jacobian(folded)
+        assert exc.value.element == 0 and exc.value.value <= 0
+
+    def test_validate_checks_face_points(self):
+        # lifting the bottom-edge midpoint of a degree-2 triangle by d gives
+        # J = 1 - d (1 + r), smallest at the vertex (1, -1); choose d so that
+        # J < 0 at the outermost face Gauss point but J > 0 at every volume
+        # point (triangles have no dense grid, so only the face set sees it)
+        TRI = ElementShape.Triangle
+        nodes = rf.triangle_nodes(2)
+        xi_max = rf.gauss_legendre_1d(6).points.max()     # quad degree 4 N_geo + 2
+        mid = np.flatnonzero(np.all(np.isclose(nodes, [0.0, -1.0]), axis=1))
+        nodes[mid, 1] += 1.0001 / (1.0 + xi_max)
+        m = mg.CurvedMesh2D(shape=TRI, N_geo=2, elem_map_nodes=nodes[None],
+                            face_connectivity=np.full((1, 3, 2), -1),
+                            boundary_tags=np.ones((1, 3), dtype=np.int64))
+        sets = geom.check_points(m)
+        assert geom.jacobian_at(m, sets["volume"]).min() > 0
+        with pytest.raises(geom.NonPositiveJacobian) as exc:
+            geom.validate_positive_jacobian(m)
+        assert exc.value.element == 0
+        assert geom.jacobian_at(m, sets["face"])[0, exc.value.point] == exc.value.value
+
     @pytest.mark.parametrize("make", [lambda: mg.uniform_quad_mesh(3, N_geo=2)])
     def test_affine_mesh_constant_arrays(self, make):
         ref = rf.build_reference_element(3, QUAD)

@@ -268,3 +268,250 @@ class TestMeshIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="inconsistent"):
             mg.load_mesh(path)
+
+
+def _corrupt(tmp_path, mesh, edit):
+    """Save `mesh`, apply `edit` to its JSON document, return the path."""
+    import json
+    path = tmp_path / "bad.json"
+    mg.save_mesh(mesh, path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _set_conn(doc):
+    doc["face_connectivity"][0][1] = [2, 1]      # (2, 1) points back to (3, 3)
+
+
+def _tag_interior(doc):
+    doc["boundary_tags"][0][1] = mg.BOUNDARY_DIRICHLET
+
+
+def _fold(doc):
+    nodes = doc["elem_map_nodes"][0]
+    nodes[0], nodes[2] = nodes[2], nodes[0]      # swap bl and br corners
+
+
+def _bend_face(doc):
+    doc["elem_map_nodes"][0][5][0] += 1e-3      # midpoint of the right face
+
+
+class TestLoadMeshValidation:
+    @pytest.mark.parametrize("edit, message", [
+        (_set_conn, "not an involution: element 0 face 1"),
+        (_tag_interior, "boundary tags .* element 0 face 1"),
+        (_fold, "Jacobian not positive: .* element 0 "),
+        (_bend_face, "do not match the neighbour's: element 0 face 1"),
+    ])
+    def test_corrupted_file_rejected(self, tmp_path, edit, message):
+        path = _corrupt(tmp_path, mg.uniform_quad_mesh(2, N_geo=2), edit)
+        with pytest.raises(ValueError, match=message):
+            mg.load_mesh(path)
+
+    def test_out_of_range_neighbour_rejected(self, tmp_path):
+        def edit(doc):
+            doc["face_connectivity"][0][0] = [7, 0]
+        path = _corrupt(tmp_path, mg.uniform_quad_mesh(2), edit)
+        with pytest.raises(ValueError, match="involution: element 0 face 0"):
+            mg.load_mesh(path)
+
+    @pytest.mark.parametrize("make", ALL_FAMILIES)
+    def test_generated_meshes_pass(self, make):
+        mg.validate_mesh(make())
+
+
+
+# ---------------------------------------------------------------------------
+# Bitwise oracles: the loop implementations the array code replaced
+
+def ref_build_connectivity(elem_map_nodes, N_geo):
+    K = elem_map_nodes.shape[0]
+    corners = elem_map_nodes[:, mg._corner_indices(N_geo), :]
+    keys = np.round(corners, 9)
+
+    def vkey(k, c):
+        return (keys[k, c, 0], keys[k, c, 1])
+
+    conn = np.full((K, 4, 2), -1, dtype=np.int64)
+    tags = np.zeros((K, 4), dtype=np.int64)
+    seen = {}
+    for k in range(K):
+        for f, (ca, cb) in enumerate(mg._QUAD_FACE_CORNERS):
+            key = frozenset((vkey(k, ca), vkey(k, cb)))
+            if key in seen:
+                k2, f2 = seen.pop(key)
+                conn[k, f] = (k2, f2)
+                conn[k2, f2] = (k, f)
+            else:
+                seen[key] = (k, f)
+    for k, f in seen.values():
+        tags[k, f] = mg.BOUNDARY_DIRICHLET
+    return conn, tags
+
+
+def ref_elements_from_global_grid(gx, gy, K1D, N_geo):
+    n = N_geo + 1
+    out = np.empty((K1D * K1D, n * n, 2))
+    for ey in range(K1D):
+        for ex in range(K1D):
+            sl = (slice(ex * N_geo, ex * N_geo + n), slice(ey * N_geo, ey * N_geo + n))
+            out[ey * K1D + ex, :, 0] = gx[sl].T.ravel()
+            out[ey * K1D + ex, :, 1] = gy[sl].T.ravel()
+    return out
+
+
+def ref_bilinear_elements(VX, VY, K1D, N_geo):
+    gll = rf.gauss_lobatto_1d(N_geo + 1).points
+    u = 0.5 * (gll + 1.0)
+    UI, UJ = np.meshgrid(u, u, indexing="ij")
+    w00 = ((1 - UI) * (1 - UJ)).T.ravel()
+    w10 = (UI * (1 - UJ)).T.ravel()
+    w11 = (UI * UJ).T.ravel()
+    w01 = ((1 - UI) * UJ).T.ravel()
+    n = N_geo + 1
+    out = np.empty((K1D * K1D, n * n, 2))
+    for ey in range(K1D):
+        for ex in range(K1D):
+            k = ey * K1D + ex
+            for arr, G in ((0, VX), (1, VY)):
+                c00, c10 = G[ex, ey], G[ex + 1, ey]
+                c11, c01 = G[ex + 1, ey + 1], G[ex, ey + 1]
+                out[k, :, arr] = w00 * c00 + w10 * c10 + w11 * c11 + w01 * c01
+    return out
+
+
+def ref_bilinear_block_elements(BX, BY):
+    n1, n2 = BX.shape[0] - 1, BX.shape[1] - 1
+    out = np.empty((n1 * n2, 4, 2))
+    for ej in range(n2):
+        for ei in range(n1):
+            k = ej * n1 + ei
+            for arr, G in ((0, BX), (1, BY)):
+                out[k, 0, arr] = G[ei, ej]
+                out[k, 1, arr] = G[ei + 1, ej]
+                out[k, 2, arr] = G[ei, ej + 1]
+                out[k, 3, arr] = G[ei + 1, ej + 1]
+    return out
+
+
+def ref_arnold_mesh(level, N_geo=1):
+    K1D = 2 ** (level + 1)
+    h = 1.0 / K1D
+    vx = np.arange(K1D + 1) * h
+    VX, VY = np.meshgrid(vx, vx, indexing="ij")
+    VY = VY.copy()
+    for i in range(K1D + 1):
+        for j in range(1, K1D):
+            VY[i, j] += (-1.0) ** (i + j) * h / 4.0
+    nodes = mg._bilinear_elements(VX, VY, K1D, N_geo)
+    prov = {"kind": "arnold", "level": level, "N_geo": N_geo}
+    return mg._assemble_quad_mesh(nodes, N_geo, h, prov, validate=False)
+
+
+def ref_gordon_hall_disk_mesh(base, N_geo, _prov=None):
+    corners = base.elem_map_nodes[:, mg._corner_indices(1), :]
+    on_circle = np.abs(np.hypot(corners[..., 0], corners[..., 1]) - 1.0) < 1e-12
+    for k in range(base.K):
+        for f in range(4):
+            if base.boundary_tags[k, f]:
+                ca, cb = mg._QUAD_FACE_CORNERS[f]
+                if not (on_circle[k, ca] and on_circle[k, cb]):
+                    raise ValueError(
+                        f"boundary vertex of element {k} face {f} off the unit circle")
+
+    gll = rf.gauss_lobatto_1d(N_geo + 1).points
+    u = 0.5 * (gll + 1.0)
+    n = N_geo + 1
+
+    def edge_curve(k, f, t):
+        ca, cb = mg._QUAD_FACE_CORNERS[f]
+        A, B = corners[k, ca], corners[k, cb]
+        if base.boundary_tags[k, f]:
+            th0 = np.arctan2(A[1], A[0])
+            th1 = np.arctan2(B[1], B[0])
+            dth = (th1 - th0 + np.pi) % (2.0 * np.pi) - np.pi
+            th = th0 + dth * t
+            return np.column_stack([np.cos(th), np.sin(th)])
+        return (1.0 - t)[:, None] * A[None, :] + t[:, None] * B[None, :]
+
+    UI, UJ = np.meshgrid(u, u, indexing="ij")
+    Ul = UI.T.ravel()[:, None]
+    Vl = UJ.T.ravel()[:, None]
+
+    nodes = np.empty((base.K, n * n, 2))
+    for k in range(base.K):
+        if not base.boundary_tags[k].any():
+            c = corners[k]
+            nodes[k] = ((1 - Ul) * (1 - Vl) * c[0] + Ul * (1 - Vl) * c[1]
+                        + Ul * Vl * c[2] + (1 - Ul) * Vl * c[3])
+            continue
+        B = edge_curve(k, 0, u)
+        R = edge_curve(k, 1, u)
+        T = edge_curve(k, 2, 1.0 - u)
+        L = edge_curve(k, 3, 1.0 - u)
+        c = corners[k]
+        for j in range(n):
+            for i in range(n):
+                uu, vv = u[i], u[j]
+                blend = ((1 - vv) * B[i] + vv * T[i]
+                         + (1 - uu) * L[j] + uu * R[j]
+                         - ((1 - uu) * (1 - vv) * c[0] + uu * (1 - vv) * c[1]
+                            + uu * vv * c[2] + (1 - uu) * vv * c[3]))
+                nodes[k, j * n + i] = blend
+    corners_new = nodes[:, mg._corner_indices(N_geo), :]
+    h = float(np.max(np.linalg.norm(corners_new - np.roll(corners_new, 2, axis=1), axis=2)))
+    prov = _prov or {"kind": "disk", "n": base.provenance.get("n"),
+                     "a": base.provenance.get("a", 0.5),
+                     "radial": base.provenance.get("radial"), "N_geo": N_geo}
+    return mg._assemble_quad_mesh(nodes, N_geo, h, prov)
+
+
+REFERENCE_IMPLS = {
+    "_build_connectivity": ref_build_connectivity,
+    "_elements_from_global_grid": ref_elements_from_global_grid,
+    "_bilinear_elements": ref_bilinear_elements,
+    "_bilinear_block_elements": ref_bilinear_block_elements,
+    "arnold_mesh": ref_arnold_mesh,
+    "gordon_hall_disk_mesh": ref_gordon_hall_disk_mesh,
+}
+
+ORACLE_CASES = (
+    [pytest.param(make, id=f"family{i}") for i, make in enumerate(ALL_FAMILIES)]
+    + [pytest.param(lambda i=i: mg.refine(ALL_FAMILIES[i]()), id=f"refine-family{i}")
+       for i in range(len(ALL_FAMILIES))]
+    + [pytest.param(lambda l=level, n=N_geo: mg.disk_mesh(l, n), id=f"disk{level}-Ngeo{N_geo}")
+       for level in range(4) for N_geo in (1, 2, 3, 6)]
+    + [pytest.param(lambda: mg.disk_mesh(1, 2, n0=3), id="disk1-Ngeo2-n0=3"),
+       pytest.param(lambda: mg.disk_base_mesh(5, radial=3), id="disk_base5-radial3"),
+       pytest.param(lambda: mg.refine(mg.disk_base_mesh(5, radial=3)), id="refine-disk_base5"),
+       pytest.param(lambda: mg.random_perturbed_mesh(6, 2, 0.3, seed=3), id="random-retries")]
+)
+
+
+@pytest.mark.parametrize("make", ORACLE_CASES)
+def test_bitwise_equal_to_loop_reference(make, monkeypatch):
+    m = make()
+    with monkeypatch.context() as mp:
+        for name, fn in REFERENCE_IMPLS.items():
+            mp.setattr(mg, name, fn)
+        ref = make()
+    assert np.array_equal(m.elem_map_nodes, ref.elem_map_nodes)
+    assert np.array_equal(m.face_connectivity, ref.face_connectivity)
+    assert np.array_equal(m.boundary_tags, ref.boundary_tags)
+    assert m.face_connectivity.dtype == ref.face_connectivity.dtype
+    assert m.boundary_tags.dtype == ref.boundary_tags.dtype
+    assert m.h == ref.h
+    assert m.provenance == ref.provenance
+
+
+def test_face_shared_by_three_elements_rejected():
+    # two copies of the element right of x = 1 both claim the face it shares
+    # with the unit square
+    nodes = mg.uniform_quad_mesh(2, domain=((0, 2), (0, 1))).elem_map_nodes
+    nodes = np.concatenate([nodes[:2], nodes[1:2]])
+    with pytest.raises(ValueError, match="more than two faces"):
+        mg._build_connectivity(nodes, 1)
+    # the dict matcher silently left the third claimant as a boundary face
+    assert ref_build_connectivity(nodes, 1)[1][2, 3] == mg.BOUNDARY_DIRICHLET

@@ -283,6 +283,59 @@ class TestRun:
         with pytest.raises(sv.BlowUp):
             sv.run(m, cfg, sv.bessel_initial_condition, 4.0, dt=0.5, n_outputs=2)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_caught_within_ten_steps(self, monkeypatch):
+        # one output interval: before, the blow-up surfaced only at T
+        finite = []
+        step = sv.lsrk_step
+
+        def counted(state, dt, rhs_fn):
+            out = step(state, dt, rhs_fn)
+            finite.append(bool(np.isfinite(out.p).all()))
+            return out
+
+        monkeypatch.setattr(sv, "lsrk_step", counted)
+        m = mg.disk_mesh(0, 2)
+        with pytest.raises(sv.BlowUp, match="non-finite"):
+            sv.run(m, SolverConfig(N=2), sv.bessel_initial_condition, 2000.0,
+                   dt=0.5, n_outputs=1)
+        first_bad = finite.index(False)
+        assert len(finite) <= first_bad + sv.FINITE_CHECK_STEPS < 4000
+
+    @pytest.mark.parametrize("T, dt, n_outputs, steps", [
+        (1.0, 0.03, 4, 36),     # 0.25 / 0.03 = 8.3: 8 steps of dt and a short one
+        (1.0, 0.125, 2, 8),     # exact multiple: no extra sliver step
+    ])
+    def test_integer_step_counts(self, monkeypatch, T, dt, n_outputs, steps):
+        calls = []
+        step = sv.lsrk_step
+
+        def counted(state, dt_step, rhs_fn):
+            calls.append((state.t, dt_step))
+            return step(state, dt_step, rhs_fn)
+
+        monkeypatch.setattr(sv, "lsrk_step", counted)
+        zero = lambda x, y: (np.zeros_like(x),) * 3
+        state, diag = sv.run(mg.disk_mesh(0, 1), SolverConfig(N=1), zero, T,
+                             dt=dt, n_outputs=n_outputs)
+        assert len(calls) == steps
+        assert state.t == T
+        assert list(diag["t"]) == list(np.linspace(0.0, T, n_outputs + 1))
+        per = steps // n_outputs
+        for j, t_out in enumerate(diag["t"][:-1]):
+            block = calls[j * per:(j + 1) * per]
+            # times are t_start + i dt, not running sums of step sizes
+            assert [t for t, _ in block] == [t_out + i * dt for i in range(per)]
+            assert all(d == dt for _, d in block[:-1])
+            assert block[-1][1] == diag["t"][j + 1] - block[-1][0]
+
+    def test_zero_length_run_takes_no_steps(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sv, "lsrk_step", lambda *a: calls.append(a))
+        state, diag = sv.run(mg.disk_mesh(0, 1), SolverConfig(N=1),
+                             sv.bessel_initial_condition, 0.0)
+        assert calls == [] and state.t == 0.0 and len(diag["t"]) == 11
+
     def test_lands_exactly_on_T(self):
         m = mg.disk_mesh(0, 2)
         state, diag = sv.run(m, SolverConfig(N=2), sv.bessel_initial_condition,
