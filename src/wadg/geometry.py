@@ -119,16 +119,14 @@ def jacobian_at(mesh, points):
     return (X @ Er.T) * (Y @ Es.T) - (X @ Es.T) * (Y @ Er.T)
 
 
-def check_points(mesh, quad_degree=None):
+def check_points(mesh):
     """Reference point sets at which a mesh is checked: the Gauss volume rule
-    and the stacked per-face Gauss rules exact to `quad_degree` (default
-    4 N_geo + 2), plus, for quadrilaterals, a dense corner-including
-    Gauss-Lobatto grid, where near-degenerate bilinear maps take their
-    extremes."""
-    if quad_degree is None:
-        quad_degree = 4 * mesh.N_geo + 2
-    vol = refelem.build_quadrature(mesh.shape, max(quad_degree, 2 * mesh.N_geo))
-    xi = refelem.gauss_legendre_1d(max(1, (quad_degree + 2) // 2)).points
+    and the stacked per-face Gauss rules exact to degree 4 N_geo + 2, plus,
+    for quadrilaterals, a dense corner-including Gauss-Lobatto grid, where
+    near-degenerate bilinear maps take their extremes."""
+    degree = 4 * mesh.N_geo + 2
+    vol = refelem.build_quadrature(mesh.shape, degree)
+    xi = refelem.gauss_legendre_1d((degree + 2) // 2).points
     face = np.vstack([refelem.face_points(mesh.shape, f, xi)
                       for f in range(mesh.shape.n_faces)])
     sets = {"volume": vol.points, "face": face}
@@ -137,13 +135,13 @@ def check_points(mesh, quad_degree=None):
     return sets
 
 
-def validate_positive_jacobian(mesh, quad_degree=None):
+def validate_positive_jacobian(mesh):
     """Check J > 0 at the volume and face quadrature points and (for
     quadrilaterals) the dense grid of `check_points`, in that order.
     Raises NonPositiveJacobian for the first element failing in the first
     failing set, with the point's index within that set; returns min J."""
     jmin = np.inf
-    for points in check_points(mesh, quad_degree).values():
+    for points in check_points(mesh).values():
         J = jacobian_at(mesh, points)
         bad = ~(J > 0)
         if bad.any():
@@ -151,6 +149,21 @@ def validate_positive_jacobian(mesh, quad_degree=None):
             raise NonPositiveJacobian(int(k), int(q), float(J[k, q]))
         jmin = min(jmin, float(J.min()))
     return jmin
+
+
+def exterior_face_index(face_connectivity, nfq):
+    """Flat index, shape (K, n_faces, nfq), of the exterior value of each
+    face point in an array of face values laid out (K, n_faces, nfq).  Point
+    i of a face meets point nfq-1-i of its neighbour's face (conforming CCW
+    reversal); boundary faces (neighbour -1) index their own reversed points.
+    """
+    K, nf = face_connectivity.shape[:2]
+    nk, nfc = face_connectivity[..., 0], face_connectivity[..., 1]
+    ext_k = np.where(nk >= 0, nk, np.arange(K)[:, None])
+    ext_f = np.where(nk >= 0, nfc, np.arange(nf)[None, :])
+    rev = np.arange(nfq)[::-1]
+    return (ext_k[:, :, None] * (nf * nfq) + ext_f[:, :, None] * nfq
+            + rev[None, None, :])
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,8 @@ class CurvedMesh2D:
     elem_map_nodes: (K, Npg, 2) physical mapping-node coordinates.
     face_connectivity: (K, n_faces, 2) of (neighbor element, neighbor face),
         (-1, -1) on boundary faces.
-    boundary_tags: (K, n_faces); nonzero entries mark Dirichlet faces.
+    boundary_tags: (K, n_faces); positive entries mark Dirichlet faces,
+        zero entries interior faces.
     """
 
     shape: ElementShape
@@ -331,7 +332,7 @@ def gordon_hall_disk_mesh(base, N_geo, _prov=None):
     if base.N_geo != 1:
         raise ValueError("base mesh must be straight-sided (N_geo = 1)")
     corners = base.elem_map_nodes[:, _corner_indices(1), :]  # (K, 4, 2)
-    tagged = base.boundary_tags != 0
+    tagged = base.boundary_tags > 0
     on_circle = np.abs(np.hypot(corners[..., 0], corners[..., 1]) - 1.0) < 1e-12
     off = tagged & ~(on_circle[:, _FACE_FROM] & on_circle[:, _FACE_TO])
     if off.any():
@@ -496,7 +497,7 @@ def validate_mesh(mesh):
     """Check a mesh before it reaches the solver.
 
     In order: the face connectivity is an involution, boundary tags are
-    nonzero exactly on unmatched faces, J > 0 (`validate_positive_jacobian`),
+    positive on unmatched faces and zero elsewhere (the solver's rule), J > 0 (`validate_positive_jacobian`),
     and the face quadrature points of each interior face coincide with its
     neighbour's after CCW reversal, to 1e-10 of the element size.  Raises
     ValueError naming the failed check and the first bad element and face.
@@ -509,8 +510,9 @@ def validate_mesh(mesh):
     ok &= ~inner | ((nk[k_ext, f_ext] == np.arange(K)[:, None])
                     & (nfc[k_ext, f_ext] == np.arange(nf)[None, :]))
     _fail_at(~ok, "face connectivity is not an involution")
-    _fail_at((mesh.boundary_tags != 0) != ~inner,
-             "boundary tags are not nonzero exactly on unmatched faces")
+    tags = mesh.boundary_tags
+    _fail_at(np.where(inner, tags != BOUNDARY_NONE, tags <= 0),
+             "boundary tags are not positive exactly on unmatched faces")
     try:
         geometry.validate_positive_jacobian(mesh)
     except geometry.NonPositiveJacobian as exc:
@@ -519,7 +521,8 @@ def validate_mesh(mesh):
     face = geometry.check_points(mesh)["face"]
     E = refelem.nodal_eval_matrix(mesh.shape, mesh.N_geo, face)
     xf = (E @ mesh.elem_map_nodes).reshape(K, nf, -1, 2)     # (K, nf, nfq, 2)
-    gap = np.linalg.norm(xf - xf[k_ext, f_ext, ::-1], axis=-1).max(axis=-1)
+    ext = geometry.exterior_face_index(mesh.face_connectivity, xf.shape[2])
+    gap = np.linalg.norm(xf - xf.reshape(-1, 2)[ext], axis=-1).max(axis=-1)
     size = np.ptp(mesh.elem_map_nodes, axis=1).max(axis=-1)
     _fail_at(inner & ~(gap <= 1e-10 * size[:, None]),
              "face quadrature points do not match the neighbour's")

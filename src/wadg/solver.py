@@ -183,17 +183,9 @@ class Discretization:
         return self._rules[n1d]
 
     def _build_face_gather(self):
-        mesh, ref = self.mesh, self.ref
-        K, nf, nfq = mesh.K, mesh.n_faces, ref.nfq
-        conn = mesh.face_connectivity
-        ext_k = np.where(conn[:, :, 0] >= 0, conn[:, :, 0], np.arange(K)[:, None])
-        ext_f = np.where(conn[:, :, 1] >= 0, conn[:, :, 1], np.arange(nf)[None, :])
-        # flat gather: exterior value i on face f of element k comes from
-        # position nfq-1-i on the neighbor face (conforming CCW reversal)
-        rev = np.arange(nfq)[::-1]
-        idx = (ext_k[:, :, None] * (nf * nfq)
-               + ext_f[:, :, None] * nfq + rev[None, None, :])
-        self._gather_idx = idx.reshape(K, nf * nfq)
+        mesh, nfq = self.mesh, self.ref.nfq
+        idx = geometry.exterior_face_index(mesh.face_connectivity, nfq)
+        self._gather_idx = idx.reshape(mesh.K, mesh.n_faces * nfq)
         self.bc_mask = np.repeat(mesh.boundary_tags > 0, nfq, axis=1)
 
     def face_traces(self, u):

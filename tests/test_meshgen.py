@@ -289,6 +289,10 @@ def _tag_interior(doc):
     doc["boundary_tags"][0][1] = mg.BOUNDARY_DIRICHLET
 
 
+def _tag_boundary_negative(doc):
+    doc["boundary_tags"][0][0] = -1              # unmatched face, tag -1
+
+
 def _fold(doc):
     nodes = doc["elem_map_nodes"][0]
     nodes[0], nodes[2] = nodes[2], nodes[0]      # swap bl and br corners
@@ -302,6 +306,7 @@ class TestLoadMeshValidation:
     @pytest.mark.parametrize("edit, message", [
         (_set_conn, "not an involution: element 0 face 1"),
         (_tag_interior, "boundary tags .* element 0 face 1"),
+        (_tag_boundary_negative, "boundary tags .* element 0 face 0"),
         (_fold, "Jacobian not positive: .* element 0 "),
         (_bend_face, "do not match the neighbour's: element 0 face 1"),
     ])
@@ -468,6 +473,25 @@ def ref_gordon_hall_disk_mesh(base, N_geo, _prov=None):
     return mg._assemble_quad_mesh(nodes, N_geo, h, prov)
 
 
+def ref_validate_positive_jacobian(mesh):
+    """The validator before the J-only rewrite: J at the volume points of a
+    full reference element and geometry, then on the dense grid."""
+    deg = 4 * mesh.N_geo + 2
+    ref = rf.build_reference_element(max(1, mesh.N_geo), mesh.shape,
+                                     volume_quad_degree=deg, face_quad_degree=deg)
+    jmin = float(geom.compute_geometric_data(mesh, ref).Jq.min())
+    if mesh.shape is QUAD:
+        grid = geom._sample_grid(2 * mesh.N_geo + 3)
+        Er, Es = rf.nodal_grad_matrices(mesh.shape, mesh.N_geo, grid)
+        X, Y = mesh.elem_map_nodes[..., 0], mesh.elem_map_nodes[..., 1]
+        Jg = (X @ Er.T) * (Y @ Es.T) - (X @ Es.T) * (Y @ Er.T)
+        if np.any(Jg <= 0):
+            k, q = np.argwhere(Jg <= 0)[0]
+            raise geom.NonPositiveJacobian(int(k), int(q), float(Jg[k, q]))
+        jmin = min(jmin, float(Jg.min()))
+    return jmin
+
+
 REFERENCE_IMPLS = {
     "_build_connectivity": ref_build_connectivity,
     "_elements_from_global_grid": ref_elements_from_global_grid,
@@ -487,6 +511,10 @@ ORACLE_CASES = (
        pytest.param(lambda: mg.disk_base_mesh(5, radial=3), id="disk_base5-radial3"),
        pytest.param(lambda: mg.refine(mg.disk_base_mesh(5, radial=3)), id="refine-disk_base5"),
        pytest.param(lambda: mg.random_perturbed_mesh(6, 2, 0.3, seed=3), id="random-retries")]
+    # draws near the retry limit (4, 11 and 18 rejected draws)
+    + [pytest.param(lambda a=args: mg.random_perturbed_mesh(*a[:3], seed=a[3]),
+                    id="random-{}-{}-{}-seed{}".format(*args))
+       for args in [(6, 2, 0.25, 4), (4, 2, 0.3, 5), (4, 3, 0.3, 3)]]
 )
 
 
@@ -496,6 +524,7 @@ def test_bitwise_equal_to_loop_reference(make, monkeypatch):
     with monkeypatch.context() as mp:
         for name, fn in REFERENCE_IMPLS.items():
             mp.setattr(mg, name, fn)
+        mp.setattr(geom, "validate_positive_jacobian", ref_validate_positive_jacobian)
         ref = make()
     assert np.array_equal(m.elem_map_nodes, ref.elem_map_nodes)
     assert np.array_equal(m.face_connectivity, ref.face_connectivity)
@@ -504,6 +533,20 @@ def test_bitwise_equal_to_loop_reference(make, monkeypatch):
     assert m.boundary_tags.dtype == ref.boundary_tags.dtype
     assert m.h == ref.h
     assert m.provenance == ref.provenance
+
+
+def test_draw_folded_at_face_points_rejected(monkeypatch):
+    # The old validator never evaluated J at face points and accepted this
+    # draw, whose map folds on a face; the current one retries past it.
+    make = lambda: mg.random_perturbed_mesh(4, 3, 0.25, seed=1)
+    with monkeypatch.context() as mp:
+        mp.setattr(geom, "validate_positive_jacobian", ref_validate_positive_jacobian)
+        old = make()
+    new = make()
+    sets = geom.check_points(old)
+    assert geom.jacobian_at(old, sets["volume"]).min() > 0
+    assert geom.jacobian_at(old, sets["face"]).min() < 0
+    assert all(geom.jacobian_at(new, p).min() > 0 for p in sets.values())
 
 
 def test_face_shared_by_three_elements_rejected():
