@@ -15,6 +15,7 @@ import csv
 import json
 import sys
 import tomllib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -141,7 +142,7 @@ def cmd_conservation_study(args, rd):
 def cmd_spectrum(args, rd):
     mesh = _parse_mesh_spec(args.mesh, args.N_geo or args.N)
     cfg = _solver_config(vars(args))
-    A = analysis.assemble_evolution_matrix(mesh, cfg, MEDIA[args.medium]())
+    A = analysis.assemble_evolution_matrix(mesh, cfg, MEDIA[args.medium](), cap=args.cap)
     spec = analysis.eigenspectrum(A)
     out = rd.path / "spectrum.csv"
     spec.to_csv(out)
@@ -168,7 +169,10 @@ def cmd_run(args, rd):
     mesh = _parse_mesh_spec(doc.get("mesh", "disk1"), int(doc.get("N_geo", cfg.N)))
     medium = MEDIA[doc.get("medium", "constant")]()
     T = float(doc.get("T", 1.0))
-    n_out = int(round(T / doc.get("output_interval", T / 10)))
+    interval = float(doc.get("output_interval", T / 10))
+    if not 0 < interval <= T:
+        raise ConfigError(f"output_interval must lie in (0, T] with T = {T}, got {interval}")
+    n_out = int(round(T / interval))
     exact = solver.bessel_pressure if doc.get("medium", "constant") == "constant" else None
     state, diag = solver.run(mesh, cfg, solver.bessel_initial_condition, T,
                              medium=medium, exact_p=exact, n_outputs=n_out)
@@ -188,10 +192,12 @@ def cmd_run(args, rd):
 
 def cmd_bench(args, rd):
     mesh = _parse_mesh_spec(args.mesh, args.N_geo or args.N)
+    base = _solver_config(vars(args))
     rows = []
     for form in (Formulation.Strong, Formulation.StrongWeak):
-        cfg = SolverConfig(N=args.N, formulation=form, flux=FluxParams(1.0, 1.0))
-        rep = analysis.benchmark_rhs(mesh, cfg, repetitions=args.reps)
+        cfg = replace(base, formulation=form)
+        rep = analysis.benchmark_rhs(mesh, cfg, repetitions=args.reps,
+                                     medium=MEDIA[args.medium]())
         for phase in ("volume", "surface", "update", "total"):
             rows.append((f"{form.value}:{phase}", args.N, mesh.K, rep[phase]))
         rd.log(f"{form.value}: total {rep['total']:.2f} ns/dof "
@@ -210,10 +216,11 @@ def build_parser():
     p.add_argument("--out-dir", default="wadg-out", help="run directory for artifacts")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common_solver(q):
+    def common_solver(q, formulation_help=None):
         q.add_argument("--N", type=int, default=3)
         q.add_argument("--N-geo", type=int, default=None, dest="N_geo")
-        q.add_argument("--formulation", choices=["strong", "strong-weak"], default="strong")
+        q.add_argument("--formulation", choices=["strong", "strong-weak"], default="strong",
+                       help=formulation_help)
         q.add_argument("--mass-mode", choices=["wadg", "exact"], default="wadg")
         q.add_argument("--tau", type=float, default=None,
                        help="set both penalty parameters")
@@ -279,7 +286,7 @@ def build_parser():
     q.set_defaults(func=cmd_run)
 
     q = sub.add_parser("bench", help="matrix-free RHS benchmark")
-    common_solver(q)
+    common_solver(q, formulation_help="ignored: bench times both formulations")
     q.add_argument("--mesh", default="disk2")
     q.add_argument("--reps", type=int, default=20)
     q.set_defaults(func=cmd_bench)

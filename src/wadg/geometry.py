@@ -14,7 +14,6 @@ from math import comb
 import numpy as np
 
 from . import refelem
-from .refelem import ElementShape
 
 
 class NonPositiveJacobian(Exception):
@@ -60,13 +59,12 @@ def compute_geometric_data(mesh, ref):
     Raises NonPositiveJacobian identifying the first offending element and
     quadrature point.
     """
-    shape = mesh.shape
     ngeo = mesh.N_geo
     X = mesh.elem_map_nodes[:, :, 0]
     Y = mesh.elem_map_nodes[:, :, 1]
 
-    E = refelem.nodal_eval_matrix(shape, ngeo, ref.volume_quad.points)
-    Er, Es = refelem.nodal_grad_matrices(shape, ngeo, ref.volume_quad.points)
+    E = refelem.nodal_eval_matrix(ngeo, ref.volume_quad.points)
+    Er, Es = refelem.nodal_grad_matrices(ngeo, ref.volume_quad.points)
     xq, yq = X @ E.T, Y @ E.T
     xr, xs = X @ Er.T, X @ Es.T
     yr, ys = Y @ Er.T, Y @ Es.T
@@ -77,20 +75,18 @@ def compute_geometric_data(mesh, ref):
     rxq, ryq = ys / Jq, -xs / Jq
     sxq, syq = -yr / Jq, xr / Jq
 
-    Ef = refelem.nodal_eval_matrix(shape, ngeo, ref.face_quad_points)
-    Efr, Efs = refelem.nodal_grad_matrices(shape, ngeo, ref.face_quad_points)
+    Ef = refelem.nodal_eval_matrix(ngeo, ref.face_quad_points)
+    Efr, Efs = refelem.nodal_grad_matrices(ngeo, ref.face_quad_points)
     xfq, yfq = X @ Ef.T, Y @ Ef.T
     xfr, xfs = X @ Efr.T, X @ Efs.T
     yfr, yfs = Y @ Efr.T, Y @ Efs.T
 
     # tangent along the CCW face parameter; outward normal is (y', -x') / Jf
-    dirs = refelem.face_parametrizations(shape)
     nfq = ref.nfq
     tx = np.empty_like(xfq)
     ty = np.empty_like(xfq)
-    for f in range(shape.n_faces):
+    for f, (_, (dr, ds)) in enumerate(refelem.FACES):
         cols = slice(f * nfq, (f + 1) * nfq)
-        dr, ds = dirs[f][1]
         tx[:, cols] = xfr[:, cols] * dr + xfs[:, cols] * ds
         ty[:, cols] = yfr[:, cols] * dr + yfs[:, cols] * ds
     Jfq = np.hypot(tx, ty)
@@ -114,30 +110,26 @@ def element_perimeters(geo):
 def jacobian_at(mesh, points):
     """Mapping Jacobian J = x_r y_s - x_s y_r of every element at reference
     `points`, shape (K, n_points)."""
-    Er, Es = refelem.nodal_grad_matrices(mesh.shape, mesh.N_geo, points)
+    Er, Es = refelem.nodal_grad_matrices(mesh.N_geo, points)
     X, Y = mesh.elem_map_nodes[..., 0], mesh.elem_map_nodes[..., 1]
     return (X @ Er.T) * (Y @ Es.T) - (X @ Es.T) * (Y @ Er.T)
 
 
 def check_points(mesh):
     """Reference point sets at which a mesh is checked: the Gauss volume rule
-    and the stacked per-face Gauss rules exact to degree 4 N_geo + 2, plus,
-    for quadrilaterals, a dense corner-including Gauss-Lobatto grid, where
-    near-degenerate bilinear maps take their extremes."""
+    and the stacked per-face Gauss rules exact to degree 4 N_geo + 2, and a
+    dense corner-including Gauss-Lobatto grid, where near-degenerate
+    bilinear maps take their extremes."""
     degree = 4 * mesh.N_geo + 2
-    vol = refelem.build_quadrature(mesh.shape, degree)
+    vol = refelem.build_quadrature(degree)
     xi = refelem.gauss_legendre_1d((degree + 2) // 2).points
-    face = np.vstack([refelem.face_points(mesh.shape, f, xi)
-                      for f in range(mesh.shape.n_faces)])
-    sets = {"volume": vol.points, "face": face}
-    if mesh.shape is ElementShape.Quadrilateral:
-        sets["grid"] = _sample_grid(2 * mesh.N_geo + 3)
-    return sets
+    face = np.vstack([refelem.face_points(f, xi) for f in range(refelem.N_FACES)])
+    return {"volume": vol.points, "face": face, "grid": _sample_grid(2 * mesh.N_geo + 3)}
 
 
 def validate_positive_jacobian(mesh):
-    """Check J > 0 at the volume and face quadrature points and (for
-    quadrilaterals) the dense grid of `check_points`, in that order.
+    """Check J > 0 at the volume and face quadrature points and the dense
+    grid of `check_points`, in that order.
     Raises NonPositiveJacobian for the first element failing in the first
     failing set, with the point's index within that set; returns min J."""
     jmin = np.inf
@@ -217,58 +209,47 @@ def _jet_shift(g, axis):
     return out
 
 
-def _tensor_modal_deriv_eval(Ndeg, points, a, b):
-    """Evaluation matrix of d^(a+b)/dr^a ds^b of the Q^Ndeg Legendre tensor
-    modal basis at `points`, shape (P, (Ndeg+1)^2)."""
-    r, s = points[:, 0], points[:, 1]
-    A = np.column_stack([refelem.grad_jacobi_p(i, 0, 0, r, order=a) for i in range(Ndeg + 1)])
-    B = np.column_stack([refelem.grad_jacobi_p(j, 0, 0, s, order=b) for j in range(Ndeg + 1)])
-    return np.einsum("pi,pj->pij", A, B).reshape(points.shape[0], -1)
-
-
 def _sample_grid(n1d):
     g = refelem.gauss_lobatto_1d(n1d).points
     r, s = np.meshgrid(g, g, indexing="ij")
     return np.column_stack([r.ravel(), s.ravel()])
 
 
-def jacobian_sup_norms(mesh, order, samples_per_dir=None, chunk_size=1024):
+_SUP_NORM_CHUNK = 1024   # elements per batch of jets
+
+
+def jacobian_sup_norms(mesh, order):
     """Per-element sup-norm estimates (||J||_{W^{order,inf}}, ||1/J||_{inf}).
 
     The W norm is the max of |D^alpha J| over all physical multi-indices
     |alpha| <= order; both maxima are taken over a tensor Gauss-Lobatto
     sample grid of quadrature degree >= 4 N_geo (corners included).
-    Quadrilateral meshes only.
     """
-    if mesh.shape is not ElementShape.Quadrilateral:
-        raise NotImplementedError("sup-norm sampling implemented for quadrilaterals")
     ngeo = mesh.N_geo
-    if samples_per_dir is None:
-        samples_per_dir = 2 * ngeo + 2  # GLL degree 2n-3 >= 4 N_geo
-    pts = _sample_grid(samples_per_dir)
+    pts = _sample_grid(2 * ngeo + 2)  # GLL degree 2n-3 >= 4 N_geo
     P = pts.shape[0]
     M = order
 
-    nodes = refelem.interpolation_nodes(ElementShape.Quadrilateral, ngeo)
-    Vg = refelem.eval_modal_basis(ElementShape.Quadrilateral, ngeo, nodes)
+    nodes = refelem.interpolation_nodes(ngeo)
+    Vg = refelem.eval_modal_basis(ngeo, nodes)
     # J is a polynomial of per-coordinate degree <= 2 ngeo; interpolate it
     # exactly on a degree-2 ngeo GLL grid
     nj = 2 * ngeo + 1
     jgrid = _sample_grid(nj)
-    Vj = refelem.eval_modal_basis(ElementShape.Quadrilateral, 2 * ngeo, jgrid)
-    Egr, Egs = refelem.nodal_grad_matrices(ElementShape.Quadrilateral, ngeo, jgrid)
+    Vj = refelem.eval_modal_basis(2 * ngeo, jgrid)
+    Egr, Egs = refelem.nodal_grad_matrices(ngeo, jgrid)
 
     S = M + 2
-    Exy = {(a, b): _tensor_modal_deriv_eval(ngeo, pts, a, b)
+    Exy = {(a, b): refelem.modal_deriv_eval(ngeo, pts, a, b)
            for a in range(S) for b in range(S - a)}
-    EJ = {(a, b): _tensor_modal_deriv_eval(2 * ngeo, pts, a, b)
+    EJ = {(a, b): refelem.modal_deriv_eval(2 * ngeo, pts, a, b)
           for a in range(S) for b in range(S - a)}
 
     K = mesh.K
     w_norm = np.zeros(K)
     inv_norm = np.zeros(K)
-    for lo in range(0, K, chunk_size):
-        hi = min(lo + chunk_size, K)
+    for lo in range(0, K, _SUP_NORM_CHUNK):
+        hi = min(lo + _SUP_NORM_CHUNK, K)
         X = mesh.elem_map_nodes[lo:hi, :, 0]
         Y = mesh.elem_map_nodes[lo:hi, :, 1]
         cx = np.linalg.solve(Vg, X.T)  # modal coefficients, (Npg, k)
@@ -317,7 +298,7 @@ def jacobian_sup_norms(mesh, order, samples_per_dir=None, chunk_size=1024):
     return w_norm, inv_norm
 
 
-def kappa_tilde(mesh, order, **kw):
+def kappa_tilde(mesh, order):
     """max over elements of ||1/J||_inf * ||J||_{W^{order,inf}}."""
-    w_norm, inv_norm = jacobian_sup_norms(mesh, order, **kw)
+    w_norm, inv_norm = jacobian_sup_norms(mesh, order)
     return float(np.max(w_norm * inv_norm))

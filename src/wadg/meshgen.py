@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, refelem
-from .refelem import ElementShape
 
 MESH_SCHEMA_VERSION = "wadg-mesh-v1"
+MESH_SHAPE = "quadrilateral"   # the one element shape of wadg-mesh-v1 files
 
 BOUNDARY_NONE = 0
 BOUNDARY_DIRICHLET = 1
@@ -42,16 +42,15 @@ class WarpParams:
 
 @dataclass
 class CurvedMesh2D:
-    """Conforming isoparametric mesh of quadrilaterals (or triangles).
+    """Conforming isoparametric mesh of quadrilaterals.
 
     elem_map_nodes: (K, Npg, 2) physical mapping-node coordinates.
-    face_connectivity: (K, n_faces, 2) of (neighbor element, neighbor face),
+    face_connectivity: (K, 4, 2) of (neighbor element, neighbor face),
         (-1, -1) on boundary faces.
-    boundary_tags: (K, n_faces); positive entries mark Dirichlet faces,
+    boundary_tags: (K, 4); positive entries mark Dirichlet faces,
         zero entries interior faces.
     """
 
-    shape: ElementShape
     N_geo: int
     elem_map_nodes: np.ndarray = field(repr=False)
     face_connectivity: np.ndarray = field(repr=False)
@@ -63,9 +62,7 @@ class CurvedMesh2D:
     def K(self):
         return self.elem_map_nodes.shape[0]
 
-    @property
-    def n_faces(self):
-        return self.shape.n_faces
+    n_faces = refelem.N_FACES
 
 
 def _corner_indices(N_geo):
@@ -114,10 +111,8 @@ def _build_connectivity(elem_map_nodes, N_geo):
 def _assemble_quad_mesh(elem_map_nodes, N_geo, h, provenance, validate=True):
     conn, tags = _build_connectivity(elem_map_nodes, N_geo)
     mesh = CurvedMesh2D(
-        shape=ElementShape.Quadrilateral, N_geo=N_geo,
-        elem_map_nodes=np.ascontiguousarray(elem_map_nodes),
-        face_connectivity=conn, boundary_tags=tags, h=h,
-        provenance=provenance)
+        N_geo=N_geo, elem_map_nodes=np.ascontiguousarray(elem_map_nodes),
+        face_connectivity=conn, boundary_tags=tags, h=h, provenance=provenance)
     if validate:
         geometry.validate_positive_jacobian(mesh)
     return mesh
@@ -203,8 +198,11 @@ def _bilinear_elements(VX, VY, K1D, N_geo):
     return out
 
 
+_RANDOM_MESH_RETRIES = 20
+
+
 def random_perturbed_mesh(K1D, N_geo, amplitude, seed,
-                          domain=((0.0, 1.0), (0.0, 1.0)), max_retries=20):
+                          domain=((0.0, 1.0), (0.0, 1.0))):
     """Uniform mesh with interior mapping nodes displaced by uniform random
     offsets of size <= amplitude * (element spacing).
 
@@ -212,9 +210,10 @@ def random_perturbed_mesh(K1D, N_geo, amplitude, seed,
     on the global node grid), boundary nodes stay put, and the result is
     deterministic in `seed`.  Offsets are drawn uniformly within
     amplitude * (smallest mapping-node gap), which keeps them below
-    amplitude * h while leaving the interpolated map invertible for
-    amplitudes well under one.  Retries with fresh draws if the Jacobian
-    still goes nonpositive; raises NonPositiveJacobian after `max_retries`.
+    amplitude * h.  A draw whose map folds is replaced by a fresh one, up
+    to 20 draws; then NonPositiveJacobian is raised.  Scanned over K1D 4
+    and 6, N_geo 1-3 and seeds 0-7 (48 sets): amplitude 0.2 always finds
+    an invertible map, 0.25 runs out of draws on 5 sets and 0.3 on 18.
     """
     (x0, x1), (y0, y1) = domain
     dx = (x1 - x0) / K1D
@@ -229,7 +228,7 @@ def random_perturbed_mesh(K1D, N_geo, amplitude, seed,
     prov = {"kind": "random", "K1D": K1D, "N_geo": N_geo,
             "amplitude": amplitude, "seed": seed, "domain": domain}
     last_exc = None
-    for _ in range(max_retries):
+    for _ in range(_RANDOM_MESH_RETRIES):
         gx = gx0 + np.where(interior_x, rng.uniform(-amplitude * gap, amplitude * gap, gx0.shape), 0.0)
         gy = gy0 + np.where(interior_y, rng.uniform(-amplitude * gap, amplitude * gap, gy0.shape), 0.0)
         nodes = _elements_from_global_grid(gx, gy, K1D, N_geo)
@@ -405,12 +404,12 @@ def subdivide(mesh):
     a quadrant of the reference element (exact for polynomial maps), so the
     curved geometry is fixed while the resolution doubles."""
     N_geo = mesh.N_geo
-    ref_nodes = refelem.interpolation_nodes(mesh.shape, N_geo)
+    ref_nodes = refelem.interpolation_nodes(N_geo)
     evals = []
     for cj in range(2):
         for ci in range(2):
             pts = 0.5 * (ref_nodes + [2 * ci - 1, 2 * cj - 1])
-            evals.append(refelem.nodal_eval_matrix(mesh.shape, N_geo, pts))
+            evals.append(refelem.nodal_eval_matrix(N_geo, pts))
     K = mesh.K
     npg = ref_nodes.shape[0]
     nodes = np.empty((4 * K, npg, 2))
@@ -480,7 +479,7 @@ def mesh_family(kind, levels, N_geo=1, **params):
 def save_mesh(mesh, path):
     doc = {
         "version": MESH_SCHEMA_VERSION,
-        "shape": mesh.shape.value,
+        "shape": MESH_SHAPE,
         "N_geo": mesh.N_geo,
         "K": mesh.K,
         "h": mesh.h,
@@ -519,7 +518,7 @@ def validate_mesh(mesh):
         raise ValueError(f"mesh check failed, Jacobian not positive: {exc}") from None
 
     face = geometry.check_points(mesh)["face"]
-    E = refelem.nodal_eval_matrix(mesh.shape, mesh.N_geo, face)
+    E = refelem.nodal_eval_matrix(mesh.N_geo, face)
     xf = (E @ mesh.elem_map_nodes).reshape(K, nf, -1, 2)     # (K, nf, nfq, 2)
     ext = geometry.exterior_face_index(mesh.face_connectivity, xf.shape[2])
     gap = np.linalg.norm(xf - xf.reshape(-1, 2)[ext], axis=-1).max(axis=-1)
@@ -540,16 +539,19 @@ def load_mesh(path):
         doc = json.load(f)
     if doc.get("version") != MESH_SCHEMA_VERSION:
         raise ValueError(f"unsupported mesh schema version {doc.get('version')!r}")
-    shape = ElementShape(doc["shape"])
+    if doc.get("shape") != MESH_SHAPE:
+        raise ValueError(f"unsupported element shape {doc.get('shape')!r}; "
+                         f"only {MESH_SHAPE!r} meshes are supported")
     nodes = np.asarray(doc["elem_map_nodes"], dtype=float)
     conn = np.asarray(doc["face_connectivity"], dtype=np.int64)
     tags = np.asarray(doc["boundary_tags"], dtype=np.int64)
-    npg = refelem.basis_dimension(shape, doc["N_geo"])
+    npg = refelem.basis_dimension(doc["N_geo"])
     if nodes.shape != (doc["K"], npg, 2):
         raise ValueError("elem_map_nodes shape inconsistent with K and N_geo")
-    if conn.shape != (doc["K"], shape.n_faces, 2) or tags.shape != (doc["K"], shape.n_faces):
+    nf = refelem.N_FACES
+    if conn.shape != (doc["K"], nf, 2) or tags.shape != (doc["K"], nf):
         raise ValueError("connectivity arrays inconsistent with K")
-    mesh = CurvedMesh2D(shape=shape, N_geo=doc["N_geo"], elem_map_nodes=nodes,
+    mesh = CurvedMesh2D(N_geo=doc["N_geo"], elem_map_nodes=nodes,
                         face_connectivity=conn, boundary_tags=tags,
                         h=float(doc["h"]), provenance=doc.get("provenance", {}))
     validate_mesh(mesh)

@@ -114,7 +114,7 @@ def global_l2_error(ref, geo, coeffs, exact_fn):
     return float(np.sqrt(np.sum(ref.wq[None, :] * geo.Jq * (uq - fq) ** 2)))
 
 
-def _monomials(shape, M, points):
+def _monomials(M, points):
     cols = []
     for a in range(M + 1):
         for b in range(M + 1 - a):
@@ -132,7 +132,7 @@ def conservation_moment_error(ref, geo, w, u_fn, M):
     w = np.atleast_2d(np.asarray(w, dtype=float))
     _check_weight(w)
     uq = u_fn(geo.xq, geo.yq)
-    Vm = _monomials(ref.shape, M, ref.volume_quad.points)  # (Nq, n_mono)
+    Vm = _monomials(M, ref.volume_quad.points)  # (Nq, n_mono)
     Minv = weighted_mass_matrix(ref, 1.0 / w)
     load = (ref.wq[None, :] * uq) @ ref.Vq
     z = np.linalg.solve(Minv, load[:, :, None])[:, :, 0]

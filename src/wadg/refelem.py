@@ -4,12 +4,11 @@ face trace) that the mesh, operator, and solver layers consume.
 
 Conventions
 -----------
-* The reference quadrilateral is [-1, 1]^2; the reference triangle is
-  {r, s >= -1, r + s <= 0}.
-* Approximation spaces are Q^N (quadrilateral, per-coordinate degree) and
-  P^N (triangle, total degree).
-* Quadrature exactness is per-coordinate degree on the quadrilateral and
-  total degree on the triangle.
+* The reference element is the quadrilateral [-1, 1]^2; every element of
+  a mesh is a quadrilateral.
+* The approximation space is Q^N (degree N in each coordinate), with the
+  Legendre tensor-product modal basis and a tensor Gauss-Lobatto nodal set.
+* Quadrature exactness is per-coordinate degree.
 * Faces are ordered counterclockwise and parametrized by xi in [-1, 1];
   the outward normal direction is (y', -x') along the parametrization.
 
@@ -18,10 +17,8 @@ All matrices are dense; intended for N <= 8.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 from scipy import special as sps
@@ -31,48 +28,23 @@ class SingularNodalBasis(Exception):
     """Raised when an interpolation node set fails to be unisolvent."""
 
 
-class ElementShape(enum.Enum):
-    Triangle = "triangle"
-    Quadrilateral = "quadrilateral"
-
-    @property
-    def n_faces(self):
-        return 3 if self is ElementShape.Triangle else 4
-
-    @property
-    def measure(self):
-        """Area of the reference element."""
-        return 2.0 if self is ElementShape.Triangle else 4.0
-
-
-def basis_dimension(shape, N):
-    if shape is ElementShape.Triangle:
-        return (N + 1) * (N + 2) // 2
+def basis_dimension(N):
     return (N + 1) ** 2
 
 
-# Face parametrizations: (start point, direction d(r,s)/dxi), traversed CCW.
-_QUAD_FACES = (
+# Face parametrizations: (midpoint, direction d(r,s)/dxi), traversed CCW.
+FACES = (
     (np.array([0.0, -1.0]), np.array([1.0, 0.0])),   # bottom
     (np.array([1.0, 0.0]), np.array([0.0, 1.0])),    # right
     (np.array([0.0, 1.0]), np.array([-1.0, 0.0])),   # top
     (np.array([-1.0, 0.0]), np.array([0.0, -1.0])),  # left
 )
-_TRI_FACES = (
-    (np.array([0.0, -1.0]), np.array([1.0, 0.0])),   # bottom
-    (np.array([0.0, 0.0]), np.array([-1.0, 1.0])),   # hypotenuse
-    (np.array([-1.0, 0.0]), np.array([0.0, -1.0])),  # left
-)
+N_FACES = len(FACES)
 
 
-def face_parametrizations(shape):
-    """Per-face (midpoint, d(r,s)/dxi) pairs for xi in [-1, 1], CCW order."""
-    return _TRI_FACES if shape is ElementShape.Triangle else _QUAD_FACES
-
-
-def face_points(shape, face, xi):
+def face_points(face, xi):
     """Map 1D parameters xi to reference coordinates on the given face."""
-    mid, dvec = face_parametrizations(shape)[face]
+    mid, dvec = FACES[face]
     xi = np.asarray(xi, dtype=float)
     return mid[None, :] + xi[:, None] * dvec[None, :]
 
@@ -144,160 +116,49 @@ def grad_jacobi_p(n, alpha, beta, x, order=1):
 # ---------------------------------------------------------------------------
 # Volume quadrature
 
-def build_quadrature(shape, degree):
-    """Quadrature on the reference element exact to (at least) `degree`.
-
-    Quadrilateral: tensor-product Gauss-Legendre.  Triangle: collapsed
-    (Duffy) Gauss-Legendre x Gauss-Jacobi(1,0) rule, which has positive
-    weights for any degree.
-    """
+def build_quadrature(degree):
+    """Tensor-product Gauss-Legendre rule on [-1, 1]^2 exact to (at least)
+    per-coordinate `degree`."""
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    n = max(1, (degree + 2) // 2)  # 2n-1 >= degree
-    if shape is ElementShape.Quadrilateral:
-        rule = gauss_legendre_1d(n)
-        r, s = np.meshgrid(rule.points, rule.points, indexing="ij")
-        w = np.outer(rule.weights, rule.weights)
-        return QuadratureRule(
-            points=np.column_stack([r.ravel(), s.ravel()]),
-            weights=w.ravel(),
-            exactness_degree=rule.exactness_degree,
-        )
-    # Duffy map: r = (1+a)(1-b)/2 - 1, s = b with d(r,s) = (1-b)/2 da db.
-    ga = gauss_legendre_1d(n)
-    b, wb = sps.roots_jacobi(n, 1.0, 0.0)
-    a, wa = ga.points, ga.weights
-    A, B = np.meshgrid(a, b, indexing="ij")
-    r = 0.5 * (1 + A) * (1 - B) - 1
-    s = B
-    w = 0.5 * np.outer(wa, wb)
+    rule = gauss_legendre_1d(max(1, (degree + 2) // 2))  # 2n-1 >= degree
+    r, s = np.meshgrid(rule.points, rule.points, indexing="ij")
+    w = np.outer(rule.weights, rule.weights)
     return QuadratureRule(
         points=np.column_stack([r.ravel(), s.ravel()]),
         weights=w.ravel(),
-        exactness_degree=2 * n - 1,
+        exactness_degree=rule.exactness_degree,
     )
 
 
 # ---------------------------------------------------------------------------
-# Orthonormal modal bases
+# Orthonormal modal basis: Legendre tensor products, mode (i, j) in column
+# i (N+1) + j
 
-def _rs_to_ab(r, s):
-    """Collapsed coordinates on the triangle; a = -1 at the singular vertex."""
-    a = np.full_like(r, -1.0)
-    ok = s < 1.0 - 1e-14
-    a[ok] = 2.0 * (1.0 + r[ok]) / (1.0 - s[ok]) - 1.0
-    return a, s
-
-
-def _modal_index_pairs(shape, N):
-    if shape is ElementShape.Triangle:
-        return [(i, j) for i in range(N + 1) for j in range(N + 1 - i)]
-    return [(i, j) for i in range(N + 1) for j in range(N + 1)]
-
-
-def eval_modal_basis(shape, N, points):
-    """Orthonormal basis values at `points`, shape (n_points, N_p).
-
-    Legendre tensor products on the quadrilateral, Koornwinder-Dubiner
-    polynomials on the triangle; both orthonormal under the reference L2
-    inner product.
-    """
+def modal_deriv_eval(N, points, a=0, b=0):
+    """d^(a+b)/dr^a ds^b of the Q^N orthonormal modal basis at `points`,
+    shape (n_points, (N+1)^2)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     r, s = pts[:, 0], pts[:, 1]
-    pairs = _modal_index_pairs(shape, N)
-    V = np.empty((pts.shape[0], len(pairs)))
-    if shape is ElementShape.Quadrilateral:
-        for k, (i, j) in enumerate(pairs):
-            V[:, k] = jacobi_p(i, 0, 0, r) * jacobi_p(j, 0, 0, s)
-        return V
-    a, b = _rs_to_ab(r, s)
-    t = 0.5 * (1.0 - b)
-    for k, (i, j) in enumerate(pairs):
-        scale = np.sqrt(2.0) * 2.0**i
-        V[:, k] = scale * jacobi_p(i, 0, 0, a) * jacobi_p(j, 2 * i + 1, 0, b) * t**i
-    return V
+    A = np.column_stack([grad_jacobi_p(i, 0, 0, r, order=a) for i in range(N + 1)])
+    B = np.column_stack([grad_jacobi_p(j, 0, 0, s, order=b) for j in range(N + 1)])
+    return np.einsum("pi,pj->pij", A, B).reshape(pts.shape[0], -1)
 
 
-def eval_modal_basis_grad(shape, N, points):
+def eval_modal_basis(N, points):
+    """Orthonormal basis values at `points`, shape (n_points, N_p)."""
+    return modal_deriv_eval(N, points)
+
+
+def eval_modal_basis_grad(N, points):
     """(d/dr, d/ds) of the orthonormal basis at `points`."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    r, s = pts[:, 0], pts[:, 1]
-    pairs = _modal_index_pairs(shape, N)
-    Vr = np.empty((pts.shape[0], len(pairs)))
-    Vs = np.empty((pts.shape[0], len(pairs)))
-    if shape is ElementShape.Quadrilateral:
-        for k, (i, j) in enumerate(pairs):
-            Vr[:, k] = grad_jacobi_p(i, 0, 0, r) * jacobi_p(j, 0, 0, s)
-            Vs[:, k] = jacobi_p(i, 0, 0, r) * grad_jacobi_p(j, 0, 0, s)
-        return Vr, Vs
-    a, b = _rs_to_ab(r, s)
-    t = 0.5 * (1.0 - b)
-    for k, (i, j) in enumerate(pairs):
-        fa = jacobi_p(i, 0, 0, a)
-        dfa = grad_jacobi_p(i, 0, 0, a)
-        gb = jacobi_p(j, 2 * i + 1, 0, b)
-        dgb = grad_jacobi_p(j, 2 * i + 1, 0, b)
-        scale = np.sqrt(2.0) * 2.0**i
-        tim1 = t ** (i - 1) if i >= 1 else np.zeros_like(t)
-        # d/dr = (1/t) d/da
-        Vr[:, k] = scale * dfa * gb * tim1
-        # d/ds = ((1+a)/(2t)) d/da + d/db
-        Vs[:, k] = scale * (
-            dfa * gb * 0.5 * (1.0 + a) * tim1
-            + fa * (dgb * t**i - (0.5 * i) * gb * tim1)
-        )
-    return Vr, Vs
+    return modal_deriv_eval(N, points, 1, 0), modal_deriv_eval(N, points, 0, 1)
 
 
 # ---------------------------------------------------------------------------
 # Interpolation nodes
 
-def _equispaced_barycentric(N):
-    lam = []
-    for i in range(N + 1):
-        for j in range(N + 1 - i):
-            l2 = i / N
-            l3 = j / N
-            lam.append((1.0 - l2 - l3, l2, l3))
-    return np.array(lam)
-
-
-def _warp_factor_1d(N, r):
-    """Displacement pulling equispaced points toward Gauss-Lobatto points."""
-    req = np.linspace(-1.0, 1.0, N + 1)
-    gll = gauss_lobatto_1d(N + 1).points
-    # Lagrange interpolation (on the equispaced set) of the nodal shifts.
-    Veq = np.vander(req, increasing=True)
-    coeffs = np.linalg.solve(Veq, gll - req)
-    return np.vander(np.asarray(r), N + 1, increasing=True) @ coeffs
-
-
-def triangle_nodes(N):
-    """Boundary-including nodal set on the reference triangle.
-
-    Equispaced barycentric points warped edge-by-edge so that the nodes on
-    each edge coincide with 1D Gauss-Lobatto points, blended into the
-    interior.  Unisolvency is checked downstream via the modal Vandermonde.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    verts = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
-    lam = _equispaced_barycentric(N)  # (Np, 3) barycentric wrt verts rows
-    nodes = lam @ verts
-    # edges as vertex index pairs (i, j); blend uses the opposite vertex k
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        xi = lam[:, j] - lam[:, i]
-        warp = _warp_factor_1d(N, xi)
-        sf = 1.0 - xi**2
-        blend = 4.0 * lam[:, i] * lam[:, j]
-        ok = sf > 1e-12
-        scale = np.zeros(len(lam))
-        scale[ok] = blend[ok] / sf[ok]
-        nodes += (scale * warp)[:, None] * 0.5 * (verts[j] - verts[i])[None, :]
-    return nodes
-
-
-def quad_nodes(N):
+def interpolation_nodes(N):
     """Tensor Gauss-Lobatto nodal set on [-1, 1]^2, s-major ordering."""
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -306,15 +167,9 @@ def quad_nodes(N):
     return np.column_stack([r.ravel(), s.ravel()])
 
 
-def interpolation_nodes(shape, N):
-    if shape is ElementShape.Quadrilateral:
-        return quad_nodes(N)
-    return triangle_nodes(N)
-
-
-def nodal_vandermonde(shape, N, nodes):
+def nodal_vandermonde(N, nodes):
     """Modal Vandermonde at the nodes; raises if numerically singular."""
-    V = eval_modal_basis(shape, N, nodes)
+    V = eval_modal_basis(N, nodes)
     if V.shape[0] != V.shape[1]:
         raise SingularNodalBasis(
             f"{V.shape[0]} nodes cannot be unisolvent for dimension {V.shape[1]}")
@@ -325,24 +180,24 @@ def nodal_vandermonde(shape, N, nodes):
 
 
 @lru_cache(maxsize=None)
-def _cached_nodal_basis(shape, N):
-    nodes = interpolation_nodes(shape, N)
-    V, cond = nodal_vandermonde(shape, N, nodes)
+def _cached_nodal_basis(N):
+    nodes = interpolation_nodes(N)
+    V, cond = nodal_vandermonde(N, nodes)
     return nodes, V, cond
 
 
-def nodal_eval_matrix(shape, N, points):
+def nodal_eval_matrix(N, points):
     """Matrix mapping nodal values (on the standard node set) to values at
     `points`; rows are Lagrange basis evaluations."""
-    _, V, _ = _cached_nodal_basis(shape, N)
-    M = eval_modal_basis(shape, N, points)
+    _, V, _ = _cached_nodal_basis(N)
+    M = eval_modal_basis(N, points)
     return np.linalg.solve(V.T, M.T).T
 
 
-def nodal_grad_matrices(shape, N, points):
+def nodal_grad_matrices(N, points):
     """(d/dr, d/ds) analogue of :func:`nodal_eval_matrix`."""
-    _, V, _ = _cached_nodal_basis(shape, N)
-    Mr, Ms = eval_modal_basis_grad(shape, N, points)
+    _, V, _ = _cached_nodal_basis(N)
+    Mr, Ms = eval_modal_basis_grad(N, points)
     Dr = np.linalg.solve(V.T, Mr.T).T
     Ds = np.linalg.solve(V.T, Ms.T).T
     return Dr, Ds
@@ -353,13 +208,12 @@ def nodal_grad_matrices(shape, N, points):
 
 @dataclass
 class ReferenceElement:
-    """Degree-N discretization data on one reference shape.
+    """Degree-N discretization data on the reference quadrilateral.
 
     Immutable after construction; all consumers share it read-only.
     """
 
     N: int
-    shape: ElementShape
     nodes: np.ndarray          # (Np, 2) interpolation nodes
     volume_quad: QuadratureRule
     Vq: np.ndarray             # (Nq, Np) nodal interpolation to quad points
@@ -384,9 +238,7 @@ class ReferenceElement:
     def Nq(self):
         return self.volume_quad.n_points
 
-    @property
-    def n_faces(self):
-        return self.shape.n_faces
+    n_faces = N_FACES
 
     @property
     def nfq(self):
@@ -397,7 +249,7 @@ class ReferenceElement:
         return self.volume_quad.weights
 
 
-def build_reference_element(N, shape, volume_quad_degree=None, face_quad_degree=None):
+def build_reference_element(N, volume_quad_degree=None, face_quad_degree=None):
     """Assemble a :class:`ReferenceElement`.
 
     Defaults to degree 2N+1 volume and face quadrature.  The volume rule is
@@ -411,14 +263,14 @@ def build_reference_element(N, shape, volume_quad_degree=None, face_quad_degree=
         face_quad_degree = 2 * N + 1
     volume_quad_degree = max(volume_quad_degree, 2 * N)
 
-    nodes, Vmodal, cond = _cached_nodal_basis(shape, N)
-    quad = build_quadrature(shape, volume_quad_degree)
+    nodes, Vmodal, cond = _cached_nodal_basis(N)
+    quad = build_quadrature(volume_quad_degree)
 
     def to_nodal(M):
         return np.linalg.solve(Vmodal.T, M.T).T
 
-    Vq = to_nodal(eval_modal_basis(shape, N, quad.points))
-    Mr, Ms = eval_modal_basis_grad(shape, N, quad.points)
+    Vq = to_nodal(eval_modal_basis(N, quad.points))
+    Mr, Ms = eval_modal_basis_grad(N, quad.points)
     Drq, Dsq = to_nodal(Mr), to_nodal(Ms)
 
     wq = quad.weights
@@ -431,20 +283,20 @@ def build_reference_element(N, shape, volume_quad_degree=None, face_quad_degree=
     fq_pts = []
     Vf_blocks = []
     wf_blocks = []
-    for f in range(shape.n_faces):
-        pts = face_points(shape, f, nf1d.points)
+    for f in range(N_FACES):
+        pts = face_points(f, nf1d.points)
         fq_pts.append(pts)
-        Vf_blocks.append(to_nodal(eval_modal_basis(shape, N, pts)))
+        Vf_blocks.append(to_nodal(eval_modal_basis(N, pts)))
         wf_blocks.append(nf1d.weights)
     Vfq = np.vstack(Vf_blocks)
     wfq = np.concatenate(wf_blocks)
     Pfq = Mhat_inv @ (Vfq.T * wfq[None, :])
     face_quad_points = np.vstack(fq_pts)
 
-    face_nodes = _face_node_indices(shape, nodes)
+    face_nodes = _face_node_indices(nodes)
 
     ref = ReferenceElement(
-        N=N, shape=shape, nodes=nodes, volume_quad=quad,
+        N=N, nodes=nodes, volume_quad=quad,
         Vq=Vq, Pq=Pq, Drq=Drq, Dsq=Dsq, Mhat=Mhat, Mhat_inv=Mhat_inv,
         face_quad_1d=nf1d, face_nodes=face_nodes, Vfq=Vfq, Pfq=Pfq,
         wfq=wfq, face_quad_points=face_quad_points, cond_nodal=cond,
@@ -453,11 +305,10 @@ def build_reference_element(N, shape, volume_quad_degree=None, face_quad_degree=
     return ref
 
 
-def _face_node_indices(shape, nodes, tol=1e-10):
+def _face_node_indices(nodes, tol=1e-10):
     """Node indices lying on each face, ordered along the CCW parameter."""
     out = []
-    for f in range(shape.n_faces):
-        mid, dvec = face_parametrizations(shape)[f]
+    for mid, dvec in FACES:
         rel = nodes - mid[None, :]
         # perpendicular distance to the face line
         perp = np.abs(rel[:, 0] * dvec[1] - rel[:, 1] * dvec[0])
@@ -469,7 +320,7 @@ def _face_node_indices(shape, nodes, tol=1e-10):
 
 def _validate_reference_element(ref):
     Np = ref.Np
-    if Np != basis_dimension(ref.shape, ref.N):
+    if Np != basis_dimension(ref.N):
         raise SingularNodalBasis("node count does not match basis dimension")
     eye = np.eye(Np)
     if np.max(np.abs(ref.Pq @ ref.Vq - eye)) > 1e-10:

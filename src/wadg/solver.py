@@ -18,7 +18,6 @@ import numpy as np
 from scipy import special
 
 from . import geometry, operators, refelem
-from .refelem import ElementShape
 
 
 class BlowUp(Exception):
@@ -78,16 +77,13 @@ class SolverConfig:
     unsafe_quadrature: bool = False         # allow under-integrated strong form
 
 
-def sufficient_quadrature_degrees(N, N_geo, shape):
+def sufficient_quadrature_degrees(N, N_geo):
     """Volume/face quadrature degrees that make discrete integration by
     parts (hence strong = strong-weak) exact for degree-N_geo mappings.
 
-    Triangles count total degree: volume 2N + N_geo - 2, face 2N + N_geo - 1.
-    Quadrilaterals count per-coordinate degree, where the volume integrand
-    u_r (r_x J) v reaches 2N + N_geo - 1 in each coordinate.
+    Degrees are per coordinate: the volume integrand u_r (r_x J) v and the
+    face integrand both reach 2N + N_geo - 1 in each coordinate.
     """
-    if shape is ElementShape.Triangle:
-        return 2 * N + N_geo - 2, 2 * N + N_geo - 1
     return 2 * N + N_geo - 1, 2 * N + N_geo - 1
 
 
@@ -117,7 +113,7 @@ class Discretization:
 
     def __init__(self, mesh, config, medium=MediumField()):
         N = config.N
-        vol_deg, face_deg = sufficient_quadrature_degrees(N, mesh.N_geo, mesh.shape)
+        vol_deg, face_deg = sufficient_quadrature_degrees(N, mesh.N_geo)
         if config.formulation is Formulation.StrongWeak:
             vol_deg, face_deg = 2 * N + 1, 2 * N + 1
         if config.volume_quad_degree is not None:
@@ -125,7 +121,7 @@ class Discretization:
         if config.face_quad_degree is not None:
             face_deg = config.face_quad_degree
         if config.formulation is Formulation.Strong and not config.unsafe_quadrature:
-            need = sufficient_quadrature_degrees(N, mesh.N_geo, mesh.shape)
+            need = sufficient_quadrature_degrees(N, mesh.N_geo)
             if vol_deg < need[0] or face_deg < need[1]:
                 raise ConfigError(
                     f"strong form needs volume/face quadrature degrees {need}; "
@@ -177,7 +173,7 @@ class Discretization:
         n1d = (max(degree, 2 * N) + 2) // 2
         if n1d not in self._rules:
             ref = refelem.build_reference_element(
-                N, self.mesh.shape, volume_quad_degree=2 * n1d - 1,
+                N, volume_quad_degree=2 * n1d - 1,
                 face_quad_degree=self._face_deg)
             self._rules[n1d] = (ref, geometry.compute_geometric_data(self.mesh, ref))
         return self._rules[n1d]
@@ -380,8 +376,13 @@ def run(mesh, config, initial_fn, T, medium=MediumField(), exact_p=None,
     takes a precomputed number of steps of dt, the last one shortened to
     land on the sample time.  Raises BlowUp when the energy at a sample time
     exceeds 1e6 x its initial value, or when a field holds non-finite values
-    (checked every FINITE_CHECK_STEPS steps).
+    (checked every FINITE_CHECK_STEPS steps).  Raises ConfigError, before
+    any setup, for T < 0 or n_outputs < 1; T = 0 projects and records the
+    initial state only.
     """
+    if T < 0 or n_outputs < 1:
+        raise ConfigError(f"need T >= 0 and n_outputs >= 1, got T = {T}, "
+                          f"n_outputs = {n_outputs}")
     disc = Discretization(mesh, config, medium)
     state = project_initial_condition(disc, initial_fn)
     if dt is None:

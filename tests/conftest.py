@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from wadg.refelem import ElementShape
-
 
 def fit_slope(h, e, window=3):
     h, e = np.asarray(h, dtype=float), np.asarray(e, dtype=float)
@@ -15,26 +13,12 @@ def pairwise_slopes(h, e):
     return np.diff(np.log(e)) / np.diff(np.log(h))
 
 
-def exact_monomial_integral(shape, a, b):
-    """Exact integral of r^a s^b over the reference element, as a float.
-
-    Quadrilateral: product of 1D integrals over [-1, 1].  Triangle: shift
-    to the unit simplex where int u^i v^j = i! j! / (i+j+2)! and expand the
-    binomials in exact rational arithmetic.
-    """
-    if shape is ElementShape.Quadrilateral:
-        ia = Fraction(2, a + 1) if a % 2 == 0 else Fraction(0)
-        ib = Fraction(2, b + 1) if b % 2 == 0 else Fraction(0)
-        return float(ia * ib)
-    total = Fraction(0)
-    from math import comb, factorial
-    for i in range(a + 1):
-        for j in range(b + 1):
-            coef = (comb(a, i) * comb(b, j) * 2 ** (i + j)
-                    * (-1) ** ((a - i) + (b - j)))
-            total += Fraction(coef * factorial(i) * factorial(j),
-                              factorial(i + j + 2))
-    return float(4 * total)
+def exact_monomial_integral(a, b):
+    """Exact integral of r^a s^b over [-1, 1]^2, as a float: the product of
+    the two 1D integrals in rational arithmetic."""
+    ia = Fraction(2, a + 1) if a % 2 == 0 else Fraction(0)
+    ib = Fraction(2, b + 1) if b % 2 == 0 else Fraction(0)
+    return float(ia * ib)
 
 
 @pytest.fixture

@@ -11,8 +11,9 @@ import pytest
 
 import wadg
 from wadg import analysis as an
+from wadg import cli
 from wadg import meshgen as mg
-from wadg.solver import MassMode, SolverConfig
+from wadg.solver import FluxParams, Formulation, MassMode, SolverConfig
 
 
 def run_cli(*args, cwd):
@@ -55,6 +56,33 @@ class TestExitCodes:
         r = run_cli("--out-dir", "out", "run", "--config", "c.json", cwd=tmp_path)
         assert r.returncode == 2, r.stderr
         assert "Jacobian not positive" in r.stderr and "element 0" in r.stderr
+
+    def test_triangle_mesh_file_exits_2(self, tmp_path):
+        mg.save_mesh(mg.uniform_quad_mesh(2), tmp_path / "tri.json")
+        doc = json.loads((tmp_path / "tri.json").read_text())
+        doc["shape"] = "triangle"
+        (tmp_path / "tri.json").write_text(json.dumps(doc))
+        (tmp_path / "c.json").write_text(json.dumps({"N": 1, "mesh": "tri.json", "T": 0.1}))
+        r = run_cli("--out-dir", "out", "run", "--config", "c.json", cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "'triangle'" in r.stderr
+
+    @pytest.mark.parametrize("run_length, needle", [
+        ({"T": 0.1, "output_interval": 0}, "output_interval"),
+        ({"T": 0.1, "output_interval": 0.5}, "output_interval"),
+        ({"T": -0.1}, "T = -0.1"),
+    ])
+    def test_bad_run_length_exits_2(self, tmp_path, run_length, needle):
+        (tmp_path / "c.json").write_text(json.dumps({"N": 1, "mesh": "disk0", **run_length}))
+        r = run_cli("--out-dir", "out", "run", "--config", "c.json", cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert needle in r.stderr
+
+    def test_spectrum_cap_exits_1(self, tmp_path):
+        r = run_cli("--out-dir", "out", "spectrum", "--mesh", "uniform1", "--N", "1",
+                    "--cap", "1", cwd=tmp_path)
+        assert r.returncode == 1, r.stderr
+        assert "exceed cap" in r.stderr
 
 
 class TestCommands:
@@ -113,6 +141,27 @@ class TestCommands:
         assert rows[0] == ["phase", "N", "K", "ns_per_dof"]
         phases = {r[0] for r in rows[1:]}
         assert "strong:volume" in phases and "strong-weak:update" in phases
+
+    def test_bench_passes_solver_flags(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_benchmark(mesh, config, repetitions, medium):
+            seen.append((config, medium))
+            return {"volume": 1.0, "surface": 1.0, "update": 1.0, "total": 3.0}
+
+        monkeypatch.setattr(an, "benchmark_rhs", fake_benchmark)
+        code = cli.main(["--out-dir", str(tmp_path / "out"), "bench", "--mesh", "uniform1",
+                         "--N", "2", "--mass-mode", "exact", "--tau-p", "0.25",
+                         "--tau-u", "0.5", "--cfl", "0.3", "--medium", "radial_sine",
+                         "--volume-quad-degree", "9", "--face-quad-degree", "8"])
+        assert code == 0
+        assert [c.formulation for c, _ in seen] == [Formulation.Strong, Formulation.StrongWeak]
+        for c, medium in seen:
+            assert c.N == 2 and c.mass_mode is MassMode.ExactCurvedMass
+            assert c.flux == FluxParams(0.25, 0.5) and c.cfl == 0.3
+            assert (c.volume_quad_degree, c.face_quad_degree) == (9, 8)
+            x = np.array([0.0, 0.5])
+            assert medium.values(x, 0 * x) == pytest.approx(1 + 0.5 * np.sin(np.pi * x))
 
 
 class TestDeterminism:

@@ -4,21 +4,18 @@ import pytest
 from wadg import geometry as geom
 from wadg import meshgen as mg
 from wadg import refelem as rf
-from wadg.refelem import ElementShape
 from wadg.solver import sufficient_quadrature_degrees
 
 from conftest import fit_slope
 
-QUAD = ElementShape.Quadrilateral
-
 
 def single_element_mesh(map_x, map_y, N_geo):
     """One-element quadrilateral mesh from explicit reference->physical maps."""
-    nodes = rf.interpolation_nodes(QUAD, N_geo)
+    nodes = rf.interpolation_nodes(N_geo)
     emn = np.stack([map_x(nodes[:, 0], nodes[:, 1]),
                     map_y(nodes[:, 0], nodes[:, 1])], axis=1)[None, :, :]
     return mg.CurvedMesh2D(
-        shape=QUAD, N_geo=N_geo, elem_map_nodes=emn,
+        N_geo=N_geo, elem_map_nodes=emn,
         face_connectivity=np.full((1, 4, 2), -1, dtype=np.int64),
         boundary_tags=np.ones((1, 4), dtype=np.int64), h=2.0, provenance={})
 
@@ -26,7 +23,7 @@ def single_element_mesh(map_x, map_y, N_geo):
 class TestMetricData:
     def test_identity_map(self):
         m = mg.uniform_quad_mesh(1)
-        ref = rf.build_reference_element(3, QUAD)
+        ref = rf.build_reference_element(3)
         g = geom.compute_geometric_data(m, ref)
         assert np.max(np.abs(g.Jq - 1)) < 1e-14
         assert np.max(np.abs(g.rxq - 1)) < 1e-14
@@ -45,7 +42,7 @@ class TestMetricData:
     def test_uniform_scaling(self):
         h = 0.35
         m = mg.uniform_quad_mesh(1, domain=((0, h), (0, h)))
-        ref = rf.build_reference_element(2, QUAD)
+        ref = rf.build_reference_element(2)
         g = geom.compute_geometric_data(m, ref)
         assert np.max(np.abs(g.Jq - h * h / 4)) < 1e-15
 
@@ -60,7 +57,7 @@ class TestMetricData:
             u, v = (r + 1) / 2, (s + 1) / 2
             return (1-u)*(1-v)*y00 + u*(1-v)*y10 + u*v*y11 + (1-u)*v*y01
         m = single_element_mesh(map_x, map_y, 1)
-        ref = rf.build_reference_element(3, QUAD)
+        ref = rf.build_reference_element(3)
         g = geom.compute_geometric_data(m, ref)
         r = ref.volume_quad.points[:, 0]
         u = (r + 1) / 2
@@ -72,10 +69,10 @@ class TestMetricData:
         m = mg.uniform_quad_mesh(1)
         bad = m.elem_map_nodes.copy()
         bad[0, [0, 1]] = bad[0, [1, 0]]  # swap two corners: fold the element
-        folded = mg.CurvedMesh2D(shape=QUAD, N_geo=1, elem_map_nodes=bad,
+        folded = mg.CurvedMesh2D(N_geo=1, elem_map_nodes=bad,
                                  face_connectivity=m.face_connectivity,
                                  boundary_tags=m.boundary_tags, h=m.h, provenance={})
-        ref = rf.build_reference_element(2, QUAD)
+        ref = rf.build_reference_element(2)
         with pytest.raises(geom.NonPositiveJacobian) as exc:
             geom.compute_geometric_data(folded, ref)
         assert exc.value.element == 0
@@ -84,26 +81,29 @@ class TestMetricData:
         m = mg.uniform_quad_mesh(2)
         bad = m.elem_map_nodes.copy()
         bad[0, [0, 1]] = bad[0, [1, 0]]
-        folded = mg.CurvedMesh2D(shape=QUAD, N_geo=1, elem_map_nodes=bad,
+        folded = mg.CurvedMesh2D(N_geo=1, elem_map_nodes=bad,
                                  face_connectivity=m.face_connectivity,
                                  boundary_tags=m.boundary_tags, h=m.h, provenance={})
         with pytest.raises(geom.NonPositiveJacobian) as exc:
             geom.validate_positive_jacobian(folded)
         assert exc.value.element == 0 and exc.value.value <= 0
 
-    def test_validate_checks_face_points(self):
-        # lifting the bottom-edge midpoint of a degree-2 triangle by d gives
-        # J = 1 - d (1 + r), smallest at the vertex (1, -1); choose d so that
-        # J < 0 at the outermost face Gauss point but J > 0 at every volume
-        # point (triangles have no dense grid, so only the face set sees it)
-        TRI = ElementShape.Triangle
-        nodes = rf.triangle_nodes(2)
-        xi_max = rf.gauss_legendre_1d(6).points.max()     # quad degree 4 N_geo + 2
+    @staticmethod
+    def lifted_edge_mesh(d):
+        """Degree-2 identity element with the bottom-edge midpoint node
+        lifted by d: J = 1 + d (1 - r^2)(s - 1/2), smallest (1 - 3d/2) at
+        that node, which the dense grid contains and the Gauss sets do not."""
+        nodes = rf.interpolation_nodes(2)
         mid = np.flatnonzero(np.all(np.isclose(nodes, [0.0, -1.0]), axis=1))
-        nodes[mid, 1] += 1.0001 / (1.0 + xi_max)
-        m = mg.CurvedMesh2D(shape=TRI, N_geo=2, elem_map_nodes=nodes[None],
-                            face_connectivity=np.full((1, 3, 2), -1),
-                            boundary_tags=np.ones((1, 3), dtype=np.int64))
+        nodes[mid, 1] += d
+        return mg.CurvedMesh2D(N_geo=2, elem_map_nodes=nodes[None],
+                               face_connectivity=np.full((1, 4, 2), -1),
+                               boundary_tags=np.ones((1, 4), dtype=np.int64))
+
+    def test_validate_checks_face_points(self):
+        # d = 0.72: J > 0 at every volume point (min +0.027) but < 0 at face
+        # points (min -0.019), so the face set is the first to fail
+        m = self.lifted_edge_mesh(0.72)
         sets = geom.check_points(m)
         assert geom.jacobian_at(m, sets["volume"]).min() > 0
         with pytest.raises(geom.NonPositiveJacobian) as exc:
@@ -111,16 +111,27 @@ class TestMetricData:
         assert exc.value.element == 0
         assert geom.jacobian_at(m, sets["face"])[0, exc.value.point] == exc.value.value
 
+    def test_validate_checks_grid_points(self):
+        # d = 0.70: J > 0 at volume and face points, -0.05 on the dense grid
+        m = self.lifted_edge_mesh(0.70)
+        sets = geom.check_points(m)
+        assert geom.jacobian_at(m, sets["volume"]).min() > 0
+        assert geom.jacobian_at(m, sets["face"]).min() > 0
+        with pytest.raises(geom.NonPositiveJacobian) as exc:
+            geom.validate_positive_jacobian(m)
+        assert exc.value.value == pytest.approx(-0.05, abs=1e-12)
+        assert geom.jacobian_at(m, sets["grid"])[0, exc.value.point] == exc.value.value
+
     @pytest.mark.parametrize("make", [lambda: mg.uniform_quad_mesh(3, N_geo=2)])
     def test_affine_mesh_constant_arrays(self, make):
-        ref = rf.build_reference_element(3, QUAD)
+        ref = rf.build_reference_element(3)
         g = geom.compute_geometric_data(make(), ref)
         for arr in (g.Jq, g.rxq, g.ryq, g.sxq, g.syq):
             assert np.max(np.ptp(arr, axis=1)) < 1e-12
 
     def test_normals_unit_and_outward(self):
         m = mg.disk_mesh(1, 3)
-        ref = rf.build_reference_element(3, QUAD)
+        ref = rf.build_reference_element(3)
         g = geom.compute_geometric_data(m, ref)
         assert np.max(np.abs(g.nxq**2 + g.nyq**2 - 1)) < 1e-12
         cx = g.xq.mean(axis=1)
@@ -133,13 +144,13 @@ class TestMetricData:
         # it at a degree-2 N_geo tensor grid reproduces quadrature values
         m = mg.disk_mesh(1, 3)
         ngeo = m.N_geo
-        ref = rf.build_reference_element(3, QUAD, volume_quad_degree=9)
+        ref = rf.build_reference_element(3, volume_quad_degree=9)
         g = geom.compute_geometric_data(m, ref)
-        grid = rf.interpolation_nodes(QUAD, 2 * ngeo)
-        Er, Es = rf.nodal_grad_matrices(QUAD, ngeo, grid)
+        grid = rf.interpolation_nodes(2 * ngeo)
+        Er, Es = rf.nodal_grad_matrices(ngeo, grid)
         X, Y = m.elem_map_nodes[..., 0], m.elem_map_nodes[..., 1]
         Jg = (X @ Er.T) * (Y @ Es.T) - (X @ Es.T) * (Y @ Er.T)
-        E_q = rf.nodal_eval_matrix(QUAD, 2 * ngeo, ref.volume_quad.points)
+        E_q = rf.nodal_eval_matrix(2 * ngeo, ref.volume_quad.points)
         # grid is the degree-2Ngeo node set, so nodal interpolation applies
         assert np.max(np.abs(Jg @ E_q.T - g.Jq)) < 1e-10
 
@@ -154,8 +165,8 @@ class TestDivergenceTheorem:
         u in (Q^N)^2 under the sufficiency-rule quadrature."""
         N = 3
         m = make()
-        vdeg, fdeg = sufficient_quadrature_degrees(N, m.N_geo, m.shape)
-        ref = rf.build_reference_element(N, QUAD, volume_quad_degree=vdeg,
+        vdeg, fdeg = sufficient_quadrature_degrees(N, m.N_geo)
+        ref = rf.build_reference_element(N, volume_quad_degree=vdeg,
                                          face_quad_degree=fdeg)
         g = geom.compute_geometric_data(m, ref)
         u1 = rng.standard_normal((m.K, ref.Np))
@@ -222,9 +233,3 @@ class TestSobolevNorms:
             hs.append(m.h)
             ks.append(geom.kappa_tilde(m, 4))
         assert fit_slope(hs, ks) == pytest.approx(-1.0, abs=0.1)
-
-    def test_triangle_not_supported(self):
-        m = mg.uniform_quad_mesh(2)
-        object.__setattr__(m, "shape", ElementShape.Triangle)
-        with pytest.raises(NotImplementedError):
-            geom.jacobian_sup_norms(m, 2)

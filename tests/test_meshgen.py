@@ -4,9 +4,6 @@ import pytest
 from wadg import geometry as geom
 from wadg import meshgen as mg
 from wadg import refelem as rf
-from wadg.refelem import ElementShape
-
-QUAD = ElementShape.Quadrilateral
 
 ALL_FAMILIES = [
     lambda: mg.uniform_quad_mesh(3, N_geo=2),
@@ -18,8 +15,8 @@ ALL_FAMILIES = [
 
 
 def geo_for(mesh, N=3, vdeg=None, fdeg=None):
-    ref = rf.build_reference_element(max(N, mesh.N_geo), mesh.shape,
-                                     volume_quad_degree=vdeg, face_quad_degree=fdeg)
+    ref = rf.build_reference_element(max(N, mesh.N_geo), volume_quad_degree=vdeg,
+                                     face_quad_degree=fdeg)
     return ref, geom.compute_geometric_data(mesh, ref)
 
 
@@ -92,6 +89,17 @@ class TestRandomPerturbed:
         _, g = geo_for(m)
         assert g.Jq.min() > 0
 
+    @pytest.mark.parametrize("N_geo", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_amplitude_02_always_invertible(self, N_geo, seed):
+        # the range the docstring states: 0.2 never runs out of draws
+        m = mg.random_perturbed_mesh(6, N_geo, 0.2, seed)
+        assert geom.validate_positive_jacobian(m) > 0
+
+    def test_amplitude_025_can_run_out_of_draws(self):
+        with pytest.raises(geom.NonPositiveJacobian):
+            mg.random_perturbed_mesh(6, 3, 0.25, seed=0)
+
     def test_boundary_nodes_fixed(self):
         m = mg.random_perturbed_mesh(4, 3, 0.2, seed=9)
         x = m.elem_map_nodes[..., 0].ravel()
@@ -130,7 +138,7 @@ class TestWarped:
 class TestDisk:
     def test_boundary_nodes_on_circle(self):
         m = mg.disk_mesh(1, 3)
-        ref = rf.build_reference_element(3, QUAD)
+        ref = rf.build_reference_element(3)
         for k in range(m.K):
             for f in range(4):
                 if not m.boundary_tags[k, f]:
@@ -159,7 +167,7 @@ class TestDisk:
         k, f = np.argwhere(base.boundary_tags > 0)[0]
         idx = mg._QUAD_FACE_CORNERS[f][0]
         bad[k, mg._corner_indices(1)[idx], :] *= 1.01
-        broken = mg.CurvedMesh2D(shape=base.shape, N_geo=1, elem_map_nodes=bad,
+        broken = mg.CurvedMesh2D(N_geo=1, elem_map_nodes=bad,
                                  face_connectivity=base.face_connectivity,
                                  boundary_tags=base.boundary_tags, h=base.h,
                                  provenance=base.provenance)
@@ -243,7 +251,7 @@ class TestMeshIO:
         path = tmp_path / "m.json"
         mg.save_mesh(m, path)
         m2 = mg.load_mesh(path)
-        assert m2.shape == m.shape and m2.N_geo == m.N_geo and m2.K == m.K
+        assert m2.N_geo == m.N_geo and m2.K == m.K
         assert np.array_equal(m2.elem_map_nodes, m.elem_map_nodes)
         assert np.array_equal(m2.face_connectivity, m.face_connectivity)
         assert np.array_equal(m2.boundary_tags, m.boundary_tags)
@@ -254,6 +262,12 @@ class TestMeshIO:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": "wadg-mesh-v999"}))
         with pytest.raises(ValueError, match="version"):
+            mg.load_mesh(path)
+
+    def test_non_quadrilateral_shape_rejected(self, tmp_path):
+        path = _corrupt(tmp_path, mg.uniform_quad_mesh(2),
+                        lambda doc: doc.update(shape="triangle"))
+        with pytest.raises(ValueError, match="'triangle'"):
             mg.load_mesh(path)
 
     def test_shape_validation(self, tmp_path):
@@ -325,7 +339,6 @@ class TestLoadMeshValidation:
     @pytest.mark.parametrize("make", ALL_FAMILIES)
     def test_generated_meshes_pass(self, make):
         mg.validate_mesh(make())
-
 
 
 # ---------------------------------------------------------------------------
@@ -477,19 +490,17 @@ def ref_validate_positive_jacobian(mesh):
     """The validator before the J-only rewrite: J at the volume points of a
     full reference element and geometry, then on the dense grid."""
     deg = 4 * mesh.N_geo + 2
-    ref = rf.build_reference_element(max(1, mesh.N_geo), mesh.shape,
-                                     volume_quad_degree=deg, face_quad_degree=deg)
+    ref = rf.build_reference_element(max(1, mesh.N_geo), volume_quad_degree=deg,
+                                     face_quad_degree=deg)
     jmin = float(geom.compute_geometric_data(mesh, ref).Jq.min())
-    if mesh.shape is QUAD:
-        grid = geom._sample_grid(2 * mesh.N_geo + 3)
-        Er, Es = rf.nodal_grad_matrices(mesh.shape, mesh.N_geo, grid)
-        X, Y = mesh.elem_map_nodes[..., 0], mesh.elem_map_nodes[..., 1]
-        Jg = (X @ Er.T) * (Y @ Es.T) - (X @ Es.T) * (Y @ Er.T)
-        if np.any(Jg <= 0):
-            k, q = np.argwhere(Jg <= 0)[0]
-            raise geom.NonPositiveJacobian(int(k), int(q), float(Jg[k, q]))
-        jmin = min(jmin, float(Jg.min()))
-    return jmin
+    grid = geom._sample_grid(2 * mesh.N_geo + 3)
+    Er, Es = rf.nodal_grad_matrices(mesh.N_geo, grid)
+    X, Y = mesh.elem_map_nodes[..., 0], mesh.elem_map_nodes[..., 1]
+    Jg = (X @ Er.T) * (Y @ Es.T) - (X @ Es.T) * (Y @ Er.T)
+    if np.any(Jg <= 0):
+        k, q = np.argwhere(Jg <= 0)[0]
+        raise geom.NonPositiveJacobian(int(k), int(q), float(Jg[k, q]))
+    return min(jmin, float(Jg.min()))
 
 
 REFERENCE_IMPLS = {

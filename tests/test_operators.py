@@ -5,11 +5,9 @@ from wadg import geometry as geom
 from wadg import meshgen as mg
 from wadg import operators as ops
 from wadg import refelem as rf
-from wadg.refelem import ElementShape
 
 from conftest import fit_slope
 
-QUAD = ElementShape.Quadrilateral
 SIN2D = staticmethod(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
 
 
@@ -18,7 +16,7 @@ def sin2d(x, y):
 
 
 def make_geo(mesh, N, vdeg=None):
-    ref = rf.build_reference_element(N, mesh.shape, volume_quad_degree=vdeg)
+    ref = rf.build_reference_element(N, volume_quad_degree=vdeg)
     return ref, geom.compute_geometric_data(mesh, ref)
 
 
@@ -94,7 +92,7 @@ class TestWeightAdjustedInverse:
         """Against the true (oversampled) mass inverse the weight-adjusted
         solve differs, and the gap decays at rate >= N on a smooth family."""
         N = 3
-        ref = rf.build_reference_element(N, QUAD)
+        ref = rf.build_reference_element(N)
         hs, ds = [], []
         for lvl in range(4):
             m = mg.disk_mesh(lvl, N)
@@ -287,7 +285,7 @@ class TestConservation:
         # N=2, w=J, v=1: rate 2N+2 = 6 predicted; quadrature is oversampled
         # because the update-rule point set is exactly conservative
         N = 2
-        ref = rf.build_reference_element(N, QUAD, volume_quad_degree=4 * N + 6)
+        ref = rf.build_reference_element(N, volume_quad_degree=4 * N + 6)
         hs, errs = [], []
         for lvl in (1, 2, 3):
             m = mg.disk_mesh(lvl, N + 1)

@@ -8,12 +8,9 @@ from wadg import meshgen as mg
 from wadg import operators as ops
 from wadg import refelem as rf
 from wadg import solver as sv
-from wadg.refelem import ElementShape
 from wadg.solver import FieldState, FluxParams, Formulation, MassMode, SolverConfig
 
 from conftest import fit_slope
-
-QUAD = ElementShape.Quadrilateral
 
 
 def random_state(disc, rng, scale=1.0):
@@ -50,7 +47,7 @@ class TestRHS:
 
     def test_formulation_equivalence_sufficient_quadrature(self, curved_mesh, rng):
         N = 3
-        vdeg, fdeg = sv.sufficient_quadrature_degrees(N, curved_mesh.N_geo, QUAD)
+        vdeg, fdeg = sv.sufficient_quadrature_degrees(N, curved_mesh.N_geo)
         dS = sv.Discretization(curved_mesh, SolverConfig(N=N, formulation=Formulation.Strong))
         dW = sv.Discretization(curved_mesh, SolverConfig(
             N=N, formulation=Formulation.StrongWeak,
@@ -64,12 +61,12 @@ class TestRHS:
 
     def test_single_curved_element_energy_rate_zero(self, rng):
         # tau = 0: volume terms cancel and the mirror boundary does no work
-        nodes = rf.interpolation_nodes(QUAD, 2)
+        nodes = rf.interpolation_nodes(2)
         fx = lambda r, s: r + 0.1 * r**2 * s
         fy = lambda r, s: s - 0.08 * r * s**2
         emn = np.stack([fx(nodes[:, 0], nodes[:, 1]),
                         fy(nodes[:, 0], nodes[:, 1])], axis=1)[None]
-        m = mg.CurvedMesh2D(shape=QUAD, N_geo=2, elem_map_nodes=emn,
+        m = mg.CurvedMesh2D(N_geo=2, elem_map_nodes=emn,
                             face_connectivity=np.full((1, 4, 2), -1, dtype=np.int64),
                             boundary_tags=np.ones((1, 4), dtype=np.int64),
                             h=2.0, provenance={})
@@ -335,6 +332,12 @@ class TestRun:
         state, diag = sv.run(mg.disk_mesh(0, 1), SolverConfig(N=1),
                              sv.bessel_initial_condition, 0.0)
         assert calls == [] and state.t == 0.0 and len(diag["t"]) == 11
+
+    @pytest.mark.parametrize("T, n_outputs", [(-0.1, 10), (0.1, 0)])
+    def test_bad_run_length_rejected(self, T, n_outputs):
+        with pytest.raises(sv.ConfigError):
+            sv.run(mg.disk_mesh(0, 1), SolverConfig(N=1),
+                   sv.bessel_initial_condition, T, n_outputs=n_outputs)
 
     def test_lands_exactly_on_T(self):
         m = mg.disk_mesh(0, 2)
