@@ -1,6 +1,6 @@
 """Experiment harness: h-convergence studies for projections and the wave
 solver, evolution-operator spectra, Jacobian-constant growth studies,
-moment-conservation rate studies, and a CPU matrix-free RHS benchmark.
+and moment-conservation rate studies.
 
 Every study returns a ConvergenceRecord (or SpectrumResult) and can emit
 machine-readable CSV; reruns with identical arguments reproduce results
@@ -10,13 +10,12 @@ bitwise (all computations are deterministic, fixed-order numpy).
 from __future__ import annotations
 
 import csv
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import geometry, meshgen, operators, refelem, solver
-from .solver import Formulation, MassMode, MediumField, SolverConfig
+from .solver import MassMode, MediumField, SolverConfig
 
 
 class SizeCapExceeded(Exception):
@@ -100,11 +99,10 @@ def assemble_evolution_matrix(mesh, config, medium=MediumField(), cap=6000):
         raise SizeCapExceeded(f"{n} unknowns exceed cap {cap}")
     A = np.empty((n, n))
     z = np.zeros((3, K, Np))
+    st = solver.FieldState.wrap(z)
     for j in range(n):
         z.flat[j] = 1.0
-        st = solver.FieldState(z[0], z[1], z[2])
-        d = solver.rhs_full(st, disc)
-        A[:, j] = np.concatenate([d.p.ravel(), d.u1.ravel(), d.u2.ravel()])
+        A[:, j] = solver.rhs_full(st, disc).q.ravel()
         z.flat[j] = 0.0
     return A
 
@@ -147,7 +145,7 @@ def projection_convergence_study(meshes, N, method, exact_fn=default_exact_fn,
     for mesh in meshes:
         deg = 2 * N + 2 * mesh.N_geo + quad_margin
         ref = refelem.build_reference_element(N, volume_quad_degree=deg)
-        geo = geometry.compute_geometric_data(mesh, ref)
+        geo = geometry.compute_volume_geometry(mesh, ref)
         if method == "l2":
             err = operators.global_l2_error(ref, geo, operators.l2_project(ref, geo, exact_fn), exact_fn)
         elif method == "wadg":
@@ -190,7 +188,7 @@ def conservation_rate_study(N=2, N_geo=None, levels=(1, 2, 3, 4),
     hs, errs = [], []
     for l in levels:
         mesh = meshgen.disk_mesh(l, N_geo)
-        geo = geometry.compute_geometric_data(mesh, ref)
+        geo = geometry.compute_volume_geometry(mesh, ref)
         hs.append(mesh.h)
         errs.append(operators.conservation_moment_error(ref, geo, geo.Jq, exact_fn, 0))
     return ConvergenceRecord(hs, errs, window=window, label=f"conservation-N{N}")
@@ -228,46 +226,3 @@ def wave_convergence_study(meshes, N, config=None, T=1.0, medium=MediumField(),
             label += f"-dtcheck{rel:.2e}"
         out[mode] = ConvergenceRecord(hs, errs, window=window, label=label)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Benchmark
-
-def benchmark_rhs(mesh, config, repetitions=20, medium=MediumField(), seed=0):
-    """Median wall time per degree of freedom of the volume, surface, and
-    mass-update phases of one RHS evaluation."""
-    if repetitions < 10:
-        raise ValueError("need at least 10 repetitions")
-    disc = solver.Discretization(mesh, config, medium)
-    rng = np.random.default_rng(seed)
-    K, Np = mesh.K, disc.ref.Np
-    st = solver.FieldState(*(rng.standard_normal((K, Np)) for _ in range(3)))
-    ndof = 3 * K * Np
-    sw = config.formulation is Formulation.StrongWeak
-
-    phases = {
-        "volume": lambda: solver._volume_terms(st, disc, strong_weak=sw),
-        "surface": lambda: solver._surface_terms(st, disc, strong_weak=sw),
-        "update": lambda: solver.apply_mass_inverse(solver.FieldState(st.p, st.u1, st.u2), disc),
-    }
-    report = {}
-    for name, fn in phases.items():
-        fn(), fn()  # warmup
-        times = []
-        for _ in range(repetitions):
-            t0 = time.perf_counter_ns()
-            fn()
-            times.append(time.perf_counter_ns() - t0)
-        report[name] = float(np.median(times)) / ndof
-    report["total"] = sum(report[k] for k in phases)
-    report["ndof"] = ndof
-    return report
-
-
-def benchmark_to_csv(rows, path):
-    """rows: iterables of (phase, N, K, ns_per_dof)."""
-    with open(path, "w", newline="") as f:
-        out = csv.writer(f)
-        out.writerow(["phase", "N", "K", "ns_per_dof"])
-        for row in rows:
-            out.writerow(list(row))

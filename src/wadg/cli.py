@@ -1,5 +1,5 @@
 """Command-line interface: mesh generation, convergence studies, operator
-spectra, single solver runs, and the RHS benchmark.
+spectra, and single solver runs.
 
 Every command writes its artifacts into a run directory (--out-dir,
 default ./wadg-out): the resolved configuration (config.echo), CSV result
@@ -15,7 +15,6 @@ import csv
 import json
 import sys
 import tomllib
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,8 @@ EXIT_CONFIG = 2
 
 MEDIA = {
     "constant": lambda: MediumField(1.0),
-    "radial_sine": lambda: MediumField(lambda x, y: 1.0 + 0.5 * np.sin(np.pi * np.hypot(x, y))),
+    # c^2 = 1 + 0.5 sin(pi r^2): smooth, also at the disk centre
+    "radial_sine": lambda: MediumField(lambda x, y: 1.0 + 0.5 * np.sin(np.pi * (x**2 + y**2))),
 }
 
 
@@ -190,25 +190,6 @@ def cmd_run(args, rd):
     return EXIT_OK
 
 
-def cmd_bench(args, rd):
-    mesh = _parse_mesh_spec(args.mesh, args.N_geo or args.N)
-    base = _solver_config(vars(args))
-    rows = []
-    for form in (Formulation.Strong, Formulation.StrongWeak):
-        cfg = replace(base, formulation=form)
-        rep = analysis.benchmark_rhs(mesh, cfg, repetitions=args.reps,
-                                     medium=MEDIA[args.medium]())
-        for phase in ("volume", "surface", "update", "total"):
-            rows.append((f"{form.value}:{phase}", args.N, mesh.K, rep[phase]))
-        rd.log(f"{form.value}: total {rep['total']:.2f} ns/dof "
-               f"(volume {rep['volume']:.2f}, surface {rep['surface']:.2f}, "
-               f"update {rep['update']:.2f})")
-    out = rd.path / "bench.csv"
-    analysis.benchmark_to_csv(rows, out)
-    rd.log(f"wrote {out}")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 
 def build_parser():
@@ -216,11 +197,10 @@ def build_parser():
     p.add_argument("--out-dir", default="wadg-out", help="run directory for artifacts")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common_solver(q, formulation_help=None):
+    def common_solver(q):
         q.add_argument("--N", type=int, default=3)
         q.add_argument("--N-geo", type=int, default=None, dest="N_geo")
-        q.add_argument("--formulation", choices=["strong", "strong-weak"], default="strong",
-                       help=formulation_help)
+        q.add_argument("--formulation", choices=["strong", "strong-weak"], default="strong")
         q.add_argument("--mass-mode", choices=["wadg", "exact"], default="wadg")
         q.add_argument("--tau", type=float, default=None,
                        help="set both penalty parameters")
@@ -284,12 +264,6 @@ def build_parser():
     q = sub.add_parser("run", help="single solver run from a config file")
     q.add_argument("--config", required=True)
     q.set_defaults(func=cmd_run)
-
-    q = sub.add_parser("bench", help="matrix-free RHS benchmark")
-    common_solver(q, formulation_help="ignored: bench times both formulations")
-    q.add_argument("--mesh", default="disk2")
-    q.add_argument("--reps", type=int, default=20)
-    q.set_defaults(func=cmd_bench)
     return p
 
 

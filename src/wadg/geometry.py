@@ -28,15 +28,27 @@ class NonPositiveJacobian(Exception):
 
 
 @dataclass
-class GeometricData:
-    """Per-element metric data evaluated at the quadrature points of one
-    reference element.  Volume arrays are (K, Nq); face arrays are
-    (K, n_faces * nfq) with faces stacked in CCW order."""
+class VolumeGeometry:
+    """Mapped volume quadrature points and the Jacobian determinant of one
+    reference element's rule, each (K, Nq): what mass matrices, projections
+    and error norms read."""
 
     ref: refelem.ReferenceElement = field(repr=False)
     xq: np.ndarray = field(repr=False)
     yq: np.ndarray = field(repr=False)
     Jq: np.ndarray = field(repr=False)
+
+    @property
+    def K(self):
+        return self.Jq.shape[0]
+
+
+@dataclass
+class GeometricData(VolumeGeometry):
+    """VolumeGeometry plus the metric terms at the volume points, (K, Nq),
+    and the face geometry, (K, n_faces * nfq) with faces stacked in CCW
+    order: what the DG volume and surface terms read."""
+
     rxq: np.ndarray = field(repr=False)
     ryq: np.ndarray = field(repr=False)
     sxq: np.ndarray = field(repr=False)
@@ -47,9 +59,26 @@ class GeometricData:
     nxq: np.ndarray = field(repr=False)
     nyq: np.ndarray = field(repr=False)
 
-    @property
-    def K(self):
-        return self.Jq.shape[0]
+
+def _check_jacobian(Jq):
+    if np.any(Jq <= 0):
+        k, q = np.argwhere(Jq <= 0)[0]
+        raise NonPositiveJacobian(int(k), int(q), float(Jq[k, q]))
+
+
+def compute_volume_geometry(mesh, ref):
+    """Mapped points and Jacobian of `mesh` at the volume quadrature points
+    of `ref`, with no metric terms and no face data.
+
+    Raises NonPositiveJacobian identifying the first offending element and
+    quadrature point.
+    """
+    points = ref.volume_quad.points
+    E = refelem.nodal_eval_matrix(mesh.N_geo, points)
+    Jq = jacobian_at(mesh, points)
+    _check_jacobian(Jq)
+    return VolumeGeometry(ref=ref, xq=mesh.elem_map_nodes[:, :, 0] @ E.T,
+                          yq=mesh.elem_map_nodes[:, :, 1] @ E.T, Jq=Jq)
 
 
 def compute_geometric_data(mesh, ref):
@@ -69,9 +98,7 @@ def compute_geometric_data(mesh, ref):
     xr, xs = X @ Er.T, X @ Es.T
     yr, ys = Y @ Er.T, Y @ Es.T
     Jq = xr * ys - xs * yr
-    if np.any(Jq <= 0):
-        k, q = np.argwhere(Jq <= 0)[0]
-        raise NonPositiveJacobian(int(k), int(q), float(Jq[k, q]))
+    _check_jacobian(Jq)
     rxq, ryq = ys / Jq, -xs / Jq
     sxq, syq = -yr / Jq, xr / Jq
 

@@ -26,14 +26,17 @@ def weighted_mass_matrix(ref, w, check=True):
     """Mass matrices int phi_i phi_j w, one per row of w, shape (..., Np, Np).
 
     Assembled with ref's volume quadrature; requires exactness >= 2N for w
-    constant in P^0 to be exact.  Raises NotSPD if any matrix fails a
+    constant in P^0 to be exact.  One GEMM of the weights against the table
+    B[q, i Np + j] = Vq[q, i] Vq[q, j]: columns ij and ji of B are equal, so
+    every matrix is exactly symmetric.  Raises NotSPD if any matrix fails a
     Cholesky factorization.
     """
     w = np.asarray(w, dtype=float)
     single = w.ndim == 1
     W = np.atleast_2d(w) * ref.wq[None, :]
-    M = np.einsum("kq,qi,qj->kij", W, ref.Vq, ref.Vq, optimize=True)
-    M = 0.5 * (M + np.swapaxes(M, 1, 2))
+    Np = ref.Np
+    B = (ref.Vq[:, :, None] * ref.Vq[:, None, :]).reshape(ref.Nq, Np * Np)
+    M = (W @ B).reshape(-1, Np, Np)
     if check:
         try:
             np.linalg.cholesky(M)
@@ -42,14 +45,16 @@ def weighted_mass_matrix(ref, w, check=True):
     return M[0] if single else M
 
 
-def apply_weight_adjusted_inverse(ref, w_inv, rhs, premultiplied=True):
+def apply_weight_adjusted_inverse(ref, w_inv, rhs, premultiplied=True,
+                                  out=None, work=None):
     """Matrix-free application of Mhat^-1 M_{1/w} Mhat^-1 to rhs.
 
     `w_inv` holds values of 1/w at ref's volume quadrature points.  With
     premultiplied=True (the fused-kernel convention) rhs is assumed to carry
     a leading Mhat^-1 already and the result is Pq diag(w_inv) Vq rhs.
     Only reference matrices and the pointwise weight values are touched; no
-    per-element matrix is formed.
+    per-element matrix is formed.  Batched (K, Np) callers may pass `out`
+    (K, Np) and `work` (K, Nq) arrays, and then nothing is allocated.
     """
     w_inv = np.asarray(w_inv, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -57,7 +62,9 @@ def apply_weight_adjusted_inverse(ref, w_inv, rhs, premultiplied=True):
     z = np.atleast_2d(rhs)
     if not premultiplied:
         z = z @ ref.Mhat_inv.T
-    out = (np.atleast_2d(w_inv) * (z @ ref.Vq.T)) @ ref.Pq.T
+    zq = np.matmul(z, ref.Vq.T, out=work)
+    zq *= w_inv
+    out = np.matmul(zq, ref.Pq.T, out=out)
     return out[0] if single else out
 
 

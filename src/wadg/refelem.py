@@ -223,7 +223,6 @@ class ReferenceElement:
     Mhat: np.ndarray           # (Np, Np) reference mass matrix
     Mhat_inv: np.ndarray
     face_quad_1d: QuadratureRule
-    face_nodes: list = field(repr=False)   # per-face node index lists
     Vfq: np.ndarray = field(repr=False)    # (n_faces*nfq, Np) face traces
     Pfq: np.ndarray = field(repr=False)    # (Np, n_faces*nfq)
     wfq: np.ndarray = field(repr=False)    # stacked face quad weights
@@ -293,29 +292,14 @@ def build_reference_element(N, volume_quad_degree=None, face_quad_degree=None):
     Pfq = Mhat_inv @ (Vfq.T * wfq[None, :])
     face_quad_points = np.vstack(fq_pts)
 
-    face_nodes = _face_node_indices(nodes)
-
     ref = ReferenceElement(
         N=N, nodes=nodes, volume_quad=quad,
         Vq=Vq, Pq=Pq, Drq=Drq, Dsq=Dsq, Mhat=Mhat, Mhat_inv=Mhat_inv,
-        face_quad_1d=nf1d, face_nodes=face_nodes, Vfq=Vfq, Pfq=Pfq,
+        face_quad_1d=nf1d, Vfq=Vfq, Pfq=Pfq,
         wfq=wfq, face_quad_points=face_quad_points, cond_nodal=cond,
     )
     _validate_reference_element(ref)
     return ref
-
-
-def _face_node_indices(nodes, tol=1e-10):
-    """Node indices lying on each face, ordered along the CCW parameter."""
-    out = []
-    for mid, dvec in FACES:
-        rel = nodes - mid[None, :]
-        # perpendicular distance to the face line
-        perp = np.abs(rel[:, 0] * dvec[1] - rel[:, 1] * dvec[0])
-        xi = (rel @ dvec) / (dvec @ dvec)
-        on = np.where((perp < tol) & (xi > -1 - tol) & (xi < 1 + tol))[0]
-        out.append(on[np.argsort(xi[on])])
-    return out
 
 
 def _validate_reference_element(ref):

@@ -147,29 +147,3 @@ class TestStudies:
         assert len(rec.h) == 4
         rel = float(rec.label.split("dtcheck")[-1])
         assert rel < 0.01
-
-
-class TestBenchmark:
-    def test_report_and_scaling(self):
-        # wall-time ratios between sizes measure the host's caches, not the
-        # code; check what the report must hold deterministically
-        cfg = SolverConfig(N=3, flux=FluxParams(1, 1))
-        for K1D in (24, 34):
-            m = mg.uniform_quad_mesh(K1D, N_geo=1)
-            rep = an.benchmark_rhs(m, cfg, repetitions=20)
-            for phase in ("volume", "surface", "update", "total"):
-                assert rep[phase] > 0
-            assert rep["ndof"] == 3 * m.K * (cfg.N + 1) ** 2
-            assert rep["total"] == rep["volume"] + rep["surface"] + rep["update"]
-
-    def test_repetition_floor(self):
-        m = mg.uniform_quad_mesh(4)
-        with pytest.raises(ValueError):
-            an.benchmark_rhs(m, SolverConfig(N=2), repetitions=3)
-
-    def test_csv(self, tmp_path):
-        path = tmp_path / "b.csv"
-        an.benchmark_to_csv([("strong:volume", 3, 64, 12.5)], path)
-        rows = list(csv.reader(open(path)))
-        assert rows[0] == ["phase", "N", "K", "ns_per_dof"]
-        assert rows[1][0] == "strong:volume"

@@ -13,7 +13,7 @@ import wadg
 from wadg import analysis as an
 from wadg import cli
 from wadg import meshgen as mg
-from wadg.solver import FluxParams, Formulation, MassMode, SolverConfig
+from wadg.solver import MassMode, SolverConfig
 
 
 def run_cli(*args, cwd):
@@ -133,35 +133,14 @@ class TestCommands:
                     cwd=tmp_path)
         assert r.returncode == 0, r.stderr
 
-    def test_bench_artifacts(self, tmp_path):
-        r = run_cli("--out-dir", "out", "bench", "--mesh", "disk1", "--N", "2",
-                    "--reps", "10", cwd=tmp_path)
-        assert r.returncode == 0, r.stderr
-        rows = list(csv.reader(open(tmp_path / "out" / "bench.csv")))
-        assert rows[0] == ["phase", "N", "K", "ns_per_dof"]
-        phases = {r[0] for r in rows[1:]}
-        assert "strong:volume" in phases and "strong-weak:update" in phases
-
-    def test_bench_passes_solver_flags(self, tmp_path, monkeypatch):
-        seen = []
-
-        def fake_benchmark(mesh, config, repetitions, medium):
-            seen.append((config, medium))
-            return {"volume": 1.0, "surface": 1.0, "update": 1.0, "total": 3.0}
-
-        monkeypatch.setattr(an, "benchmark_rhs", fake_benchmark)
-        code = cli.main(["--out-dir", str(tmp_path / "out"), "bench", "--mesh", "uniform1",
-                         "--N", "2", "--mass-mode", "exact", "--tau-p", "0.25",
-                         "--tau-u", "0.5", "--cfl", "0.3", "--medium", "radial_sine",
-                         "--volume-quad-degree", "9", "--face-quad-degree", "8"])
-        assert code == 0
-        assert [c.formulation for c, _ in seen] == [Formulation.Strong, Formulation.StrongWeak]
-        for c, medium in seen:
-            assert c.N == 2 and c.mass_mode is MassMode.ExactCurvedMass
-            assert c.flux == FluxParams(0.25, 0.5) and c.cfl == 0.3
-            assert (c.volume_quad_degree, c.face_quad_degree) == (9, 8)
-            x = np.array([0.0, 0.5])
-            assert medium.values(x, 0 * x) == pytest.approx(1 + 0.5 * np.sin(np.pi * x))
+    def test_radial_sine_medium_smooth_at_centre(self):
+        # c^2 = 1 + 0.5 sin(pi r^2): no kink at r = 0, where sin(pi r) had one
+        medium = cli.MEDIA["radial_sine"]()
+        x = np.array([0.0, 1e-4, 0.3, 0.5, 1.0])
+        y = np.array([0.0, 0.0, 0.4, -0.5, 0.0])
+        r2 = x**2 + y**2
+        assert medium.values(x, y) == pytest.approx(1 + 0.5 * np.sin(np.pi * r2), rel=1e-15)
+        assert medium.values(x[1:2], y[1:2])[0] - 1.0 < 1e-7
 
 
 class TestDeterminism:

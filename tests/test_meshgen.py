@@ -138,13 +138,15 @@ class TestWarped:
 class TestDisk:
     def test_boundary_nodes_on_circle(self):
         m = mg.disk_mesh(1, 3)
-        ref = rf.build_reference_element(3)
+        nodes = rf.interpolation_nodes(3)
         for k in range(m.K):
-            for f in range(4):
+            for f, (mid, dvec) in enumerate(rf.FACES):
                 if not m.boundary_tags[k, f]:
                     continue
-                idx = ref.face_nodes[f]
-                xy = m.elem_map_nodes[k, idx, :]
+                rel = nodes - mid
+                on_face = np.abs(rel[:, 0] * dvec[1] - rel[:, 1] * dvec[0]) < 1e-12
+                xy = m.elem_map_nodes[k, on_face, :]
+                assert len(xy) == 4
                 assert np.max(np.abs(np.hypot(xy[:, 0], xy[:, 1]) - 1.0)) < 1e-12
 
     def test_area_superconvergence(self):

@@ -133,14 +133,17 @@ class TestReferenceElement:
 
     @pytest.mark.parametrize("N", [3], ids=[QUAD])
     def test_face_nodes_lie_on_faces(self, N):
-        ref = rf.build_reference_element(N)
-        assert len(ref.face_nodes) == ref.n_faces == 4
-        for f, idx in enumerate(ref.face_nodes):
-            assert len(idx) == N + 1
-            mid, dvec = rf.FACES[f]
-            rel = ref.nodes[idx] - mid
+        # each face holds N + 1 of the tensor GLL nodes, spanning it end to end
+        nodes = rf.interpolation_nodes(N)
+        assert len(rf.FACES) == rf.N_FACES == 4
+        for mid, dvec in rf.FACES:
+            rel = nodes - mid
             perp = rel[:, 0] * dvec[1] - rel[:, 1] * dvec[0]
-            assert np.max(np.abs(perp)) < 1e-12
+            on = np.abs(perp) < 1e-12
+            assert on.sum() == N + 1
+            xi = np.sort(rel[on] @ dvec)
+            assert xi[0] == pytest.approx(-1.0, abs=1e-14)
+            assert xi[-1] == pytest.approx(1.0, abs=1e-14)
 
     def test_singular_nodal_basis(self):
         nodes = rf.interpolation_nodes(2).copy()
