@@ -1,6 +1,6 @@
 """Experiment harness: h-convergence studies for projections and the wave
-solver, evolution-operator spectra, Jacobian-constant growth studies,
-and moment-conservation rate studies.
+solver, evolution-operator spectra and their LSRK stability limit,
+Jacobian-constant growth studies, and moment-conservation rate studies.
 
 Every study returns a ConvergenceRecord (or SpectrumResult) and can emit
 machine-readable CSV; reruns with identical arguments reproduce results
@@ -13,6 +13,8 @@ import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
+from scipy.sparse.linalg import LinearOperator
 
 from . import geometry, meshgen, operators, refelem, solver
 from .solver import MassMode, MediumField, SolverConfig
@@ -88,23 +90,83 @@ class SpectrumResult:
                 out.writerow([repr(lam.real), repr(lam.imag)])
 
 
+def evolution_operator(disc):
+    """The semi-discrete evolution operator of disc, q -> rhs_full(q) (mass
+    inverse included), as a LinearOperator on vectors ordered in (p, u1, u2)
+    blocks of K*Np each."""
+    shape = (3, disc.mesh.K, disc.ref.Np)
+    n = int(np.prod(shape))
+
+    def matvec(x):
+        state = solver.FieldState.wrap(np.reshape(x, shape))
+        # rhs_full returns a view of a buffer that the next call overwrites
+        return solver.rhs_full(state, disc).q.ravel().copy()
+
+    return LinearOperator((n, n), matvec=matvec, dtype=float)
+
+
 def assemble_evolution_matrix(mesh, config, medium=MediumField(), cap=6000):
-    """Dense matrix of the full semi-discrete operator (mass inverse
-    included): column j is the RHS applied to unit vector e_j, ordering
-    (p, u1, u2) blocks of K*Np each."""
-    disc = solver.Discretization(mesh, config, medium)
-    K, Np = mesh.K, disc.ref.Np
-    n = 3 * K * Np
+    """Dense matrix of evolution_operator: column j is the operator applied
+    to unit vector e_j."""
+    op = evolution_operator(solver.Discretization(mesh, config, medium))
+    n = op.shape[0]
     if n > cap:
         raise SizeCapExceeded(f"{n} unknowns exceed cap {cap}")
     A = np.empty((n, n))
-    z = np.zeros((3, K, Np))
-    st = solver.FieldState.wrap(z)
+    e = np.zeros(n)
     for j in range(n):
-        z.flat[j] = 1.0
-        A[:, j] = solver.rhs_full(st, disc).q.ravel()
-        z.flat[j] = 0.0
+        e[j] = 1.0
+        A[:, j] = op.matvec(e)
+        e[j] = 0.0
     return A
+
+
+def lsrk_amplification():
+    """Coefficients, in ascending powers of z = dt lambda, of the degree-5
+    polynomial R(z) by which one LSRK4A/B step multiplies y' = lambda y."""
+    y, r = np.array([1.0]), np.zeros(1)
+    for a, b in zip(solver.LSRK4A, solver.LSRK4B):
+        r = npoly.polyadd(a * r, npoly.polymulx(y))     # r <- a r + z y
+        y = npoly.polyadd(y, b * r)
+    return y
+
+
+# |z| past which |R(z)| > 1 in every direction (the reach is 4.657 on the
+# negative real axis, its largest), the radial grid step, and the growth
+# of |R| above 1 that counts as leaving the stability region
+_RAY_MAX, _RAY_STEP, _RAY_TOL = 6.0, 1e-2, 1e-12
+
+
+def lsrk_stable_dt(eigenvalues):
+    """Largest dt for which dt * lambda stays inside the stability region
+    {|R(z)| <= 1} of the LSRK4A/B step for every eigenvalue lambda and
+    every smaller step: the minimum over lambda of the first radius at
+    which the ray through lambda leaves the region, over |lambda|.  The
+    reach is 3.341 on the imaginary axis and 4.657 on the negative real
+    axis.  Positive real parts are taken as round-off of an energy-stable
+    operator and clipped to zero; zero eigenvalues set no limit.
+    """
+    lam = np.asarray(eigenvalues, dtype=complex).ravel()
+    lam = np.minimum(lam.real, 0.0) + 1j * lam.imag
+    lam = lam[lam != 0]
+    if lam.size == 0:
+        return float("inf")
+    mag = np.abs(lam)
+    R = np.polynomial.Polynomial(lsrk_amplification())
+    radii = np.arange(1, int(round(_RAY_MAX / _RAY_STEP)) + 1) * _RAY_STEP
+    dt = float("inf")
+    for start in range(0, lam.size, 256):
+        u = lam[start:start + 256] / mag[start:start + 256]
+        outside = np.abs(R(u[:, None] * radii)) > 1.0 + _RAY_TOL
+        first = outside.argmax(axis=1)
+        # bisect between the last grid radius inside and the first outside
+        lo, hi = radii[first] - _RAY_STEP, radii[first]
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            out = np.abs(R(u * mid)) > 1.0 + _RAY_TOL
+            lo, hi = np.where(out, lo, mid), np.where(out, mid, hi)
+        dt = min(dt, float(np.min(lo / mag[start:start + 256])))
+    return dt
 
 
 def eigenspectrum(matrix):
@@ -205,7 +267,7 @@ def wave_convergence_study(meshes, N, config=None, T=1.0, medium=MediumField(),
     spatial error to dominate).
     """
     if config is None:
-        config = SolverConfig(N=N, cfl=1.0)
+        config = SolverConfig(N=N)
     out = {}
     for mode in mass_modes:
         cfg = replace(config, N=N, mass_mode=mode)

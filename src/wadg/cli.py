@@ -76,7 +76,7 @@ def _solver_config(values):
         formulation=Formulation(values.get("formulation", "strong")),
         mass_mode=MassMode(values.get("mass_mode", "wadg")),
         flux=FluxParams(values.get("tau_p", 1.0), values.get("tau_u", 1.0)),
-        cfl=values.get("cfl", 0.5),
+        cfl=values.get("cfl", SolverConfig.cfl),
         volume_quad_degree=values.get("volume_quad_degree"),
         face_quad_degree=values.get("face_quad_degree"),
         unsafe_quadrature=values.get("unsafe_quadrature", False))
@@ -142,12 +142,17 @@ def cmd_conservation_study(args, rd):
 def cmd_spectrum(args, rd):
     mesh = _parse_mesh_spec(args.mesh, args.N_geo or args.N)
     cfg = _solver_config(vars(args))
-    A = analysis.assemble_evolution_matrix(mesh, cfg, MEDIA[args.medium](), cap=args.cap)
+    medium = MEDIA[args.medium]()
+    A = analysis.assemble_evolution_matrix(mesh, cfg, medium, cap=args.cap)
     spec = analysis.eigenspectrum(A)
     out = rd.path / "spectrum.csv"
     spec.to_csv(out)
     rd.log(f"n = {A.shape[0]}, max real part {spec.max_real_part:.6e}, "
            f"spectral radius {spec.spectral_radius:.6e}")
+    dt = solver.stable_dt(solver.Discretization(mesh, cfg, medium))
+    dt_lsrk = analysis.lsrk_stable_dt(spec.eigenvalues)
+    rd.log(f"stable_dt {dt:.6e}, LSRK-stable dt of this spectrum {dt_lsrk:.6e}, "
+           f"ratio {dt_lsrk / dt:.4f}")
     rd.log(f"wrote {out}")
     return EXIT_OK
 
@@ -206,7 +211,8 @@ def build_parser():
                        help="set both penalty parameters")
         q.add_argument("--tau-p", type=float, default=1.0)
         q.add_argument("--tau-u", type=float, default=1.0)
-        q.add_argument("--cfl", type=float, default=0.5)
+        q.add_argument("--cfl", type=float, default=SolverConfig.cfl,
+                       help="fraction of the calibrated stability limit")
         q.add_argument("--volume-quad-degree", type=int, default=None)
         q.add_argument("--face-quad-degree", type=int, default=None)
         q.add_argument("--unsafe-quadrature", action="store_true")
@@ -242,7 +248,7 @@ def build_parser():
     q.add_argument("--both-modes", action="store_true",
                    help="also run the exact curved-mass reference")
     q.add_argument("--dt-check", action="store_true")
-    q.set_defaults(func=cmd_wave_convergence, cfl=1.0)
+    q.set_defaults(func=cmd_wave_convergence)
 
     q = sub.add_parser("kappa-study", help="Jacobian constant growth study")
     q.add_argument("--omega", type=float, required=True)

@@ -75,7 +75,7 @@ class SolverConfig:
     formulation: Formulation = Formulation.Strong
     mass_mode: MassMode = MassMode.WADG
     flux: FluxParams = field(default_factory=FluxParams)
-    cfl: float = 0.5
+    cfl: float = 0.8                        # fraction of the calibrated limit
     volume_quad_degree: int | None = None   # default: formulation rule
     face_quad_degree: int | None = None
     unsafe_quadrature: bool = False         # allow under-integrated strong form
@@ -450,16 +450,37 @@ def lsrk_step(state, dt, rhs_fn):
     return out
 
 
+# Calibration constant of stable_dt.  Over 360 dense spectra (uniform,
+# disk, Arnold, random and warped meshes, N = 1, 3, 6, both forms, four
+# media, tau in {0, 1, 5}) and Arnoldi estimates on the three benchmark disk
+# meshes, the LSRK4A/B spectral limit (analysis.lsrk_stable_dt) lies
+# between 4.29 and 8.89 times the bound with C_DT = 1 (BENCH_dt.json).
+C_DT = 4.0
+
+
 def stable_dt(disc):
-    """dt = cfl * min_k h_k / (c_max,k (N+1)^2) with h_k = 2 area/perimeter,
-    measured on the formulation's rule."""
+    """dt = cfl * C_DT * min_k h_k / ((N+1)(N+2) c_k max(1, tau c_k)).
+
+    h_k = 2 area/perimeter and c_k = max c of element k, both on the
+    formulation's rule, and tau = max(tau_p, tau_u).  The form follows the
+    trace-inequality argument of Hesthaven & Warburton, Nodal DG Methods
+    (2008), sec. 4.8.  With (N+1)(N+2) the ratio of spectral limit to bound
+    does not drift with N, as it did with (N+1)^2; max(1, tau c) covers the
+    nearly real penalty eigenvalues, which grow like tau c^2.  cfl is the
+    fraction of the calibrated limit: cfl = 1 stays below the spectral
+    limit on every calibration case.
+    """
     cfl = disc.config.cfl
     if cfl <= 0:
         raise ConfigError("cfl must be positive")
+    N = disc.config.N
+    tau = max(disc.flux.tau_p, disc.flux.tau_u)
     area = geometry.element_areas(disc.geo)
     perim = geometry.element_perimeters(disc.geo)
     hmin = 2.0 * area / perim
-    return float(cfl * np.min(hmin / (disc.c_max * (disc.config.N + 1) ** 2)))
+    c = disc.c_max
+    bound = np.min(hmin / (c * np.maximum(1.0, tau * c)))
+    return float(cfl * C_DT * bound / ((N + 1) * (N + 2)))
 
 
 def project_initial_condition(disc, initial_fn):

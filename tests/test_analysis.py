@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from wadg import analysis as an
+from wadg import cli
 from wadg import meshgen as mg
 from wadg import solver as sv
-from wadg.solver import FluxParams, Formulation, MassMode, SolverConfig
+from wadg.solver import FluxParams, Formulation, MassMode, MediumField, SolverConfig
 
 
 class TestConvergenceRecord:
@@ -73,6 +74,102 @@ class TestEvolutionMatrix:
         lam = spec.eigenvalues
         for v in lam[:40]:
             assert np.min(np.abs(lam - np.conj(v))) < 1e-8 * spec.spectral_radius
+
+
+class TestEvolutionOperator:
+    def test_matrix_columns_are_rhs_of_unit_states(self):
+        m = mg.disk_mesh(0, 2)
+        cfg = SolverConfig(N=2, formulation=Formulation.StrongWeak)
+        A = an.assemble_evolution_matrix(m, cfg)
+        disc = sv.Discretization(m, cfg)
+        op = an.evolution_operator(disc)
+        assert op.shape == A.shape == (3 * m.K * disc.ref.Np,) * 2
+        z = np.zeros((3, m.K, disc.ref.Np))
+        for j in range(A.shape[0]):
+            z.flat[j] = 1.0
+            expect = sv.rhs_full(sv.FieldState.wrap(z), disc).q.ravel()
+            assert np.array_equal(A[:, j], expect)
+            assert np.array_equal(op.matvec(z.ravel()), expect)
+            z.flat[j] = 0.0
+
+
+class TestLSRKStability:
+    def test_amplification_is_one_step(self):
+        coef = an.lsrk_amplification()
+        assert len(coef) == 6
+        for z in (-0.37, -2.5, 0.8):
+            st = sv.FieldState(np.ones((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
+            out = sv.lsrk_step(st, 1.0, lambda s: sv.FieldState(z * s.p, 0 * s.u1, 0 * s.u2))
+            assert out.p[0, 0] == pytest.approx(np.polynomial.polynomial.polyval(z, coef),
+                                                rel=1e-14)
+
+    def test_reach_on_the_axes(self):
+        assert an.lsrk_stable_dt([1j, -1j]) == pytest.approx(3.341, abs=5e-4)
+        assert an.lsrk_stable_dt([-1.0]) == pytest.approx(4.657, abs=5e-4)
+        # the limit scales as 1/|lambda| and the smallest ray limit wins
+        assert an.lsrk_stable_dt([-2.0, 10j]) == pytest.approx(
+            an.lsrk_stable_dt([1j]) / 10, rel=1e-12)
+
+    def test_limit_is_the_region_boundary(self):
+        lam = np.array([-1 + 3j, -0.2 + 1j, -4 + 0.5j, 2j])
+        dt = an.lsrk_stable_dt(lam)
+        R = np.polynomial.Polynomial(an.lsrk_amplification())
+        assert np.abs(R(dt * lam)).max() == pytest.approx(1.0, abs=1e-9)
+        for s in np.linspace(0.01, 1.0, 100):
+            assert np.abs(R(s * dt * lam)).max() <= 1.0 + 1e-12
+        assert np.abs(R(1.001 * dt * lam)).max() > 1.0
+
+    def test_zero_and_roundoff_eigenvalues(self):
+        assert an.lsrk_stable_dt([0.0]) == float("inf")
+        assert an.lsrk_stable_dt([1e-15 + 1j, 0.0]) == an.lsrk_stable_dt([1j])
+        assert an.lsrk_stable_dt([1e-15]) == float("inf")
+
+
+# Small meshes, N = 1..3, both forms, three media and tau in {0, 1, 5}:
+# every (medium, tau) pair appears, and each mesh meets each N.
+CALIBRATION_MEDIA = {
+    "c2=1": MediumField(1.0),
+    "c2=4": MediumField(4.0),
+    "radial_sine": cli.MEDIA["radial_sine"](),
+}
+CALIBRATION_CASES = [
+    # mesh, N, form, medium, tau
+    ("disk", 1, "strong", "c2=1", 0.0),
+    ("disk", 2, "strong-weak", "c2=4", 5.0),
+    ("disk", 3, "strong", "radial_sine", 1.0),
+    ("disk", 3, "strong-weak", "c2=4", 1.0),
+    ("arnold", 1, "strong-weak", "c2=4", 0.0),
+    ("arnold", 2, "strong", "radial_sine", 5.0),
+    ("arnold", 3, "strong-weak", "c2=1", 1.0),
+    ("random", 1, "strong", "radial_sine", 0.0),
+    ("random", 2, "strong-weak", "c2=1", 5.0),
+    ("random", 3, "strong", "c2=4", 1.0),
+    ("uniform", 1, "strong-weak", "c2=4", 1.0),
+    ("uniform", 2, "strong", "c2=1", 0.0),
+    ("uniform", 3, "strong-weak", "radial_sine", 5.0),
+]
+
+
+def calibration_mesh(kind, N):
+    if kind == "disk":
+        return mg.disk_mesh(1 if N == 1 else 0, N)
+    if kind == "arnold":
+        return mg.arnold_mesh(1)
+    if kind == "random":
+        return mg.random_perturbed_mesh(4, 1, 0.2, 0)
+    return mg.uniform_quad_mesh(4)
+
+
+class TestStableDtCalibration:
+    @pytest.mark.parametrize("kind, N, form, medium, tau", CALIBRATION_CASES)
+    def test_default_dt_within_spectral_limit(self, kind, N, form, medium, tau):
+        mesh = calibration_mesh(kind, N)
+        cfg = SolverConfig(N=N, formulation=Formulation(form), flux=FluxParams(tau, tau))
+        medium = CALIBRATION_MEDIA[medium]
+        A = an.assemble_evolution_matrix(mesh, cfg, medium, cap=1200)
+        limit = an.lsrk_stable_dt(an.eigenspectrum(A).eigenvalues)
+        dt = sv.stable_dt(sv.Discretization(mesh, cfg, medium))
+        assert 0.3 * limit <= dt <= 0.8 * limit
 
 
 class TestEigenspectrum:

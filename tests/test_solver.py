@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wadg import analysis as an
 from wadg import geometry as geom
 from wadg import meshgen as mg
 from wadg import operators as ops
@@ -16,6 +17,13 @@ from conftest import fit_slope
 def random_state(disc, rng, scale=1.0):
     K, Np = disc.mesh.K, disc.ref.Np
     return FieldState(*(scale * rng.standard_normal((K, Np)) for _ in range(3)))
+
+
+def heuristic_dt(disc, cfl):
+    """Step of the earlier rule cfl * min_k h_k / (c_k (N+1)^2), which tests
+    pass as dt= where their tolerance was set at that step size."""
+    h = 2.0 * geom.element_areas(disc.geo) / geom.element_perimeters(disc.geo)
+    return float(cfl * np.min(h / (disc.c_max * (disc.config.N + 1) ** 2)))
 
 
 def energy_rate(state, disc):
@@ -141,9 +149,10 @@ class TestMassInverse:
         m = mg.disk_mesh(1, 3)
         errs = {}
         for mode in (MassMode.WADG, MassMode.ExactCurvedMass):
-            cfg = SolverConfig(N=3, mass_mode=mode, cfl=1.0)
+            cfg = SolverConfig(N=3, mass_mode=mode)
+            dt = heuristic_dt(sv.Discretization(m, cfg), cfl=1.0)
             _, diag = sv.run(m, cfg, sv.bessel_initial_condition, 1.0,
-                             exact_p=sv.bessel_pressure, n_outputs=1)
+                             exact_p=sv.bessel_pressure, n_outputs=1, dt=dt)
             errs[mode] = diag["l2_error_p"][-1]
         ratio = errs[MassMode.WADG] / errs[MassMode.ExactCurvedMass]
         assert 0.99 <= ratio <= 1.01
@@ -216,18 +225,40 @@ class TestLSRK:
 
 class TestStableDt:
     def test_formula_self_consistency(self):
-        # N=1 uniform unit-speed mesh, h = 0.5: per element area h^2,
-        # perimeter 4h -> h_min = h/2; dt = cfl * (h/2) / (N+1)^2
+        # N=1 uniform mesh, h = 0.5: per element area h^2, perimeter 4h ->
+        # h_min = h/2; dt = cfl C_DT (h/2) / ((N+1)(N+2) c max(1, tau c))
+        # = 1 / (6 c max(1, tau c)) at cfl = 1, C_DT = 4
         m = mg.uniform_quad_mesh(4, domain=((0, 2), (0, 2)))
-        dt = sv.stable_dt(sv.Discretization(m, SolverConfig(N=1, cfl=1.0)))
-        assert dt == pytest.approx(0.25 / 4, rel=1e-12)
+        assert sv.C_DT == 4.0
+        for c2, tau, expect in ((1.0, 1.0, 1 / 6),     # max(1, tau c) = 1
+                                (4.0, 0.0, 1 / 12),    # c = 2
+                                (1.0, 5.0, 1 / 30),    # max(1, tau c) = 5
+                                (4.0, 1.0, 1 / 24)):   # c max(1, tau c) = 4
+            cfg = SolverConfig(N=1, cfl=1.0, flux=FluxParams(tau, tau))
+            dt = sv.stable_dt(sv.Discretization(m, cfg, sv.MediumField(c2)))
+            assert dt == pytest.approx(expect, rel=1e-12)
 
-    def test_doubling_wavespeed_halves_dt(self):
+    def test_default_cfl_is_fraction_of_calibrated_limit(self):
         m = mg.disk_mesh(1, 2)
-        cfg = SolverConfig(N=2, cfl=0.5)
+        disc = sv.Discretization(m, SolverConfig(N=2))
+        full = sv.Discretization(m, SolverConfig(N=2, cfl=1.0))
+        assert sv.stable_dt(disc) == pytest.approx(0.8 * sv.stable_dt(full), rel=1e-14)
+
+    @staticmethod
+    def _dt_ratio_doubling_c(tau):
+        m = mg.disk_mesh(1, 2)
+        cfg = SolverConfig(N=2, flux=FluxParams(tau, tau))
         dt1 = sv.stable_dt(sv.Discretization(m, cfg, sv.MediumField(1.0)))
         dt2 = sv.stable_dt(sv.Discretization(m, cfg, sv.MediumField(4.0)))
-        assert dt2 == pytest.approx(dt1 / 2, rel=1e-12)
+        return dt2 / dt1
+
+    def test_doubling_wavespeed_halves_dt(self):
+        # no penalty: dt ~ 1/c
+        assert self._dt_ratio_doubling_c(0.0) == pytest.approx(0.5, rel=1e-12)
+
+    def test_doubling_wavespeed_quarters_dt_with_penalty(self):
+        # tau = 1 and c >= 1: the penalty eigenvalues give dt ~ 1/c^2
+        assert self._dt_ratio_doubling_c(1.0) == pytest.approx(0.25, rel=1e-12)
 
     def test_invalid_cfl(self):
         m = mg.uniform_quad_mesh(2)
@@ -259,8 +290,9 @@ class TestRun:
         hs, errs = [], []
         for K1D in (4, 8, 16):
             m = mg.uniform_quad_mesh(K1D)
-            _, diag = sv.run(m, SolverConfig(N=N, cfl=0.5), init, 0.5,
-                             exact_p=p_ex, n_outputs=1)
+            cfg = SolverConfig(N=N)
+            _, diag = sv.run(m, cfg, init, 0.5, exact_p=p_ex, n_outputs=1,
+                             dt=heuristic_dt(sv.Discretization(m, cfg), cfl=0.5))
             hs.append(m.h)
             errs.append(diag["l2_error_p"][-1])
         slope = fit_slope(hs, errs)
@@ -269,10 +301,36 @@ class TestRun:
     def test_energy_conservation_tau0(self):
         m = mg.disk_mesh(1, 3)
         cfg = SolverConfig(N=3, formulation=Formulation.StrongWeak,
-                           flux=FluxParams(0, 0), mass_mode=MassMode.WADG, cfl=0.25)
-        _, diag = sv.run(m, cfg, sv.bessel_initial_condition, 1.0, n_outputs=5)
+                           flux=FluxParams(0, 0), mass_mode=MassMode.WADG)
+        dt = heuristic_dt(sv.Discretization(m, cfg), cfl=0.25)
+        _, diag = sv.run(m, cfg, sv.bessel_initial_condition, 1.0, n_outputs=5, dt=dt)
         E = diag["energy"]
         assert np.max(np.abs(E - E[0])) / E[0] < 1e-8
+
+    def test_default_dt_error_within_one_percent_of_half_step(self):
+        m = mg.disk_mesh(1, 3)
+        cfg = SolverConfig(N=3)
+        dt = sv.stable_dt(sv.Discretization(m, cfg))
+        errs = []
+        for step in (dt, 0.5 * dt):
+            _, diag = sv.run(m, cfg, sv.bessel_initial_condition, 1.0,
+                             exact_p=sv.bessel_pressure, n_outputs=4, dt=step)
+            assert diag["energy"][-1] <= diag["energy"][0]
+            errs.append(diag["l2_error_p"][-1])
+        assert abs(errs[0] - errs[1]) <= 0.01 * errs[1]
+
+    def test_spectral_limit_separates_stable_from_blowup(self):
+        m = mg.disk_mesh(0, 2)
+        cfg = SolverConfig(N=2)
+        A = an.assemble_evolution_matrix(m, cfg)
+        limit = an.lsrk_stable_dt(an.eigenspectrum(A).eigenvalues)
+        rng = np.random.default_rng(0)
+        # random data excites every mode, the fastest included
+        noise = lambda x, y: tuple(rng.standard_normal(x.shape) for _ in range(3))
+        _, diag = sv.run(m, cfg, noise, 200 * limit, dt=0.9 * limit, n_outputs=20)
+        assert diag["energy"][-1] <= diag["energy"][0]
+        with pytest.raises(sv.BlowUp):
+            sv.run(m, cfg, noise, 200 * limit, dt=1.2 * limit, n_outputs=20)
 
     def test_blowup_detected(self):
         m = mg.disk_mesh(0, 2)
