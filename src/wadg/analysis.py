@@ -105,10 +105,10 @@ def evolution_operator(disc):
     return LinearOperator((n, n), matvec=matvec, dtype=float)
 
 
-def assemble_evolution_matrix(mesh, config, medium=MediumField(), cap=6000):
-    """Dense matrix of evolution_operator: column j is the operator applied
-    to unit vector e_j."""
-    op = evolution_operator(solver.Discretization(mesh, config, medium))
+def assemble_evolution_matrix(disc, cap=6000):
+    """Dense matrix of evolution_operator(disc): column j is the operator
+    applied to unit vector e_j."""
+    op = evolution_operator(disc)
     n = op.shape[0]
     if n > cap:
         raise SizeCapExceeded(f"{n} unknowns exceed cap {cap}")

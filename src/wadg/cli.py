@@ -143,13 +143,14 @@ def cmd_spectrum(args, rd):
     mesh = _parse_mesh_spec(args.mesh, args.N_geo or args.N)
     cfg = _solver_config(vars(args))
     medium = MEDIA[args.medium]()
-    A = analysis.assemble_evolution_matrix(mesh, cfg, medium, cap=args.cap)
+    disc = solver.Discretization(mesh, cfg, medium)
+    A = analysis.assemble_evolution_matrix(disc, cap=args.cap)
     spec = analysis.eigenspectrum(A)
     out = rd.path / "spectrum.csv"
     spec.to_csv(out)
     rd.log(f"n = {A.shape[0]}, max real part {spec.max_real_part:.6e}, "
            f"spectral radius {spec.spectral_radius:.6e}")
-    dt = solver.stable_dt(solver.Discretization(mesh, cfg, medium))
+    dt = solver.stable_dt(disc)
     dt_lsrk = analysis.lsrk_stable_dt(spec.eigenvalues)
     rd.log(f"stable_dt {dt:.6e}, LSRK-stable dt of this spectrum {dt_lsrk:.6e}, "
            f"ratio {dt_lsrk / dt:.4f}")

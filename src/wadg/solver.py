@@ -450,36 +450,39 @@ def lsrk_step(state, dt, rhs_fn):
     return out
 
 
-# Calibration constant of stable_dt.  Over 360 dense spectra (uniform,
-# disk, Arnold, random and warped meshes, N = 1, 3, 6, both forms, four
-# media, tau in {0, 1, 5}) and Arnoldi estimates on the three benchmark disk
-# meshes, the LSRK4A/B spectral limit (analysis.lsrk_stable_dt) lies
-# between 4.29 and 8.89 times the bound with C_DT = 1 (BENCH_dt.json).
+# Calibration constant of stable_dt.  Over 900 dense spectra (uniform,
+# disk, Arnold, random and warped meshes, N = 1, 3, 6, both forms, six
+# media with c between 0.5 and 2, (tau_p, tau_u) in {(0, 0), (1, 1),
+# (5, 5), (0, 5), (5, 0)}), the LSRK4A/B spectral limit
+# (analysis.lsrk_stable_dt) lies between 4.29 and 10.64 times the bound
+# with C_DT = 1 (BENCH_dt.json).  Arnoldi upper estimates on the three
+# benchmark disk meshes give 5.5 to 6.0.
 C_DT = 4.0
 
 
 def stable_dt(disc):
-    """dt = cfl * C_DT * min_k h_k / ((N+1)(N+2) c_k max(1, tau c_k)).
+    """dt = cfl * C_DT * min_k h_k / ((N+1)(N+2) max(c_k, tau_p c_k^2, tau_u)).
 
     h_k = 2 area/perimeter and c_k = max c of element k, both on the
-    formulation's rule, and tau = max(tau_p, tau_u).  The form follows the
-    trace-inequality argument of Hesthaven & Warburton, Nodal DG Methods
-    (2008), sec. 4.8.  With (N+1)(N+2) the ratio of spectral limit to bound
-    does not drift with N, as it did with (N+1)^2; max(1, tau c) covers the
-    nearly real penalty eigenvalues, which grow like tau c^2.  cfl is the
-    fraction of the calibrated limit: cfl = 1 stays below the spectral
-    limit on every calibration case.
+    formulation's rule.  The form follows the trace-inequality argument of
+    Hesthaven & Warburton, Nodal DG Methods (2008), sec. 4.8.  With
+    (N+1)(N+2) the ratio of spectral limit to bound does not drift with N,
+    as it did with (N+1)^2.  The wave eigenvalues grow like c; the nearly
+    real penalty eigenvalues grow like tau_p c^2 (the pressure update is
+    weighted by c^2/J) and like tau_u (the velocity update by 1/J).  cfl
+    is the fraction of the calibrated limit: cfl = 1 stays below the
+    spectral limit on every calibration case.
     """
     cfl = disc.config.cfl
     if cfl <= 0:
         raise ConfigError("cfl must be positive")
     N = disc.config.N
-    tau = max(disc.flux.tau_p, disc.flux.tau_u)
     area = geometry.element_areas(disc.geo)
     perim = geometry.element_perimeters(disc.geo)
     hmin = 2.0 * area / perim
     c = disc.c_max
-    bound = np.min(hmin / (c * np.maximum(1.0, tau * c)))
+    rate = np.maximum(np.maximum(c, disc.flux.tau_p * c**2), disc.flux.tau_u)
+    bound = np.min(hmin / rate)
     return float(cfl * C_DT * bound / ((N + 1) * (N + 2)))
 
 

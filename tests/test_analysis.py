@@ -42,8 +42,8 @@ class TestEvolutionMatrix:
     def test_linearity(self, rng):
         m = mg.disk_mesh(0, 2)
         cfg = SolverConfig(N=2, flux=FluxParams(1, 1))
-        A = an.assemble_evolution_matrix(m, cfg)
         disc = sv.Discretization(m, cfg)
+        A = an.assemble_evolution_matrix(disc)
         x = rng.standard_normal(A.shape[0])
         K, Np = m.K, disc.ref.Np
         st = sv.FieldState(*(x.reshape(3, K, Np)))
@@ -56,21 +56,21 @@ class TestEvolutionMatrix:
     def test_size_cap(self):
         m = mg.disk_mesh(2, 3)
         with pytest.raises(an.SizeCapExceeded):
-            an.assemble_evolution_matrix(m, SolverConfig(N=3), cap=100)
+            an.assemble_evolution_matrix(sv.Discretization(m, SolverConfig(N=3)), cap=100)
 
     def test_single_affine_element_skew(self):
         # one element with mirror boundaries, central flux: purely imaginary
         m = mg.uniform_quad_mesh(1)
         cfg = SolverConfig(N=3, formulation=Formulation.StrongWeak,
                            flux=FluxParams(0, 0))
-        spec = an.eigenspectrum(an.assemble_evolution_matrix(m, cfg))
+        spec = an.eigenspectrum(an.assemble_evolution_matrix(sv.Discretization(m, cfg)))
         assert spec.max_real_part <= 1e-8 * spec.spectral_radius
 
     def test_conjugate_pairing(self):
         m = mg.uniform_quad_mesh(2)
         cfg = SolverConfig(N=2, formulation=Formulation.StrongWeak,
                            flux=FluxParams(0, 0))
-        spec = an.eigenspectrum(an.assemble_evolution_matrix(m, cfg))
+        spec = an.eigenspectrum(an.assemble_evolution_matrix(sv.Discretization(m, cfg)))
         lam = spec.eigenvalues
         for v in lam[:40]:
             assert np.min(np.abs(lam - np.conj(v))) < 1e-8 * spec.spectral_radius
@@ -80,8 +80,8 @@ class TestEvolutionOperator:
     def test_matrix_columns_are_rhs_of_unit_states(self):
         m = mg.disk_mesh(0, 2)
         cfg = SolverConfig(N=2, formulation=Formulation.StrongWeak)
-        A = an.assemble_evolution_matrix(m, cfg)
         disc = sv.Discretization(m, cfg)
+        A = an.assemble_evolution_matrix(disc)
         op = an.evolution_operator(disc)
         assert op.shape == A.shape == (3 * m.K * disc.ref.Np,) * 2
         z = np.zeros((3, m.K, disc.ref.Np))
@@ -125,11 +125,14 @@ class TestLSRKStability:
         assert an.lsrk_stable_dt([1e-15]) == float("inf")
 
 
-# Small meshes, N = 1..3, both forms, three media and tau in {0, 1, 5}:
-# every (medium, tau) pair appears, and each mesh meets each N.
+# Small meshes, N = 1..3, both forms, four media and tau in {0, 1, 5}:
+# every (medium, tau) pair appears, and each mesh meets each N.  With
+# c2 = 0.25 the velocity penalty tau_u, which does not scale with c, sets
+# the bound.
 CALIBRATION_MEDIA = {
     "c2=1": MediumField(1.0),
     "c2=4": MediumField(4.0),
+    "c2=0.25": MediumField(0.25),
     "radial_sine": cli.MEDIA["radial_sine"](),
 }
 CALIBRATION_CASES = [
@@ -147,6 +150,10 @@ CALIBRATION_CASES = [
     ("uniform", 1, "strong-weak", "c2=4", 1.0),
     ("uniform", 2, "strong", "c2=1", 0.0),
     ("uniform", 3, "strong-weak", "radial_sine", 5.0),
+    ("disk", 2, "strong", "c2=0.25", 1.0),
+    ("arnold", 3, "strong", "c2=0.25", 5.0),
+    ("random", 1, "strong-weak", "c2=0.25", 0.0),
+    ("uniform", 2, "strong-weak", "c2=0.25", 5.0),
 ]
 
 
@@ -166,9 +173,10 @@ class TestStableDtCalibration:
         mesh = calibration_mesh(kind, N)
         cfg = SolverConfig(N=N, formulation=Formulation(form), flux=FluxParams(tau, tau))
         medium = CALIBRATION_MEDIA[medium]
-        A = an.assemble_evolution_matrix(mesh, cfg, medium, cap=1200)
+        disc = sv.Discretization(mesh, cfg, medium)
+        A = an.assemble_evolution_matrix(disc, cap=1200)
         limit = an.lsrk_stable_dt(an.eigenspectrum(A).eigenvalues)
-        dt = sv.stable_dt(sv.Discretization(mesh, cfg, medium))
+        dt = sv.stable_dt(disc)
         assert 0.3 * limit <= dt <= 0.8 * limit
 
 
@@ -198,7 +206,7 @@ class TestEigenspectrum:
         m = mg.disk_mesh(0, 3)
         cfg = SolverConfig(N=3, formulation=Formulation.StrongWeak,
                            flux=FluxParams(1, 1))
-        spec = an.eigenspectrum(an.assemble_evolution_matrix(m, cfg))
+        spec = an.eigenspectrum(an.assemble_evolution_matrix(sv.Discretization(m, cfg)))
         assert spec.max_real_part <= 1e-8 * spec.spectral_radius
         assert spec.eigenvalues.real.min() < -1e-6 * spec.spectral_radius
 

@@ -226,15 +226,20 @@ class TestLSRK:
 class TestStableDt:
     def test_formula_self_consistency(self):
         # N=1 uniform mesh, h = 0.5: per element area h^2, perimeter 4h ->
-        # h_min = h/2; dt = cfl C_DT (h/2) / ((N+1)(N+2) c max(1, tau c))
-        # = 1 / (6 c max(1, tau c)) at cfl = 1, C_DT = 4
+        # h_min = h/2; dt = cfl C_DT (h/2) / ((N+1)(N+2) max(c, tau_p c^2, tau_u))
+        # = 1 / (6 max(c, tau_p c^2, tau_u)) at cfl = 1, C_DT = 4
         m = mg.uniform_quad_mesh(4, domain=((0, 2), (0, 2)))
         assert sv.C_DT == 4.0
-        for c2, tau, expect in ((1.0, 1.0, 1 / 6),     # max(1, tau c) = 1
-                                (4.0, 0.0, 1 / 12),    # c = 2
-                                (1.0, 5.0, 1 / 30),    # max(1, tau c) = 5
-                                (4.0, 1.0, 1 / 24)):   # c max(1, tau c) = 4
-            cfg = SolverConfig(N=1, cfl=1.0, flux=FluxParams(tau, tau))
+        for c2, tau_p, tau_u, expect in (
+                (1.0, 1.0, 1.0, 1 / 6),      # all three are 1
+                (4.0, 0.0, 0.0, 1 / 12),     # c = 2
+                (1.0, 5.0, 5.0, 1 / 30),     # tau c^2 = tau = 5
+                (4.0, 1.0, 1.0, 1 / 24),     # tau_p c^2 = 4
+                (0.25, 1.0, 1.0, 1 / 6),     # tau_u = 1 > c = 0.5
+                (0.25, 5.0, 5.0, 1 / 30),    # tau_u = 5 > tau_p c^2 = 1.25
+                (0.25, 5.0, 0.0, 1 / 7.5),   # tau_p c^2 = 1.25
+                (4.0, 0.0, 5.0, 1 / 30)):    # tau_u = 5 > c = 2
+            cfg = SolverConfig(N=1, cfl=1.0, flux=FluxParams(tau_p, tau_u))
             dt = sv.stable_dt(sv.Discretization(m, cfg, sv.MediumField(c2)))
             assert dt == pytest.approx(expect, rel=1e-12)
 
@@ -257,7 +262,7 @@ class TestStableDt:
         assert self._dt_ratio_doubling_c(0.0) == pytest.approx(0.5, rel=1e-12)
 
     def test_doubling_wavespeed_quarters_dt_with_penalty(self):
-        # tau = 1 and c >= 1: the penalty eigenvalues give dt ~ 1/c^2
+        # tau = 1 and c >= 1: the pressure penalty tau_p c^2 gives dt ~ 1/c^2
         assert self._dt_ratio_doubling_c(1.0) == pytest.approx(0.25, rel=1e-12)
 
     def test_invalid_cfl(self):
@@ -322,7 +327,7 @@ class TestRun:
     def test_spectral_limit_separates_stable_from_blowup(self):
         m = mg.disk_mesh(0, 2)
         cfg = SolverConfig(N=2)
-        A = an.assemble_evolution_matrix(m, cfg)
+        A = an.assemble_evolution_matrix(sv.Discretization(m, cfg))
         limit = an.lsrk_stable_dt(an.eigenspectrum(A).eigenvalues)
         rng = np.random.default_rng(0)
         # random data excites every mode, the fastest included
