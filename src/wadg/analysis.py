@@ -98,9 +98,8 @@ def evolution_operator(disc):
     n = int(np.prod(shape))
 
     def matvec(x):
-        state = solver.FieldState.wrap(np.reshape(x, shape))
-        # rhs_full returns a view of a buffer that the next call overwrites
-        return solver.rhs_full(state, disc).q.ravel().copy()
+        # rhs_full returns a buffer that the next call overwrites
+        return solver.rhs_full(np.reshape(x, shape), disc).ravel().copy()
 
     return LinearOperator((n, n), matvec=matvec, dtype=float)
 

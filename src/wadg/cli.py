@@ -72,7 +72,7 @@ def _solver_config(values):
     """SolverConfig from resolved option values: parsed flags or the keys of
     a config file; keys a config file leaves out take these defaults."""
     return SolverConfig(
-        N=int(values.get("N", 3)),
+        N=values.get("N", 3),
         formulation=Formulation(values.get("formulation", "strong")),
         mass_mode=MassMode(values.get("mass_mode", "wadg")),
         flux=FluxParams(values.get("tau_p", 1.0), values.get("tau_u", 1.0)),
@@ -80,6 +80,33 @@ def _solver_config(values):
         volume_quad_degree=values.get("volume_quad_degree"),
         face_quad_degree=values.get("face_quad_degree"),
         unsafe_quadrature=values.get("unsafe_quadrature", False))
+
+
+_REAL = (int, float)
+# what each key of a run config file accepts: value types, or a list of
+# choices; a bool is not a number
+_CONFIG_KEYS = {
+    "N": int, "N_geo": int, "tau_p": _REAL, "tau_u": _REAL, "cfl": _REAL,
+    "volume_quad_degree": (int, type(None)), "face_quad_degree": (int, type(None)),
+    "unsafe_quadrature": bool, "mesh": str, "T": _REAL, "output_interval": _REAL,
+    "formulation": [f.value for f in Formulation], "mass_mode": [m.value for m in MassMode],
+    "medium": sorted(MEDIA)}
+
+
+def _check_config(doc):
+    """Raise ConfigError, naming the key, for an unknown key or a bad value."""
+    if unknown := sorted(set(doc) - set(_CONFIG_KEYS)):
+        raise ConfigError(f"unknown config keys: {unknown}")
+    for key, value in doc.items():
+        want = _CONFIG_KEYS[key]
+        if isinstance(want, list):
+            if not (isinstance(value, str) and value in want):
+                raise ConfigError(f"config key {key!r} must be one of {want}, got {value!r}")
+            continue
+        types = want if isinstance(want, tuple) else (want,)
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            names = " or ".join(t.__name__.replace("NoneType", "null") for t in types)
+            raise ConfigError(f"config key {key!r} must be {names}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +192,9 @@ def cmd_run(args, rd):
     else:
         with open(args.config) as f:
             doc = json.load(f)
-    known = {"N", "N_geo", "formulation", "mass_mode", "tau_p", "tau_u", "cfl",
-             "volume_quad_degree", "face_quad_degree", "unsafe_quadrature",
-             "mesh", "medium", "T", "output_interval"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _check_config(doc)
     cfg = _solver_config(doc)
-    mesh = _parse_mesh_spec(doc.get("mesh", "disk1"), int(doc.get("N_geo", cfg.N)))
+    mesh = _parse_mesh_spec(doc.get("mesh", "disk1"), doc.get("N_geo", cfg.N))
     medium = MEDIA[doc.get("medium", "constant")]()
     T = float(doc.get("T", 1.0))
     interval = float(doc.get("output_interval", T / 10))

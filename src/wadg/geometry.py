@@ -45,16 +45,18 @@ class VolumeGeometry:
 
 @dataclass
 class GeometricData(VolumeGeometry):
-    """VolumeGeometry plus the metric terms at the volume points, (K, Nq),
+    """VolumeGeometry plus the scaled metric at the volume points, (K, Nq),
     and the face geometry, (K, n_faces * nfq) with faces stacked in CCW
-    order: what the DG volume and surface terms read."""
+    order: what the DG volume and surface terms read.
 
-    rxq: np.ndarray = field(repr=False)
-    ryq: np.ndarray = field(repr=False)
-    sxq: np.ndarray = field(repr=False)
-    syq: np.ndarray = field(repr=False)
-    xfq: np.ndarray = field(repr=False)
-    yfq: np.ndarray = field(repr=False)
+    The scaled metric is the cofactor form rxJ = r_x J = y_s, ryJ = -x_s,
+    sxJ = -y_r, syJ = x_r (Hesthaven & Warburton, Nodal DG Methods, 2008):
+    polynomial in the reference coordinates, so no division by J."""
+
+    rxJ: np.ndarray = field(repr=False)
+    ryJ: np.ndarray = field(repr=False)
+    sxJ: np.ndarray = field(repr=False)
+    syJ: np.ndarray = field(repr=False)
     Jfq: np.ndarray = field(repr=False)
     nxq: np.ndarray = field(repr=False)
     nyq: np.ndarray = field(repr=False)
@@ -99,30 +101,22 @@ def compute_geometric_data(mesh, ref):
     yr, ys = Y @ Er.T, Y @ Es.T
     Jq = xr * ys - xs * yr
     _check_jacobian(Jq)
-    rxq, ryq = ys / Jq, -xs / Jq
-    sxq, syq = -yr / Jq, xr / Jq
 
-    Ef = refelem.nodal_eval_matrix(ngeo, ref.face_quad_points)
     Efr, Efs = refelem.nodal_grad_matrices(ngeo, ref.face_quad_points)
-    xfq, yfq = X @ Ef.T, Y @ Ef.T
     xfr, xfs = X @ Efr.T, X @ Efs.T
     yfr, yfs = Y @ Efr.T, Y @ Efs.T
 
     # tangent along the CCW face parameter; outward normal is (y', -x') / Jf
-    nfq = ref.nfq
-    tx = np.empty_like(xfq)
-    ty = np.empty_like(xfq)
-    for f, (_, (dr, ds)) in enumerate(refelem.FACES):
-        cols = slice(f * nfq, (f + 1) * nfq)
-        tx[:, cols] = xfr[:, cols] * dr + xfs[:, cols] * ds
-        ty[:, cols] = yfr[:, cols] * dr + yfs[:, cols] * ds
+    dr, ds = np.repeat([d for _, d in refelem.FACES], ref.nfq, axis=0).T
+    tx = xfr * dr + xfs * ds
+    ty = yfr * dr + yfs * ds
     Jfq = np.hypot(tx, ty)
     nxq = ty / Jfq
     nyq = -tx / Jfq
 
     return GeometricData(ref=ref, xq=xq, yq=yq, Jq=Jq,
-                         rxq=rxq, ryq=ryq, sxq=sxq, syq=syq,
-                         xfq=xfq, yfq=yfq, Jfq=Jfq, nxq=nxq, nyq=nyq)
+                         rxJ=ys, ryJ=-xs, sxJ=-yr, syJ=xr,
+                         Jfq=Jfq, nxq=nxq, nyq=nyq)
 
 
 def element_areas(geo):

@@ -4,12 +4,17 @@ with strong and strong-weak formulations, penalty fluxes, homogeneous
 Dirichlet pressure boundaries, a weight-adjusted or exact curved mass
 inverse, and low-storage five-stage RK4 time stepping.
 
+A state is one (3, K, Np) array q whose rows are the nodal coefficients
+of p, u1 and u2; the step functions take and return that bare array.  The
+semi-discrete system is autonomous, so no step function takes a time:
+only `run` keeps the clock, and it returns a FieldState pairing the final
+array with its time.
+
 Right-hand sides follow the fused convention: volume and surface kernels
 return the Mhat^-1-premultiplied load, and the mass-inverse application
 supplies the remaining weight-adjusted (or exact) factor per field.
-States and right-hand sides are (3, K, Np) arrays, and every array a time
-step writes belongs to the Discretization, so a warm step allocates no
-field-sized array.
+Every array a time step writes belongs to the Discretization, so a warm
+step allocates no field-sized array.
 """
 
 from __future__ import annotations
@@ -80,6 +85,10 @@ class SolverConfig:
     face_quad_degree: int | None = None
     unsafe_quadrature: bool = False         # allow under-integrated strong form
 
+    def __post_init__(self):
+        if not self.cfl > 0:
+            raise ConfigError(f"cfl must be positive, got {self.cfl}")
+
 
 def sufficient_quadrature_degrees(N, N_geo):
     """Volume/face quadrature degrees that make discrete integration by
@@ -91,20 +100,13 @@ def sufficient_quadrature_degrees(N, N_geo):
     return 2 * N + N_geo - 1, 2 * N + N_geo - 1
 
 
+@dataclass
 class FieldState:
-    """Pressure and velocity coefficients at time t, stored as one
-    (3, K, Np) array `q` whose rows p, u1, u2 are (K, Np) views."""
+    """What `run` returns: the (3, K, Np) field array `q` at time `t`, whose
+    rows p, u1, u2 are (K, Np) views."""
 
-    def __init__(self, p, u1, u2, t=0.0):
-        self.q = np.stack((p, u1, u2))
-        self.t = t
-
-    @classmethod
-    def wrap(cls, q, t=0.0):
-        """State viewing the (3, K, Np) array q, without copying it."""
-        state = cls.__new__(cls)
-        state.q, state.t = q, t
-        return state
+    q: np.ndarray
+    t: float
 
     @property
     def p(self):
@@ -117,9 +119,6 @@ class FieldState:
     @property
     def u2(self):
         return self.q[2]
-
-    def copy(self):
-        return FieldState.wrap(self.q.copy(), self.t)
 
 
 class StepBuffers:
@@ -159,9 +158,10 @@ class Discretization:
     the J-weighted mass matrix and dense per-element mass inverses on the
     mass-exact rule, and the `buffers` every time step writes.
 
-    Calling a Discretization on a state evaluates `rhs_full`.  The
-    right-hand sides and the states `lsrk_step` returns view those buffers,
-    so each result is valid until the next call that writes the same buffer.
+    Calling a Discretization on a (3, K, Np) array evaluates `rhs_full`.
+    The right-hand sides and the arrays `lsrk_step` returns are those
+    buffers, so each result is valid until the next call that writes the
+    same buffer.
     """
 
     def __init__(self, mesh, config, medium=MediumField()):
@@ -206,13 +206,9 @@ class Discretization:
             self.mass_inv_p = np.linalg.inv(Mp)
             self.mass_inv_u = np.linalg.inv(self.mass_J)
 
-        # fused geometric factors, (K, Nq) and flat (K, n_faces*nfq); the
-        # projections carry the minus sign of every volume and lift term
+        # fused factors, (K, Nq) and flat (K, n_faces*nfq); the projections
+        # carry the minus sign of every volume and lift term
         geo = self.geo
-        self._rxJ = geo.rxq * geo.Jq
-        self._ryJ = geo.ryq * geo.Jq
-        self._sxJ = geo.sxq * geo.Jq
-        self._syJ = geo.syq * geo.Jq
         self._wJ = self.ref.wq[None, :] * geo.Jq
         self._Jf_half = 0.5 * geo.Jfq
         self._Jfnx_half = self._Jf_half * geo.nxq
@@ -256,8 +252,8 @@ class Discretization:
         after set-up has freed its temporaries."""
         return StepBuffers(self)
 
-    def __call__(self, state):
-        return rhs_full(state, self)
+    def __call__(self, q):
+        return rhs_full(q, self)
 
     def face_traces(self, u, out=None):
         """Interior and exterior traces at face quadrature points of a field
@@ -274,9 +270,6 @@ class Discretization:
         np.take(uf.reshape(-1, K * nf), self._gather_idx, axis=1, mode="clip",
                 out=up.reshape(-1, K, nf))
         return uf, up
-
-    def interp(self, u):
-        return u @ self.ref.Vq.T
 
 
 def _surface_terms(q, disc, strong_weak, out):
@@ -314,14 +307,14 @@ def _surface_terms(q, disc, strong_weak, out):
 
 def _volume_terms(q, disc, strong_weak, out):
     """Volume terms of the three fields into out (3, K, Np)."""
-    ref = disc.ref
+    ref, geo = disc.ref, disc.geo
     p, u1, u2 = q
     buf = disc.buffers
     a, b, c, d = buf.volume
     # velocity rows: -Pq (grad p J), grad p J = p_r (rx, ry) J + p_s (sx, sy) J
     np.matmul(p, ref.Drq.T, out=a)
     np.matmul(p, ref.Dsq.T, out=b)
-    for row, rJ, sJ in ((1, disc._rxJ, disc._sxJ), (2, disc._ryJ, disc._syJ)):
+    for row, rJ, sJ in ((1, geo.rxJ, geo.sxJ), (2, geo.ryJ, geo.syJ)):
         np.multiply(a, rJ, out=c)
         c += np.multiply(b, sJ, out=d)
         np.matmul(c, disc._mPq.T, out=out[row])
@@ -330,11 +323,11 @@ def _volume_terms(q, disc, strong_weak, out):
         # weak divergence of u J, then Mhat^-1
         u1q = np.matmul(u1, ref.Vq.T, out=a)
         u2q = np.matmul(u2, ref.Vq.T, out=b)
-        Fr = np.multiply(disc._rxJ, u1q, out=c)
-        Fr += np.multiply(disc._ryJ, u2q, out=d)
+        Fr = np.multiply(geo.rxJ, u1q, out=c)
+        Fr += np.multiply(geo.ryJ, u2q, out=d)
         Fr *= buf.wq
-        Fs = np.multiply(u1q, disc._sxJ, out=a)
-        Fs += np.multiply(u2q, disc._syJ, out=b)
+        Fs = np.multiply(u1q, geo.sxJ, out=a)
+        Fs += np.multiply(u2q, geo.syJ, out=b)
         Fs *= buf.wq
         s0, s1 = buf.scratch[0], buf.scratch[1]
         np.matmul(Fr, ref.Drq, out=s0)
@@ -342,34 +335,35 @@ def _volume_terms(q, disc, strong_weak, out):
         np.matmul(s0, ref.Mhat_inv, out=out[0])
     else:
         # -Pq (div u J), summed in the order u1_r, u1_s, u2_r, u2_s
-        divJ = np.multiply(np.matmul(u1, ref.Drq.T, out=a), disc._rxJ, out=c)
-        for u, D, G in ((u1, ref.Dsq, disc._sxJ), (u2, ref.Drq, disc._ryJ),
-                        (u2, ref.Dsq, disc._syJ)):
+        divJ = np.multiply(np.matmul(u1, ref.Drq.T, out=a), geo.rxJ, out=c)
+        for u, D, G in ((u1, ref.Dsq, geo.sxJ), (u2, ref.Drq, geo.ryJ),
+                        (u2, ref.Dsq, geo.syJ)):
             divJ += np.multiply(np.matmul(u, D.T, out=a), G, out=a)
         np.matmul(divJ, disc._mPq.T, out=out[0])
 
 
-def rhs_pre_mass(state, disc):
-    """DG right-hand side of the configured formulation, Mhat^-1-premultiplied
-    (no mass weighting applied yet).  The strong-weak form integrates the
-    pressure equation by parts once.  The result views a buffer of disc."""
+def rhs_pre_mass(q, disc):
+    """DG right-hand side of the (3, K, Np) state q in the configured
+    formulation, Mhat^-1-premultiplied (no mass weighting applied yet).  The
+    strong-weak form integrates the pressure equation by parts once.  The
+    result is a buffer of disc."""
     sw = disc.config.formulation is Formulation.StrongWeak
     buf = disc.buffers
-    _volume_terms(state.q, disc, sw, buf.rhs_pre)
-    _surface_terms(state.q, disc, sw, buf.scratch)
+    _volume_terms(q, disc, sw, buf.rhs_pre)
+    _surface_terms(q, disc, sw, buf.scratch)
     buf.rhs_pre += buf.scratch
-    return FieldState.wrap(buf.rhs_pre, state.t)
+    return buf.rhs_pre
 
 
-def apply_mass_inverse(rhs_pre, disc):
-    """Complete the mass solve on a premultiplied right-hand side.
+def apply_mass_inverse(z, disc):
+    """Complete the mass solve on a premultiplied right-hand side z.
 
     WADG mode scales pointwise by c^2/J (pressure) and 1/J (velocity)
     between interpolation and projection on the update quadrature; exact
     mode applies stored dense inverses of the weighted mass matrices.  The
-    result views a buffer of disc.
+    result is a buffer of disc.
     """
-    buf, z = disc.buffers, rhs_pre.q
+    buf = disc.buffers
     out = buf.rhs
     if disc.config.mass_mode is MassMode.WADG:
         for f, w in enumerate((disc.w_upd_p, disc.w_upd_u, disc.w_upd_u)):
@@ -380,18 +374,17 @@ def apply_mass_inverse(rhs_pre, disc):
         for f, Minv in enumerate((disc.mass_inv_p, disc.mass_inv_u, disc.mass_inv_u)):
             np.matmul(z[f], disc.ref.Mhat, out=zM)
             np.einsum("kij,kj->ki", Minv, zM, out=out[f])
-    return FieldState.wrap(out, rhs_pre.t)
+    return out
 
 
-def rhs_full(state, disc):
-    return apply_mass_inverse(rhs_pre_mass(state, disc), disc)
+def rhs_full(q, disc):
+    return apply_mass_inverse(rhs_pre_mass(q, disc), disc)
 
 
-def energy(state, disc):
-    """Discrete energy 1/2 int (p^2/c^2 + |u|^2) by volume quadrature."""
-    pq = disc.interp(state.p)
-    u1q = disc.interp(state.u1)
-    u2q = disc.interp(state.u2)
+def energy(q, disc):
+    """Discrete energy 1/2 int (p^2/c^2 + |u|^2) of the (3, K, Np) state q
+    by volume quadrature."""
+    pq, u1q, u2q = q @ disc.ref.Vq.T
     dens = pq**2 / disc.c2q + u1q**2 + u2q**2
     return 0.5 * float(np.sum(disc._wJ * dens))
 
@@ -411,43 +404,33 @@ LSRK4B = (
     3134564353537.0 / 4481467310338.0,
     2277821191437.0 / 14882151754819.0,
 )
-LSRK4C = (
-    0.0,
-    1432997174477.0 / 9575080441755.0,
-    2526269341429.0 / 6820363962896.0,
-    2006345519317.0 / 3224310063776.0,
-    2802321613138.0 / 2924317926251.0,
-)
 
 
-def lsrk_step(state, dt, rhs_fn):
-    """One five-stage low-storage RK4 step; two field-sized registers.
+def lsrk_step(q, dt, rhs_fn):
+    """Advance the (3, K, Np) state q by one five-stage low-storage RK4 step
+    with two field-sized registers, and return the advanced array.
 
-    rhs_fn maps a state to its time derivative, which the step then scales
-    in place.  When rhs_fn is a Discretization, the registers are its
-    buffers `y` and `res`, a warm step allocates no field-sized array, and
-    the returned state views `y`, which the next step advances.  Otherwise
-    the registers are allocated here.  The input state's arrays change only
-    when they are `y`.
+    rhs_fn maps a state array to its time derivative, which the step then
+    scales in place; the system is autonomous, so no stage time is passed.
+    When rhs_fn is a Discretization, the registers are its buffers `y` and
+    `res`, a warm step allocates no field-sized array, and the result is
+    `y`, which the next step advances.  Otherwise the registers are
+    allocated here.  q itself changes only when it is `y`.
     """
     if isinstance(rhs_fn, Discretization):
         y, res = rhs_fn.buffers.y, rhs_fn.buffers.res
-        if y is not state.q:
-            np.copyto(y, state.q)
+        if y is not q:
+            np.copyto(y, q)
     else:
-        y, res = state.q.copy(), np.empty_like(state.q)
+        y, res = q.copy(), np.empty_like(q)
     res.fill(0.0)
-    out = FieldState.wrap(y, state.t)
-    t0 = state.t
-    for a, b, c in zip(LSRK4A, LSRK4B, LSRK4C):
-        out.t = t0 + c * dt
-        d = rhs_fn(out).q
+    for a, b in zip(LSRK4A, LSRK4B):
+        d = rhs_fn(y)
         res *= a
         d *= dt
         res += d
         y += np.multiply(res, b, out=d)
-    out.t = t0 + dt
-    return out
+    return y
 
 
 # Calibration constant of stable_dt.  Over 900 dense spectra (uniform,
@@ -473,9 +456,6 @@ def stable_dt(disc):
     is the fraction of the calibrated limit: cfl = 1 stays below the
     spectral limit on every calibration case.
     """
-    cfl = disc.config.cfl
-    if cfl <= 0:
-        raise ConfigError("cfl must be positive")
     N = disc.config.N
     area = geometry.element_areas(disc.geo)
     perim = geometry.element_perimeters(disc.geo)
@@ -483,17 +463,17 @@ def stable_dt(disc):
     c = disc.c_max
     rate = np.maximum(np.maximum(c, disc.flux.tau_p * c**2), disc.flux.tau_u)
     bound = np.min(hmin / rate)
-    return float(cfl * C_DT * bound / ((N + 1) * (N + 2)))
+    return float(disc.config.cfl * C_DT * bound / ((N + 1) * (N + 2)))
 
 
 def project_initial_condition(disc, initial_fn):
-    """L2-project (p, u1, u2) at t = 0 on the mass-exact rule: initial_fn is
-    evaluated once and all three fields share one J-weighted mass matrix
-    (the exact-mass one, when there is one) and its factorization."""
+    """(3, K, Np) L2 projection of (p, u1, u2) at t = 0 on the mass-exact
+    rule: initial_fn is evaluated once and all three fields share one
+    J-weighted mass matrix (the exact-mass one, when there is one) and its
+    factorization."""
     ref, geo = disc.rule(disc.mass_deg)
-    p, u1, u2 = operators.l2_project(
-        ref, geo, lambda x, y: tuple(initial_fn(x, y)), mass=disc.mass_J)
-    return FieldState(p, u1, u2, 0.0)
+    return np.stack(operators.l2_project(
+        ref, geo, lambda x, y: tuple(initial_fn(x, y)), mass=disc.mass_J))
 
 
 FINITE_CHECK_STEPS = 10
@@ -516,7 +496,7 @@ def run(mesh, config, initial_fn, T, medium=MediumField(), exact_p=None,
         raise ConfigError(f"need T >= 0 and n_outputs >= 1, got T = {T}, "
                           f"n_outputs = {n_outputs}")
     disc = Discretization(mesh, config, medium)
-    state = project_initial_condition(disc, initial_fn)
+    q = project_initial_condition(disc, initial_fn)
     if dt is None:
         dt = stable_dt(disc)
 
@@ -529,35 +509,37 @@ def run(mesh, config, initial_fn, T, medium=MediumField(), exact_p=None,
         # mode (its roots are the quadrature points); use a richer rule
         ref_err, geo_err = disc.rule(2 * config.N + 4)
 
-    def record(s):
-        e = energy(s, disc)
-        diag["t"].append(s.t)
+    def record(q, t):
+        e = energy(q, disc)
+        diag["t"].append(t)
         diag["energy"].append(e)
         if exact_p is not None:
             err = operators.global_l2_error(
-                ref_err, geo_err, s.p, lambda x, y: exact_p(x, y, s.t))
+                ref_err, geo_err, q[0], lambda x, y: exact_p(x, y, t))
             diag["l2_error_p"].append(err)
         return e
 
-    e0 = record(state)
+    t = 0.0
+    e0 = record(q, t)
     steps = 0
     for target in sample_ts[1:]:
-        # n - 1 steps of dt, then one that lands on the target
-        t_start = state.t
-        n = int(np.ceil((target - t_start) / dt - 1e-9))
+        # n - 1 steps of dt, then one that lands on the target; step i
+        # starts at t + i dt, not at a running sum of step sizes
+        n = int(np.ceil((target - t) / dt - 1e-9))
         for i in range(n):
-            state.t = t_start + i * dt
-            state = lsrk_step(state, dt if i < n - 1 else target - state.t, disc)
+            t_i = t + i * dt
+            h = dt if i < n - 1 else target - t_i
+            q = lsrk_step(q, h, disc)
             steps += 1
-            if steps % FINITE_CHECK_STEPS == 0 and not np.isfinite(state.q).all():
-                raise BlowUp(f"non-finite field values at t = {state.t:.4f} "
+            if steps % FINITE_CHECK_STEPS == 0 and not np.isfinite(q).all():
+                raise BlowUp(f"non-finite field values at t = {t_i + h:.4f} "
                              f"(step {steps})")
-        state.t = target
-        e = record(state)
+        t = target
+        e = record(q, t)
         if not np.isfinite(e) or (e0 > 0 and e > 1e6 * e0):
-            raise BlowUp(f"energy {e:.3e} at t = {state.t:.4f} (initial {e0:.3e})")
+            raise BlowUp(f"energy {e:.3e} at t = {t:.4f} (initial {e0:.3e})")
     diag = {k: np.asarray(v) for k, v in diag.items()}
-    return state, diag
+    return FieldState(q, t), diag
 
 
 # ---------------------------------------------------------------------------

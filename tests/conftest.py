@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from wadg import refelem as rf
+
 
 def fit_slope(h, e, window=3):
     h, e = np.asarray(h, dtype=float), np.asarray(e, dtype=float)
@@ -19,6 +21,14 @@ def exact_monomial_integral(a, b):
     ia = Fraction(2, a + 1) if a % 2 == 0 else Fraction(0)
     ib = Fraction(2, b + 1) if b % 2 == 0 else Fraction(0)
     return float(ia * ib)
+
+
+def face_points(mesh, ref):
+    """Physical coordinates (x, y) of ref's face quadrature points on every
+    element of mesh, each (K, n_faces * nfq) in the layout of the face
+    geometry."""
+    E = rf.nodal_eval_matrix(mesh.N_geo, ref.face_quad_points)
+    return mesh.elem_map_nodes[..., 0] @ E.T, mesh.elem_map_nodes[..., 1] @ E.T
 
 
 @pytest.fixture

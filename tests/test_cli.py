@@ -71,6 +71,16 @@ class TestExitCodes:
         ({"T": 0.1, "output_interval": 0}, "output_interval"),
         ({"T": 0.1, "output_interval": 0.5}, "output_interval"),
         ({"T": -0.1}, "T = -0.1"),
+        # badly typed or unknown values name their key
+        ({"cfl": "0.5"}, "'cfl'"),
+        ({"tau_p": "1"}, "'tau_p'"),
+        ({"volume_quad_degree": "9"}, "'volume_quad_degree'"),
+        ({"N": 2.5}, "'N'"),
+        ({"unsafe_quadrature": 1}, "'unsafe_quadrature'"),
+        ({"T": True}, "'T'"),
+        ({"medium": "foo"}, "'medium'"),
+        ({"formulation": "weak"}, "'formulation'"),
+        ({"cfl": 0}, "cfl"),
     ])
     def test_bad_run_length_exits_2(self, tmp_path, run_length, needle):
         (tmp_path / "c.json").write_text(json.dumps({"N": 1, "mesh": "disk0", **run_length}))

@@ -5,6 +5,8 @@ from wadg import geometry as geom
 from wadg import meshgen as mg
 from wadg import refelem as rf
 
+from conftest import face_points
+
 ALL_FAMILIES = [
     lambda: mg.uniform_quad_mesh(3, N_geo=2),
     lambda: mg.arnold_mesh(1),
@@ -214,7 +216,8 @@ class TestRefine:
 def test_conformity(make):
     """Interior face quadrature coordinates coincide after CCW reversal."""
     m = make()
-    ref, g = geo_for(m)
+    ref, _ = geo_for(m)
+    xf, yf = face_points(m, ref)
     nfq = ref.nfq
     worst = 0.0
     for k in range(m.K):
@@ -224,8 +227,8 @@ def test_conformity(make):
                 continue
             sl = slice(f * nfq, (f + 1) * nfq)
             sl2 = slice(f2 * nfq, (f2 + 1) * nfq)
-            gap = np.hypot(g.xfq[k, sl] - g.xfq[k2, sl2][::-1],
-                           g.yfq[k, sl] - g.yfq[k2, sl2][::-1])
+            gap = np.hypot(xf[k, sl] - xf[k2, sl2][::-1],
+                           yf[k, sl] - yf[k2, sl2][::-1])
             worst = max(worst, gap.max())
     assert worst < 1e-12
 

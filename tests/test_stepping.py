@@ -3,8 +3,9 @@ replaced, and its allocation budget.
 
 The reference functions below are the per-field right-hand side, mass
 inverse and LSRK step as they were before the state became one (3, K, Np)
-array, together with the einsum assembly of weighted mass matrices.  Only
-the storage changed, not the arithmetic, so the WADG right-hand side and
+array, together with the einsum assembly of weighted mass matrices.  Both
+read the scaled metric geo.rxJ... of the formulation rule.  Only the
+storage changed, not the arithmetic, so the WADG right-hand side and
 steps must agree bitwise.  Exact mass mode uses the reassembled mass
 matrices, which agree to round-off.
 """
@@ -19,7 +20,7 @@ from wadg import geometry as geom
 from wadg import meshgen as mg
 from wadg import operators as ops
 from wadg import solver as sv
-from wadg.solver import FieldState, Formulation, MassMode, SolverConfig
+from wadg.solver import Formulation, MassMode, SolverConfig
 
 SMOOTH_MEDIUM = sv.MediumField(lambda x, y: 1.0 + 0.5 * np.sin(np.pi * (x**2 + y**2)))
 
@@ -32,10 +33,9 @@ class RefState:
     p: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
-    t: float = 0.0
 
     def copy(self):
-        return RefState(self.p.copy(), self.u1.copy(), self.u2.copy(), self.t)
+        return RefState(self.p.copy(), self.u1.copy(), self.u2.copy())
 
 
 def ref_weighted_mass_matrix(ref, w):
@@ -45,14 +45,12 @@ def ref_weighted_mass_matrix(ref, w):
 
 
 class RefOperators:
-    """Fused factors and the reversed-boundary gather, rebuilt from disc's
-    reference element and geometry only."""
+    """Fused face factors and the reversed-boundary gather, rebuilt from
+    disc's reference element and geometry only."""
 
     def __init__(self, disc):
         ref, geo, mesh = disc.ref, disc.geo, disc.mesh
         self.disc = disc
-        self.rxJ, self.ryJ = geo.rxq * geo.Jq, geo.ryq * geo.Jq
-        self.sxJ, self.syJ = geo.sxq * geo.Jq, geo.syq * geo.Jq
         self.Jf_half = 0.5 * geo.Jfq
         self.Jfnx_half = self.Jf_half * geo.nxq
         self.Jfny_half = self.Jf_half * geo.nyq
@@ -95,27 +93,27 @@ def ref_surface_terms(state, ops_, strong_weak):
 
 
 def ref_volume_terms(state, ops_, strong_weak):
-    ref = ops_.disc.ref
+    ref, geo = ops_.disc.ref, ops_.disc.geo
     pq_r = state.p @ ref.Drq.T
     pq_s = state.p @ ref.Dsq.T
-    pxJ = pq_r * ops_.rxJ
-    pxJ += pq_s * ops_.sxJ
-    pyJ = pq_r * ops_.ryJ
-    pyJ += pq_s * ops_.syJ
+    pxJ = pq_r * geo.rxJ
+    pxJ += pq_s * geo.sxJ
+    pyJ = pq_r * geo.ryJ
+    pyJ += pq_s * geo.syJ
     ru1 = -(pxJ @ ref.Pq.T)
     ru2 = -(pyJ @ ref.Pq.T)
     if strong_weak:
         u1q = state.u1 @ ref.Vq.T
         u2q = state.u2 @ ref.Vq.T
         wq = ref.wq[None, :]
-        Fr = wq * (ops_.rxJ * u1q + ops_.ryJ * u2q)
-        Fs = wq * (ops_.sxJ * u1q + ops_.syJ * u2q)
+        Fr = wq * (geo.rxJ * u1q + geo.ryJ * u2q)
+        Fs = wq * (geo.sxJ * u1q + geo.syJ * u2q)
         rp = (Fr @ ref.Drq + Fs @ ref.Dsq) @ ref.Mhat_inv
     else:
-        divJ = (state.u1 @ ref.Drq.T) * ops_.rxJ
-        divJ += (state.u1 @ ref.Dsq.T) * ops_.sxJ
-        divJ += (state.u2 @ ref.Drq.T) * ops_.ryJ
-        divJ += (state.u2 @ ref.Dsq.T) * ops_.syJ
+        divJ = (state.u1 @ ref.Drq.T) * geo.rxJ
+        divJ += (state.u1 @ ref.Dsq.T) * geo.sxJ
+        divJ += (state.u2 @ ref.Drq.T) * geo.ryJ
+        divJ += (state.u2 @ ref.Dsq.T) * geo.syJ
         rp = -(divJ @ ref.Pq.T)
     return rp, ru1, ru2
 
@@ -124,7 +122,7 @@ def ref_rhs_pre_mass(state, ops_):
     sw = ops_.disc.config.formulation is Formulation.StrongWeak
     vp, vu1, vu2 = ref_volume_terms(state, ops_, sw)
     sp, su1, su2 = ref_surface_terms(state, ops_, sw)
-    return RefState(vp + sp, vu1 + su1, vu2 + su2, state.t)
+    return RefState(vp + sp, vu1 + su1, vu2 + su2)
 
 
 def ref_apply_mass_inverse(rhs_pre, ops_):
@@ -136,19 +134,17 @@ def ref_apply_mass_inverse(rhs_pre, ops_):
             return (w * (z @ r.Vq.T)) @ r.Pq.T
 
         return RefState(wadg(disc.w_upd_p, rhs_pre.p), wadg(disc.w_upd_u, rhs_pre.u1),
-                        wadg(disc.w_upd_u, rhs_pre.u2), rhs_pre.t)
+                        wadg(disc.w_upd_u, rhs_pre.u2))
     Mh = disc.ref.Mhat
     return RefState(np.einsum("kij,kj->ki", ops_.mass_inv_p, rhs_pre.p @ Mh),
                     np.einsum("kij,kj->ki", ops_.mass_inv_u, rhs_pre.u1 @ Mh),
-                    np.einsum("kij,kj->ki", ops_.mass_inv_u, rhs_pre.u2 @ Mh), rhs_pre.t)
+                    np.einsum("kij,kj->ki", ops_.mass_inv_u, rhs_pre.u2 @ Mh))
 
 
 def ref_lsrk_step(state, dt, rhs_fn):
     y = state.copy()
     res = RefState(np.zeros_like(y.p), np.zeros_like(y.u1), np.zeros_like(y.u2))
-    t0 = state.t
-    for a, b, c in zip(sv.LSRK4A, sv.LSRK4B, sv.LSRK4C):
-        y.t = t0 + c * dt
+    for a, b in zip(sv.LSRK4A, sv.LSRK4B):
         d = rhs_fn(y)
         res.p = a * res.p + dt * d.p
         res.u1 = a * res.u1 + dt * d.u1
@@ -156,7 +152,6 @@ def ref_lsrk_step(state, dt, rhs_fn):
         y.p += b * res.p
         y.u1 += b * res.u1
         y.u2 += b * res.u2
-    y.t = t0 + dt
     return y
 
 
@@ -190,10 +185,10 @@ def test_wadg_rhs_bitwise_equal_to_reference(form, rng):
         fields = random_fields(disc, rng)
         pre = ref_rhs_pre_mass(RefState(*fields), ops_)
         full = ref_apply_mass_inverse(pre, ops_)
-        state = FieldState(*fields)
-        assert np.array_equal(sv.rhs_pre_mass(state, disc).q, stacked(pre))
-        assert np.array_equal(sv.rhs_full(state, disc).q, stacked(full))
-        assert np.array_equal(state.q, np.stack(fields))   # input untouched
+        q = np.stack(fields)
+        assert np.array_equal(sv.rhs_pre_mass(q, disc), stacked(pre))
+        assert np.array_equal(sv.rhs_full(q, disc), stacked(full))
+        assert np.array_equal(q, np.stack(fields))   # input untouched
 
 
 @pytest.mark.parametrize("form", FORMS)
@@ -203,16 +198,14 @@ def test_wadg_steps_bitwise_equal_to_reference(form, rng):
     fields = random_fields(disc, rng)
     dt = sv.stable_dt(disc)
     expect = RefState(*fields)
-    initial = state = FieldState(*fields)
+    initial = q = np.stack(fields)
     for _ in range(3):
         expect = ref_lsrk_step(expect, dt, lambda s: ref_apply_mass_inverse(
             ref_rhs_pre_mass(s, ops_), ops_))
-        state = sv.lsrk_step(state, dt, disc)
-        assert np.array_equal(initial.q, np.stack(fields))   # copied, not advanced
-        assert initial.t == 0.0
-        assert state.q is disc.buffers.y
-        assert np.array_equal(state.q, stacked(expect))
-        assert state.t == expect.t
+        q = sv.lsrk_step(q, dt, disc)
+        assert np.array_equal(initial, np.stack(fields))   # copied, not advanced
+        assert q is disc.buffers.y
+        assert np.array_equal(q, stacked(expect))
 
 
 @pytest.mark.parametrize("form", FORMS)
@@ -221,14 +214,14 @@ def test_exact_mass_mode_agrees_with_reference(form, rng):
     ops_ = RefOperators(disc)
     fields = random_fields(disc, rng)
     full = ref_apply_mass_inverse(ref_rhs_pre_mass(RefState(*fields), ops_), ops_)
-    assert rel_diff(sv.rhs_full(FieldState(*fields), disc).q, stacked(full)) <= 1e-14
+    assert rel_diff(sv.rhs_full(np.stack(fields), disc), stacked(full)) <= 1e-14
     dt = sv.stable_dt(disc)
-    expect, state = RefState(*fields), FieldState(*fields)
+    expect, q = RefState(*fields), np.stack(fields)
     for _ in range(3):
         expect = ref_lsrk_step(expect, dt, lambda s: ref_apply_mass_inverse(
             ref_rhs_pre_mass(s, ops_), ops_))
-        state = sv.lsrk_step(state, dt, disc)
-    assert rel_diff(state.q, stacked(expect)) <= 1e-14
+        q = sv.lsrk_step(q, dt, disc)
+    assert rel_diff(q, stacked(expect)) <= 1e-14
 
 
 def test_weighted_mass_matrix_matches_einsum_and_is_symmetric():
@@ -245,9 +238,9 @@ def test_callable_step_matches_closure_step(rng):
     # the registers are the only difference between the two paths
     disc = make_disc("strong", "wadg", level=1)
     fields = random_fields(disc, rng)
-    a = sv.lsrk_step(FieldState(*fields), 0.01, disc)
-    b = sv.lsrk_step(FieldState(*fields), 0.01, lambda s: sv.rhs_full(s, disc).copy())
-    assert np.array_equal(a.q, b.q) and a.t == b.t
+    a = sv.lsrk_step(np.stack(fields), 0.01, disc)
+    b = sv.lsrk_step(np.stack(fields), 0.01, lambda q: sv.rhs_full(q, disc).copy())
+    assert np.array_equal(a, b)
 
 
 def test_auxiliary_rules_carry_volume_geometry_only():
@@ -268,15 +261,15 @@ def test_warm_step_allocates_nothing_field_sized(form, mode, monkeypatch):
     peaks = []
     step = sv.lsrk_step
 
-    def traced(state, dt, rhs_fn):
+    def traced(q, dt, rhs_fn):
         if len(peaks) < 2:
             peaks.append(None)
-            return step(state, dt, rhs_fn)
+            return step(q, dt, rhs_fn)
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            out = step(state, dt, rhs_fn)
+            out = step(q, dt, rhs_fn)
             peaks.append(tracemalloc.get_traced_memory()[1] - entry)
         finally:
             tracemalloc.stop()
