@@ -270,19 +270,16 @@ def wave_convergence_study(meshes, N, config=None, T=1.0, medium=MediumField(),
     out = {}
     for mode in mass_modes:
         cfg = replace(config, N=N, mass_mode=mode)
-        hs, errs = [], []
-        for mesh in meshes:
-            _, diag = solver.run(mesh, cfg, solver.bessel_initial_condition, T,
-                                 medium=medium, exact_p=solver.bessel_pressure,
-                                 n_outputs=n_outputs)
-            hs.append(mesh.h)
-            errs.append(diag["l2_error_p"][-1])
+        diags = [solver.run(mesh, cfg, solver.bessel_initial_condition, T,
+                            medium=medium, exact_p=solver.bessel_pressure,
+                            n_outputs=n_outputs)[1] for mesh in meshes]
+        hs = [mesh.h for mesh in meshes]
+        errs = [d["l2_error_p"][-1] for d in diags]
         label = f"wave-N{N}-{mode.value}"
         if dt_check:
-            dt0 = solver.stable_dt(solver.Discretization(meshes[0], cfg, medium))
             _, diag2 = solver.run(meshes[0], cfg, solver.bessel_initial_condition, T,
                                   medium=medium, exact_p=solver.bessel_pressure,
-                                  n_outputs=n_outputs, dt=0.5 * dt0)
+                                  n_outputs=n_outputs, dt=0.5 * diags[0]["dt"])
             rel = abs(diag2["l2_error_p"][-1] - errs[0]) / errs[0]
             label += f"-dtcheck{rel:.2e}"
         out[mode] = ConvergenceRecord(hs, errs, window=window, label=label)

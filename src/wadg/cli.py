@@ -53,6 +53,8 @@ class _RunDir:
 def _parse_mesh_spec(spec, N_geo):
     """'uniform<K1D>', 'arnold<level>', 'disk<level>', 'warped<omega>x<K1D>',
     or a path to a wadg-mesh-v1 JSON file."""
+    if N_geo < 1:
+        raise ConfigError(f"N_geo must be >= 1, got {N_geo}")
     if spec.startswith("uniform"):
         return meshgen.uniform_quad_mesh(int(spec[7:] or 2), N_geo=N_geo)
     if spec.startswith("arnold"):
@@ -198,9 +200,9 @@ def cmd_run(args, rd):
     medium = MEDIA[doc.get("medium", "constant")]()
     T = float(doc.get("T", 1.0))
     interval = float(doc.get("output_interval", T / 10))
-    if not 0 < interval <= T:
-        raise ConfigError(f"output_interval must lie in (0, T] with T = {T}, got {interval}")
-    n_out = int(round(T / interval))
+    if not 0 < interval <= T or abs(round(T / interval) * interval - T) > 1e-9 * T:
+        raise ConfigError(f"output_interval must divide T = {T}, got {interval}")
+    n_out = round(T / interval)
     exact = solver.bessel_pressure if doc.get("medium", "constant") == "constant" else None
     state, diag = solver.run(mesh, cfg, solver.bessel_initial_condition, T,
                              medium=medium, exact_p=exact, n_outputs=n_out)

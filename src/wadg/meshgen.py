@@ -389,6 +389,8 @@ def disk_mesh(level, N_geo, n0=2, a=0.5):
     """Gordon-Hall disk mesh at nested refinement `level` (block resolution
     n0 * 2^level); radial resolution doubles with the level so successive
     levels are 4-way element splits."""
+    if level < 0:
+        raise ValueError(f"disk mesh level must be >= 0, got {level}")
     base = disk_base_mesh(n0 * 2**level, a=a, radial=max(1, n0 // 2) * 2**level)
     prov = {"kind": "disk", "n": base.provenance["n"], "a": a,
             "radial": base.provenance["radial"], "N_geo": N_geo,

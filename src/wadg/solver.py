@@ -12,9 +12,9 @@ array with its time.
 
 Right-hand sides follow the fused convention: volume and surface kernels
 return the Mhat^-1-premultiplied load, and the mass-inverse application
-supplies the remaining weight-adjusted (or exact) factor per field.
-Every array a time step writes belongs to the Discretization, so a warm
-step allocates no field-sized array.
+supplies the rest per field, from one mass rule per mode that `energy`
+also reads.  Every array a time step writes belongs to the Discretization,
+so a warm step allocates no field-sized array.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ class SolverConfig:
     unsafe_quadrature: bool = False         # allow under-integrated strong form
 
     def __post_init__(self):
-        if not self.cfl > 0:
-            raise ConfigError(f"cfl must be positive, got {self.cfl}")
+        if not (self.N >= 1 and self.cfl > 0):
+            raise ConfigError(f"need N >= 1 and cfl > 0, got N = {self.N}, cfl = {self.cfl}")
 
 
 def sufficient_quadrature_degrees(N, N_geo):
@@ -123,7 +123,8 @@ class FieldState:
 
 class StepBuffers:
     """Every array that rhs_pre_mass, apply_mass_inverse and lsrk_step write
-    for one Discretization; reused by every step."""
+    for one Discretization, reused by every step; `scratch` holds the surface
+    lift, then the mass-inverse result."""
 
     def __init__(self, disc):
         K, Np, Nq = disc.mesh.K, disc.ref.Np, disc.ref.Nq
@@ -137,10 +138,8 @@ class StepBuffers:
             # weights repeated per element: an in-place product with a
             # broadcast (Nq,) operand makes numpy allocate an iteration buffer
             self.wq = np.tile(disc.ref.wq, (K, 1))
-        # surface lift; also the strong-weak volume and exact mass scratch
         self.scratch = np.empty(fields)
         self.rhs_pre = np.empty(fields)
-        self.rhs = np.empty(fields)
         self.update = (np.empty((K, disc.ref_upd.Nq))
                        if disc.config.mass_mode is MassMode.WADG else None)
         self.y = np.empty(fields)       # LSRK registers
@@ -153,15 +152,14 @@ class Discretization:
     The only owner of reference elements and their geometry: `rule` builds
     each distinct Gauss rule once.  Holds the volume/face rule of the
     formulation (`ref`, `geo`, the only rule with metric terms and face
-    geometry), the degree-(2N+1) update rule of the weight-adjusted mass
-    inverse (`ref_upd`), face-trace gather tables, (in exact mass mode only)
-    the J-weighted mass matrix and dense per-element mass inverses on the
-    mass-exact rule, and the `buffers` every time step writes.
+    geometry), the mass rule `ref_upd` (degree 2N+1 for WADG, `mass_deg` for
+    exact mass) with the weights `w_upd_p` = c^2/J and `w_upd_u` = 1/J,
+    face-trace gather tables, (exact mode only) `mass_J` and M^-1 Mhat on
+    the mass rule, and the `buffers` every time step writes.
 
     Calling a Discretization on a (3, K, Np) array evaluates `rhs_full`.
     The right-hand sides and the arrays `lsrk_step` returns are those
-    buffers, so each result is valid until the next call that writes the
-    same buffer.
+    buffers, each valid until the next call that writes it.
     """
 
     def __init__(self, mesh, config, medium=MediumField()):
@@ -188,28 +186,24 @@ class Discretization:
         self._face_deg = face_deg
         self._rules = {}
         self.ref, self.geo = self._rule(vol_deg, geometry.compute_geometric_data)
-        self.ref_upd, geo_upd = self.rule(2 * N + 1)
-        c2_upd = medium.values(geo_upd.xq, geo_upd.yq)
-        self.c2q = medium.values(self.geo.xq, self.geo.yq)
-        self.c_max = np.sqrt(self.c2q.max(axis=1))
-
-        # update weights: pressure gets c^2/J, velocity 1/J
-        self.w_upd_p = c2_upd / geo_upd.Jq
+        self.c_max = np.sqrt(medium.values(self.geo.xq, self.geo.yq).max(axis=1))
+        exact = config.mass_mode is MassMode.ExactCurvedMass
+        self.ref_upd, geo_upd = self.rule(self.mass_deg if exact else 2 * N + 1)
+        c2 = medium.values(geo_upd.xq, geo_upd.yq)
+        # mass weights: pressure gets c^2/J, velocity 1/J
+        self.w_upd_p = c2 / geo_upd.Jq
         self.w_upd_u = 1.0 / geo_upd.Jq
 
         self.mass_J = self.mass_inv_p = self.mass_inv_u = None
-        if config.mass_mode is MassMode.ExactCurvedMass:
-            ref_m, geo_m = self.rule(self.mass_deg)
-            c2_m = medium.values(geo_m.xq, geo_m.yq)
-            Mp = operators.weighted_mass_matrix(ref_m, geo_m.Jq / c2_m)
-            self.mass_J = operators.weighted_mass_matrix(ref_m, geo_m.Jq)
-            self.mass_inv_p = np.linalg.inv(Mp)
-            self.mass_inv_u = np.linalg.inv(self.mass_J)
+        if exact:
+            Mp = operators.weighted_mass_matrix(self.ref_upd, geo_upd.Jq / c2)
+            self.mass_J = operators.weighted_mass_matrix(self.ref_upd, geo_upd.Jq)
+            self.mass_inv_p = np.linalg.solve(Mp, self.ref.Mhat)   # M^-1 Mhat
+            self.mass_inv_u = np.linalg.solve(self.mass_J, self.ref.Mhat)
 
         # fused factors, (K, Nq) and flat (K, n_faces*nfq); the projections
         # carry the minus sign of every volume and lift term
         geo = self.geo
-        self._wJ = self.ref.wq[None, :] * geo.Jq
         self._Jf_half = 0.5 * geo.Jfq
         self._Jfnx_half = self._Jf_half * geo.nxq
         self._Jfny_half = self._Jf_half * geo.nyq
@@ -359,21 +353,19 @@ def apply_mass_inverse(z, disc):
     """Complete the mass solve on a premultiplied right-hand side z.
 
     WADG mode scales pointwise by c^2/J (pressure) and 1/J (velocity)
-    between interpolation and projection on the update quadrature; exact
-    mode applies stored dense inverses of the weighted mass matrices.  The
-    result is a buffer of disc.
+    between interpolation and projection on the mass rule; exact mode
+    applies the stored per-element M^-1 Mhat.  The result is the buffer
+    `scratch` of disc, so z must be another array.
     """
     buf = disc.buffers
-    out = buf.rhs
+    out = buf.scratch
     if disc.config.mass_mode is MassMode.WADG:
         for f, w in enumerate((disc.w_upd_p, disc.w_upd_u, disc.w_upd_u)):
             operators.apply_weight_adjusted_inverse(
                 disc.ref_upd, w, z[f], out=out[f], work=buf.update)
     else:
-        zM = buf.scratch[0]
         for f, Minv in enumerate((disc.mass_inv_p, disc.mass_inv_u, disc.mass_inv_u)):
-            np.matmul(z[f], disc.ref.Mhat, out=zM)
-            np.einsum("kij,kj->ki", Minv, zM, out=out[f])
+            np.einsum("kij,kj->ki", Minv, z[f], out=out[f])
     return out
 
 
@@ -382,11 +374,16 @@ def rhs_full(q, disc):
 
 
 def energy(q, disc):
-    """Discrete energy 1/2 int (p^2/c^2 + |u|^2) of the (3, K, Np) state q
-    by volume quadrature."""
-    pq, u1q, u2q = q @ disc.ref.Vq.T
-    dens = pq**2 / disc.c2q + u1q**2 + u2q**2
-    return 0.5 * float(np.sum(disc._wJ * dens))
+    """1/2 sum_f sum_q w_q (Vq q_f)^2 / w_f of the (3, K, Np) state q on the
+    mass rule: 1/2 sum_f q_f^T M_f q_f with M_f the mass apply_mass_inverse
+    inverts (Mhat M_{w_f}^-1 Mhat in WADG mode, as Vq is square there), the
+    energy that the scheme conserves at zero penalty."""
+    total = 0.0
+    for qf, w in zip(q, (disc.w_upd_p, disc.w_upd_u, disc.w_upd_u)):
+        fq = qf @ disc.ref_upd.Vq.T
+        fq *= fq
+        total += np.sum(np.divide(fq, w, out=fq) @ disc.ref_upd.wq)
+    return 0.5 * float(total)
 
 
 # Carpenter-Kennedy low-storage five-stage fourth-order coefficients
@@ -484,13 +481,13 @@ def run(mesh, config, initial_fn, T, medium=MediumField(), exact_p=None,
     """Advance the projected initial condition to time T.
 
     Records (t, energy) at n_outputs+1 evenly spaced sample times (and the
-    pressure L2 error when exact_p(x, y, t) is given).  Each output interval
-    takes a precomputed number of steps of dt, the last one shortened to
-    land on the sample time.  Raises BlowUp when the energy at a sample time
-    exceeds 1e6 x its initial value, or when a field holds non-finite values
-    (checked every FINITE_CHECK_STEPS steps).  Raises ConfigError, before
-    any setup, for T < 0 or n_outputs < 1; T = 0 projects and records the
-    initial state only.
+    pressure L2 error when exact_p(x, y, t) is given), "dt" and "steps".
+    Each output interval takes a precomputed number of steps of dt, the last
+    one shortened to land on the sample time.  Raises BlowUp when the energy
+    at a sample time exceeds 1e6 x its initial value, or when a field holds
+    non-finite values (checked every FINITE_CHECK_STEPS steps).  Raises
+    ConfigError, before any setup, for T < 0 or n_outputs < 1; T = 0
+    projects and records the initial state only.
     """
     if T < 0 or n_outputs < 1:
         raise ConfigError(f"need T >= 0 and n_outputs >= 1, got T = {T}, "
@@ -539,6 +536,7 @@ def run(mesh, config, initial_fn, T, medium=MediumField(), exact_p=None,
         if not np.isfinite(e) or (e0 > 0 and e > 1e6 * e0):
             raise BlowUp(f"energy {e:.3e} at t = {t:.4f} (initial {e0:.3e})")
     diag = {k: np.asarray(v) for k, v in diag.items()}
+    diag["dt"], diag["steps"] = dt, steps
     return FieldState(q, t), diag
 
 

@@ -250,3 +250,10 @@ class TestStudies:
         assert len(rec.h) == 4
         rel = float(rec.label.split("dtcheck")[-1])
         assert rel < 0.01
+        # the check reruns the coarsest level at half of its stable_dt
+        cfg = SolverConfig(N=2)
+        half = 0.5 * sv.stable_dt(sv.Discretization(meshes[0], cfg))
+        _, diag = sv.run(meshes[0], cfg, sv.bessel_initial_condition, 1.0,
+                         exact_p=sv.bessel_pressure, n_outputs=1, dt=half)
+        e0 = rec.errors[0]
+        assert rec.label == f"wave-N2-wadg-dtcheck{abs(diag['l2_error_p'][-1] - e0) / e0:.2e}"

@@ -81,6 +81,10 @@ class TestExitCodes:
         ({"medium": "foo"}, "'medium'"),
         ({"formulation": "weak"}, "'formulation'"),
         ({"cfl": 0}, "cfl"),
+        ({"mesh": "disk-1"}, "disk mesh level"),
+        ({"N": 0}, "N >= 1"),
+        ({"N_geo": 0}, "N_geo must be >= 1"),
+        ({"T": 1, "output_interval": 0.3}, "output_interval"),
     ])
     def test_bad_run_length_exits_2(self, tmp_path, run_length, needle):
         (tmp_path / "c.json").write_text(json.dumps({"N": 1, "mesh": "disk0", **run_length}))

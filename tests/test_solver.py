@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wadg import analysis as an
+from wadg import cli
 from wadg import geometry as geom
 from wadg import meshgen as mg
 from wadg import operators as ops
@@ -148,6 +149,31 @@ class TestMassInverse:
         # per-element update data is pointwise weights only
         assert disc.w_upd_p.shape == (curved_mesh.K, disc.ref_upd.Nq)
         assert disc.w_upd_u.shape == (curved_mesh.K, disc.ref_upd.Nq)
+
+    @pytest.mark.parametrize("mode", ["wadg", "exact"])
+    @pytest.mark.parametrize("form", FORMS)
+    def test_energy_is_the_mass_norm(self, curved_mesh, rng, form, mode):
+        medium = cli.MEDIA["radial_sine"]()
+        disc = sv.Discretization(curved_mesh, SolverConfig(
+            N=3, formulation=Formulation(form), mass_mode=MassMode(mode)), medium)
+        q = random_state(disc, rng)
+        if mode == "wadg":
+            expect = wadg_energy(q, disc)
+        else:
+            ref, g = disc.rule(disc.mass_deg)
+            c2 = medium.values(g.xq, g.yq)
+            expect = sum(0.5 * np.einsum("ki,kij,kj->", qf,
+                                         ops.weighted_mass_matrix(ref, w), qf)
+                         for qf, w in zip(q, (g.Jq / c2, g.Jq, g.Jq)))
+        assert sv.energy(q, disc) == pytest.approx(expect, rel=1e-13)
+
+    @pytest.mark.parametrize("mode", ["wadg", "exact"])
+    def test_step_buffers_hold_four_field_arrays(self, curved_mesh, mode):
+        disc = sv.Discretization(curved_mesh, SolverConfig(N=3, mass_mode=MassMode(mode)))
+        shape = (3, curved_mesh.K, disc.ref.Np)
+        fields = {name for name, a in vars(disc.buffers).items()
+                  if isinstance(a, np.ndarray) and a.shape == shape}
+        assert fields == {"scratch", "rhs_pre", "y", "res"}
 
     def test_heterogeneous_wavespeed_pointwise(self, curved_mesh):
         c2 = lambda x, y: 1.0 + 0.5 * np.sin(np.pi * np.hypot(x, y))
@@ -316,19 +342,27 @@ class TestRun:
 
     @pytest.mark.parametrize("form", FORMS)
     def test_energy_conservation_tau0(self, form):
+        # at tau = 0 the recorded energy loses only the RK4 dissipation,
+        # O(1e-12) on this run, in both mass modes and media
         m = mg.disk_mesh(1, 3)
-        cfg = SolverConfig(N=3, formulation=Formulation(form),
-                           flux=FluxParams(0, 0), mass_mode=MassMode.WADG)
-        disc = sv.Discretization(m, cfg)
-        dt = heuristic_dt(disc, cfl=0.25)
-        state, diag = sv.run(m, cfg, sv.bessel_initial_condition, 1.0, n_outputs=5, dt=dt)
-        # exact in the weight-adjusted norm; the strong form's quadrature
-        # energy drifts by O(1e-9) on this run
-        E0 = wadg_energy(sv.project_initial_condition(disc, sv.bessel_initial_condition), disc)
-        assert abs(wadg_energy(state.q, disc) - E0) / E0 <= 1e-9
-        if form == "strong-weak":
-            E = diag["energy"]
-            assert np.max(np.abs(E - E[0])) / E[0] < 1e-8
+        for mode in MassMode:
+            for name in ("constant", "radial_sine"):
+                cfg = SolverConfig(N=3, formulation=Formulation(form),
+                                   flux=FluxParams(0, 0), mass_mode=mode)
+                medium = cli.MEDIA[name]()
+                disc = sv.Discretization(m, cfg, medium)
+                dt = heuristic_dt(disc, cfl=0.25)
+                state, diag = sv.run(m, cfg, sv.bessel_initial_condition, 1.0,
+                                     medium=medium, n_outputs=5, dt=dt)
+                E = diag["energy"]
+                case = (mode.value, name)
+                assert np.all(np.diff(E) <= 1e-12 * E[0]), case
+                assert np.max(np.abs(E - E[0])) / E[0] <= 1e-9, case
+                if mode is MassMode.WADG:
+                    # the weight-adjusted norm by dense solves
+                    E0 = wadg_energy(sv.project_initial_condition(
+                        disc, sv.bessel_initial_condition), disc)
+                    assert abs(wadg_energy(state.q, disc) - E0) / E0 <= 1e-9, case
 
     def test_default_dt_error_within_one_percent_of_half_step(self):
         m = mg.disk_mesh(1, 3)
@@ -396,7 +430,8 @@ class TestRun:
         zero = lambda x, y: (np.zeros_like(x),) * 3
         state, diag = sv.run(mg.disk_mesh(0, 1), SolverConfig(N=1), zero, T,
                              dt=dt, n_outputs=n_outputs)
-        assert len(calls) == steps
+        assert len(calls) == steps == diag["steps"]
+        assert diag["dt"] == dt
         assert state.t == T
         assert list(diag["t"]) == list(np.linspace(0.0, T, n_outputs + 1))
         per = steps // n_outputs
