@@ -205,7 +205,7 @@ def projection_convergence_study(meshes, N, method, exact_fn=default_exact_fn,
     hs, errs = [], []
     for mesh in meshes:
         deg = 2 * N + 2 * mesh.N_geo + quad_margin
-        ref = refelem.build_reference_element(N, volume_quad_degree=deg)
+        ref = refelem.build_reference_element(N, deg)
         geo = geometry.compute_volume_geometry(mesh, ref)
         if method == "l2":
             err = operators.global_l2_error(ref, geo, operators.l2_project(ref, geo, exact_fn), exact_fn)
@@ -245,7 +245,7 @@ def conservation_rate_study(N=2, N_geo=None, levels=(1, 2, 3, 4),
     N stay inside Q^N.
     """
     N_geo = N_geo or N + 1
-    ref = refelem.build_reference_element(N, volume_quad_degree=4 * N + 6)
+    ref = refelem.build_reference_element(N, 4 * N + 6)
     hs, errs = [], []
     for l in levels:
         mesh = meshgen.disk_mesh(l, N_geo)

@@ -78,10 +78,7 @@ def _solver_config(values):
         formulation=Formulation(values.get("formulation", "strong")),
         mass_mode=MassMode(values.get("mass_mode", "wadg")),
         flux=FluxParams(values.get("tau_p", 1.0), values.get("tau_u", 1.0)),
-        cfl=values.get("cfl", SolverConfig.cfl),
-        volume_quad_degree=values.get("volume_quad_degree"),
-        face_quad_degree=values.get("face_quad_degree"),
-        unsafe_quadrature=values.get("unsafe_quadrature", False))
+        cfl=values.get("cfl", SolverConfig.cfl))
 
 
 _REAL = (int, float)
@@ -89,8 +86,7 @@ _REAL = (int, float)
 # choices; a bool is not a number
 _CONFIG_KEYS = {
     "N": int, "N_geo": int, "tau_p": _REAL, "tau_u": _REAL, "cfl": _REAL,
-    "volume_quad_degree": (int, type(None)), "face_quad_degree": (int, type(None)),
-    "unsafe_quadrature": bool, "mesh": str, "T": _REAL, "output_interval": _REAL,
+    "mesh": str, "T": _REAL, "output_interval": _REAL,
     "formulation": [f.value for f in Formulation], "mass_mode": [m.value for m in MassMode],
     "medium": sorted(MEDIA)}
 
@@ -107,7 +103,7 @@ def _check_config(doc):
             continue
         types = want if isinstance(want, tuple) else (want,)
         if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-            names = " or ".join(t.__name__.replace("NoneType", "null") for t in types)
+            names = " or ".join(t.__name__ for t in types)
             raise ConfigError(f"config key {key!r} must be {names}, got {value!r}")
 
 
@@ -238,9 +234,6 @@ def build_parser():
         q.add_argument("--tau-u", type=float, default=1.0)
         q.add_argument("--cfl", type=float, default=SolverConfig.cfl,
                        help="fraction of the calibrated stability limit")
-        q.add_argument("--volume-quad-degree", type=int, default=None)
-        q.add_argument("--face-quad-degree", type=int, default=None)
-        q.add_argument("--unsafe-quadrature", action="store_true")
         q.add_argument("--medium", choices=sorted(MEDIA), default="constant")
 
     q = sub.add_parser("mesh", help="generate a mesh and write it as JSON")

@@ -248,22 +248,17 @@ class ReferenceElement:
         return self.volume_quad.weights
 
 
-def build_reference_element(N, volume_quad_degree=None, face_quad_degree=None):
-    """Assemble a :class:`ReferenceElement`.
-
-    Defaults to degree 2N+1 volume and face quadrature.  The volume rule is
-    floored at degree 2N so the reference mass matrix is assembled exactly.
+def build_reference_element(N, degree=None):
+    """Assemble a :class:`ReferenceElement` whose volume rule and face rules
+    are Gauss rules exact to `degree` (default 2N+1).  The degree is floored
+    at 2N so the reference mass matrix is assembled exactly.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if volume_quad_degree is None:
-        volume_quad_degree = 2 * N + 1
-    if face_quad_degree is None:
-        face_quad_degree = 2 * N + 1
-    volume_quad_degree = max(volume_quad_degree, 2 * N)
+    degree = max(2 * N + 1 if degree is None else degree, 2 * N)
 
     nodes, Vmodal, cond = _cached_nodal_basis(N)
-    quad = build_quadrature(volume_quad_degree)
+    quad = build_quadrature(degree)
 
     def to_nodal(M):
         return np.linalg.solve(Vmodal.T, M.T).T
@@ -278,7 +273,7 @@ def build_reference_element(N, volume_quad_degree=None, face_quad_degree=None):
     Mhat_inv = np.linalg.inv(Mhat)
     Pq = Mhat_inv @ (Vq.T * wq[None, :])
 
-    nf1d = gauss_legendre_1d(max(1, (face_quad_degree + 2) // 2))
+    nf1d = gauss_legendre_1d(max(1, (degree + 2) // 2))
     fq_pts = []
     Vf_blocks = []
     wf_blocks = []

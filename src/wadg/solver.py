@@ -76,28 +76,32 @@ class MediumField:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Settings of one solver run.  The quadrature is not a setting:
+    Discretization takes it from sufficient_quadrature_degree."""
+
     N: int
     formulation: Formulation = Formulation.Strong
     mass_mode: MassMode = MassMode.WADG
     flux: FluxParams = field(default_factory=FluxParams)
     cfl: float = 0.8                        # fraction of the calibrated limit
-    volume_quad_degree: int | None = None   # default: formulation rule
-    face_quad_degree: int | None = None
-    unsafe_quadrature: bool = False         # allow under-integrated strong form
 
     def __post_init__(self):
         if not (self.N >= 1 and self.cfl > 0):
             raise ConfigError(f"need N >= 1 and cfl > 0, got N = {self.N}, cfl = {self.cfl}")
 
 
-def sufficient_quadrature_degrees(N, N_geo):
-    """Volume/face quadrature degrees that make discrete integration by
-    parts (hence strong = strong-weak) exact for degree-N_geo mappings.
+def sufficient_quadrature_degree(N, N_geo, formulation):
+    """Degree of the volume and face rule on which the formulation is energy
+    stable for degree-N_geo mappings.
 
-    Degrees are per coordinate: the volume integrand u_r (r_x J) v and the
-    face integrand both reach 2N + N_geo - 1 in each coordinate.
+    The strong form needs discrete integration by parts (hence strong =
+    strong-weak) to be exact: per coordinate, the volume integrand
+    u_r (r_x J) v and the face integrand both reach 2N + N_geo - 1.  The
+    strong-weak form is stable on the degree 2N+1 rule.
     """
-    return 2 * N + N_geo - 1, 2 * N + N_geo - 1
+    if formulation is Formulation.StrongWeak:
+        return 2 * N + 1
+    return 2 * N + N_geo - 1
 
 
 @dataclass
@@ -151,11 +155,12 @@ class Discretization:
 
     The only owner of reference elements and their geometry: `rule` builds
     each distinct Gauss rule once.  Holds the volume/face rule of the
-    formulation (`ref`, `geo`, the only rule with metric terms and face
-    geometry), the mass rule `ref_upd` (degree 2N+1 for WADG, `mass_deg` for
-    exact mass) with the weights `w_upd_p` = c^2/J and `w_upd_u` = 1/J,
-    face-trace gather tables, (exact mode only) `mass_J` and M^-1 Mhat on
-    the mass rule, and the `buffers` every time step writes.
+    formulation (`ref`, `geo`, of degree `sufficient_quadrature_degree`;
+    the only rule with metric terms and face geometry), the mass rule
+    `ref_upd` (degree 2N+1 for WADG, `mass_deg` for exact mass) with the
+    weights `w_upd_p` = c^2/J and `w_upd_u` = 1/J, face-trace gather tables,
+    (exact mode only) `mass_J` and M^-1 Mhat on the mass rule, and the
+    `buffers` every time step writes.
 
     Calling a Discretization on a (3, K, Np) array evaluates `rhs_full`.
     The right-hand sides and the arrays `lsrk_step` returns are those
@@ -164,28 +169,15 @@ class Discretization:
 
     def __init__(self, mesh, config, medium=MediumField()):
         N = config.N
-        vol_deg, face_deg = sufficient_quadrature_degrees(N, mesh.N_geo)
-        if config.formulation is Formulation.StrongWeak:
-            vol_deg, face_deg = 2 * N + 1, 2 * N + 1
-        if config.volume_quad_degree is not None:
-            vol_deg = config.volume_quad_degree
-        if config.face_quad_degree is not None:
-            face_deg = config.face_quad_degree
-        if config.formulation is Formulation.Strong and not config.unsafe_quadrature:
-            need = sufficient_quadrature_degrees(N, mesh.N_geo)
-            if vol_deg < need[0] or face_deg < need[1]:
-                raise ConfigError(
-                    f"strong form needs volume/face quadrature degrees {need}; "
-                    f"got ({vol_deg}, {face_deg}); set unsafe_quadrature to override")
-
         self.mesh = mesh
         self.config = config
         self.medium = medium
         self.flux = config.flux
         self.mass_deg = 2 * N + 2 * mesh.N_geo   # mass-exact rule
-        self._face_deg = face_deg
         self._rules = {}
-        self.ref, self.geo = self._rule(vol_deg, geometry.compute_geometric_data)
+        self.ref, self.geo = self._rule(
+            sufficient_quadrature_degree(N, mesh.N_geo, config.formulation),
+            geometry.compute_geometric_data)
         self.c_max = np.sqrt(medium.values(self.geo.xq, self.geo.yq).max(axis=1))
         exact = config.mass_mode is MassMode.ExactCurvedMass
         self.ref_upd, geo_upd = self.rule(self.mass_deg if exact else 2 * N + 1)
@@ -213,18 +205,16 @@ class Discretization:
 
     def rule(self, degree):
         """(ReferenceElement, VolumeGeometry) of the Gauss rule exact to
-        `degree` (floored at 2N), with the formulation's face rule.  Keyed
-        by the 1D point count, so degrees landing on one rule share it; only
-        the formulation's rule carries metric terms and face geometry."""
+        `degree` (floored at 2N).  Keyed by the 1D point count, so degrees
+        landing on one rule share it; only the formulation's rule carries
+        metric terms and face geometry."""
         return self._rule(degree, geometry.compute_volume_geometry)
 
     def _rule(self, degree, evaluate):
         N = self.config.N
         n1d = (max(degree, 2 * N) + 2) // 2
         if n1d not in self._rules:
-            ref = refelem.build_reference_element(
-                N, volume_quad_degree=2 * n1d - 1,
-                face_quad_degree=self._face_deg)
+            ref = refelem.build_reference_element(N, 2 * n1d - 1)
             self._rules[n1d] = (ref, evaluate(self.mesh, ref))
         return self._rules[n1d]
 
@@ -487,7 +477,7 @@ def run(mesh, config, initial_fn, T, medium=MediumField(), exact_p=None,
     at a sample time exceeds 1e6 x its initial value, or when a field holds
     non-finite values (checked every FINITE_CHECK_STEPS steps).  Raises
     ConfigError, before any setup, for T < 0 or n_outputs < 1; T = 0
-    projects and records the initial state only.
+    projects and records the initial state only, once.
     """
     if T < 0 or n_outputs < 1:
         raise ConfigError(f"need T >= 0 and n_outputs >= 1, got T = {T}, "
@@ -497,7 +487,7 @@ def run(mesh, config, initial_fn, T, medium=MediumField(), exact_p=None,
     if dt is None:
         dt = stable_dt(disc)
 
-    sample_ts = np.linspace(0.0, T, n_outputs + 1)
+    sample_ts = np.linspace(0.0, T, n_outputs + 1 if T > 0 else 1)
     diag = {"t": [], "energy": [], "l2_error_p": []}
 
     ref_err = geo_err = None

@@ -92,6 +92,12 @@ class TestExitCodes:
         assert r.returncode == 2, r.stderr
         assert needle in r.stderr
 
+    def test_removed_quadrature_flag_exits_2(self, tmp_path):
+        r = run_cli("--out-dir", "out", "spectrum", "--volume-quad-degree", "9",
+                    cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "unrecognized arguments" in r.stderr
+
     def test_spectrum_cap_exits_1(self, tmp_path):
         r = run_cli("--out-dir", "out", "spectrum", "--mesh", "uniform1", "--N", "1",
                     "--cap", "1", cwd=tmp_path)

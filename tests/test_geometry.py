@@ -4,7 +4,7 @@ import pytest
 from wadg import geometry as geom
 from wadg import meshgen as mg
 from wadg import refelem as rf
-from wadg.solver import sufficient_quadrature_degrees
+from wadg.solver import Formulation, sufficient_quadrature_degree
 
 from conftest import face_points, fit_slope
 
@@ -145,7 +145,7 @@ class TestMetricData:
         # it at a degree-2 N_geo tensor grid reproduces quadrature values
         m = mg.disk_mesh(1, 3)
         ngeo = m.N_geo
-        ref = rf.build_reference_element(3, volume_quad_degree=9)
+        ref = rf.build_reference_element(3, 9)
         g = geom.compute_geometric_data(m, ref)
         grid = rf.interpolation_nodes(2 * ngeo)
         Er, Es = rf.nodal_grad_matrices(ngeo, grid)
@@ -166,9 +166,8 @@ class TestDivergenceTheorem:
         u in (Q^N)^2 under the sufficiency-rule quadrature."""
         N = 3
         m = make()
-        vdeg, fdeg = sufficient_quadrature_degrees(N, m.N_geo)
-        ref = rf.build_reference_element(N, volume_quad_degree=vdeg,
-                                         face_quad_degree=fdeg)
+        ref = rf.build_reference_element(
+            N, sufficient_quadrature_degree(N, m.N_geo, Formulation.Strong))
         g = geom.compute_geometric_data(m, ref)
         u1 = rng.standard_normal((m.K, ref.Np))
         u2 = rng.standard_normal((m.K, ref.Np))

@@ -16,9 +16,8 @@ ALL_FAMILIES = [
 ]
 
 
-def geo_for(mesh, N=3, vdeg=None, fdeg=None):
-    ref = rf.build_reference_element(max(N, mesh.N_geo), volume_quad_degree=vdeg,
-                                     face_quad_degree=fdeg)
+def geo_for(mesh, N=3):
+    ref = rf.build_reference_element(max(N, mesh.N_geo))
     return ref, geom.compute_geometric_data(mesh, ref)
 
 
@@ -495,8 +494,7 @@ def ref_validate_positive_jacobian(mesh):
     """The validator before the J-only rewrite: J at the volume points of a
     full reference element and geometry, then on the dense grid."""
     deg = 4 * mesh.N_geo + 2
-    ref = rf.build_reference_element(max(1, mesh.N_geo), volume_quad_degree=deg,
-                                     face_quad_degree=deg)
+    ref = rf.build_reference_element(max(1, mesh.N_geo), deg)
     jmin = float(geom.compute_geometric_data(mesh, ref).Jq.min())
     grid = geom._sample_grid(2 * mesh.N_geo + 3)
     Er, Es = rf.nodal_grad_matrices(mesh.N_geo, grid)

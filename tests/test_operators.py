@@ -16,7 +16,7 @@ def sin2d(x, y):
 
 
 def make_geo(mesh, N, vdeg=None):
-    ref = rf.build_reference_element(N, volume_quad_degree=vdeg)
+    ref = rf.build_reference_element(N, vdeg)
     return ref, geom.compute_geometric_data(mesh, ref)
 
 
@@ -285,7 +285,7 @@ class TestConservation:
         # N=2, w=J, v=1: rate 2N+2 = 6 predicted; quadrature is oversampled
         # because the update-rule point set is exactly conservative
         N = 2
-        ref = rf.build_reference_element(N, volume_quad_degree=4 * N + 6)
+        ref = rf.build_reference_element(N, 4 * N + 6)
         hs, errs = [], []
         for lvl in (1, 2, 3):
             m = mg.disk_mesh(lvl, N + 1)

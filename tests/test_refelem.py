@@ -96,7 +96,7 @@ class TestReferenceElement:
         assert ref.Mhat.sum() == pytest.approx(4.0, abs=1e-12)
 
     def test_projection_reproduces_interpolation(self):
-        ref = rf.build_reference_element(4, volume_quad_degree=9)
+        ref = rf.build_reference_element(4, 9)
         assert np.max(np.abs(ref.Pq @ ref.Vq - np.eye(ref.Np))) <= 1e-10
 
     @pytest.mark.parametrize("N", [1, 2, 4, 8], ids=quad_ids([1, 2, 4, 8]))

@@ -67,19 +67,18 @@ class TestRHS:
         for arr in d:
             assert np.max(np.abs(arr[interior])) < 1e-12
 
-    def test_formulation_equivalence_sufficient_quadrature(self, curved_mesh, rng):
-        N = 3
-        vdeg, fdeg = sv.sufficient_quadrature_degrees(N, curved_mesh.N_geo)
-        dS = sv.Discretization(curved_mesh, SolverConfig(N=N, formulation=Formulation.Strong))
-        dW = sv.Discretization(curved_mesh, SolverConfig(
-            N=N, formulation=Formulation.StrongWeak,
-            volume_quad_degree=vdeg, face_quad_degree=fdeg))
-        for _ in range(5):
-            st = random_state(dS, rng)
-            a = sv.rhs_pre_mass(st, dS)
-            b = sv.rhs_pre_mass(st, dW)
-            for x, y in zip(a, b):
-                assert np.max(np.abs(x - y)) < 1e-9
+    def test_formulation_equivalence_sufficient_quadrature(self, rng):
+        # at N_geo = 2 both forms get the 2N+1 rule, on which discrete
+        # integration by parts is exact
+        for m in (mg.warped_arnold_mesh(mg.WarpParams(1.0, 4), 2), mg.disk_mesh(1, 2)):
+            for N in (1, 2, 3, 4):
+                dS = sv.Discretization(m, SolverConfig(N=N, formulation=Formulation.Strong))
+                dW = sv.Discretization(m, SolverConfig(N=N, formulation=Formulation.StrongWeak))
+                for _ in range(5):
+                    st = random_state(dS, rng)
+                    a = sv.rhs_pre_mass(st, dS).copy()
+                    b = sv.rhs_pre_mass(st, dW)
+                    assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(a))
 
     def test_single_curved_element_energy_rate_zero(self, rng):
         # tau = 0: volume terms cancel and the mirror boundary does no work
@@ -122,14 +121,36 @@ class TestRHS:
         assert dE == pytest.approx(oracle, rel=1e-10)
         assert dE < 0
 
-    def test_insufficient_quadrature_rejected(self, curved_mesh):
-        with pytest.raises(sv.ConfigError):
-            sv.Discretization(curved_mesh, SolverConfig(
-                N=3, formulation=Formulation.Strong, volume_quad_degree=7))
-        # override flag allows it
-        sv.Discretization(curved_mesh, SolverConfig(
-            N=3, formulation=Formulation.Strong, volume_quad_degree=7,
-            face_quad_degree=7, unsafe_quadrature=True))
+
+
+class TestQuadratureChoice:
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    @pytest.mark.parametrize("N_geo", [1, 2, 3])
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("mode", ["wadg", "exact"])
+    def test_rules_follow_the_formulation(self, N, N_geo, form, mode):
+        disc = sv.Discretization(mg.disk_mesh(0, N_geo), SolverConfig(
+            N=N, formulation=Formulation(form), mass_mode=MassMode(mode)))
+        # strong: exact discrete integration by parts; strong-weak: 2N+1
+        deg = 2 * N + N_geo - 1 if form == "strong" else 2 * N + 1
+        odd = deg | 1   # Gauss rules are exact to odd degrees
+        assert disc.ref.volume_quad.exactness_degree == odd
+        assert disc.ref.face_quad_1d.exactness_degree == odd
+        need = 2 * N + 1 if mode == "wadg" else 2 * N + 2 * N_geo
+        assert disc.ref_upd.volume_quad.exactness_degree >= need
+
+    @pytest.mark.parametrize("N, form, mode, degrees", [
+        (6, "strong", "wadg", (17, 17, 13)),
+        (2, "strong", "wadg", (5, 5, 5)),
+        (4, "strong-weak", "exact", (9, 9, 17)),
+    ], ids=["disk3-N6-strong-wadg", "disk5-N2-strong-wadg", "disk3-N4-sw-exact"])
+    def test_benchmark_workload_rules(self, N, form, mode, degrees):
+        # degrees depend on (N, N_geo, form, mode) only, so level 0 will do
+        disc = sv.Discretization(mg.disk_mesh(0, N), SolverConfig(
+            N=N, formulation=Formulation(form), mass_mode=MassMode(mode)))
+        assert (disc.ref.volume_quad.exactness_degree,
+                disc.ref.face_quad_1d.exactness_degree,
+                disc.ref_upd.volume_quad.exactness_degree) == degrees
 
 
 class TestMassInverse:
@@ -447,7 +468,7 @@ class TestRun:
         monkeypatch.setattr(sv, "lsrk_step", lambda *a: calls.append(a))
         state, diag = sv.run(mg.disk_mesh(0, 1), SolverConfig(N=1),
                              sv.bessel_initial_condition, 0.0)
-        assert calls == [] and state.t == 0.0 and len(diag["t"]) == 11
+        assert calls == [] and state.t == 0.0 and len(diag["t"]) == 1
 
     @pytest.mark.parametrize("T, n_outputs", [(-0.1, 10), (0.1, 0)])
     def test_bad_run_length_rejected(self, T, n_outputs):
