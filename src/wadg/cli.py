@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 import tomllib
 from pathlib import Path
@@ -50,24 +51,26 @@ class _RunDir:
         (self.path / "log.txt").write_text("\n".join(self._log) + "\n")
 
 
+MESH_SPECS = ("uniform<K1D>, arnold<level>, disk<level>, warped<omega>x<K1D> "
+              "or the path of a mesh file")
+_FAMILIES = {"uniform": (2, meshgen.uniform_quad_mesh), "arnold": (0, meshgen.arnold_mesh),
+             "disk": (0, meshgen.disk_mesh)}
+
+
 def _parse_mesh_spec(spec, N_geo):
-    """'uniform<K1D>', 'arnold<level>', 'disk<level>', 'warped<omega>x<K1D>',
-    or a path to a wadg-mesh-v1 JSON file."""
+    """A mesh from one of MESH_SPECS; a family without its integer takes
+    the default 2 (uniform) or 0 (arnold, disk)."""
     if N_geo < 1:
         raise ConfigError(f"N_geo must be >= 1, got {N_geo}")
-    if spec.startswith("uniform"):
-        return meshgen.uniform_quad_mesh(int(spec[7:] or 2), N_geo=N_geo)
-    if spec.startswith("arnold"):
-        return meshgen.arnold_mesh(int(spec[6:] or 0), N_geo=N_geo)
-    if spec.startswith("disk"):
-        return meshgen.disk_mesh(int(spec[4:] or 0), N_geo)
-    if spec.startswith("warped"):
-        omega, k1d = spec[6:].split("x")
-        return meshgen.warped_arnold_mesh(meshgen.WarpParams(float(omega), int(k1d)), N_geo)
+    if m := re.fullmatch(r"(uniform|arnold|disk)(-?\d*)", spec):
+        default, build = _FAMILIES[m[1]]
+        return build(int(m[2] or default), N_geo=N_geo)
+    if m := re.fullmatch(r"warped(\d+\.?\d*|\.\d+)x(\d+)", spec):
+        return meshgen.warped_arnold_mesh(meshgen.WarpParams(float(m[1]), int(m[2])), N_geo)
     path = Path(spec)
     if path.exists():
         return meshgen.load_mesh(path)
-    raise ConfigError(f"unrecognized mesh spec {spec!r}")
+    raise ConfigError(f"unrecognized mesh spec {spec!r}; expected {MESH_SPECS}")
 
 
 def _solver_config(values):

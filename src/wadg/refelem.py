@@ -7,7 +7,9 @@ Conventions
 * The reference element is the quadrilateral [-1, 1]^2; every element of
   a mesh is a quadrilateral.
 * The approximation space is Q^N (degree N in each coordinate), with the
-  Legendre tensor-product modal basis and a tensor Gauss-Lobatto nodal set.
+  Legendre tensor-product modal basis, a nodal solution basis at the points
+  of the degree 2N+1 Gauss rule (there Vq = Pq = I and Mhat is diagonal),
+  and tensor Gauss-Lobatto nodes for the degree-N_geo element mappings.
 * Quadrature exactness is per-coordinate degree.
 * Faces are ordered counterclockwise and parametrized by xi in [-1, 1];
   the outward normal direction is (y', -x') along the parametrization.
@@ -159,7 +161,7 @@ def eval_modal_basis_grad(N, points):
 # Interpolation nodes
 
 def interpolation_nodes(N):
-    """Tensor Gauss-Lobatto nodal set on [-1, 1]^2, s-major ordering."""
+    """Tensor Gauss-Lobatto mapping nodes on [-1, 1]^2, r varies fastest."""
     if N < 1:
         raise ValueError("N must be >= 1")
     g = gauss_lobatto_1d(N + 1).points
@@ -180,15 +182,17 @@ def nodal_vandermonde(N, nodes):
 
 
 @lru_cache(maxsize=None)
-def _cached_nodal_basis(N):
-    nodes = interpolation_nodes(N)
+def _cached_nodal_basis(N, solution=False):
+    """Nodes, Vandermonde and condition number of the mapping nodes, or of
+    the solution nodes: the points of build_quadrature(2N+1), s fastest."""
+    nodes = build_quadrature(2 * N + 1).points if solution else interpolation_nodes(N)
     V, cond = nodal_vandermonde(N, nodes)
     return nodes, V, cond
 
 
 def nodal_eval_matrix(N, points):
-    """Matrix mapping nodal values (on the standard node set) to values at
-    `points`; rows are Lagrange basis evaluations."""
+    """Matrix mapping nodal values on the mapping nodes (interpolation_nodes)
+    to values at `points`; rows are Lagrange basis evaluations."""
     _, V, _ = _cached_nodal_basis(N)
     M = eval_modal_basis(N, points)
     return np.linalg.solve(V.T, M.T).T
@@ -214,7 +218,7 @@ class ReferenceElement:
     """
 
     N: int
-    nodes: np.ndarray          # (Np, 2) interpolation nodes
+    nodes: np.ndarray          # (Np, 2) Gauss solution nodes (not the GLL mapping nodes)
     volume_quad: QuadratureRule
     Vq: np.ndarray             # (Nq, Np) nodal interpolation to quad points
     Pq: np.ndarray             # (Np, Nq) quadrature projection Mhat^-1 Vq^T W
@@ -257,7 +261,7 @@ def build_reference_element(N, degree=None):
         raise ValueError("N must be >= 1")
     degree = max(2 * N + 1 if degree is None else degree, 2 * N)
 
-    nodes, Vmodal, cond = _cached_nodal_basis(N)
+    nodes, Vmodal, cond = _cached_nodal_basis(N, solution=True)
     quad = build_quadrature(degree)
 
     def to_nodal(M):

@@ -13,8 +13,10 @@ array with its time.
 Right-hand sides follow the fused convention: volume and surface kernels
 return the Mhat^-1-premultiplied load, and the mass-inverse application
 supplies the rest per field, from one mass rule per mode that `energy`
-also reads.  Every array a time step writes belongs to the Discretization,
-so a warm step allocates no field-sized array.
+also reads; the nodes are the points of the WADG mass rule, which makes
+its mass inverse a pointwise scale.  Every array a time step writes
+belongs to the Discretization, so a warm step allocates no field-sized
+array.
 """
 
 from __future__ import annotations
@@ -54,8 +56,9 @@ class FluxParams:
     tau_u: float = 1.0
 
     def __post_init__(self):
-        if self.tau_p < 0 or self.tau_u < 0:
-            raise ConfigError("penalty parameters must be nonnegative")
+        for name, tau in (("tau_p", self.tau_p), ("tau_u", self.tau_u)):
+            if not (tau >= 0 and np.isfinite(tau)):
+                raise ConfigError(f"penalty {name} must be finite and >= 0, got {tau!r}")
 
 
 @dataclass(frozen=True)
@@ -69,8 +72,8 @@ class MediumField:
             v = np.broadcast_to(np.asarray(self.c2(x, y), dtype=float), x.shape).copy()
         else:
             v = np.full_like(x, float(self.c2))
-        if np.any(v <= 0):
-            raise ConfigError("wavespeed squared must be positive")
+        if not np.all((v > 0) & np.isfinite(v)):
+            raise ConfigError("wavespeed squared must be positive and finite")
         return v
 
 
@@ -128,7 +131,7 @@ class FieldState:
 class StepBuffers:
     """Every array that rhs_pre_mass, apply_mass_inverse and lsrk_step write
     for one Discretization, reused by every step; `scratch` holds the surface
-    lift, then the mass-inverse result."""
+    lift and a weak-divergence term, then the mass-inverse result."""
 
     def __init__(self, disc):
         K, Np, Nq = disc.mesh.K, disc.ref.Np, disc.ref.Nq
@@ -136,16 +139,10 @@ class StepBuffers:
         fields = (3, K, Np)
         self.volume = np.empty((4, K, Nq))
         self.traces = np.empty((2, 3) + face)      # interior, exterior
-        self.sw_flux = self.wq = None
-        if disc.config.formulation is Formulation.StrongWeak:
-            self.sw_flux = np.empty((2,) + face)
-            # weights repeated per element: an in-place product with a
-            # broadcast (Nq,) operand makes numpy allocate an iteration buffer
-            self.wq = np.tile(disc.ref.wq, (K, 1))
+        self.sw_flux = (np.empty((2,) + face)
+                        if disc.config.formulation is Formulation.StrongWeak else None)
         self.scratch = np.empty(fields)
         self.rhs_pre = np.empty(fields)
-        self.update = (np.empty((K, disc.ref_upd.Nq))
-                       if disc.config.mass_mode is MassMode.WADG else None)
         self.y = np.empty(fields)       # LSRK registers
         self.res = np.empty(fields)
 
@@ -157,10 +154,10 @@ class Discretization:
     each distinct Gauss rule once.  Holds the volume/face rule of the
     formulation (`ref`, `geo`, of degree `sufficient_quadrature_degree`;
     the only rule with metric terms and face geometry), the mass rule
-    `ref_upd` (degree 2N+1 for WADG, `mass_deg` for exact mass) with the
-    weights `w_upd_p` = c^2/J and `w_upd_u` = 1/J, face-trace gather tables,
-    (exact mode only) `mass_J` and M^-1 Mhat on the mass rule, and the
-    `buffers` every time step writes.
+    `ref_upd` (degree 2N+1 for WADG, whose points are the nodes, or
+    `mass_deg`) with the weights `w_upd_p` = c^2/J and `w_upd_u` = 1/J,
+    face-trace gather tables, (exact mode only) `mass_J` and M^-1 Mhat on
+    the mass rule, and the `buffers` every time step writes.
 
     Calling a Discretization on a (3, K, Np) array evaluates `rhs_full`.
     The right-hand sides and the arrays `lsrk_step` returns are those
@@ -195,12 +192,15 @@ class Discretization:
 
         # fused factors, (K, Nq) and flat (K, n_faces*nfq); the projections
         # carry the minus sign of every volume and lift term
-        geo = self.geo
+        ref, geo = self.ref, self.geo
         self._Jf_half = 0.5 * geo.Jfq
         self._Jfnx_half = self._Jf_half * geo.nxq
         self._Jfny_half = self._Jf_half * geo.nyq
-        self._mPq = -self.ref.Pq
-        self._mPf = -self.ref.Pfq
+        self._mPq = -ref.Pq
+        self._mPf = -ref.Pfq
+        # weak derivatives (w_q D) Mhat^-1, (Nq, Np), of the strong-weak form
+        self._weak_r, self._weak_s = ((ref.wq[:, None] * D) @ ref.Mhat_inv
+                                      for D in (ref.Drq, ref.Dsq))
         self._build_face_gather()
 
     def rule(self, degree):
@@ -304,19 +304,15 @@ def _volume_terms(q, disc, strong_weak, out):
         np.matmul(c, disc._mPq.T, out=out[row])
 
     if strong_weak:
-        # weak divergence of u J, then Mhat^-1
+        # weak divergence of u J, weighted and premultiplied by Mhat^-1
         u1q = np.matmul(u1, ref.Vq.T, out=a)
         u2q = np.matmul(u2, ref.Vq.T, out=b)
         Fr = np.multiply(geo.rxJ, u1q, out=c)
         Fr += np.multiply(geo.ryJ, u2q, out=d)
-        Fr *= buf.wq
         Fs = np.multiply(u1q, geo.sxJ, out=a)
         Fs += np.multiply(u2q, geo.syJ, out=b)
-        Fs *= buf.wq
-        s0, s1 = buf.scratch[0], buf.scratch[1]
-        np.matmul(Fr, ref.Drq, out=s0)
-        s0 += np.matmul(Fs, ref.Dsq, out=s1)
-        np.matmul(s0, ref.Mhat_inv, out=out[0])
+        np.matmul(Fr, disc._weak_r, out=out[0])
+        out[0] += np.matmul(Fs, disc._weak_s, out=buf.scratch[0])
     else:
         # -Pq (div u J), summed in the order u1_r, u1_s, u2_r, u2_s
         divJ = np.multiply(np.matmul(u1, ref.Drq.T, out=a), geo.rxJ, out=c)
@@ -342,17 +338,15 @@ def rhs_pre_mass(q, disc):
 def apply_mass_inverse(z, disc):
     """Complete the mass solve on a premultiplied right-hand side z.
 
-    WADG mode scales pointwise by c^2/J (pressure) and 1/J (velocity)
-    between interpolation and projection on the mass rule; exact mode
-    applies the stored per-element M^-1 Mhat.  The result is the buffer
-    `scratch` of disc, so z must be another array.
+    WADG mode applies Pq diag(w) Vq on the mass rule, whose points are the
+    nodes: a pointwise scale by c^2/J (pressure) and 1/J (velocity).  Exact
+    mode applies the stored per-element M^-1 Mhat.  The result is the
+    buffer `scratch` of disc, so z must be another array.
     """
-    buf = disc.buffers
-    out = buf.scratch
+    out = disc.buffers.scratch
     if disc.config.mass_mode is MassMode.WADG:
         for f, w in enumerate((disc.w_upd_p, disc.w_upd_u, disc.w_upd_u)):
-            operators.apply_weight_adjusted_inverse(
-                disc.ref_upd, w, z[f], out=out[f], work=buf.update)
+            np.multiply(z[f], w, out=out[f])
     else:
         for f, Minv in enumerate((disc.mass_inv_p, disc.mass_inv_u, disc.mass_inv_u)):
             np.einsum("kij,kj->ki", Minv, z[f], out=out[f])
@@ -366,8 +360,8 @@ def rhs_full(q, disc):
 def energy(q, disc):
     """1/2 sum_f sum_q w_q (Vq q_f)^2 / w_f of the (3, K, Np) state q on the
     mass rule: 1/2 sum_f q_f^T M_f q_f with M_f the mass apply_mass_inverse
-    inverts (Mhat M_{w_f}^-1 Mhat in WADG mode, as Vq is square there), the
-    energy that the scheme conserves at zero penalty."""
+    inverts, the energy that the scheme conserves at zero penalty.  In WADG
+    mode Vq = I and M_f = diag(w_q / w_f) = Mhat M_{w_f}^-1 Mhat."""
     total = 0.0
     for qf, w in zip(q, (disc.w_upd_p, disc.w_upd_u, disc.w_upd_u)):
         fq = qf @ disc.ref_upd.Vq.T

@@ -43,10 +43,10 @@ class TestExitCodes:
         assert "bogus" in r.stderr
 
     def test_bad_mesh_spec_exits_2(self, tmp_path):
-        r = run_cli("--out-dir", "out", "spectrum", "--mesh", "nonsense99",
-                    cwd=tmp_path)
-        assert r.returncode == 2, r.stderr
-        assert "nonsense99" in r.stderr
+        for spec in ("nonsense99", "warped1", "uniformx", "disk1.5"):
+            r = run_cli("--out-dir", "out", "spectrum", "--mesh", spec, cwd=tmp_path)
+            assert r.returncode == 2, r.stderr
+            assert repr(spec) in r.stderr and cli.MESH_SPECS in r.stderr
 
     def test_folded_mesh_file_exits_2(self, tmp_path):
         mesh = mg.uniform_quad_mesh(2, N_geo=2)
@@ -85,6 +85,9 @@ class TestExitCodes:
         ({"N": 0}, "N >= 1"),
         ({"N_geo": 0}, "N_geo must be >= 1"),
         ({"T": 1, "output_interval": 0.3}, "output_interval"),
+        # JSON NaN and Infinity parse as floats; the penalty rejects them
+        ({"tau_p": float("nan")}, "tau_p"),
+        ({"tau_u": float("inf")}, "tau_u"),
     ])
     def test_bad_run_length_exits_2(self, tmp_path, run_length, needle):
         (tmp_path / "c.json").write_text(json.dumps({"N": 1, "mesh": "disk0", **run_length}))

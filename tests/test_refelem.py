@@ -92,7 +92,10 @@ class TestReferenceElement:
         # sum_ij Mhat_ij = int (sum_j l_j)^2-free identity: int 1 = 4
         ref = rf.build_reference_element(1)
         assert ref.nodes.shape == (4, 2)
-        assert np.max(np.abs(np.abs(ref.nodes) - 1.0)) < 1e-14  # corners
+        # the solution nodes are the 2x2 Gauss points, so Mhat is diagonal
+        assert np.array_equal(ref.nodes, rf.build_quadrature(3).points)
+        assert np.max(np.abs(np.abs(ref.nodes) - 1 / np.sqrt(3))) < 1e-15
+        assert np.max(np.abs(ref.Mhat - np.diag(np.diag(ref.Mhat)))) < 1e-15
         assert ref.Mhat.sum() == pytest.approx(4.0, abs=1e-12)
 
     def test_projection_reproduces_interpolation(self):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -51,6 +52,14 @@ def wadg_energy(q, disc):
 @pytest.fixture
 def curved_mesh():
     return mg.warped_arnold_mesh(mg.WarpParams(1.0, 4), 3)
+
+
+@lru_cache(maxsize=None)
+def disk1_wadg(N, N_geo):
+    """WADG Discretization of the strong form on the curved disk1 mesh with
+    the radial_sine medium, shared by the parameter cases that read it."""
+    return sv.Discretization(mg.disk_mesh(1, N_geo), SolverConfig(N=N),
+                             cli.MEDIA["radial_sine"]())
 
 
 class TestRHS:
@@ -170,6 +179,24 @@ class TestMassInverse:
         # per-element update data is pointwise weights only
         assert disc.w_upd_p.shape == (curved_mesh.K, disc.ref_upd.Nq)
         assert disc.w_upd_u.shape == (curved_mesh.K, disc.ref_upd.Nq)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("N_geo", [1, 2, 3])
+    def test_wadg_mass_rule_is_the_solution_nodes(self, N, N_geo):
+        ref = disk1_wadg(N, N_geo).ref_upd
+        assert np.array_equal(ref.volume_quad.points, disk1_wadg(N, N_geo).ref.nodes)
+        assert np.max(np.abs(ref.Vq - np.eye(ref.Np))) <= 1e-13
+        assert np.max(np.abs(ref.Pq - np.eye(ref.Np))) <= 1e-13
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("N_geo", [1, 2, 3])
+    def test_pointwise_scale_is_the_weight_adjusted_inverse(self, N, N_geo, rng):
+        disc = disk1_wadg(N, N_geo)
+        z = random_state(disc, rng)
+        got = sv.apply_mass_inverse(z, disc)
+        for f, w in enumerate((disc.w_upd_p, disc.w_upd_u, disc.w_upd_u)):
+            expect = ops.apply_weight_adjusted_inverse(disc.ref_upd, w, z[f])
+            assert np.max(np.abs(got[f] - expect)) <= 1e-14 * np.max(np.abs(expect))
 
     @pytest.mark.parametrize("mode", ["wadg", "exact"])
     @pytest.mark.parametrize("form", FORMS)
@@ -534,6 +561,22 @@ class TestValidation:
     def test_negative_penalty_rejected(self):
         with pytest.raises(sv.ConfigError):
             FluxParams(-0.1, 0.0)
+
+    @pytest.mark.parametrize("tau_p, tau_u, name", [
+        (np.nan, 1.0, "tau_p"), (np.inf, 1.0, "tau_p"),
+        (1.0, np.nan, "tau_u"), (0.0, -np.inf, "tau_u")])
+    def test_nonfinite_penalty_rejected(self, tau_p, tau_u, name):
+        with pytest.raises(sv.ConfigError, match=name):
+            FluxParams(tau_p, tau_u)
+
+    @pytest.mark.parametrize("c2", [np.nan, np.inf])
+    def test_nonfinite_wavespeed_rejected(self, c2):
+        x = np.array([-0.5, 0.5])
+        for medium in (sv.MediumField(c2), sv.MediumField(lambda x, y: np.where(x > 0, c2, 1.0))):
+            with pytest.raises(sv.ConfigError, match="finite"):
+                medium.values(x, x)
+            with pytest.raises(sv.ConfigError, match="finite"):
+                sv.Discretization(mg.uniform_quad_mesh(2), SolverConfig(N=1), medium)
 
     def test_nonpositive_wavespeed_rejected(self):
         m = mg.uniform_quad_mesh(2)

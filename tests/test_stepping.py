@@ -4,10 +4,13 @@ replaced, and its allocation budget.
 The reference functions below are the per-field right-hand side, mass
 inverse and LSRK step as they were before the state became one (3, K, Np)
 array, together with the einsum assembly of weighted mass matrices.  Both
-read the scaled metric geo.rxJ... of the formulation rule.  Only the
-storage changed, not the arithmetic, so the WADG right-hand side and
-steps must agree bitwise.  Exact mass mode uses the reassembled mass
-matrices, which agree to round-off.
+read the scaled metric geo.rxJ... of the formulation rule.  They follow
+the operation order of the Gauss-collocated basis: the WADG mass inverse
+is a pointwise scale at the solution nodes, and the strong-weak
+divergence applies the weak-derivative matrices (w_q Dr) Mhat^-1 and
+(w_q Ds) Mhat^-1.  Only the storage differs, not the arithmetic, so the
+WADG right-hand side and steps must agree bitwise.  Exact mass mode uses
+the reassembled mass matrices, which agree to round-off.
 """
 
 import tracemalloc
@@ -105,10 +108,11 @@ def ref_volume_terms(state, ops_, strong_weak):
     if strong_weak:
         u1q = state.u1 @ ref.Vq.T
         u2q = state.u2 @ ref.Vq.T
-        wq = ref.wq[None, :]
-        Fr = wq * (geo.rxJ * u1q + geo.ryJ * u2q)
-        Fs = wq * (geo.sxJ * u1q + geo.syJ * u2q)
-        rp = (Fr @ ref.Drq + Fs @ ref.Dsq) @ ref.Mhat_inv
+        weak_r = (ref.wq[:, None] * ref.Drq) @ ref.Mhat_inv
+        weak_s = (ref.wq[:, None] * ref.Dsq) @ ref.Mhat_inv
+        Fr = geo.rxJ * u1q + geo.ryJ * u2q
+        Fs = geo.sxJ * u1q + geo.syJ * u2q
+        rp = Fr @ weak_r + Fs @ weak_s
     else:
         divJ = (state.u1 @ ref.Drq.T) * geo.rxJ
         divJ += (state.u1 @ ref.Dsq.T) * geo.sxJ
@@ -128,13 +132,9 @@ def ref_rhs_pre_mass(state, ops_):
 def ref_apply_mass_inverse(rhs_pre, ops_):
     disc = ops_.disc
     if disc.config.mass_mode is MassMode.WADG:
-        r = disc.ref_upd
-
-        def wadg(w, z):
-            return (w * (z @ r.Vq.T)) @ r.Pq.T
-
-        return RefState(wadg(disc.w_upd_p, rhs_pre.p), wadg(disc.w_upd_u, rhs_pre.u1),
-                        wadg(disc.w_upd_u, rhs_pre.u2))
+        # Vq = Pq = I on the mass rule, whose points are the solution nodes
+        return RefState(disc.w_upd_p * rhs_pre.p, disc.w_upd_u * rhs_pre.u1,
+                        disc.w_upd_u * rhs_pre.u2)
     Mh = disc.ref.Mhat
     return RefState(np.einsum("kij,kj->ki", ops_.mass_inv_p, rhs_pre.p @ Mh),
                     np.einsum("kij,kj->ki", ops_.mass_inv_u, rhs_pre.u1 @ Mh),
@@ -254,7 +254,8 @@ def test_auxiliary_rules_carry_volume_geometry_only():
             assert np.array_equal(getattr(g, name), getattr(full, name))
 
 
-@pytest.mark.parametrize("form, mode", [("strong", "wadg"), ("strong-weak", "exact")])
+@pytest.mark.parametrize("form, mode", [("strong", "wadg"), ("strong-weak", "wadg"),
+                                        ("strong-weak", "exact")])
 def test_warm_step_allocates_nothing_field_sized(form, mode, monkeypatch):
     """Every step of `run` after the first two stays below one (K, Np)
     array of traced allocation above its entry level."""
