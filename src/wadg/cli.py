@@ -212,7 +212,8 @@ def cmd_run(args, rd):
         for i, t in enumerate(diag["t"]):
             err = diag["l2_error_p"][i] if len(diag["l2_error_p"]) else ""
             w.writerow([repr(float(t)), repr(float(diag["energy"][i])), err])
-    rd.log(f"final t = {state.t}, energy {diag['energy'][-1]:.8e}")
+    rd.log(f"final t = {state.t} after {diag['steps']} steps of dt = {diag['dt']:.6e}, "
+           f"energy {diag['energy'][-1]:.8e}")
     if len(diag["l2_error_p"]):
         rd.log(f"final pressure L2 error {diag['l2_error_p'][-1]:.6e}")
     rd.log(f"wrote {out}")
@@ -289,7 +290,8 @@ def build_parser():
     q.set_defaults(func=cmd_spectrum)
 
     q = sub.add_parser("run", help="single solver run from a config file")
-    q.add_argument("--config", required=True)
+    q.add_argument("--config", required=True, help="JSON or TOML run settings; each "
+                   "output_interval sample is recorded at the nearest time step")
     q.set_defaults(func=cmd_run)
     return p
 

@@ -89,8 +89,8 @@ class SolverConfig:
     cfl: float = 0.8                        # fraction of the calibrated limit
 
     def __post_init__(self):
-        if not (self.N >= 1 and self.cfl > 0):
-            raise ConfigError(f"need N >= 1 and cfl > 0, got N = {self.N}, cfl = {self.cfl}")
+        if not (self.N >= 1 and self.cfl > 0 and np.isfinite(self.cfl)):
+            raise ConfigError(f"need N >= 1 and finite cfl > 0, got N = {self.N}, cfl = {self.cfl}")
 
 
 def sufficient_quadrature_degree(N, N_geo, formulation):
@@ -464,24 +464,27 @@ def run(mesh, config, initial_fn, T, medium=MediumField(), exact_p=None,
         n_outputs=10, dt=None):
     """Advance the projected initial condition to time T.
 
-    Records (t, energy) at n_outputs+1 evenly spaced sample times (and the
-    pressure L2 error when exact_p(x, y, t) is given), "dt" and "steps".
-    Each output interval takes a precomputed number of steps of dt, the last
-    one shortened to land on the sample time.  Raises BlowUp when the energy
-    at a sample time exceeds 1e6 x its initial value, or when a field holds
-    non-finite values (checked every FINITE_CHECK_STEPS steps).  Raises
-    ConfigError, before any setup, for T < 0 or n_outputs < 1; T = 0
-    projects and records the initial state only, once.
+    Takes n = ceil(T/dt) uniform steps of h = T/n <= dt, dt defaulting to
+    stable_dt; step i ends at i h.  Records (t, energy), and the pressure L2
+    error when exact_p(x, y, t) is given, at t = 0 and at the step nearest
+    each of n_outputs evenly spaced sample times: every step when n <
+    n_outputs.  diag["t"] holds the recorded times, ending at T exactly;
+    diag["dt"] is h and diag["steps"] n.  Raises BlowUp when the energy at a
+    record exceeds 1e6 x its initial value, or when a field holds non-finite
+    values (checked every FINITE_CHECK_STEPS steps).  Raises ConfigError,
+    before any setup, for T < 0, n_outputs < 1 or dt not finite and > 0;
+    T = 0 projects and records the initial state only, once.
     """
     if T < 0 or n_outputs < 1:
         raise ConfigError(f"need T >= 0 and n_outputs >= 1, got T = {T}, "
                           f"n_outputs = {n_outputs}")
+    if dt is not None and not (dt > 0 and np.isfinite(dt)):
+        raise ConfigError(f"dt must be finite and > 0, got {dt!r}")
     disc = Discretization(mesh, config, medium)
     q = project_initial_condition(disc, initial_fn)
     if dt is None:
         dt = stable_dt(disc)
 
-    sample_ts = np.linspace(0.0, T, n_outputs + 1 if T > 0 else 1)
     diag = {"t": [], "energy": [], "l2_error_p": []}
 
     ref_err = geo_err = None
@@ -500,28 +503,23 @@ def run(mesh, config, initial_fn, T, medium=MediumField(), exact_p=None,
             diag["l2_error_p"].append(err)
         return e
 
-    t = 0.0
-    e0 = record(q, t)
-    steps = 0
-    for target in sample_ts[1:]:
-        # n - 1 steps of dt, then one that lands on the target; step i
-        # starts at t + i dt, not at a running sum of step sizes
-        n = int(np.ceil((target - t) / dt - 1e-9))
-        for i in range(n):
-            t_i = t + i * dt
-            h = dt if i < n - 1 else target - t_i
-            q = lsrk_step(q, h, disc)
-            steps += 1
-            if steps % FINITE_CHECK_STEPS == 0 and not np.isfinite(q).all():
-                raise BlowUp(f"non-finite field values at t = {t_i + h:.4f} "
-                             f"(step {steps})")
-        t = target
-        e = record(q, t)
-        if not np.isfinite(e) or (e0 > 0 and e > 1e6 * e0):
-            raise BlowUp(f"energy {e:.3e} at t = {t:.4f} (initial {e0:.3e})")
+    e0 = record(q, 0.0)
+    # an exact multiple of dt adds no step; any T > 0 takes at least one
+    n = max(int(np.ceil(T / dt - 1e-9)), int(T > 0))
+    h = T / n if n else dt
+    samples = {round(k * n / n_outputs) for k in range(1, n_outputs + 1)}
+    for i in range(1, n + 1):
+        q = lsrk_step(q, h, disc)
+        t = T if i == n else i * h
+        if i % FINITE_CHECK_STEPS == 0 and not np.isfinite(q).all():
+            raise BlowUp(f"non-finite field values at t = {t:.4f} (step {i})")
+        if i in samples:
+            e = record(q, t)
+            if not np.isfinite(e) or (e0 > 0 and e > 1e6 * e0):
+                raise BlowUp(f"energy {e:.3e} at t = {t:.4f} (initial {e0:.3e})")
     diag = {k: np.asarray(v) for k, v in diag.items()}
-    diag["dt"], diag["steps"] = dt, steps
-    return FieldState(q, t), diag
+    diag["dt"], diag["steps"] = h, n
+    return FieldState(q, T), diag
 
 
 # ---------------------------------------------------------------------------

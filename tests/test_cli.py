@@ -88,6 +88,7 @@ class TestExitCodes:
         # JSON NaN and Infinity parse as floats; the penalty rejects them
         ({"tau_p": float("nan")}, "tau_p"),
         ({"tau_u": float("inf")}, "tau_u"),
+        ({"cfl": float("inf")}, "cfl"),
     ])
     def test_bad_run_length_exits_2(self, tmp_path, run_length, needle):
         (tmp_path / "c.json").write_text(json.dumps({"N": 1, "mesh": "disk0", **run_length}))
@@ -150,6 +151,19 @@ class TestCommands:
         final_err = float(rows[-1][2])
         rec = an.wave_convergence_study([mg.disk_mesh(1, 2)], 2)
         assert final_err == pytest.approx(rec[MassMode.WADG].errors[0], rel=1e-12)
+
+    def test_samples_finer_than_dt_record_every_step(self, tmp_path):
+        # 100 requested samples, far fewer steps: one row per step and t = 0
+        cfg = {"N": 2, "mesh": "disk1", "T": 0.1, "output_interval": 0.001}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        r = run_cli("--out-dir", "out", "run", "--config", "c.json", cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        steps = int(r.stdout.split(" after ")[1].split()[0])
+        assert 0 < steps < 100
+        rows = list(csv.reader(open(tmp_path / "out" / "timeseries.csv")))[1:]
+        t = [float(row[0]) for row in rows]
+        assert len(rows) == steps + 1
+        assert all(a < b for a, b in zip(t, t[1:])) and t[-1] == 0.1
 
     def test_toml_config(self, tmp_path):
         (tmp_path / "c.toml").write_text(

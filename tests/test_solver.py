@@ -352,7 +352,7 @@ class TestStableDt:
     def test_invalid_cfl(self):
         # rejected with the config, before any set-up, also when a run
         # would be given dt=
-        for cfl in (0.0, -0.5, float("nan")):
+        for cfl in (0.0, -0.5, float("nan"), float("inf")):
             with pytest.raises(sv.ConfigError, match="cfl"):
                 SolverConfig(N=1, cfl=cfl)
 
@@ -463,10 +463,11 @@ class TestRun:
         assert len(finite) <= first_bad + sv.FINITE_CHECK_STEPS < 4000
 
     @pytest.mark.parametrize("T, dt, n_outputs, steps", [
-        (1.0, 0.03, 4, 36),     # 0.25 / 0.03 = 8.3: 8 steps of dt and a short one
-        (1.0, 0.125, 2, 8),     # exact multiple: no extra sliver step
+        (1.0, 0.03, 4, 34),     # ceil(1 / 0.03) = 34 steps of 1/34
+        (1.0, 0.125, 2, 8),     # exact multiple: no extra step
+        (1.0, 0.3, 10, 4),      # fewer steps than samples: every step recorded
     ])
-    def test_integer_step_counts(self, monkeypatch, T, dt, n_outputs, steps):
+    def test_uniform_step_counts(self, monkeypatch, T, dt, n_outputs, steps):
         calls = []
         step = sv.lsrk_step
 
@@ -478,17 +479,35 @@ class TestRun:
         zero = lambda x, y: (np.zeros_like(x),) * 3
         state, diag = sv.run(mg.disk_mesh(0, 1), SolverConfig(N=1), zero, T,
                              dt=dt, n_outputs=n_outputs)
+        h = T / steps
         assert len(calls) == steps == diag["steps"]
-        assert diag["dt"] == dt
-        assert state.t == T
-        assert list(diag["t"]) == list(np.linspace(0.0, T, n_outputs + 1))
-        per = steps // n_outputs
-        for j, t_out in enumerate(diag["t"][:-1]):
-            block = calls[j * per:(j + 1) * per]
-            assert all(d == dt for d in block[:-1])
-            # the last step starts at t_out + (per - 1) dt, not at a running
-            # sum of step sizes, and lands on the next sample time
-            assert block[-1] == diag["t"][j + 1] - (t_out + (per - 1) * dt)
+        assert all(d == h for d in calls) and diag["dt"] == h
+        t = diag["t"]
+        assert np.all(np.diff(t) > 0) and t[-1] == T and state.t == T
+        assert len(t) == 1 + min(steps, n_outputs)
+        # each record is at a step end i h, not a running sum of step sizes,
+        # and lies within half a step of the sample time it stands for
+        assert all(ti == round(ti / h) * h for ti in t[:-1])
+        for k in range(1, n_outputs + 1):
+            assert np.min(np.abs(t - k * T / n_outputs)) <= 0.5 * h + 1e-15
+
+    @pytest.mark.parametrize("level, N, form, mode, T, steps", [
+        (3, 6, "strong", "wadg", 0.012, 11),
+        (5, 2, "strong", "wadg", 0.005, 5),
+        (3, 4, "strong-weak", "exact", 0.04, 20),
+    ], ids=["disk3-N6-strong-wadg", "disk5-N2-strong-wadg", "disk3-N4-sw-exact"])
+    def test_benchmark_workload_step_counts(self, monkeypatch, level, N, form, mode,
+                                            T, steps):
+        # dt, not the default ten samples, sets the count: ceil(T / stable_dt)
+        # of uniform steps; the step itself is stubbed out to keep this cheap
+        calls, dts = [], []
+        stable = sv.stable_dt
+        monkeypatch.setattr(sv, "stable_dt", lambda disc: dts.append(stable(disc)) or dts[0])
+        monkeypatch.setattr(sv, "lsrk_step", lambda q, dt, disc: calls.append(dt) or q)
+        cfg = SolverConfig(N=N, formulation=Formulation(form), mass_mode=MassMode(mode))
+        _, diag = sv.run(mg.disk_mesh(level, N), cfg, sv.bessel_initial_condition, T)
+        assert len(calls) == diag["steps"] == steps == int(np.ceil(T / dts[0]))
+        assert set(calls) == {diag["dt"]} and diag["dt"] <= dts[0]
 
     def test_zero_length_run_takes_no_steps(self, monkeypatch):
         calls = []
@@ -503,12 +522,22 @@ class TestRun:
             sv.run(mg.disk_mesh(0, 1), SolverConfig(N=1),
                    sv.bessel_initial_condition, T, n_outputs=n_outputs)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1, np.nan, np.inf])
+    def test_bad_dt_rejected_before_setup(self, monkeypatch, dt):
+        # checked before any set-up; dt = inf would otherwise take one step of T
+        built = []
+        monkeypatch.setattr(sv, "Discretization", lambda *a: built.append(a))
+        with pytest.raises(sv.ConfigError, match="dt"):
+            sv.run(mg.disk_mesh(0, 1), SolverConfig(N=1),
+                   sv.bessel_initial_condition, 0.1, dt=dt)
+        assert built == []
+
     def test_lands_exactly_on_T(self):
         m = mg.disk_mesh(0, 2)
         state, diag = sv.run(m, SolverConfig(N=2), sv.bessel_initial_condition,
                              0.777, n_outputs=3)
-        assert state.t == pytest.approx(0.777, abs=1e-14)
-        assert diag["t"][-1] == pytest.approx(0.777)
+        assert state.t == 0.777
+        assert diag["t"][-1] == 0.777
 
 
 class TestExactSolution:
