@@ -114,6 +114,8 @@ def _check_config(doc):
 # Commands
 
 def cmd_mesh(args, rd):
+    if args.level < 0:
+        raise ConfigError(f"mesh level must be >= 0, got {args.level}")
     mesh = meshgen.mesh_family(args.family, args.level + 1, N_geo=args.N_geo,
                                omega=args.omega, amplitude=args.amplitude,
                                seed=args.seed)[-1]
@@ -198,6 +200,8 @@ def cmd_run(args, rd):
     mesh = _parse_mesh_spec(doc.get("mesh", "disk1"), doc.get("N_geo", cfg.N))
     medium = MEDIA[doc.get("medium", "constant")]()
     T = float(doc.get("T", 1.0))
+    if not 0 <= T < np.inf:
+        raise ConfigError(f"T must be finite and >= 0, got T = {T}")
     interval = float(doc.get("output_interval", T / 10))
     if not 0 < interval <= T or abs(round(T / interval) * interval - T) > 1e-9 * T:
         raise ConfigError(f"output_interval must divide T = {T}, got {interval}")

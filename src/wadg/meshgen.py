@@ -5,8 +5,8 @@ curvilinear meshes, and Gordon-Hall blended disk meshes.
 All meshes are isoparametric: each element stores the physical positions of
 a degree-N_geo tensor Gauss-Lobatto node set and the element map is the
 Lagrange interpolant of those positions.  Generators are pure functions of
-their arguments; `refine` regenerates the next family member from recorded
-provenance so that self-similar families stay self-similar.
+their arguments and build each mesh in one pass; `mesh_family` builds level
+l of a family from the generator's own resolution argument.
 """
 
 from __future__ import annotations
@@ -74,22 +74,18 @@ _QUAD_FACE_CORNERS = ((0, 1), (1, 2), (2, 3), (3, 0))
 _FACE_FROM, _FACE_TO = np.array(_QUAD_FACE_CORNERS).T
 
 
-def _build_connectivity(elem_map_nodes, N_geo):
+def _build_connectivity(corners):
     """Match quadrilateral faces by shared corner vertices.
 
-    Corners equal after rounding to 9 decimals are one vertex; faces with
-    the same (min, max) vertex pair are neighbours, and unmatched faces are
-    Dirichlet boundary.  Raises ValueError if more than two faces share a
-    vertex pair."""
-    K = elem_map_nodes.shape[0]
-    keys = np.round(elem_map_nodes[:, _corner_indices(N_geo), :], 9).reshape(-1, 2)
-    order = np.lexsort((keys[:, 1], keys[:, 0]))
-    sk = keys[order]
-    new = np.ones(len(sk), dtype=bool)
-    new[1:] = np.any(sk[1:] != sk[:-1], axis=1)
-    vid = np.empty(len(sk), dtype=np.int64)
-    vid[order] = np.cumsum(new) - 1
-    vid = vid.reshape(K, 4)
+    corners: (K, 4, 2) element corners, ordered bl, br, tr, tl.  Corners
+    equal after rounding to 9 decimals are one vertex; faces with the same
+    (min, max) vertex pair are neighbours, and unmatched faces are Dirichlet
+    boundary.  Raises ValueError if more than two faces share a vertex pair."""
+    K = corners.shape[0]
+    # each rounded (x, y) as one complex number: np.unique sorts those
+    # lexicographically, as it would rows with axis=0, but five times faster
+    keys = np.round(corners, 9).reshape(-1, 2).view(np.complex128)[:, 0]
+    vid = np.unique(keys, return_inverse=True)[1].reshape(K, 4)
 
     a, b = vid[:, _FACE_FROM], vid[:, _FACE_TO]
     face_key = (np.minimum(a, b) * (vid.max() + 1) + np.maximum(a, b)).ravel()
@@ -109,13 +105,41 @@ def _build_connectivity(elem_map_nodes, N_geo):
 
 
 def _assemble_quad_mesh(elem_map_nodes, N_geo, h, provenance, validate=True):
-    conn, tags = _build_connectivity(elem_map_nodes, N_geo)
+    conn, tags = _build_connectivity(elem_map_nodes[:, _corner_indices(N_geo), :])
     mesh = CurvedMesh2D(
         N_geo=N_geo, elem_map_nodes=np.ascontiguousarray(elem_map_nodes),
         face_connectivity=conn, boundary_tags=tags, h=h, provenance=provenance)
     if validate:
         geometry.validate_positive_jacobian(mesh)
     return mesh
+
+
+def _max_diagonal(corners):
+    """Longest element diagonal of corners (K, 4, 2)."""
+    return float(np.max(np.linalg.norm(corners - np.roll(corners, 2, axis=1), axis=2)))
+
+
+def _unit_nodes(N_geo):
+    """Gauss-Lobatto points u on [0, 1] and the local coordinates (U, V),
+    each (Npg, 1), of tensor node j*(N_geo+1) + i = (u_i, u_j)."""
+    u = 0.5 * (refelem.gauss_lobatto_1d(N_geo + 1).points + 1.0)
+    UI, UJ = np.meshgrid(u, u, indexing="ij")
+    return u, UI.T.ravel()[:, None], UJ.T.ravel()[:, None]
+
+
+def _bilinear(corners, N_geo):
+    """Bilinear map of corners (K, 4, 2), ordered bl, br, tr, tl, at the
+    degree-N_geo tensor Gauss-Lobatto nodes: (K, Npg, 2)."""
+    _, U, V = _unit_nodes(N_geo)
+    c0, c1, c2, c3 = (corners[:, None, i, :] for i in range(4))
+    return (1 - U) * (1 - V) * c0 + U * (1 - V) * c1 + U * V * c2 + (1 - U) * V * c3
+
+
+def _grid_corners(G):
+    """Corners (n1*n2, 4, 2), ordered bl, br, tr, tl, of the cells of an
+    (n1+1, n2+1, 2) vertex grid; cell (i, j) is element j*n1 + i."""
+    cells = (G[:-1, :-1], G[1:, :-1], G[1:, 1:], G[:-1, 1:])
+    return np.stack([c.transpose(1, 0, 2).reshape(-1, 2) for c in cells], axis=1)
 
 
 def _grid_1d(x0, x1, K1D, N_geo):
@@ -175,27 +199,9 @@ def arnold_mesh(level, N_geo=1):
     VY = VY.copy()
     sign = np.where(np.add.outer(np.arange(K1D + 1), np.arange(1, K1D)) % 2, -1.0, 1.0)
     VY[:, 1:K1D] += sign * h / 4.0
-    nodes = _bilinear_elements(VX, VY, K1D, N_geo)
+    nodes = _bilinear(_grid_corners(np.stack([VX, VY], axis=-1)), N_geo)
     prov = {"kind": "arnold", "level": level, "N_geo": N_geo}
     return _assemble_quad_mesh(nodes, N_geo, h, prov, validate=False)
-
-
-def _bilinear_elements(VX, VY, K1D, N_geo):
-    """Interpolate a bilinear vertex grid at degree-N_geo tensor GLL nodes."""
-    gll = refelem.gauss_lobatto_1d(N_geo + 1).points
-    u = 0.5 * (gll + 1.0)
-    UI, UJ = np.meshgrid(u, u, indexing="ij")  # local (i, j)
-    w00 = ((1 - UI) * (1 - UJ)).T.ravel()
-    w10 = (UI * (1 - UJ)).T.ravel()
-    w11 = (UI * UJ).T.ravel()
-    w01 = ((1 - UI) * UJ).T.ravel()
-    out = np.empty((K1D * K1D, w00.size, 2))
-    for arr, G in ((0, VX), (1, VY)):
-        # corner values per element k = ey*K1D + ex
-        c00, c10 = G[:-1, :-1].T.reshape(-1, 1), G[1:, :-1].T.reshape(-1, 1)
-        c11, c01 = G[1:, 1:].T.reshape(-1, 1), G[:-1, 1:].T.reshape(-1, 1)
-        out[:, :, arr] = w00 * c00 + w10 * c10 + w11 * c11 + w01 * c01
-    return out
 
 
 _RANDOM_MESH_RETRIES = 20
@@ -271,87 +277,48 @@ def warped_arnold_mesh(params, N_geo):
 # ---------------------------------------------------------------------------
 # Disk meshes
 
-def _rot90(pts, times):
-    """Exact multiples of -90 degrees: (x, y) -> (y, -x)."""
-    out = np.array(pts, dtype=float, copy=True)
-    for _ in range(times % 4):
-        out = np.stack([out[..., 1], -out[..., 0]], axis=-1)
-    return out
+DISK_BLOCK_CELLS = 2        # cells along a central block edge at level 0
+DISK_BLOCK_HALF_WIDTH = 0.5
 
 
-def disk_base_mesh(n, a=0.5, radial=None):
-    """Straight-sided O-grid of the unit disk: an n x n central square block
-    of half-width `a` plus four ring blocks (n tangential x `radial` cells,
-    default n//2, which keeps ring cells near unit aspect ratio) blending
-    each square edge to a quarter arc.  All boundary vertices lie exactly on
-    the unit circle."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    m = max(1, n // 2) if radial is None else radial
+def _disk_corners(n, m):
+    """Corners (K, 4, 2) of the straight-sided O-grid of the unit disk: an
+    n x n central square block plus four ring blocks of n tangential x m
+    radial cells, each blending a square edge to a quarter arc.  Every
+    boundary vertex lies on the unit circle."""
+    a = DISK_BLOCK_HALF_WIDTH
     xe = np.linspace(-a, a, n + 1)
-
-    # center block, vertex grid indexed [i, j]
-    blocks = [tuple(np.meshgrid(xe, xe, indexing="ij"))]
-    # top block in local coordinates, then exact 90-degree rotations
+    blocks = [np.stack(np.meshgrid(xe, xe, indexing="ij"), axis=-1)]
     sp = np.linspace(0.0, 1.0, n + 1)
     t = np.linspace(0.0, 1.0, m + 1)
     theta = 0.75 * np.pi - 0.5 * np.pi * sp
     P = np.column_stack([xe, np.full(n + 1, a)])
     Q = np.column_stack([np.cos(theta), np.sin(theta)])
     T = (1.0 - t[None, :, None]) * P[:, None, :] + t[None, :, None] * Q[:, None, :]
-    for b in range(4):
-        R = _rot90(T, b)
-        blocks.append((R[..., 0], R[..., 1]))
-
-    node_arrays = [_bilinear_block_elements(BX, BY) for BX, BY in blocks]
-    nodes = np.concatenate(node_arrays, axis=0)
-    corners = nodes[:, _corner_indices(1), :]
-    h = float(np.max(np.linalg.norm(corners - np.roll(corners, 2, axis=1), axis=2)))
-    prov = {"kind": "disk_base", "n": n, "a": a, "radial": m}
-    return _assemble_quad_mesh(nodes, 1, h, prov)
+    for _ in range(4):      # the top block, then exact -90 degree rotations
+        blocks.append(T)
+        T = np.stack([T[..., 1], -T[..., 0]], axis=-1)
+    return np.concatenate([_grid_corners(G) for G in blocks], axis=0)
 
 
-def _bilinear_block_elements(BX, BY):
-    """Slice an (n1+1) x (n2+1) vertex grid into n1*n2 bilinear elements
-    (nodes in the degree-1 tensor layout: bl, br, tl, tr)."""
-    G = np.stack([BX, BY], axis=-1)
-    corners = (G[:-1, :-1], G[1:, :-1], G[:-1, 1:], G[1:, 1:])
-    # element k = ej*n1 + ei
-    return np.stack([c.transpose(1, 0, 2).reshape(-1, 2) for c in corners], axis=1)
+def disk_mesh(level, N_geo):
+    """Gordon-Hall disk mesh at nested refinement `level`: block resolution
+    DISK_BLOCK_CELLS * 2^level and radial resolution 2^level, so successive
+    levels are 4-way element splits.
 
-
-def gordon_hall_disk_mesh(base, N_geo, _prov=None):
-    """Curve the boundary elements of a straight-sided disk mesh.
-
-    Boundary faces whose endpoints lie on the unit circle are replaced by
-    the exact arc sampled at N_geo+1 Gauss-Lobatto points; element interiors
-    are filled by transfinite (Gordon-Hall) interpolation of the four edge
-    curves.  Elements with no boundary face keep their straight bilinear map.
+    Boundary faces of the straight O-grid are replaced by the exact arc
+    sampled at N_geo+1 Gauss-Lobatto points; element interiors are filled by
+    transfinite (Gordon-Hall) interpolation of the four edge curves.
+    Elements with no boundary face keep their straight bilinear map.
     """
-    if base.N_geo != 1:
-        raise ValueError("base mesh must be straight-sided (N_geo = 1)")
-    corners = base.elem_map_nodes[:, _corner_indices(1), :]  # (K, 4, 2)
-    tagged = base.boundary_tags > 0
-    on_circle = np.abs(np.hypot(corners[..., 0], corners[..., 1]) - 1.0) < 1e-12
-    off = tagged & ~(on_circle[:, _FACE_FROM] & on_circle[:, _FACE_TO])
-    if off.any():
-        k, f = np.argwhere(off)[0]
-        raise ValueError(f"boundary vertex of element {k} face {f} off the unit circle")
-
-    gll = refelem.gauss_lobatto_1d(N_geo + 1).points
-    u = 0.5 * (gll + 1.0)       # [0, 1] edge parameter at the nodes
-    n = N_geo + 1
-    UI, UJ = np.meshgrid(u, u, indexing="ij")
-    Ul = UI.T.ravel()[:, None]  # node-ordered local coordinates in [0, 1]
-    Vl = UJ.T.ravel()[:, None]
-
-    def bilinear(c):
-        """Bilinear interpolant of corners c (..., 4, 2) at every node."""
-        c0, c1, c2, c3 = (c[..., None, i, :] for i in range(4))
-        return ((1 - Ul) * (1 - Vl) * c0 + Ul * (1 - Vl) * c1
-                + Ul * Vl * c2 + (1 - Ul) * Vl * c3)
-
-    nodes = bilinear(corners)
+    if level < 0:
+        raise ValueError(f"disk mesh level must be >= 0, got {level}")
+    n, m = DISK_BLOCK_CELLS * 2**level, 2**level
+    corners = _disk_corners(n, m)
+    conn, tags = _build_connectivity(corners)
+    tagged = tags > 0
+    u, U, V = _unit_nodes(N_geo)
+    nodes = _bilinear(corners, N_geo)
 
     # transfinite blend on every element touching the boundary
     kb = np.flatnonzero(tagged.any(axis=1))
@@ -369,33 +336,20 @@ def gordon_hall_disk_mesh(base, N_geo, _prov=None):
         arc = np.stack([np.cos(th), np.sin(th)], axis=-1)
         return np.where(tagged[kb, f, None, None], arc, (1.0 - t) * A + t * B)
 
-    I = np.tile(np.arange(n), n)          # node j*n + i -> i
-    J = np.repeat(np.arange(n), n)        # node j*n + i -> j
+    I = np.tile(np.arange(N_geo + 1), N_geo + 1)      # node j*n + i -> i
+    J = np.repeat(np.arange(N_geo + 1), N_geo + 1)    # node j*n + i -> j
     t = u[:, None]
     B = edge_curve(0, t)[:, I]            # bottom, left -> right
     R = edge_curve(1, t)[:, J]            # right, bottom -> top
     T = edge_curve(2, 1.0 - t)[:, I]      # top re-parametrized left -> right
     L = edge_curve(3, 1.0 - t)[:, J]      # left re-parametrized bottom -> top
-    nodes[kb] = ((1 - Vl) * B + Vl * T + (1 - Ul) * L + Ul * R) - bilinear(cbnd)
-    corners_new = nodes[:, _corner_indices(N_geo), :]
-    h = float(np.max(np.linalg.norm(corners_new - np.roll(corners_new, 2, axis=1), axis=2)))
-    prov = _prov or {"kind": "disk", "n": base.provenance.get("n"),
-                     "a": base.provenance.get("a", 0.5),
-                     "radial": base.provenance.get("radial"), "N_geo": N_geo}
-    return _assemble_quad_mesh(nodes, N_geo, h, prov)
-
-
-def disk_mesh(level, N_geo, n0=2, a=0.5):
-    """Gordon-Hall disk mesh at nested refinement `level` (block resolution
-    n0 * 2^level); radial resolution doubles with the level so successive
-    levels are 4-way element splits."""
-    if level < 0:
-        raise ValueError(f"disk mesh level must be >= 0, got {level}")
-    base = disk_base_mesh(n0 * 2**level, a=a, radial=max(1, n0 // 2) * 2**level)
-    prov = {"kind": "disk", "n": base.provenance["n"], "a": a,
-            "radial": base.provenance["radial"], "N_geo": N_geo,
-            "level": level, "n0": n0}
-    return gordon_hall_disk_mesh(base, N_geo, _prov=prov)
+    nodes[kb] = ((1 - V) * B + V * T + (1 - U) * L + U * R) - nodes[kb]
+    h = _max_diagonal(nodes[:, _corner_indices(N_geo), :])
+    prov = {"kind": "disk", "n": n, "radial": m, "N_geo": N_geo, "level": level}
+    mesh = CurvedMesh2D(N_geo=N_geo, elem_map_nodes=nodes, face_connectivity=conn,
+                        boundary_tags=tags, h=h, provenance=prov)
+    geometry.validate_positive_jacobian(mesh)
+    return mesh
 
 
 # ---------------------------------------------------------------------------
@@ -417,62 +371,39 @@ def subdivide(mesh):
     nodes = np.empty((4 * K, npg, 2))
     for c, E in enumerate(evals):
         nodes[c::4] = np.einsum("pi,kid->kpd", E, mesh.elem_map_nodes)
-    corners = nodes[:, _corner_indices(N_geo), :]
-    h = float(np.max(np.linalg.norm(corners - np.roll(corners, 2, axis=1), axis=2)))
+    h = _max_diagonal(nodes[:, _corner_indices(N_geo), :])
     prov = {"kind": "subdivided", "parent": mesh.provenance}
     return _assemble_quad_mesh(nodes, N_geo, h, prov, validate=False)
 
 
-def refine(mesh):
-    """Next member of the mesh family: each element splits in four.
-
-    Self-similar families (trapezoid, cosine-warped) reproduce their own
-    pattern and disk meshes re-blend the boundary (those from `disk_mesh`
-    are rebuilt one level up), all regenerated from recorded provenance;
-    randomly perturbed meshes keep their curved geometry fixed and are
-    split geometrically."""
-    p = dict(mesh.provenance)
-    kind = p.pop("kind", None)
-    if kind == "uniform":
-        return uniform_quad_mesh(2 * p["K1D"], domain=p["domain"], N_geo=p["N_geo"])
-    if kind == "arnold":
-        return arnold_mesh(p["level"] + 1, N_geo=p["N_geo"])
-    if kind in ("random", "subdivided"):
-        return subdivide(mesh)
-    if kind == "warped":
-        return warped_arnold_mesh(WarpParams(p["omega"], 2 * p["K1D"]), p["N_geo"])
-    if kind == "disk_base":
-        return disk_base_mesh(2 * p["n"], a=p["a"], radial=2 * p["radial"])
-    if kind == "disk" and "level" in p:
-        return disk_mesh(p["level"] + 1, p["N_geo"], n0=p["n0"], a=p["a"])
-    if kind == "disk":
-        base = disk_base_mesh(2 * p["n"], a=p["a"], radial=2 * p["radial"])
-        return gordon_hall_disk_mesh(base, p["N_geo"])
-    raise ValueError(f"cannot refine mesh with provenance kind {kind!r}")
-
-
 def mesh_family(kind, levels, N_geo=1, **params):
-    """List of `levels` nested meshes of the requested family."""
+    """List of `levels` meshes of the requested family, each splitting the
+    elements of the one before in four.  Member l is its generator at
+    resolution raised by l (K1D * 2^l, or level + l), so self-similar
+    families stay self-similar; a randomly perturbed mesh keeps its curved
+    geometry fixed and is split by `subdivide`."""
+    if levels < 1:
+        raise ValueError(f"need levels >= 1, got {levels}")
+    level = params.get("level", 0)
     if kind == "uniform":
-        m = uniform_quad_mesh(params.get("K1D", 2),
-                              domain=params.get("domain", ((-1, 1), (-1, 1))),
-                              N_geo=N_geo)
+        domain = params.get("domain", ((-1, 1), (-1, 1)))
+        build = lambda l: uniform_quad_mesh(params.get("K1D", 2) * 2**l, domain, N_geo)
     elif kind == "arnold":
-        m = arnold_mesh(params.get("level", 0), N_geo=N_geo)
-    elif kind == "random":
-        m = random_perturbed_mesh(params.get("K1D", 2), N_geo,
-                                  params.get("amplitude", 0.15),
-                                  params.get("seed", 0))
+        build = lambda l: arnold_mesh(level + l, N_geo)
     elif kind == "warped":
-        m = warped_arnold_mesh(WarpParams(params["omega"], params.get("K1D", 4)), N_geo)
+        build = lambda l: warped_arnold_mesh(
+            WarpParams(params["omega"], params.get("K1D", 4) * 2**l), N_geo)
     elif kind == "disk":
-        m = disk_mesh(params.get("level", 0), N_geo, n0=params.get("n0", 2))
+        build = lambda l: disk_mesh(level + l, N_geo)
+    elif kind == "random":
+        out = [random_perturbed_mesh(params.get("K1D", 2), N_geo,
+                                     params.get("amplitude", 0.15), params.get("seed", 0))]
+        for _ in range(levels - 1):
+            out.append(subdivide(out[-1]))
+        return out
     else:
         raise ValueError(f"unknown mesh family {kind!r}")
-    out = [m]
-    for _ in range(levels - 1):
-        out.append(refine(out[-1]))
-    return out
+    return [build(l) for l in range(levels)]
 
 
 # ---------------------------------------------------------------------------

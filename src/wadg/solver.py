@@ -458,6 +458,7 @@ def project_initial_condition(disc, initial_fn):
 
 
 FINITE_CHECK_STEPS = 10
+MAX_STEPS = 10**7    # days of stepping even at K = 768
 
 
 def run(mesh, config, initial_fn, T, medium=MediumField(), exact_p=None,
@@ -472,11 +473,12 @@ def run(mesh, config, initial_fn, T, medium=MediumField(), exact_p=None,
     diag["dt"] is h and diag["steps"] n.  Raises BlowUp when the energy at a
     record exceeds 1e6 x its initial value, or when a field holds non-finite
     values (checked every FINITE_CHECK_STEPS steps).  Raises ConfigError,
-    before any setup, for T < 0, n_outputs < 1 or dt not finite and > 0;
+    before any setup, for T not finite and >= 0, n_outputs < 1 or dt not
+    finite and > 0, and before the first step when n exceeds MAX_STEPS;
     T = 0 projects and records the initial state only, once.
     """
-    if T < 0 or n_outputs < 1:
-        raise ConfigError(f"need T >= 0 and n_outputs >= 1, got T = {T}, "
+    if not 0 <= T < np.inf or n_outputs < 1:
+        raise ConfigError(f"need finite T >= 0 and n_outputs >= 1, got T = {T}, "
                           f"n_outputs = {n_outputs}")
     if dt is not None and not (dt > 0 and np.isfinite(dt)):
         raise ConfigError(f"dt must be finite and > 0, got {dt!r}")
@@ -484,6 +486,12 @@ def run(mesh, config, initial_fn, T, medium=MediumField(), exact_p=None,
     q = project_initial_condition(disc, initial_fn)
     if dt is None:
         dt = stable_dt(disc)
+    # an exact multiple of dt adds no step; any T > 0 takes at least one
+    steps = np.ceil(T / dt - 1e-9)
+    if steps > MAX_STEPS:
+        raise ConfigError(f"T = {T} at dt = {dt:.3e} takes {steps:.3e} steps, "
+                          f"more than MAX_STEPS = {MAX_STEPS}")
+    n = max(int(steps), int(T > 0))
 
     diag = {"t": [], "energy": [], "l2_error_p": []}
 
@@ -504,8 +512,6 @@ def run(mesh, config, initial_fn, T, medium=MediumField(), exact_p=None,
         return e
 
     e0 = record(q, 0.0)
-    # an exact multiple of dt adds no step; any T > 0 takes at least one
-    n = max(int(np.ceil(T / dt - 1e-9)), int(T > 0))
     h = T / n if n else dt
     samples = {round(k * n / n_outputs) for k in range(1, n_outputs + 1)}
     for i in range(1, n + 1):

@@ -89,12 +89,25 @@ class TestExitCodes:
         ({"tau_p": float("nan")}, "tau_p"),
         ({"tau_u": float("inf")}, "tau_u"),
         ({"cfl": float("inf")}, "cfl"),
+        # a non-finite run length is named before the output interval uses it
+        ({"T": float("inf")}, "T = inf"),
+        ({"T": float("nan")}, "T = nan"),
+        # stable_dt 1.2e-301: about 8e299 steps, refused before the first
+        ({"tau_p": 1e300}, "MAX_STEPS"),
     ])
     def test_bad_run_length_exits_2(self, tmp_path, run_length, needle):
         (tmp_path / "c.json").write_text(json.dumps({"N": 1, "mesh": "disk0", **run_length}))
         r = run_cli("--out-dir", "out", "run", "--config", "c.json", cwd=tmp_path)
         assert r.returncode == 2, r.stderr
         assert needle in r.stderr
+
+    @pytest.mark.parametrize("family", ["disk", "uniform", "random"])
+    def test_negative_mesh_level_exits_2(self, tmp_path, family):
+        r = run_cli("--out-dir", "out", "mesh", "--family", family, "--level", "-1",
+                    cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "mesh level must be >= 0, got -1" in r.stderr
+        assert not list((tmp_path / "out").glob("*.json"))
 
     def test_removed_quadrature_flag_exits_2(self, tmp_path):
         r = run_cli("--out-dir", "out", "spectrum", "--volume-quad-degree", "9",

@@ -14,6 +14,19 @@ ALL_FAMILIES = [
     lambda: mg.warped_arnold_mesh(mg.WarpParams(1.0, 4), 3),
     lambda: mg.disk_mesh(1, 3),
 ]
+# the same meshes as (kind, N_geo, params) of `mesh_family`
+FAMILY_SPECS = [
+    ("uniform", 2, {"K1D": 3}),
+    ("arnold", 1, {"level": 1}),
+    ("random", 3, {"K1D": 4, "amplitude": 0.2, "seed": 3}),
+    ("warped", 3, {"omega": 1.0, "K1D": 4}),
+    ("disk", 3, {"level": 1}),
+]
+
+
+def family(i, levels):
+    kind, N_geo, params = FAMILY_SPECS[i]
+    return mg.mesh_family(kind, levels, N_geo, **params)
 
 
 def geo_for(mesh, N=3):
@@ -164,32 +177,35 @@ class TestDisk:
         _, g = geo_for(m)
         assert np.ptp(g.Jq[0]) < 1e-14
 
-    def test_base_vertex_off_circle_rejected(self):
-        base = mg.disk_base_mesh(2)
-        bad = base.elem_map_nodes.copy()
-        k, f = np.argwhere(base.boundary_tags > 0)[0]
-        idx = mg._QUAD_FACE_CORNERS[f][0]
-        bad[k, mg._corner_indices(1)[idx], :] *= 1.01
-        broken = mg.CurvedMesh2D(N_geo=1, elem_map_nodes=bad,
-                                 face_connectivity=base.face_connectivity,
-                                 boundary_tags=base.boundary_tags, h=base.h,
-                                 provenance=base.provenance)
-        with pytest.raises(ValueError):
-            mg.gordon_hall_disk_mesh(broken, 3)
+    def test_one_connectivity_and_one_jacobian_check(self, monkeypatch):
+        # the straight O-grid corners give the connectivity; only the final
+        # curved mesh is checked
+        calls = []
+        for owner, name in ((mg, "_build_connectivity"), (geom, "validate_positive_jacobian")):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        mg.disk_mesh(2, 3)
+        assert sorted(calls) == ["_build_connectivity", "validate_positive_jacobian"]
 
 
 class TestRefine:
+    """Member l + 1 of a `mesh_family` splits every element of member l in four."""
+
     def test_uniform_node_for_node(self):
-        assert np.array_equal(mg.refine(mg.uniform_quad_mesh(2)).elem_map_nodes,
-                              mg.uniform_quad_mesh(4).elem_map_nodes)
+        for l, m in enumerate(mg.mesh_family("uniform", 3, K1D=2)):
+            assert np.array_equal(m.elem_map_nodes, mg.uniform_quad_mesh(2 * 2**l).elem_map_nodes)
 
     def test_arnold_self_similarity(self):
-        assert np.array_equal(mg.refine(mg.arnold_mesh(1)).elem_map_nodes,
-                              mg.arnold_mesh(2).elem_map_nodes)
+        for l, m in enumerate(mg.mesh_family("arnold", 3, level=1)):
+            assert np.array_equal(m.elem_map_nodes, mg.arnold_mesh(1 + l).elem_map_nodes)
 
     def test_disk_nested(self):
-        assert np.array_equal(mg.refine(mg.disk_mesh(1, 3)).elem_map_nodes,
-                              mg.disk_mesh(2, 3).elem_map_nodes)
+        coarse, fine = mg.mesh_family("disk", 2, N_geo=3, level=1)
+        assert np.array_equal(fine.elem_map_nodes, mg.disk_mesh(2, 3).elem_map_nodes)
+        # every coarse vertex is a fine vertex
+        vc = coarse.elem_map_nodes[:, mg._corner_indices(3)].reshape(-1, 1, 2)
+        vf = fine.elem_map_nodes[:, mg._corner_indices(3)].reshape(1, -1, 2)
+        assert np.abs(vc - vf).max(axis=-1).min(axis=1).max() < 1e-14
 
     def test_disk_family_matches_disk_mesh(self):
         fam = mg.mesh_family("disk", 3, N_geo=2)
@@ -200,15 +216,35 @@ class TestRefine:
             assert m.provenance == ref.provenance
 
     def test_area_preserved(self):
-        m = mg.arnold_mesh(0)
-        _, g0 = geo_for(m)
-        _, g1 = geo_for(mg.refine(m))
+        g0, g1 = (geo_for(m)[1] for m in mg.mesh_family("arnold", 2))
         assert geom.element_areas(g1).sum() == pytest.approx(
             geom.element_areas(g0).sum(), abs=1e-12)
 
     def test_h_halves(self):
-        m = mg.arnold_mesh(0)
-        assert mg.refine(m).h == pytest.approx(m.h / 2)
+        # exactly on the straight families; the largest curved diagonal
+        # shrinks by a factor between 1.7 and 2
+        for i, (kind, _, _) in enumerate(FAMILY_SPECS):
+            m0, m1 = family(i, 2)
+            assert m1.K == 4 * m0.K
+            if kind in ("uniform", "arnold", "warped"):
+                assert m1.h == pytest.approx(m0.h / 2)
+            else:
+                assert 1.7 < m0.h / m1.h <= 2.0
+
+    def test_random_family_subdivides(self):
+        m0, m1 = family(2, 2)
+        assert np.array_equal(m1.elem_map_nodes, mg.subdivide(m0).elem_map_nodes)
+        assert m1.provenance == {"kind": "subdivided", "parent": m0.provenance}
+
+    def test_first_member_is_the_generator_mesh(self):
+        for i, make in enumerate(ALL_FAMILIES):
+            (m,) = family(i, 1)
+            assert np.array_equal(m.elem_map_nodes, make().elem_map_nodes)
+
+    @pytest.mark.parametrize("kind, levels", [("disk", 0), ("hexagon", 2)])
+    def test_bad_family_rejected(self, kind, levels):
+        with pytest.raises(ValueError):
+            mg.mesh_family(kind, levels)
 
 
 @pytest.mark.parametrize("make", ALL_FAMILIES)
@@ -348,9 +384,8 @@ class TestLoadMeshValidation:
 # ---------------------------------------------------------------------------
 # Bitwise oracles: the loop implementations the array code replaced
 
-def ref_build_connectivity(elem_map_nodes, N_geo):
-    K = elem_map_nodes.shape[0]
-    corners = elem_map_nodes[:, mg._corner_indices(N_geo), :]
+def ref_build_connectivity(corners):
+    K = corners.shape[0]
     keys = np.round(corners, 9)
 
     def vkey(k, c):
@@ -404,18 +439,10 @@ def ref_bilinear_elements(VX, VY, K1D, N_geo):
     return out
 
 
-def ref_bilinear_block_elements(BX, BY):
-    n1, n2 = BX.shape[0] - 1, BX.shape[1] - 1
-    out = np.empty((n1 * n2, 4, 2))
-    for ej in range(n2):
-        for ei in range(n1):
-            k = ej * n1 + ei
-            for arr, G in ((0, BX), (1, BY)):
-                out[k, 0, arr] = G[ei, ej]
-                out[k, 1, arr] = G[ei + 1, ej]
-                out[k, 2, arr] = G[ei, ej + 1]
-                out[k, 3, arr] = G[ei + 1, ej + 1]
-    return out
+def ref_assemble(nodes, N_geo, h, prov):
+    conn, tags = ref_build_connectivity(nodes[:, mg._corner_indices(N_geo), :])
+    return mg.CurvedMesh2D(N_geo=N_geo, elem_map_nodes=nodes, face_connectivity=conn,
+                           boundary_tags=tags, h=h, provenance=prov)
 
 
 def ref_arnold_mesh(level, N_geo=1):
@@ -427,30 +454,53 @@ def ref_arnold_mesh(level, N_geo=1):
     for i in range(K1D + 1):
         for j in range(1, K1D):
             VY[i, j] += (-1.0) ** (i + j) * h / 4.0
-    nodes = mg._bilinear_elements(VX, VY, K1D, N_geo)
+    nodes = ref_bilinear_elements(VX, VY, K1D, N_geo)
     prov = {"kind": "arnold", "level": level, "N_geo": N_geo}
-    return mg._assemble_quad_mesh(nodes, N_geo, h, prov, validate=False)
+    return ref_assemble(nodes, N_geo, h, prov)
 
 
-def ref_gordon_hall_disk_mesh(base, N_geo, _prov=None):
-    corners = base.elem_map_nodes[:, mg._corner_indices(1), :]
-    on_circle = np.abs(np.hypot(corners[..., 0], corners[..., 1]) - 1.0) < 1e-12
-    for k in range(base.K):
-        for f in range(4):
-            if base.boundary_tags[k, f]:
-                ca, cb = mg._QUAD_FACE_CORNERS[f]
-                if not (on_circle[k, ca] and on_circle[k, cb]):
-                    raise ValueError(
-                        f"boundary vertex of element {k} face {f} off the unit circle")
+def ref_disk_corners(n, m, a=0.5):
+    """O-grid corners (bl, br, tr, tl) element by element: the centre block,
+    then the top ring block and its rotations by -90, -180, -270 degrees."""
+    xe = np.linspace(-a, a, n + 1)
+    theta = 0.75 * np.pi - 0.5 * np.pi * np.linspace(0.0, 1.0, n + 1)
+    cos, sin = np.cos(theta), np.sin(theta)
+    t = np.linspace(0.0, 1.0, m + 1)
+
+    def vertex(block, i, j):
+        if block == 0:
+            return xe[i], xe[j]
+        x = (1.0 - t[j]) * xe[i] + t[j] * cos[i]
+        y = (1.0 - t[j]) * a + t[j] * sin[i]
+        for _ in range(block - 1):
+            x, y = y, -x
+        return x, y
+
+    corners = []
+    for block in range(5):
+        n2 = n if block == 0 else m
+        for ej in range(n2):
+            for ei in range(n):
+                corners.append([vertex(block, ei + di, ej + dj)
+                                for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1))])
+    return np.array(corners, dtype=float)
+
+
+def ref_disk_mesh(level, N_geo):
+    """Gordon-Hall blend of the O-grid with boundary faces read from the
+    straight corners; the connectivity is recomputed from the curved nodes."""
+    n, m = 2 * 2**level, 2**level
+    corners = ref_disk_corners(n, m)
+    tags = ref_build_connectivity(corners)[1]
 
     gll = rf.gauss_lobatto_1d(N_geo + 1).points
     u = 0.5 * (gll + 1.0)
-    n = N_geo + 1
+    nq = N_geo + 1
 
     def edge_curve(k, f, t):
         ca, cb = mg._QUAD_FACE_CORNERS[f]
         A, B = corners[k, ca], corners[k, cb]
-        if base.boundary_tags[k, f]:
+        if tags[k, f]:
             th0 = np.arctan2(A[1], A[0])
             th1 = np.arctan2(B[1], B[0])
             dth = (th1 - th0 + np.pi) % (2.0 * np.pi) - np.pi
@@ -462,9 +512,9 @@ def ref_gordon_hall_disk_mesh(base, N_geo, _prov=None):
     Ul = UI.T.ravel()[:, None]
     Vl = UJ.T.ravel()[:, None]
 
-    nodes = np.empty((base.K, n * n, 2))
-    for k in range(base.K):
-        if not base.boundary_tags[k].any():
+    nodes = np.empty((len(corners), nq * nq, 2))
+    for k in range(len(corners)):
+        if not tags[k].any():
             c = corners[k]
             nodes[k] = ((1 - Ul) * (1 - Vl) * c[0] + Ul * (1 - Vl) * c[1]
                         + Ul * Vl * c[2] + (1 - Ul) * Vl * c[3])
@@ -474,20 +524,18 @@ def ref_gordon_hall_disk_mesh(base, N_geo, _prov=None):
         T = edge_curve(k, 2, 1.0 - u)
         L = edge_curve(k, 3, 1.0 - u)
         c = corners[k]
-        for j in range(n):
-            for i in range(n):
+        for j in range(nq):
+            for i in range(nq):
                 uu, vv = u[i], u[j]
                 blend = ((1 - vv) * B[i] + vv * T[i]
                          + (1 - uu) * L[j] + uu * R[j]
                          - ((1 - uu) * (1 - vv) * c[0] + uu * (1 - vv) * c[1]
                             + uu * vv * c[2] + (1 - uu) * vv * c[3]))
-                nodes[k, j * n + i] = blend
+                nodes[k, j * nq + i] = blend
     corners_new = nodes[:, mg._corner_indices(N_geo), :]
     h = float(np.max(np.linalg.norm(corners_new - np.roll(corners_new, 2, axis=1), axis=2)))
-    prov = _prov or {"kind": "disk", "n": base.provenance.get("n"),
-                     "a": base.provenance.get("a", 0.5),
-                     "radial": base.provenance.get("radial"), "N_geo": N_geo}
-    return mg._assemble_quad_mesh(nodes, N_geo, h, prov)
+    prov = {"kind": "disk", "n": n, "radial": m, "N_geo": N_geo, "level": level}
+    return ref_assemble(nodes, N_geo, h, prov)
 
 
 def ref_validate_positive_jacobian(mesh):
@@ -506,25 +554,22 @@ def ref_validate_positive_jacobian(mesh):
     return min(jmin, float(Jg.min()))
 
 
+# whole-mesh references (arnold, disk) and the array helpers the other
+# generators share, swapped in for the array code
 REFERENCE_IMPLS = {
     "_build_connectivity": ref_build_connectivity,
     "_elements_from_global_grid": ref_elements_from_global_grid,
-    "_bilinear_elements": ref_bilinear_elements,
-    "_bilinear_block_elements": ref_bilinear_block_elements,
     "arnold_mesh": ref_arnold_mesh,
-    "gordon_hall_disk_mesh": ref_gordon_hall_disk_mesh,
+    "disk_mesh": ref_disk_mesh,
 }
 
 ORACLE_CASES = (
     [pytest.param(make, id=f"family{i}") for i, make in enumerate(ALL_FAMILIES)]
-    + [pytest.param(lambda i=i: mg.refine(ALL_FAMILIES[i]()), id=f"refine-family{i}")
+    + [pytest.param(lambda i=i: family(i, 2)[1], id=f"refine-family{i}")
        for i in range(len(ALL_FAMILIES))]
     + [pytest.param(lambda l=level, n=N_geo: mg.disk_mesh(l, n), id=f"disk{level}-Ngeo{N_geo}")
        for level in range(4) for N_geo in (1, 2, 3, 6)]
-    + [pytest.param(lambda: mg.disk_mesh(1, 2, n0=3), id="disk1-Ngeo2-n0=3"),
-       pytest.param(lambda: mg.disk_base_mesh(5, radial=3), id="disk_base5-radial3"),
-       pytest.param(lambda: mg.refine(mg.disk_base_mesh(5, radial=3)), id="refine-disk_base5"),
-       pytest.param(lambda: mg.random_perturbed_mesh(6, 2, 0.3, seed=3), id="random-retries")]
+    + [pytest.param(lambda: mg.random_perturbed_mesh(6, 2, 0.3, seed=3), id="random-retries")]
     # draws near the retry limit (4, 11 and 18 rejected draws)
     + [pytest.param(lambda a=args: mg.random_perturbed_mesh(*a[:3], seed=a[3]),
                     id="random-{}-{}-{}-seed{}".format(*args))
@@ -568,7 +613,8 @@ def test_face_shared_by_three_elements_rejected():
     # with the unit square
     nodes = mg.uniform_quad_mesh(2, domain=((0, 2), (0, 1))).elem_map_nodes
     nodes = np.concatenate([nodes[:2], nodes[1:2]])
+    corners = nodes[:, mg._corner_indices(1), :]
     with pytest.raises(ValueError, match="more than two faces"):
-        mg._build_connectivity(nodes, 1)
+        mg._build_connectivity(corners)
     # the dict matcher silently left the third claimant as a boundary face
-    assert ref_build_connectivity(nodes, 1)[1][2, 3] == mg.BOUNDARY_DIRICHLET
+    assert ref_build_connectivity(corners)[1][2, 3] == mg.BOUNDARY_DIRICHLET

@@ -13,7 +13,7 @@ from wadg import refelem as rf
 from wadg import solver as sv
 from wadg.solver import FluxParams, Formulation, MassMode, SolverConfig
 
-from conftest import fit_slope
+from conftest import fit_slope, pairwise_slopes
 
 
 FORMS = ["strong", "strong-weak"]
@@ -242,6 +242,29 @@ class TestMassInverse:
             errs[mode] = diag["l2_error_p"][-1]
         ratio = errs[MassMode.WADG] / errs[MassMode.ExactCurvedMass]
         assert 0.99 <= ratio <= 1.01
+
+    def test_wadg_tracks_exact_mass_to_higher_order_on_disk(self):
+        # on the disk family (bounded kappa~) the WADG error converges at
+        # N + 1, and its distance to the exact-mass solution one order faster
+        N, T = 3, 0.5
+        ref = rf.build_reference_element(N, 2 * N + 4)
+        hs, errs, diffs = [], [], []
+        for level in range(4):
+            mesh = mg.disk_mesh(level, N)
+            out, dt = [], None
+            for mode in (MassMode.WADG, MassMode.ExactCurvedMass):
+                out.append(sv.run(mesh, SolverConfig(N=N, mass_mode=mode),
+                                  sv.bessel_initial_condition, T,
+                                  exact_p=sv.bessel_pressure, n_outputs=1, dt=dt))
+                dt = out[0][1]["dt"]
+            (wadg, dw), (exact, de) = out
+            assert de["steps"] == dw["steps"]
+            geo = geom.compute_volume_geometry(mesh, ref)
+            diffs.append(ops.global_l2_error(ref, geo, wadg.p - exact.p, lambda x, y: 0 * x))
+            hs.append(mesh.h)
+            errs.append(dw["l2_error_p"][-1])
+        assert np.all(pairwise_slopes(hs, diffs) >= N + 2 - 0.3), pairwise_slopes(hs, diffs)
+        assert abs(fit_slope(hs, errs) - (N + 1)) <= 0.35, fit_slope(hs, errs)
 
 
 class TestLSRK:
@@ -516,11 +539,29 @@ class TestRun:
                              sv.bessel_initial_condition, 0.0)
         assert calls == [] and state.t == 0.0 and len(diag["t"]) == 1
 
-    @pytest.mark.parametrize("T, n_outputs", [(-0.1, 10), (0.1, 0)])
+    @pytest.mark.parametrize("T, n_outputs", [(-0.1, 10), (0.1, 0), (np.inf, 10),
+                                              (np.nan, 10)])
     def test_bad_run_length_rejected(self, T, n_outputs):
-        with pytest.raises(sv.ConfigError):
+        with pytest.raises(sv.ConfigError, match=f"T = {T}"):
             sv.run(mg.disk_mesh(0, 1), SolverConfig(N=1),
                    sv.bessel_initial_condition, T, n_outputs=n_outputs)
+
+    def test_step_count_capped_before_first_step(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sv, "lsrk_step", lambda q, dt, disc: calls.append(dt) or q)
+        with pytest.raises(sv.ConfigError,
+                           match=r"T = 1.0 at dt = 1.000e-08 takes 1.000e\+08 steps"):
+            sv.run(mg.disk_mesh(0, 1), SolverConfig(N=1),
+                   sv.bessel_initial_condition, 1.0, dt=1e-8)
+        assert calls == []
+        # the cap itself is allowed
+        monkeypatch.setattr(sv, "MAX_STEPS", 5)
+        sv.run(mg.disk_mesh(0, 1), SolverConfig(N=1), sv.bessel_initial_condition, 1.0,
+               dt=0.2)
+        assert len(calls) == 5
+        with pytest.raises(sv.ConfigError, match="MAX_STEPS = 5"):
+            sv.run(mg.disk_mesh(0, 1), SolverConfig(N=1), sv.bessel_initial_condition,
+                   1.0, dt=0.19)
 
     @pytest.mark.parametrize("dt", [0.0, -0.1, np.nan, np.inf])
     def test_bad_dt_rejected_before_setup(self, monkeypatch, dt):
