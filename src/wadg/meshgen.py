@@ -49,6 +49,8 @@ class CurvedMesh2D:
         (-1, -1) on boundary faces.
     boundary_tags: (K, 4); positive entries mark Dirichlet faces,
         zero entries interior faces.
+    h: the longest element diagonal (corner to opposite corner) for every
+        generated mesh.
     """
 
     N_geo: int
@@ -104,11 +106,14 @@ def _build_connectivity(corners):
     return conn, tags
 
 
-def _assemble_quad_mesh(elem_map_nodes, N_geo, h, provenance, validate=True):
-    conn, tags = _build_connectivity(elem_map_nodes[:, _corner_indices(N_geo), :])
+def _assemble_quad_mesh(elem_map_nodes, N_geo, provenance, validate=True):
+    """Mesh of the given mapping nodes, with h its longest element diagonal."""
+    corners = elem_map_nodes[:, _corner_indices(N_geo), :]
+    conn, tags = _build_connectivity(corners)
     mesh = CurvedMesh2D(
         N_geo=N_geo, elem_map_nodes=np.ascontiguousarray(elem_map_nodes),
-        face_connectivity=conn, boundary_tags=tags, h=h, provenance=provenance)
+        face_connectivity=conn, boundary_tags=tags, h=_max_diagonal(corners),
+        provenance=provenance)
     if validate:
         geometry.validate_positive_jacobian(mesh)
     return mesh
@@ -175,33 +180,32 @@ def uniform_quad_mesh(K1D, domain=((-1.0, 1.0), (-1.0, 1.0)), N_geo=1):
     ty = _grid_1d(y0, y1, K1D, N_geo)
     gx, gy = np.meshgrid(tx, ty, indexing="ij")
     nodes = _elements_from_global_grid(gx, gy, K1D, N_geo)
-    h = float(np.hypot((x1 - x0) / K1D, (y1 - y0) / K1D))
     prov = {"kind": "uniform", "K1D": K1D, "domain": domain, "N_geo": N_geo}
-    return _assemble_quad_mesh(nodes, N_geo, h, prov, validate=False)
+    return _assemble_quad_mesh(nodes, N_geo, prov, validate=False)
 
 
 def arnold_mesh(level, N_geo=1):
     """Trapezoidal mesh of [0, 1]^2 that stays non-affine under refinement.
 
     Vertical grid lines are straight; interior horizontal vertices are
-    offset by +-h/4 in a checkerboard pattern, so every element is a
-    trapezoid with parallel vertical edges (side ratio 1:3 away from the
-    top/bottom rows) and an elementwise-linear Jacobian.  Refinement is
+    offset by +-dx/4 (dx = 1/K1D) in a checkerboard pattern, so every
+    element is a trapezoid with parallel vertical edges (side ratio 1:3
+    away from the top/bottom rows) and an elementwise-linear Jacobian.  Refinement is
     self-similar: level l+1 is the same pattern at half the spacing.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
     K1D = 2 ** (level + 1)
-    h = 1.0 / K1D
+    dx = 1.0 / K1D
     # bilinear vertex grid
-    vx = np.arange(K1D + 1) * h
+    vx = np.arange(K1D + 1) * dx
     VX, VY = np.meshgrid(vx, vx, indexing="ij")
     VY = VY.copy()
     sign = np.where(np.add.outer(np.arange(K1D + 1), np.arange(1, K1D)) % 2, -1.0, 1.0)
-    VY[:, 1:K1D] += sign * h / 4.0
+    VY[:, 1:K1D] += sign * dx / 4.0
     nodes = _bilinear(_grid_corners(np.stack([VX, VY], axis=-1)), N_geo)
     prov = {"kind": "arnold", "level": level, "N_geo": N_geo}
-    return _assemble_quad_mesh(nodes, N_geo, h, prov, validate=False)
+    return _assemble_quad_mesh(nodes, N_geo, prov, validate=False)
 
 
 _RANDOM_MESH_RETRIES = 20
@@ -216,13 +220,13 @@ def random_perturbed_mesh(K1D, N_geo, amplitude, seed,
     on the global node grid), boundary nodes stay put, and the result is
     deterministic in `seed`.  Offsets are drawn uniformly within
     amplitude * (smallest mapping-node gap), which keeps them below
-    amplitude * h.  A draw whose map folds is replaced by a fresh one, up
-    to 20 draws; then NonPositiveJacobian is raised.  Scanned over K1D 4
-    and 6, N_geo 1-3 and seeds 0-7 (48 sets): amplitude 0.2 always finds
-    an invertible map, 0.25 runs out of draws on 5 sets and 0.3 on 18.
+    amplitude * (element spacing).  A draw whose map folds is replaced by a
+    fresh one, up to 20 draws; then NonPositiveJacobian is raised.  Scanned
+    over K1D 4 and 6, N_geo 1-3 and seeds 0-7 (48 sets): amplitude 0.2
+    always finds an invertible map, 0.25 runs out of draws on 5 sets and
+    0.3 on 18.
     """
     (x0, x1), (y0, y1) = domain
-    dx = (x1 - x0) / K1D
     tx = _grid_1d(x0, x1, K1D, N_geo)
     ty = _grid_1d(y0, y1, K1D, N_geo)
     gap = min(np.diff(tx).min(), np.diff(ty).min())
@@ -230,7 +234,6 @@ def random_perturbed_mesh(K1D, N_geo, amplitude, seed,
     interior_x = (gx0 > x0 + 1e-12) & (gx0 < x1 - 1e-12)
     interior_y = (gy0 > y0 + 1e-12) & (gy0 < y1 - 1e-12)
     rng = np.random.default_rng(seed)
-    h = float(np.hypot(dx, (y1 - y0) / K1D))
     prov = {"kind": "random", "K1D": K1D, "N_geo": N_geo,
             "amplitude": amplitude, "seed": seed, "domain": domain}
     last_exc = None
@@ -239,7 +242,7 @@ def random_perturbed_mesh(K1D, N_geo, amplitude, seed,
         gy = gy0 + np.where(interior_y, rng.uniform(-amplitude * gap, amplitude * gap, gy0.shape), 0.0)
         nodes = _elements_from_global_grid(gx, gy, K1D, N_geo)
         try:
-            return _assemble_quad_mesh(nodes, N_geo, h, prov)
+            return _assemble_quad_mesh(nodes, N_geo, prov)
         except geometry.NonPositiveJacobian as exc:
             last_exc = exc
     raise last_exc
@@ -271,7 +274,7 @@ def warped_arnold_mesh(params, N_geo):
     gy = gy + blend * warp_displacement(omega, K1D, gx)
     nodes = _elements_from_global_grid(gx, gy, K1D, N_geo)
     prov = {"kind": "warped", "omega": omega, "K1D": K1D, "N_geo": N_geo}
-    return _assemble_quad_mesh(nodes, N_geo, hy, prov, validate=omega > 0)
+    return _assemble_quad_mesh(nodes, N_geo, prov, validate=omega > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +374,8 @@ def subdivide(mesh):
     nodes = np.empty((4 * K, npg, 2))
     for c, E in enumerate(evals):
         nodes[c::4] = np.einsum("pi,kid->kpd", E, mesh.elem_map_nodes)
-    h = _max_diagonal(nodes[:, _corner_indices(N_geo), :])
     prov = {"kind": "subdivided", "parent": mesh.provenance}
-    return _assemble_quad_mesh(nodes, N_geo, h, prov, validate=False)
+    return _assemble_quad_mesh(nodes, N_geo, prov, validate=False)
 
 
 def mesh_family(kind, levels, N_geo=1, **params):

@@ -2,6 +2,11 @@
 weight-adjusted projections, the square-root-weighted projection error, and
 moment (local conservation) diagnostics.
 
+The L2 projection is matrix-free too: conjugate gradients preconditioned by
+the weight-adjusted inverse, so neither the solver nor the convergence
+studies assemble a J-weighted mass matrix to project; only exact-mass mode
+and the moment diagnostic form dense per-element matrices.
+
 Element fields are coefficient arrays in the nodal basis of a
 ReferenceElement; weights live at that element's volume quadrature points.
 Batched forms take (K, Np) / (K, Nq) arrays; single-element (Np,) / (Nq,)
@@ -66,23 +71,68 @@ def apply_weight_adjusted_inverse(ref, w_inv, rhs, premultiplied=True):
     return out[0] if single else out
 
 
-def l2_project(ref, geo, exact_fn, mass=None):
+def l2_project(ref, geo, exact_fn):
     """Per-element coefficients of the J-weighted L2 projection of exact_fn.
 
-    Solves M_J c = Vq^T diag(w J) f elementwise by dense factorization; the
-    accuracy of M_J is set by ref's quadrature degree.  When exact_fn returns
-    a tuple of fields, all of them share one factorization per element and a
-    tuple of coefficient arrays is returned.  `mass` is M_J when the caller
-    already holds it.
+    Solves M_J c = Vq^T diag(w J) f by conjugate gradients batched over
+    elements, one field at a time, without forming M_J: each product is
+    ((c Vq^T) J) diag(w) Vq on ref's rule, whose degree sets the accuracy
+    of M_J.  The preconditioner is the weight-adjusted inverse
+    Mhat^-1 M_{1/J~} Mhat^-1, in the Gauss-collocated basis the pointwise
+    scale 1/(diag(Mhat) J~) with J~ the nodal values of J's degree-N
+    projection.  It approximates M_J^-1 to high order, so a few iterations
+    reach max|r| <= PCG_RTOL max|b|, and a zero load takes none; raises
+    FloatingPointError when Np + 2 iterations do not.  When exact_fn
+    returns a tuple of fields, a tuple of coefficient arrays is returned.
     """
     fq = exact_fn(geo.xq, geo.yq)
-    fields = fq if isinstance(fq, tuple) else (fq,)
-    M = weighted_mass_matrix(ref, geo.Jq, check=False) if mass is None else mass
-    wJ = ref.wq[None, :] * geo.Jq
-    rhs = np.stack([(wJ * f) @ ref.Vq for f in fields], axis=-1)   # (K, Np, n)
-    c = np.linalg.solve(M, rhs)
-    out = tuple(np.ascontiguousarray(c[:, :, i]) for i in range(len(fields)))
-    return out if isinstance(fq, tuple) else out[0]
+    single = not isinstance(fq, tuple)
+    WVq = ref.wq[:, None] * ref.Vq
+    loads = [(f * geo.Jq) @ WVq for f in ((fq,) if single else fq)]
+    del fq      # the point values are not needed by the solves
+    scale = 1.0 / (np.diag(ref.Mhat) * (geo.Jq @ ref.Pq.T))
+    out = tuple(_pcg(ref.Vq, WVq, geo.Jq, scale, b) for b in loads)
+    return out[0] if single else out
+
+
+PCG_RTOL = 1e-15
+
+
+def _dot(a, b):
+    return np.einsum("ki,ki->k", a, b)[:, None]
+
+
+def _ratio(a, b):
+    """a / b, 0 where b = 0: an element whose residual vanished stays put."""
+    return np.divide(a, b, out=np.zeros_like(a), where=b != 0)
+
+
+def _pcg(Vq, WVq, J, scale, b):
+    """Solve (Vq^T diag(J_k) WVq) x_k = b_k for every row k of b by conjugate
+    gradients preconditioned by the pointwise `scale`."""
+    tol = PCG_RTOL * np.max(np.abs(b))
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = rz = None
+    max_iter = b.shape[1] + 2
+    for it in range(max_iter + 1):
+        res = np.max(np.abs(r))
+        if res <= tol:
+            return x
+        if it == max_iter:
+            break
+        z = scale * r
+        rz, rz_old = _dot(r, z), rz
+        p = z if p is None else z + _ratio(rz, rz_old) * p
+        Ap = p @ Vq.T
+        Ap *= J
+        Ap = Ap @ WVq
+        alpha = _ratio(rz, _dot(p, Ap))
+        x += alpha * p
+        r -= alpha * Ap
+    raise FloatingPointError(
+        f"projection CG: max residual {res:.3e} after {max_iter} iterations, "
+        f"above {PCG_RTOL:g} x max load {np.max(np.abs(b)):.3e}")
 
 
 def wadg_pseudo_project(ref, geo, exact_fn, project_weight=False):

@@ -156,8 +156,9 @@ class Discretization:
     the only rule with metric terms and face geometry), the mass rule
     `ref_upd` (degree 2N+1 for WADG, whose points are the nodes, or
     `mass_deg`) with the weights `w_upd_p` = c^2/J and `w_upd_u` = 1/J,
-    face-trace gather tables, (exact mode only) `mass_J` and M^-1 Mhat on
-    the mass rule, and the `buffers` every time step writes.
+    face-trace gather tables, (exact mode only) M^-1 Mhat on the mass rule,
+    and the `buffers` every time step writes.  No dense per-element matrix
+    is held in WADG mode.
 
     Calling a Discretization on a (3, K, Np) array evaluates `rhs_full`.
     The right-hand sides and the arrays `lsrk_step` returns are those
@@ -183,12 +184,11 @@ class Discretization:
         self.w_upd_p = c2 / geo_upd.Jq
         self.w_upd_u = 1.0 / geo_upd.Jq
 
-        self.mass_J = self.mass_inv_p = self.mass_inv_u = None
-        if exact:
-            Mp = operators.weighted_mass_matrix(self.ref_upd, geo_upd.Jq / c2)
-            self.mass_J = operators.weighted_mass_matrix(self.ref_upd, geo_upd.Jq)
-            self.mass_inv_p = np.linalg.solve(Mp, self.ref.Mhat)   # M^-1 Mhat
-            self.mass_inv_u = np.linalg.solve(self.mass_J, self.ref.Mhat)
+        self.mass_inv_p = self.mass_inv_u = None
+        if exact:   # M^-1 Mhat
+            self.mass_inv_p, self.mass_inv_u = (
+                np.linalg.solve(operators.weighted_mass_matrix(self.ref_upd, w), self.ref.Mhat)
+                for w in (geo_upd.Jq / c2, geo_upd.Jq))
 
         # fused factors, (K, Nq) and flat (K, n_faces*nfq); the projections
         # carry the minus sign of every volume and lift term
@@ -340,7 +340,8 @@ def apply_mass_inverse(z, disc):
 
     WADG mode applies Pq diag(w) Vq on the mass rule, whose points are the
     nodes: a pointwise scale by c^2/J (pressure) and 1/J (velocity).  Exact
-    mode applies the stored per-element M^-1 Mhat.  The result is the
+    mode applies the stored per-element M^-1 Mhat as batched GEMMs, one for
+    the pressure and one for both velocity fields.  The result is the
     buffer `scratch` of disc, so z must be another array.
     """
     out = disc.buffers.scratch
@@ -348,8 +349,10 @@ def apply_mass_inverse(z, disc):
         for f, w in enumerate((disc.w_upd_p, disc.w_upd_u, disc.w_upd_u)):
             np.multiply(z[f], w, out=out[f])
     else:
-        for f, Minv in enumerate((disc.mass_inv_p, disc.mass_inv_u, disc.mass_inv_u)):
-            np.einsum("kij,kj->ki", Minv, z[f], out=out[f])
+        # (K, Np, Np) @ (K, Np, n): the fields of z stacked as columns
+        np.matmul(disc.mass_inv_p, z[0, :, :, None], out=out[0, :, :, None])
+        np.matmul(disc.mass_inv_u, z[1:].transpose(1, 2, 0),
+                  out=out[1:].transpose(1, 2, 0))
     return out
 
 
@@ -449,12 +452,10 @@ def stable_dt(disc):
 
 def project_initial_condition(disc, initial_fn):
     """(3, K, Np) L2 projection of (p, u1, u2) at t = 0 on the mass-exact
-    rule: initial_fn is evaluated once and all three fields share one
-    J-weighted mass matrix (the exact-mass one, when there is one) and its
-    factorization."""
+    rule: initial_fn is evaluated once, and operators.l2_project solves
+    for each field matrix-free, in both mass modes."""
     ref, geo = disc.rule(disc.mass_deg)
-    return np.stack(operators.l2_project(
-        ref, geo, lambda x, y: tuple(initial_fn(x, y)), mass=disc.mass_J))
+    return np.stack(operators.l2_project(ref, geo, lambda x, y: tuple(initial_fn(x, y))))
 
 
 FINITE_CHECK_STEPS = 10

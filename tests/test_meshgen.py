@@ -62,7 +62,8 @@ class TestUniform:
 class TestArnold:
     def test_level0(self):
         m = mg.arnold_mesh(0)
-        assert m.h == 0.5
+        # the longest diagonal spans a 1/2-wide column and a 5/8-tall side
+        assert m.h == pytest.approx(np.hypot(0.5, 0.625), rel=1e-15)
         assert m.K == 4
         # every element a trapezoid with parallel vertical edges
         n = m.N_geo + 1
@@ -221,15 +222,22 @@ class TestRefine:
             geom.element_areas(g0).sum(), abs=1e-12)
 
     def test_h_halves(self):
-        # exactly on the straight families; the largest curved diagonal
+        # exactly on the self-similar families; the largest diagonal of the
+        # others (the warp amplitude omega/(K1D+1) is not self-similar)
         # shrinks by a factor between 1.7 and 2
         for i, (kind, _, _) in enumerate(FAMILY_SPECS):
             m0, m1 = family(i, 2)
             assert m1.K == 4 * m0.K
-            if kind in ("uniform", "arnold", "warped"):
+            if kind in ("uniform", "arnold"):
                 assert m1.h == pytest.approx(m0.h / 2)
             else:
                 assert 1.7 < m0.h / m1.h <= 2.0
+
+    def test_h_is_the_longest_diagonal(self):
+        for i in range(len(FAMILY_SPECS)):
+            for m in family(i, 3):
+                corners = m.elem_map_nodes[:, mg._corner_indices(m.N_geo), :]
+                assert m.h == ref_max_diagonal(corners), (FAMILY_SPECS[i], m.h)
 
     def test_random_family_subdivides(self):
         m0, m1 = family(2, 2)
@@ -439,10 +447,17 @@ def ref_bilinear_elements(VX, VY, K1D, N_geo):
     return out
 
 
-def ref_assemble(nodes, N_geo, h, prov):
-    conn, tags = ref_build_connectivity(nodes[:, mg._corner_indices(N_geo), :])
+def ref_max_diagonal(corners):
+    """Longest corner-to-opposite-corner distance, element by element."""
+    return max(float(np.sqrt(np.sum((c[i] - c[i + 2]) ** 2)))
+               for c in corners for i in (0, 1))
+
+
+def ref_assemble(nodes, N_geo, prov):
+    corners = nodes[:, mg._corner_indices(N_geo), :]
+    conn, tags = ref_build_connectivity(corners)
     return mg.CurvedMesh2D(N_geo=N_geo, elem_map_nodes=nodes, face_connectivity=conn,
-                           boundary_tags=tags, h=h, provenance=prov)
+                           boundary_tags=tags, h=ref_max_diagonal(corners), provenance=prov)
 
 
 def ref_arnold_mesh(level, N_geo=1):
@@ -456,7 +471,7 @@ def ref_arnold_mesh(level, N_geo=1):
             VY[i, j] += (-1.0) ** (i + j) * h / 4.0
     nodes = ref_bilinear_elements(VX, VY, K1D, N_geo)
     prov = {"kind": "arnold", "level": level, "N_geo": N_geo}
-    return ref_assemble(nodes, N_geo, h, prov)
+    return ref_assemble(nodes, N_geo, prov)
 
 
 def ref_disk_corners(n, m, a=0.5):
@@ -532,10 +547,8 @@ def ref_disk_mesh(level, N_geo):
                          - ((1 - uu) * (1 - vv) * c[0] + uu * (1 - vv) * c[1]
                             + uu * vv * c[2] + (1 - uu) * vv * c[3]))
                 nodes[k, j * nq + i] = blend
-    corners_new = nodes[:, mg._corner_indices(N_geo), :]
-    h = float(np.max(np.linalg.norm(corners_new - np.roll(corners_new, 2, axis=1), axis=2)))
     prov = {"kind": "disk", "n": n, "radial": m, "N_geo": N_geo, "level": level}
-    return ref_assemble(nodes, N_geo, h, prov)
+    return ref_assemble(nodes, N_geo, prov)
 
 
 def ref_validate_positive_jacobian(mesh):

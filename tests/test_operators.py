@@ -1,3 +1,6 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from wadg import geometry as geom
 from wadg import meshgen as mg
 from wadg import operators as ops
 from wadg import refelem as rf
+from wadg import solver as sv
 
 from conftest import fit_slope
 
@@ -151,8 +155,7 @@ class TestProjections:
         ref, g = make_geo(warped, 3, vdeg=14)
         f = lambda x, y: np.exp(x) * np.cos(y)
         single = [ops.l2_project(ref, g, fn) for fn in (sin2d, f)]
-        M = ops.weighted_mass_matrix(ref, g.Jq)
-        both = ops.l2_project(ref, g, lambda x, y: (sin2d(x, y), f(x, y)), mass=M)
+        both = ops.l2_project(ref, g, lambda x, y: (sin2d(x, y), f(x, y)))
         for a, b in zip(single, both):
             assert np.max(np.abs(a - b)) < 1e-13 * np.max(np.abs(a))
 
@@ -213,6 +216,72 @@ class TestProjections:
             el.append(ops.global_l2_error(ref, g, ops.l2_project(ref, g, sin2d), sin2d))
         assert fit_slope(hs, ew) == pytest.approx(3.0, abs=0.35)
         assert fit_slope(hs, el) == pytest.approx(4.0, abs=0.35)
+
+
+PCG_MESHES = {
+    "disk": lambda: mg.disk_mesh(1, 3),
+    "arnold": lambda: mg.arnold_mesh(1),
+    "warped": lambda: mg.warped_arnold_mesh(mg.WarpParams(1.0, 4), 3),
+    "random": lambda: mg.random_perturbed_mesh(4, 3, 0.2, seed=3),
+}
+
+
+@pytest.fixture(scope="module")
+def pcg_meshes():
+    return {name: make() for name, make in PCG_MESHES.items()}
+
+
+def three_fields(x, y):
+    return np.exp(x) * np.cos(2 * y), sin2d(x, y) + x * y, np.zeros_like(x)
+
+
+class TestMatrixFreeProjection:
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", list(PCG_MESHES))
+    def test_equals_dense_solve(self, pcg_meshes, kind, N):
+        # on the mass-exact rule, as the solver projects
+        mesh = pcg_meshes[kind]
+        ref = rf.build_reference_element(N, 2 * N + 2 * mesh.N_geo)
+        g = geom.compute_volume_geometry(mesh, ref)
+        M = ops.weighted_mass_matrix(ref, g.Jq)
+        wJ = ref.wq * g.Jq
+        got = ops.l2_project(ref, g, three_fields)
+        for c, f in zip(got, three_fields(g.xq, g.yq)):
+            expect = np.linalg.solve(M, ((wJ * f) @ ref.Vq)[..., None])[..., 0]
+            assert np.max(np.abs(c - expect)) <= 1e-13 * max(np.max(np.abs(expect)), 1e-300)
+        assert not got[2].any()
+
+    def test_peak_memory_below_half_a_dense_mass_array(self):
+        N = 6
+        mesh = mg.disk_mesh(2, N)
+        ref = rf.build_reference_element(N, 4 * N)
+        g = geom.compute_volume_geometry(mesh, ref)
+        fn = lambda x, y: tuple(sv.bessel_initial_condition(x, y))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ops.l2_project(ref, g, fn)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        dense = mesh.K * ref.Np**2 * 8
+        assert peak < 0.5 * dense, peak / dense
+
+    @pytest.mark.parametrize("case", ["scattered-weight", "nan-load"])
+    def test_unconverged_solve_raises(self, case):
+        # a weight scattered over 4 decades at random, which no degree-N
+        # projection follows, or a non-finite load: Np + 2 iterations fail
+        ref = rf.build_reference_element(3, 8)
+        g = geom.compute_volume_geometry(mg.uniform_quad_mesh(2), ref)
+        fn = lambda x, y: np.cos(x + y)
+        if case == "scattered-weight":
+            J = 10.0 ** np.random.default_rng(0).uniform(-2, 2, g.Jq.shape)
+            g = SimpleNamespace(xq=g.xq, yq=g.yq, Jq=J)
+        else:
+            fn = lambda x, y: np.where(x > 0.5, np.nan, 1.0)
+        with pytest.raises(FloatingPointError, match="max residual .* after 18 iterations"):
+            ops.l2_project(ref, g, fn)
 
 
 class TestLSC:

@@ -223,6 +223,37 @@ class TestMassInverse:
                   if isinstance(a, np.ndarray) and a.shape == shape}
         assert fields == {"scratch", "rhs_pre", "y", "res"}
 
+    @pytest.mark.parametrize("mode", ["wadg", "exact"])
+    def test_wadg_run_forms_no_dense_element_matrix(self, monkeypatch, mode):
+        # weighted_mass_matrix raises, and so does every linalg routine given
+        # a stack of per-element matrices; the reference element's own
+        # single-matrix solves stay allowed.  Exact mode must trip the guard.
+        class DenseElementMatrix(Exception):
+            pass
+
+        def forbid(*args, **kwargs):
+            raise DenseElementMatrix
+
+        def unbatched(fn):
+            def guarded(a, *args, **kwargs):
+                if np.ndim(a) >= 3:
+                    raise DenseElementMatrix
+                return fn(a, *args, **kwargs)
+            return guarded
+
+        monkeypatch.setattr(ops, "weighted_mass_matrix", forbid)
+        for name in ("solve", "inv", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, unbatched(getattr(np.linalg, name)))
+        cfg = SolverConfig(N=3, mass_mode=MassMode(mode))
+        run = lambda: sv.run(mg.disk_mesh(2, 3), cfg, sv.bessel_initial_condition, 0.01,
+                             exact_p=sv.bessel_pressure, n_outputs=1)
+        if mode == "exact":
+            with pytest.raises(DenseElementMatrix):
+                run()
+        else:
+            _, diag = run()
+            assert diag["l2_error_p"][-1] < 1e-3
+
     def test_heterogeneous_wavespeed_pointwise(self, curved_mesh):
         c2 = lambda x, y: 1.0 + 0.5 * np.sin(np.pi * np.hypot(x, y))
         med = sv.MediumField(c2)
