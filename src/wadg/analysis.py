@@ -189,14 +189,13 @@ def default_exact_fn(x, y):
 PROJECTION_METHODS = ("l2", "wadg", "lsc")
 
 
-def projection_convergence_study(meshes, N, method, exact_fn=default_exact_fn,
-                                 quad_margin=4, window=3):
+def projection_convergence_study(meshes, N, method, exact_fn=default_exact_fn):
     """Global L2 error of the chosen projection on each mesh of a family.
 
     method: 'l2' (weighted L2 projection), 'wadg' (weight-adjusted
     pseudo-projection), or 'lsc' (square-root-weighted projection error).
-    Quadrature degree 2N + 2 N_geo + quad_margin approximates the exact
-    integration used in the reference results.
+    Quadrature degree 2N + 2 N_geo + 4 approximates the exact integration
+    used in the reference results.
     """
     if len(meshes) < 4:
         raise ValueError("need at least 4 refinement levels")
@@ -204,7 +203,7 @@ def projection_convergence_study(meshes, N, method, exact_fn=default_exact_fn,
         raise ValueError(f"unknown method {method!r}")
     hs, errs = [], []
     for mesh in meshes:
-        deg = 2 * N + 2 * mesh.N_geo + quad_margin
+        deg = 2 * N + 2 * mesh.N_geo + 4
         ref = refelem.build_reference_element(N, deg)
         geo = geometry.compute_volume_geometry(mesh, ref)
         if method == "l2":
@@ -215,56 +214,58 @@ def projection_convergence_study(meshes, N, method, exact_fn=default_exact_fn,
             err = float(np.sqrt(np.sum(operators.lsc_projection_error(ref, geo, exact_fn) ** 2)))
         hs.append(mesh.h)
         errs.append(err)
-    return ConvergenceRecord(hs, errs, window=window, label=f"projection-{method}-N{N}")
+    return ConvergenceRecord(hs, errs, label=f"projection-{method}-N{N}")
 
 
-def kappa_growth_study(omega, N, levels=5, N_geo=None, K1D0=4, window=3):
+def kappa_growth_study(omega, N, levels=5):
     """Growth of max_k ||1/J|| * ||J||_{W^{N+1,inf}} on the cosine-warped
-    family; fitted slope is negative for growing constants."""
+    family, 4 * 2^l elements a side at level l, N_geo = N; fitted slope is
+    negative for growing constants."""
     if levels < 4:
         raise ValueError("need at least 4 refinement levels")
-    N_geo = N_geo or N
     hs, ks = [], []
     for l in range(levels):
-        mesh = meshgen.warped_arnold_mesh(meshgen.WarpParams(omega, K1D0 * 2**l), N_geo)
+        mesh = meshgen.warped_arnold_mesh(meshgen.WarpParams(omega, 4 * 2**l), N)
         hs.append(mesh.h)
         ks.append(geometry.kappa_tilde(mesh, N + 1))
-    return ConvergenceRecord(hs, ks, window=window, label=f"kappa-omega{omega}-N{N}")
+    return ConvergenceRecord(hs, ks, label=f"kappa-omega{omega}-N{N}")
 
 
-def conservation_rate_study(N=2, N_geo=None, levels=(1, 2, 3, 4),
-                            exact_fn=default_exact_fn, window=3):
+def conservation_rate_study(N=2, levels=(1, 2, 3, 4)):
     """Zeroth-moment discrepancy of the weight-adjusted inner product with
-    w = J on nested disk meshes.
+    w = J and u = default_exact_fn on nested disk meshes.
 
     Uses a quadrature much richer than the (N+1)^2-point update rule: on
     exactly that tensor rule any weight is point-equivalent to a Q^N
     polynomial and the discrete operator is exactly conservative, so the
-    continuous-operator rate is only visible on finer rules.  N_geo
-    defaults to N+1 since one-curved-edge isoparametric Jacobians of degree
-    N stay inside Q^N.
+    continuous-operator rate is only visible on finer rules.  N_geo is
+    N+1 since one-curved-edge isoparametric Jacobians of degree N stay
+    inside Q^N.  Raises ValueError for an empty `levels`.
     """
-    N_geo = N_geo or N + 1
+    if len(levels) < 1:
+        raise ValueError(f"need at least 1 refinement level, got {len(levels)}")
     ref = refelem.build_reference_element(N, 4 * N + 6)
     hs, errs = [], []
     for l in levels:
-        mesh = meshgen.disk_mesh(l, N_geo)
+        mesh = meshgen.disk_mesh(l, N + 1)
         geo = geometry.compute_volume_geometry(mesh, ref)
         hs.append(mesh.h)
-        errs.append(operators.conservation_moment_error(ref, geo, geo.Jq, exact_fn, 0))
-    return ConvergenceRecord(hs, errs, window=window, label=f"conservation-N{N}")
+        errs.append(operators.conservation_moment_error(ref, geo, geo.Jq, default_exact_fn, 0))
+    return ConvergenceRecord(hs, errs, label=f"conservation-N{N}")
 
 
 def wave_convergence_study(meshes, N, config=None, T=1.0, medium=MediumField(),
-                           mass_modes=(MassMode.WADG,), window=3,
-                           dt_check=False, n_outputs=1):
-    """Final-time pressure L2 error of the disk standing mode per mesh.
+                           mass_modes=(MassMode.WADG,), dt_check=False):
+    """Final-time pressure L2 error of the disk standing mode per mesh, from
+    runs at n_outputs = 1.
 
     Returns {mass_mode: ConvergenceRecord}.  With dt_check=True the coarsest
     level is rerun at half the time step that `run` uses there and the
     relative error change is stored in record.label (must be < 1% for the
-    spatial error to dominate).
+    spatial error to dominate).  Raises ValueError for no meshes.
     """
+    if len(meshes) < 1:
+        raise ValueError(f"need at least 1 refinement level, got {len(meshes)}")
     if config is None:
         config = SolverConfig(N=N)
     out = {}
@@ -272,15 +273,15 @@ def wave_convergence_study(meshes, N, config=None, T=1.0, medium=MediumField(),
         cfg = replace(config, N=N, mass_mode=mode)
         diags = [solver.run(mesh, cfg, solver.bessel_initial_condition, T,
                             medium=medium, exact_p=solver.bessel_pressure,
-                            n_outputs=n_outputs)[1] for mesh in meshes]
+                            n_outputs=1)[1] for mesh in meshes]
         hs = [mesh.h for mesh in meshes]
         errs = [d["l2_error_p"][-1] for d in diags]
         label = f"wave-N{N}-{mode.value}"
         if dt_check:
             _, diag2 = solver.run(meshes[0], cfg, solver.bessel_initial_condition, T,
                                   medium=medium, exact_p=solver.bessel_pressure,
-                                  n_outputs=n_outputs, dt=0.5 * diags[0]["dt"])
+                                  n_outputs=1, dt=0.5 * diags[0]["dt"])
             rel = abs(diag2["l2_error_p"][-1] - errs[0]) / errs[0]
             label += f"-dtcheck{rel:.2e}"
-        out[mode] = ConvergenceRecord(hs, errs, window=window, label=label)
+        out[mode] = ConvergenceRecord(hs, errs, label=label)
     return out

@@ -202,10 +202,12 @@ def cmd_run(args, rd):
     T = float(doc.get("T", 1.0))
     if not 0 <= T < np.inf:
         raise ConfigError(f"T must be finite and >= 0, got T = {T}")
-    interval = float(doc.get("output_interval", T / 10))
-    if not 0 < interval <= T or abs(round(T / interval) * interval - T) > 1e-9 * T:
-        raise ConfigError(f"output_interval must divide T = {T}, got {interval}")
-    n_out = round(T / interval)
+    n_out = 10          # at T = 0, run records the projected state once
+    if "output_interval" in doc:
+        interval = float(doc["output_interval"])
+        if not 0 < interval <= T or abs(round(T / interval) * interval - T) > 1e-9 * T:
+            raise ConfigError(f"output_interval must divide T = {T}, got {interval}")
+        n_out = round(T / interval)
     exact = solver.bessel_pressure if doc.get("medium", "constant") == "constant" else None
     state, diag = solver.run(mesh, cfg, solver.bessel_initial_condition, T,
                              medium=medium, exact_p=exact, n_outputs=n_out)
@@ -236,8 +238,6 @@ def build_parser():
         q.add_argument("--N-geo", type=int, default=None, dest="N_geo")
         q.add_argument("--formulation", choices=["strong", "strong-weak"], default="strong")
         q.add_argument("--mass-mode", choices=["wadg", "exact"], default="wadg")
-        q.add_argument("--tau", type=float, default=None,
-                       help="set both penalty parameters")
         q.add_argument("--tau-p", type=float, default=1.0)
         q.add_argument("--tau-u", type=float, default=1.0)
         q.add_argument("--cfl", type=float, default=SolverConfig.cfl,
@@ -303,8 +303,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tau", None) is not None:
-        args.tau_p = args.tau_u = args.tau
     rd = _RunDir(args.out_dir, args)
     try:
         code = args.func(args, rd)

@@ -168,15 +168,15 @@ def exterior_face_index(face_connectivity, nfq):
     """Flat index, shape (K, n_faces, nfq), of the exterior value of each
     face point in an array of face values laid out (K, n_faces, nfq).  Point
     i of a face meets point nfq-1-i of its neighbour's face (conforming CCW
-    reversal); boundary faces (neighbour -1) index their own reversed points.
+    reversal); a boundary face (neighbour -1) indexes its own points.
     """
     K, nf = face_connectivity.shape[:2]
     nk, nfc = face_connectivity[..., 0], face_connectivity[..., 1]
-    ext_k = np.where(nk >= 0, nk, np.arange(K)[:, None])
-    ext_f = np.where(nk >= 0, nfc, np.arange(nf)[None, :])
+    own = np.arange(K * nf * nfq).reshape(K, nf, nfq)
     rev = np.arange(nfq)[::-1]
-    return (ext_k[:, :, None] * (nf * nfq) + ext_f[:, :, None] * nfq
-            + rev[None, None, :])
+    ext = (nk[:, :, None] * (nf * nfq) + nfc[:, :, None] * nfq
+           + rev[None, None, :])
+    return np.where((nk >= 0)[:, :, None], ext, own)
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +252,12 @@ def jacobian_sup_norms(mesh, order):
     M = order
 
     nodes = refelem.interpolation_nodes(ngeo)
-    Vg = refelem.eval_modal_basis(ngeo, nodes)
+    Vg = refelem.modal_deriv_eval(ngeo, nodes)
     # J is a polynomial of per-coordinate degree <= 2 ngeo; interpolate it
     # exactly on a degree-2 ngeo GLL grid
     nj = 2 * ngeo + 1
     jgrid = _sample_grid(nj)
-    Vj = refelem.eval_modal_basis(2 * ngeo, jgrid)
+    Vj = refelem.modal_deriv_eval(2 * ngeo, jgrid)
     Egr, Egs = refelem.nodal_grad_matrices(ngeo, jgrid)
 
     S = M + 2

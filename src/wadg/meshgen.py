@@ -458,7 +458,7 @@ def validate_mesh(mesh):
     ext = geometry.exterior_face_index(mesh.face_connectivity, xf.shape[2])
     gap = np.linalg.norm(xf - xf.reshape(-1, 2)[ext], axis=-1).max(axis=-1)
     size = np.ptp(mesh.elem_map_nodes, axis=1).max(axis=-1)
-    _fail_at(inner & ~(gap <= 1e-10 * size[:, None]),
+    _fail_at(~(gap <= 1e-10 * size[:, None]),
              "face quadrature points do not match the neighbour's")
 
 

@@ -9,8 +9,7 @@ and the moment diagnostic form dense per-element matrices.
 
 Element fields are coefficient arrays in the nodal basis of a
 ReferenceElement; weights live at that element's volume quadrature points.
-Batched forms take (K, Np) / (K, Nq) arrays; single-element (Np,) / (Nq,)
-inputs are accepted everywhere.
+Every function takes batched (K, Np) / (K, Nq) arrays, one row per element.
 """
 
 from __future__ import annotations
@@ -27,8 +26,9 @@ def _check_weight(w):
         raise NotSPD(f"weight must be positive and finite, min = {np.min(w):.3e}")
 
 
-def weighted_mass_matrix(ref, w, check=True):
-    """Mass matrices int phi_i phi_j w, one per row of w, shape (..., Np, Np).
+def weighted_mass_matrix(ref, w):
+    """Mass matrices int phi_i phi_j w, one per row of the (K, Nq) weights w,
+    shape (K, Np, Np).
 
     Assembled with ref's volume quadrature; requires exactness >= 2N for w
     constant in P^0 to be exact.  One GEMM of the weights against the table
@@ -36,39 +36,29 @@ def weighted_mass_matrix(ref, w, check=True):
     every matrix is exactly symmetric.  Raises NotSPD if any matrix fails a
     Cholesky factorization.
     """
-    w = np.asarray(w, dtype=float)
-    single = w.ndim == 1
-    W = np.atleast_2d(w) * ref.wq[None, :]
+    W = np.asarray(w, dtype=float) * ref.wq[None, :]
     Np = ref.Np
     B = (ref.Vq[:, :, None] * ref.Vq[:, None, :]).reshape(ref.Nq, Np * Np)
     M = (W @ B).reshape(-1, Np, Np)
-    if check:
-        try:
-            np.linalg.cholesky(M)
-        except np.linalg.LinAlgError as exc:
-            raise NotSPD(f"weighted mass matrix not positive definite: {exc}") from exc
-    return M[0] if single else M
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise NotSPD(f"weighted mass matrix not positive definite: {exc}") from exc
+    return M
 
 
-def apply_weight_adjusted_inverse(ref, w_inv, rhs, premultiplied=True):
-    """Matrix-free application of Mhat^-1 M_{1/w} Mhat^-1 to rhs.
+def apply_weight_adjusted_inverse(ref, w_inv, rhs):
+    """Matrix-free application of Mhat^-1 M_{1/w} Mhat^-1 to the (K, Np) rhs:
+    Pq diag(w_inv) Vq Mhat^-1 rhs.
 
-    `w_inv` holds values of 1/w at ref's volume quadrature points.  With
-    premultiplied=True (the fused-kernel convention) rhs is assumed to carry
-    a leading Mhat^-1 already and the result is Pq diag(w_inv) Vq rhs.
+    `w_inv` holds values of 1/w at ref's volume quadrature points, (K, Nq).
     Only reference matrices and the pointwise weight values are touched; no
     per-element matrix is formed.  On the degree 2N+1 rule, whose points
     are the solution nodes, Vq = Pq = I and this is the pointwise scale the
     solver applies directly.
     """
-    w_inv = np.asarray(w_inv, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    single = rhs.ndim == 1
-    z = np.atleast_2d(rhs)
-    if not premultiplied:
-        z = z @ ref.Mhat_inv.T
-    out = ((z @ ref.Vq.T) * w_inv) @ ref.Pq.T
-    return out[0] if single else out
+    z = np.asarray(rhs, dtype=float) @ ref.Mhat_inv.T
+    return ((z @ ref.Vq.T) * w_inv) @ ref.Pq.T
 
 
 def l2_project(ref, geo, exact_fn):
@@ -149,7 +139,7 @@ def wadg_pseudo_project(ref, geo, exact_fn, project_weight=False):
     Jq = geo.Jq
     if project_weight:
         Jq = (Jq @ ref.Pq.T) @ ref.Vq.T
-    return apply_weight_adjusted_inverse(ref, 1.0 / Jq, load, premultiplied=False)
+    return apply_weight_adjusted_inverse(ref, 1.0 / Jq, load)
 
 
 def lsc_projection_error(ref, geo, exact_fn):

@@ -147,16 +147,6 @@ def modal_deriv_eval(N, points, a=0, b=0):
     return np.einsum("pi,pj->pij", A, B).reshape(pts.shape[0], -1)
 
 
-def eval_modal_basis(N, points):
-    """Orthonormal basis values at `points`, shape (n_points, N_p)."""
-    return modal_deriv_eval(N, points)
-
-
-def eval_modal_basis_grad(N, points):
-    """(d/dr, d/ds) of the orthonormal basis at `points`."""
-    return modal_deriv_eval(N, points, 1, 0), modal_deriv_eval(N, points, 0, 1)
-
-
 # ---------------------------------------------------------------------------
 # Interpolation nodes
 
@@ -171,7 +161,7 @@ def interpolation_nodes(N):
 
 def nodal_vandermonde(N, nodes):
     """Modal Vandermonde at the nodes; raises if numerically singular."""
-    V = eval_modal_basis(N, nodes)
+    V = modal_deriv_eval(N, nodes)
     if V.shape[0] != V.shape[1]:
         raise SingularNodalBasis(
             f"{V.shape[0]} nodes cannot be unisolvent for dimension {V.shape[1]}")
@@ -194,14 +184,14 @@ def nodal_eval_matrix(N, points):
     """Matrix mapping nodal values on the mapping nodes (interpolation_nodes)
     to values at `points`; rows are Lagrange basis evaluations."""
     _, V, _ = _cached_nodal_basis(N)
-    M = eval_modal_basis(N, points)
+    M = modal_deriv_eval(N, points)
     return np.linalg.solve(V.T, M.T).T
 
 
 def nodal_grad_matrices(N, points):
     """(d/dr, d/ds) analogue of :func:`nodal_eval_matrix`."""
     _, V, _ = _cached_nodal_basis(N)
-    Mr, Ms = eval_modal_basis_grad(N, points)
+    Mr, Ms = modal_deriv_eval(N, points, 1, 0), modal_deriv_eval(N, points, 0, 1)
     Dr = np.linalg.solve(V.T, Mr.T).T
     Ds = np.linalg.solve(V.T, Ms.T).T
     return Dr, Ds
@@ -267,8 +257,8 @@ def build_reference_element(N, degree=None):
     def to_nodal(M):
         return np.linalg.solve(Vmodal.T, M.T).T
 
-    Vq = to_nodal(eval_modal_basis(N, quad.points))
-    Mr, Ms = eval_modal_basis_grad(N, quad.points)
+    Vq = to_nodal(modal_deriv_eval(N, quad.points))
+    Mr, Ms = modal_deriv_eval(N, quad.points, 1, 0), modal_deriv_eval(N, quad.points, 0, 1)
     Drq, Dsq = to_nodal(Mr), to_nodal(Ms)
 
     wq = quad.weights
@@ -284,7 +274,7 @@ def build_reference_element(N, degree=None):
     for f in range(N_FACES):
         pts = face_points(f, nf1d.points)
         fq_pts.append(pts)
-        Vf_blocks.append(to_nodal(eval_modal_basis(N, pts)))
+        Vf_blocks.append(to_nodal(modal_deriv_eval(N, pts)))
         wf_blocks.append(nf1d.weights)
     Vfq = np.vstack(Vf_blocks)
     wfq = np.concatenate(wf_blocks)

@@ -220,14 +220,12 @@ class Discretization:
 
     def _build_face_gather(self):
         mesh, nfq = self.mesh, self.ref.nfq
-        nf = mesh.n_faces * nfq
         self.bc_mask = np.repeat(mesh.boundary_tags > 0, nfq, axis=1)
+        # a boundary point is its own exterior point, so the velocity mirror
+        # u+ = u- is the gather itself, and the pressure mirror p+ = -p- a
+        # sign flip at _bc_points
         idx = geometry.exterior_face_index(mesh.face_connectivity, nfq)
-        # a boundary point is its own exterior point: the velocity mirror
-        # u+ = u- is then the gather itself, and the pressure mirror
-        # p+ = -p- a sign flip at _bc_points
-        own = np.arange(mesh.K * nf).reshape(mesh.K, nf)
-        self._gather_idx = np.where(self.bc_mask, own, idx.reshape(mesh.K, nf))
+        self._gather_idx = idx.reshape(mesh.K, -1)
         self._bc_points = np.flatnonzero(self.bc_mask)
 
     @functools.cached_property
@@ -239,18 +237,15 @@ class Discretization:
     def __call__(self, q):
         return rhs_full(q, self)
 
-    def face_traces(self, u, out=None):
-        """Interior and exterior traces at face quadrature points of a field
-        (K, Np) or of stacked fields (n, K, Np), each (..., K, n_faces*nfq):
-        one GEMM call and one gather for all fields.  The exterior value of
-        a boundary point is its own interior trace (callers apply the mirror
-        condition).  `out` is an optional pair of arrays to fill."""
+    def face_traces(self, q):
+        """Interior and exterior traces of the (3, K, Np) state q at the face
+        quadrature points, each (3, K, n_faces*nfq), written into
+        `buffers.traces`: one GEMM call and one gather for all fields.  The
+        exterior value of a boundary point is its own interior trace
+        (callers apply the mirror condition)."""
         K, nf = self._gather_idx.shape
-        if out is None:
-            shape = u.shape[:-1] + (nf,)
-            out = (np.empty(shape), np.empty(shape))
-        uf, up = out
-        np.matmul(u, self.ref.Vfq.T, out=uf)
+        uf, up = self.buffers.traces
+        np.matmul(q, self.ref.Vfq.T, out=uf)
         np.take(uf.reshape(-1, K * nf), self._gather_idx, axis=1, mode="clip",
                 out=up.reshape(-1, K, nf))
         return uf, up
@@ -259,7 +254,7 @@ class Discretization:
 def _surface_terms(q, disc, strong_weak, out):
     """Lifted penalty-flux terms of the three fields into out (3, K, Np)."""
     flux, geo = disc.flux, disc.geo
-    M, P = disc.face_traces(q, out=disc.buffers.traces)
+    M, P = disc.face_traces(q)
     np.negative.at(P[0].reshape(-1), disc._bc_points)   # Dirichlet p+ = -p-
     if strong_weak:
         # pressure flux 1/2 (2{u}.n - tau_p [p]): the sum part, before the

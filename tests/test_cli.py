@@ -115,6 +115,20 @@ class TestExitCodes:
         assert r.returncode == 2, r.stderr
         assert "unrecognized arguments" in r.stderr
 
+    @pytest.mark.parametrize("command", ["spectrum", "wave-convergence"])
+    def test_removed_tau_flag_exits_2(self, tmp_path, command):
+        r = run_cli("--out-dir", "out", command, "--tau", "0", cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "--tau could match --tau-p, --tau-u" in r.stderr
+
+    @pytest.mark.parametrize("command", ["wave-convergence", "conservation-study"])
+    def test_zero_levels_exits_2(self, tmp_path, command):
+        r = run_cli("--out-dir", "out", command, "--levels", "0", cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "need at least 1 refinement level, got 0" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not list((tmp_path / "out").glob("*.csv"))
+
     def test_spectrum_cap_exits_1(self, tmp_path):
         r = run_cli("--out-dir", "out", "spectrum", "--mesh", "uniform1", "--N", "1",
                     "--cap", "1", cwd=tmp_path)
@@ -142,7 +156,8 @@ class TestCommands:
 
     def test_spectrum_command(self, tmp_path):
         r = run_cli("--out-dir", "out", "spectrum", "--mesh", "disk0", "--N", "2",
-                    "--tau", "0", "--formulation", "strong-weak", cwd=tmp_path)
+                    "--tau-p", "0", "--tau-u", "0", "--formulation", "strong-weak",
+                    cwd=tmp_path)
         assert r.returncode == 0, r.stderr
         assert "max real part" in r.stdout
         # the spectral limit of the assembled spectrum leaves margin above stable_dt
@@ -164,6 +179,15 @@ class TestCommands:
         final_err = float(rows[-1][2])
         rec = an.wave_convergence_study([mg.disk_mesh(1, 2)], 2)
         assert final_err == pytest.approx(rec[MassMode.WADG].errors[0], rel=1e-12)
+
+    def test_zero_run_length_records_the_projection(self, tmp_path):
+        (tmp_path / "c.json").write_text(json.dumps({"N": 1, "mesh": "disk0", "T": 0}))
+        r = run_cli("--out-dir", "out", "run", "--config", "c.json", cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        rows = list(csv.reader(open(tmp_path / "out" / "timeseries.csv")))
+        assert len(rows) == 2
+        t, energy, err = map(float, rows[1])
+        assert t == 0.0 and np.isfinite(energy) and np.isfinite(err)
 
     def test_samples_finer_than_dt_record_every_step(self, tmp_path):
         # 100 requested samples, far fewer steps: one row per step and t = 0

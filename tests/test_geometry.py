@@ -156,6 +156,37 @@ class TestMetricData:
         assert np.max(np.abs(Jg @ E_q.T - g.Jq)) < 1e-10
 
 
+class TestExteriorFaceIndex:
+    NFQ = 3
+
+    @pytest.fixture(params=["uniform2", "disk1"])
+    def index(self, request):
+        """(connectivity, index, each point's own flat index, interior mask)."""
+        mesh = mg.uniform_quad_mesh(2) if request.param == "uniform2" else mg.disk_mesh(1, 2)
+        conn = mesh.face_connectivity
+        idx = geom.exterior_face_index(conn, self.NFQ)
+        assert idx.shape == (mesh.K, mesh.n_faces, self.NFQ)
+        own = np.arange(idx.size).reshape(idx.shape)
+        inner = np.broadcast_to(conn[..., :1] >= 0, idx.shape)
+        assert inner.any() and not inner.all()
+        return conn, idx, own, inner
+
+    def test_interior_point_meets_reversed_neighbour_point(self, index):
+        conn, idx, _, inner = index
+        nf, nfq = conn.shape[1], self.NFQ
+        i = np.arange(nfq)[None, None, :]
+        expect = (conn[..., :1] * nf + conn[..., 1:]) * nfq + (nfq - 1 - i)
+        assert np.array_equal(idx[inner], expect[inner])
+
+    def test_involution_on_interior_points(self, index):
+        _, idx, own, inner = index
+        assert np.array_equal(idx.ravel()[idx[inner]], own[inner])
+
+    def test_boundary_point_is_its_own_exterior(self, index):
+        _, idx, own, inner = index
+        assert np.array_equal(idx[~inner], own[~inner])
+
+
 class TestDivergenceTheorem:
     @pytest.mark.parametrize("make", [
         lambda: mg.warped_arnold_mesh(mg.WarpParams(1.0, 4), 3),

@@ -32,13 +32,14 @@ def warped():
 class TestWeightedMassMatrix:
     def test_unit_weight(self, warped):
         ref, g = make_geo(warped, 3)
-        M = ops.weighted_mass_matrix(ref, np.ones(ref.Nq))
-        assert np.max(np.abs(M - ref.Mhat)) < 1e-12
+        M = ops.weighted_mass_matrix(ref, np.ones((1, ref.Nq)))
+        assert M.shape == (1, ref.Np, ref.Np)
+        assert np.max(np.abs(M[0] - ref.Mhat)) < 1e-12
 
     def test_constant_weight_linearity(self, warped):
         ref, g = make_geo(warped, 3)
-        M = ops.weighted_mass_matrix(ref, np.full(ref.Nq, 2.75))
-        assert np.max(np.abs(M - 2.75 * ref.Mhat)) < 1e-12
+        M = ops.weighted_mass_matrix(ref, np.full((1, ref.Nq), 2.75))
+        assert np.max(np.abs(M[0] - 2.75 * ref.Mhat)) < 1e-12
 
     def test_jacobian_weight_vs_oversampled_oracle(self, warped):
         # phi phi J has per-coordinate degree 2N + 2 N_geo - 1; assembled at
@@ -61,24 +62,15 @@ class TestWeightedMassMatrix:
 class TestWeightAdjustedInverse:
     def test_unit_weight_collapses(self, warped, rng):
         ref, g = make_geo(warped, 3)
-        rhs = rng.standard_normal(ref.Np)
-        out = ops.apply_weight_adjusted_inverse(ref, np.ones(ref.Nq), rhs,
-                                                premultiplied=False)
-        assert np.max(np.abs(out - ref.Mhat_inv @ rhs)) < 1e-12
+        rhs = rng.standard_normal((1, ref.Np))
+        out = ops.apply_weight_adjusted_inverse(ref, np.ones((1, ref.Nq)), rhs)
+        assert np.max(np.abs(out - rhs @ ref.Mhat_inv.T)) < 1e-12
 
     def test_constant_weight(self, warped, rng):
         ref, g = make_geo(warped, 3)
-        rhs = rng.standard_normal(ref.Np)
-        out = ops.apply_weight_adjusted_inverse(ref, np.full(ref.Nq, 1 / 3.2), rhs,
-                                                premultiplied=False)
-        assert np.max(np.abs(out - (ref.Mhat_inv @ rhs) / 3.2)) < 1e-12
-
-    def test_premultiplied_convention(self, warped, rng):
-        ref, g = make_geo(warped, 3)
-        rhs = rng.standard_normal((warped.K, ref.Np))
-        full = ops.apply_weight_adjusted_inverse(ref, 1 / g.Jq, rhs, premultiplied=False)
-        pre = ops.apply_weight_adjusted_inverse(ref, 1 / g.Jq, rhs @ ref.Mhat_inv.T)
-        assert np.max(np.abs(full - pre)) < 1e-12
+        rhs = rng.standard_normal((1, ref.Np))
+        out = ops.apply_weight_adjusted_inverse(ref, np.full((1, ref.Nq), 1 / 3.2), rhs)
+        assert np.max(np.abs(out - (rhs @ ref.Mhat_inv.T) / 3.2)) < 1e-12
 
     def test_square_quadrature_degeneracy(self, warped, rng):
         """At an exactly (N+1)^2-point tensor rule Vq is square, and the
@@ -87,7 +79,7 @@ class TestWeightAdjustedInverse:
         ref, g = make_geo(warped, 3)  # default 2N+1: (N+1)^2 points
         assert ref.Nq == ref.Np
         rhs = rng.standard_normal((warped.K, ref.Np))
-        wadg = ops.apply_weight_adjusted_inverse(ref, 1 / g.Jq, rhs, premultiplied=False)
+        wadg = ops.apply_weight_adjusted_inverse(ref, 1 / g.Jq, rhs)
         M = ops.weighted_mass_matrix(ref, g.Jq)
         dense = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
         assert np.max(np.abs(wadg - dense)) < 1e-10 * np.max(np.abs(dense))
@@ -104,10 +96,9 @@ class TestWeightAdjustedInverse:
             ref_m, g_m = make_geo(m, N, vdeg=2 * N + 2 * m.N_geo)
             f = lambda x, y: np.cos(2 * x) * np.sin(1.5 * y)
             load = (ref_m.wq[None, :] * g_m.Jq * f(g_m.xq, g_m.yq)) @ ref_m.Vq
-            M = ops.weighted_mass_matrix(ref_m, g_m.Jq, check=False)
+            M = ops.weighted_mass_matrix(ref_m, g_m.Jq)
             exact_c = np.linalg.solve(M, load[:, :, None])[:, :, 0]
-            approx = ops.apply_weight_adjusted_inverse(ref, 1 / g.Jq, load,
-                                                       premultiplied=False)
+            approx = ops.apply_weight_adjusted_inverse(ref, 1 / g.Jq, load)
             zero = lambda x, y: 0.0 * x
             num = ops.global_l2_error(ref_m, g_m, approx - exact_c, zero)
             den = ops.global_l2_error(ref_m, g_m, exact_c, zero)
@@ -122,10 +113,9 @@ class TestWeightAdjustedInverse:
         weight-adjusted mass matrix is symmetric positive definite)."""
         ref, g = make_geo(warped, 2)
         k = 3
-        w_inv = 1 / g.Jq[k]
-        T = np.column_stack([
-            ops.apply_weight_adjusted_inverse(ref, w_inv, e, premultiplied=False)
-            for e in np.eye(ref.Np)])
+        # row i is the inverse applied to unit vector i, all on element k
+        w_inv = np.tile(1 / g.Jq[k], (ref.Np, 1))
+        T = ops.apply_weight_adjusted_inverse(ref, w_inv, np.eye(ref.Np)).T
         assert np.max(np.abs(T - T.T)) < 1e-9 * np.max(np.abs(T))
         for _ in range(20):
             v = rng.standard_normal(ref.Np)
@@ -179,8 +169,7 @@ class TestProjections:
     def test_pseudo_is_weight_adjusted_inverse_of_load(self, warped):
         ref, g = make_geo(warped, 3)
         load = (ref.wq[None, :] * g.Jq * sin2d(g.xq, g.yq)) @ ref.Vq
-        direct = ops.apply_weight_adjusted_inverse(ref, 1 / g.Jq, load,
-                                                   premultiplied=False)
+        direct = ops.apply_weight_adjusted_inverse(ref, 1 / g.Jq, load)
         assert np.max(np.abs(direct - ops.wadg_pseudo_project(ref, g, sin2d))) < 1e-14
 
     def test_exactness_collapse_constant_weight(self, rng):

@@ -64,13 +64,13 @@ class TestBuildQuadrature:
 
 class TestModalBasis:
     def test_constant_mode_quad(self):
-        V = rf.eval_modal_basis(2, np.array([[0.3, -0.2]]))
+        V = rf.modal_deriv_eval(2, np.array([[0.3, -0.2]]))
         assert V[0, 0] == pytest.approx(0.5, abs=1e-14)
 
     @pytest.mark.parametrize("N", [1, 3, 5], ids=quad_ids([1, 3, 5]))
     def test_gram_identity(self, N):
         q = rf.build_quadrature(2 * N)
-        V = rf.eval_modal_basis(N, q.points)
+        V = rf.modal_deriv_eval(N, q.points)
         G = V.T @ (q.weights[:, None] * V)
         assert np.max(np.abs(G - np.eye(V.shape[1]))) < 1e-10
 
@@ -78,11 +78,11 @@ class TestModalBasis:
     def test_gradient_matches_finite_differences(self, N):
         pts = np.array([[0.1, -0.3], [-0.5, -0.2], [0.0, -0.9], [-0.8, 0.5]])
         h = 1e-6
-        Vr, Vs = rf.eval_modal_basis_grad(N, pts)
-        Vr_fd = (rf.eval_modal_basis(N, pts + [h, 0])
-                 - rf.eval_modal_basis(N, pts - [h, 0])) / (2 * h)
-        Vs_fd = (rf.eval_modal_basis(N, pts + [0, h])
-                 - rf.eval_modal_basis(N, pts - [0, h])) / (2 * h)
+        Vr, Vs = rf.modal_deriv_eval(N, pts, 1, 0), rf.modal_deriv_eval(N, pts, 0, 1)
+        Vr_fd = (rf.modal_deriv_eval(N, pts + [h, 0])
+                 - rf.modal_deriv_eval(N, pts - [h, 0])) / (2 * h)
+        Vs_fd = (rf.modal_deriv_eval(N, pts + [0, h])
+                 - rf.modal_deriv_eval(N, pts - [0, h])) / (2 * h)
         assert np.max(np.abs(Vr - Vr_fd)) < 1e-8
         assert np.max(np.abs(Vs - Vs_fd)) < 1e-8
 
@@ -116,21 +116,21 @@ class TestReferenceElement:
     def test_interpolation_reproduction(self, N, rng):
         ref = rf.build_reference_element(N)
         coeffs = rng.standard_normal(ref.Np)
-        nodal = rf.eval_modal_basis(N, ref.nodes) @ coeffs
-        direct = rf.eval_modal_basis(N, ref.volume_quad.points) @ coeffs
+        nodal = rf.modal_deriv_eval(N, ref.nodes) @ coeffs
+        direct = rf.modal_deriv_eval(N, ref.volume_quad.points) @ coeffs
         assert np.max(np.abs(ref.Vq @ nodal - direct)) < 1e-10
 
     @pytest.mark.parametrize("N", [4], ids=[QUAD])
     def test_derivative_consistency(self, N, rng):
         ref = rf.build_reference_element(N)
         coeffs = rng.standard_normal(ref.Np)
-        nodal = rf.eval_modal_basis(N, ref.nodes) @ coeffs
+        nodal = rf.modal_deriv_eval(N, ref.nodes) @ coeffs
         h = 1e-6
         p = ref.volume_quad.points
-        fr = (rf.eval_modal_basis(N, p + [h, 0])
-              - rf.eval_modal_basis(N, p - [h, 0])) @ coeffs / (2 * h)
-        fs = (rf.eval_modal_basis(N, p + [0, h])
-              - rf.eval_modal_basis(N, p - [0, h])) @ coeffs / (2 * h)
+        fr = (rf.modal_deriv_eval(N, p + [h, 0])
+              - rf.modal_deriv_eval(N, p - [h, 0])) @ coeffs / (2 * h)
+        fs = (rf.modal_deriv_eval(N, p + [0, h])
+              - rf.modal_deriv_eval(N, p - [0, h])) @ coeffs / (2 * h)
         assert np.max(np.abs(ref.Drq @ nodal - fr)) < 1e-6
         assert np.max(np.abs(ref.Dsq @ nodal - fs)) < 1e-6
 

@@ -195,7 +195,8 @@ class TestMassInverse:
         z = random_state(disc, rng)
         got = sv.apply_mass_inverse(z, disc)
         for f, w in enumerate((disc.w_upd_p, disc.w_upd_u, disc.w_upd_u)):
-            expect = ops.apply_weight_adjusted_inverse(disc.ref_upd, w, z[f])
+            Mz = z[f] @ disc.ref_upd.Mhat.T
+            expect = ops.apply_weight_adjusted_inverse(disc.ref_upd, w, Mz)
             assert np.max(np.abs(got[f] - expect)) <= 1e-14 * np.max(np.abs(expect))
 
     @pytest.mark.parametrize("mode", ["wadg", "exact"])

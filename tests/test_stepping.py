@@ -48,7 +48,7 @@ def ref_weighted_mass_matrix(ref, w):
 
 
 class RefOperators:
-    """Fused face factors and the reversed-boundary gather, rebuilt from
+    """Fused face factors and the exterior-point gather, rebuilt from
     disc's reference element and geometry only."""
 
     def __init__(self, disc):
