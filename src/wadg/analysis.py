@@ -1,5 +1,5 @@
 """Experiment harness: h-convergence studies for projections and the wave
-solver, evolution-operator spectra and their LSRK stability limit,
+solver, evolution-operator spectra and their stable step,
 Jacobian-constant growth studies, and moment-conservation rate studies.
 
 Every study returns a ConvergenceRecord (or SpectrumResult) and can emit
@@ -13,7 +13,6 @@ import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from scipy.sparse.linalg import LinearOperator
 
 from . import geometry, meshgen, operators, refelem, solver
@@ -120,30 +119,21 @@ def assemble_evolution_matrix(disc, cap=6000):
     return A
 
 
-def lsrk_amplification():
-    """Coefficients, in ascending powers of z = dt lambda, of the degree-5
-    polynomial R(z) by which one LSRK4A/B step multiplies y' = lambda y."""
-    y, r = np.array([1.0]), np.zeros(1)
-    for a, b in zip(solver.LSRK4A, solver.LSRK4B):
-        r = npoly.polyadd(a * r, npoly.polymulx(y))     # r <- a r + z y
-        y = npoly.polyadd(y, b * r)
-    return y
-
-
-# |z| past which |R(z)| > 1 in every direction (the reach is 4.657 on the
+# |z| past which |R(z)| > 1 in every direction (the reach is 9.877 on the
 # negative real axis, its largest), the radial grid step, and the growth
 # of |R| above 1 that counts as leaving the stability region
-_RAY_MAX, _RAY_STEP, _RAY_TOL = 6.0, 1e-2, 1e-12
+_RAY_MAX, _RAY_STEP, _RAY_TOL = 12.0, 1e-2, 1e-12
 
 
 def lsrk_stable_dt(eigenvalues):
     """Largest dt for which dt * lambda stays inside the stability region
-    {|R(z)| <= 1} of the LSRK4A/B step for every eigenvalue lambda and
-    every smaller step: the minimum over lambda of the first radius at
-    which the ray through lambda leaves the region, over |lambda|.  The
-    reach is 3.341 on the imaginary axis and 4.657 on the negative real
-    axis.  Positive real parts are taken as round-off of an energy-stable
-    operator and clipped to zero; zero eigenvalues set no limit.
+    {|R(z)| <= 1} of solver.STABILITY_POLYNOMIAL for every eigenvalue
+    lambda and every smaller step: the minimum over lambda of the first
+    radius at which the ray through lambda leaves the region, over
+    |lambda|.  The reach is 4.639 on the imaginary axis and 9.877 on the
+    negative real axis.  Positive real parts are taken as round-off of an
+    energy-stable operator and clipped to zero; zero eigenvalues set no
+    limit.
     """
     lam = np.asarray(eigenvalues, dtype=complex).ravel()
     lam = np.minimum(lam.real, 0.0) + 1j * lam.imag
@@ -151,7 +141,7 @@ def lsrk_stable_dt(eigenvalues):
     if lam.size == 0:
         return float("inf")
     mag = np.abs(lam)
-    R = np.polynomial.Polynomial(lsrk_amplification())
+    R = np.polynomial.Polynomial(solver.STABILITY_POLYNOMIAL)
     radii = np.arange(1, int(round(_RAY_MAX / _RAY_STEP)) + 1) * _RAY_STEP
     dt = float("inf")
     for start in range(0, lam.size, 256):
@@ -189,8 +179,9 @@ def default_exact_fn(x, y):
 PROJECTION_METHODS = ("l2", "wadg", "lsc")
 
 
-def projection_convergence_study(meshes, N, method, exact_fn=default_exact_fn):
-    """Global L2 error of the chosen projection on each mesh of a family.
+def projection_convergence_study(meshes, N, method):
+    """Global L2 error of the chosen projection of default_exact_fn on each
+    mesh of a family.
 
     method: 'l2' (weighted L2 projection), 'wadg' (weight-adjusted
     pseudo-projection), or 'lsc' (square-root-weighted projection error).
@@ -201,17 +192,18 @@ def projection_convergence_study(meshes, N, method, exact_fn=default_exact_fn):
         raise ValueError("need at least 4 refinement levels")
     if method not in PROJECTION_METHODS:
         raise ValueError(f"unknown method {method!r}")
+    f = default_exact_fn
     hs, errs = [], []
     for mesh in meshes:
         deg = 2 * N + 2 * mesh.N_geo + 4
         ref = refelem.build_reference_element(N, deg)
         geo = geometry.compute_volume_geometry(mesh, ref)
         if method == "l2":
-            err = operators.global_l2_error(ref, geo, operators.l2_project(ref, geo, exact_fn), exact_fn)
+            err = operators.global_l2_error(ref, geo, operators.l2_project(ref, geo, f), f)
         elif method == "wadg":
-            err = operators.global_l2_error(ref, geo, operators.wadg_pseudo_project(ref, geo, exact_fn), exact_fn)
+            err = operators.global_l2_error(ref, geo, operators.wadg_pseudo_project(ref, geo, f), f)
         else:
-            err = float(np.sqrt(np.sum(operators.lsc_projection_error(ref, geo, exact_fn) ** 2)))
+            err = float(np.sqrt(np.sum(operators.lsc_projection_error(ref, geo, f) ** 2)))
         hs.append(mesh.h)
         errs.append(err)
     return ConvergenceRecord(hs, errs, label=f"projection-{method}-N{N}")

@@ -137,8 +137,15 @@ def cmd_project_convergence(args, rd):
     return EXIT_OK
 
 
+def _level_count(args):
+    """The --levels count of a study, checked before any mesh is built."""
+    if args.levels < 1:
+        raise ConfigError(f"need at least 1 refinement level, got {args.levels}")
+    return args.levels
+
+
 def cmd_wave_convergence(args, rd):
-    meshes = [meshgen.disk_mesh(l, args.N_geo or args.N) for l in range(args.levels)]
+    meshes = [meshgen.disk_mesh(l, args.N_geo or args.N) for l in range(_level_count(args))]
     modes = [MassMode.WADG, MassMode.ExactCurvedMass] if args.both_modes else [MassMode.WADG]
     recs = analysis.wave_convergence_study(
         meshes, args.N, config=_solver_config(vars(args)), T=args.T,
@@ -161,7 +168,8 @@ def cmd_kappa_study(args, rd):
 
 
 def cmd_conservation_study(args, rd):
-    rec = analysis.conservation_rate_study(N=args.N, levels=tuple(range(1, args.levels + 1)))
+    rec = analysis.conservation_rate_study(
+        N=args.N, levels=tuple(range(1, _level_count(args) + 1)))
     out = rd.path / f"conservation_N{args.N}.csv"
     rec.to_csv(out)
     rd.log(f"{rec.label}: slope {rec.fitted_slope:.3f}")
@@ -181,9 +189,9 @@ def cmd_spectrum(args, rd):
     rd.log(f"n = {A.shape[0]}, max real part {spec.max_real_part:.6e}, "
            f"spectral radius {spec.spectral_radius:.6e}")
     dt = solver.stable_dt(disc)
-    dt_lsrk = analysis.lsrk_stable_dt(spec.eigenvalues)
-    rd.log(f"stable_dt {dt:.6e}, LSRK-stable dt of this spectrum {dt_lsrk:.6e}, "
-           f"ratio {dt_lsrk / dt:.4f}")
+    limit = analysis.lsrk_stable_dt(spec.eigenvalues)
+    rd.log(f"stable_dt {dt:.6e}, stability-polynomial limit of this spectrum "
+           f"{limit:.6e}, ratio {limit / dt:.4f}")
     rd.log(f"wrote {out}")
     return EXIT_OK
 

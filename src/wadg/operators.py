@@ -71,17 +71,20 @@ def l2_project(ref, geo, exact_fn):
     Mhat^-1 M_{1/J~} Mhat^-1, in the Gauss-collocated basis the pointwise
     scale 1/(diag(Mhat) J~) with J~ the nodal values of J's degree-N
     projection.  It approximates M_J^-1 to high order, so a few iterations
-    reach max|r| <= PCG_RTOL max|b|, and a zero load takes none; raises
-    FloatingPointError when Np + 2 iterations do not.  When exact_fn
+    reach max|r| <= PCG_RTOL max|b|; an identically zero field is returned
+    as zeros without a load or a solve.  Raises FloatingPointError when
+    Np + 2 iterations do not reach that residual.  When exact_fn
     returns a tuple of fields, a tuple of coefficient arrays is returned.
     """
     fq = exact_fn(geo.xq, geo.yq)
     single = not isinstance(fq, tuple)
     WVq = ref.wq[:, None] * ref.Vq
-    loads = [(f * geo.Jq) @ WVq for f in ((fq,) if single else fq)]
+    # an identically zero field projects to zeros: no load, no solve
+    loads = [(f * geo.Jq) @ WVq if f.any() else None for f in ((fq,) if single else fq)]
     del fq      # the point values are not needed by the solves
     scale = 1.0 / (np.diag(ref.Mhat) * (geo.Jq @ ref.Pq.T))
-    out = tuple(_pcg(ref.Vq, WVq, geo.Jq, scale, b) for b in loads)
+    out = tuple(np.zeros((len(geo.Jq), ref.Np)) if b is None
+                else _pcg(ref.Vq, WVq, geo.Jq, scale, b) for b in loads)
     return out[0] if single else out
 
 
@@ -154,7 +157,7 @@ def lsc_projection_error(ref, geo, exact_fn):
 
 def global_l2_error(ref, geo, coeffs, exact_fn):
     """sqrt(sum_k sum_q w_q J_q (u_h - u)^2) with fixed summation order."""
-    uq = np.atleast_2d(coeffs) @ ref.Vq.T
+    uq = coeffs @ ref.Vq.T
     fq = exact_fn(geo.xq, geo.yq)
     return float(np.sqrt(np.sum(ref.wq[None, :] * geo.Jq * (uq - fq) ** 2)))
 
@@ -174,7 +177,6 @@ def conservation_moment_error(ref, geo, w, u_fn, M):
     |(w u, v)_ref - (T_{1/w}^{-1} u, v)_ref|, with all inner products under
     ref's volume quadrature.
     """
-    w = np.atleast_2d(np.asarray(w, dtype=float))
     _check_weight(w)
     uq = u_fn(geo.xq, geo.yq)
     Vm = _monomials(M, ref.volume_quad.points)  # (Nq, n_mono)

@@ -2,7 +2,8 @@
 (p_t / c^2 + div u = 0, u_t + grad p = 0) on curved quadrilateral meshes,
 with strong and strong-weak formulations, penalty fluxes, homogeneous
 Dirichlet pressure boundaries, a weight-adjusted or exact curved mass
-inverse, and low-storage five-stage RK4 time stepping.
+inverse, and an eight-stage fourth-order time step whose stability
+polynomial is fitted to the DG spectra.
 
 A state is one (3, K, Np) array q whose rows are the nodal coefficients
 of p, u1 and u2; the step functions take and return that bare array.  The
@@ -143,7 +144,7 @@ class StepBuffers:
                         if disc.config.formulation is Formulation.StrongWeak else None)
         self.scratch = np.empty(fields)
         self.rhs_pre = np.empty(fields)
-        self.y = np.empty(fields)       # LSRK registers
+        self.y = np.empty(fields)       # step registers
         self.res = np.empty(fields)
 
 
@@ -368,58 +369,63 @@ def energy(q, disc):
     return 0.5 * float(total)
 
 
-# Carpenter-Kennedy low-storage five-stage fourth-order coefficients
-LSRK4A = (
-    0.0,
-    -567301805773.0 / 1357537059087.0,
-    -2404267990393.0 / 2016746695238.0,
-    -3550918686646.0 / 2091501179385.0,
-    -1275806237668.0 / 842570457699.0,
+# Coefficients a_0..a_8 of the stability polynomial R(z) = sum_j a_j z^j of
+# one step, z = dt lambda: a_j = 1/j! through j = 4 (fourth order), and
+# a_5..a_8 from a linear programme that maximizes the smallest spectral
+# limit over stable_dt's rule across the calibration spectra, tau = 0
+# included (BENCH_poly.json).  Its reach is 5.098 on the imaginary axis
+# and 8.978 on the negative real axis.
+STABILITY_POLYNOMIAL = (
+    1.0, 1.0, 1 / 2, 1 / 6, 1 / 24,
+    7.682414115158984e-3, 1.0421369945923574e-3, 9.523467634490214e-5,
+    3.996575874160688e-6,
 )
-LSRK4B = (
-    1432997174477.0 / 9575080441755.0,
-    5161836677717.0 / 13612068292357.0,
-    1720146321549.0 / 2090206949498.0,
-    3134564353537.0 / 4481467310338.0,
-    2277821191437.0 / 14882151754819.0,
-)
+# the factors a_{j+1}/a_j, j = 7..0, of the nested form
+_NESTED = tuple(STABILITY_POLYNOMIAL[j + 1] / STABILITY_POLYNOMIAL[j]
+                for j in reversed(range(len(STABILITY_POLYNOMIAL) - 1)))
 
 
 def lsrk_step(q, dt, rhs_fn):
-    """Advance the (3, K, Np) state q by one five-stage low-storage RK4 step
-    with two field-sized registers, and return the advanced array.
+    """Advance the (3, K, Np) state q by one step y = R(dt L) q of the
+    eight-stage fourth-order STABILITY_POLYNOMIAL, and return the advanced
+    array.
 
-    rhs_fn maps a state array to its time derivative, which the step then
-    scales in place; the system is autonomous, so no stage time is passed.
-    When rhs_fn is a Discretization, the registers are its buffers `y` and
-    `res`, a warm step allocates no field-sized array, and the result is
-    `y`, which the next step advances.  Otherwise the registers are
-    allocated here.  q itself changes only when it is `y`.
+    R is evaluated in nested (Horner) form, one rhs evaluation per stage:
+    y <- q, then y <- q + (a_{j+1}/a_j) dt L(y) for j = 7..0.  For a linear,
+    autonomous rhs, as here, that is R(dt L) q exactly; a source term or
+    time-dependent boundary data would need a genuine low-storage RK
+    realization of the same R.  rhs_fn maps a state array to its time
+    derivative, which the step then scales in place; no stage time is
+    passed.  When rhs_fn is a Discretization the two registers are q and
+    whichever of its buffers `y` and `res` q is not, the result is that
+    buffer, and a warm step allocates no field-sized array.  Otherwise each
+    stage allocates.  q itself never changes.
     """
     if isinstance(rhs_fn, Discretization):
-        y, res = rhs_fn.buffers.y, rhs_fn.buffers.res
-        if y is not q:
-            np.copyto(y, q)
-    else:
-        y, res = q.copy(), np.empty_like(q)
-    res.fill(0.0)
-    for a, b in zip(LSRK4A, LSRK4B):
-        d = rhs_fn(y)
-        res *= a
-        d *= dt
-        res += d
-        y += np.multiply(res, b, out=d)
+        buf = rhs_fn.buffers
+        y = buf.res if q is buf.y else buf.y
+        stage = q
+        for b in _NESTED:
+            d = rhs_fn(stage)
+            d *= b * dt
+            stage = np.add(q, d, out=y)
+        return y
+    y = q
+    for b in _NESTED:
+        y = q + (b * dt) * rhs_fn(y)
     return y
 
 
 # Calibration constant of stable_dt.  Over 900 dense spectra (uniform,
 # disk, Arnold, random and warped meshes, N = 1, 3, 6, both forms, six
 # media with c between 0.5 and 2, (tau_p, tau_u) in {(0, 0), (1, 1),
-# (5, 5), (0, 5), (5, 0)}), the LSRK4A/B spectral limit
-# (analysis.lsrk_stable_dt) lies between 4.29 and 10.64 times the bound
-# with C_DT = 1 (BENCH_dt.json).  Arnoldi upper estimates on the three
-# benchmark disk meshes give 5.5 to 6.0.
-C_DT = 4.0
+# (5, 5), (0, 5), (5, 0)}; BENCH_dt.json), the spectral limit of
+# STABILITY_POLYNOMIAL (analysis.lsrk_stable_dt) lies between 8.27 and
+# 20.5 times the bound with C_DT = 1 (BENCH_poly.json).  C_DT is that
+# minimum times 4 / 4.29, rounded down: the margin below the smallest
+# limit that the calibration has kept since BENCH_dt.json.  Arnoldi upper
+# estimates on the three benchmark disk meshes give 10.6 to 11.6.
+C_DT = 7.71
 
 
 def stable_dt(disc):

@@ -129,6 +129,17 @@ class TestExitCodes:
         assert "Traceback" not in r.stderr
         assert not list((tmp_path / "out").glob("*.csv"))
 
+    @pytest.mark.parametrize("command", ["wave-convergence", "conservation-study"])
+    def test_negative_levels_exit_2_before_any_mesh(self, tmp_path, monkeypatch, capsys,
+                                                    command):
+        built = []
+        disk_mesh = mg.disk_mesh
+        monkeypatch.setattr(mg, "disk_mesh", lambda *a: built.append(a) or disk_mesh(*a))
+        code = cli.main(["--out-dir", str(tmp_path / "out"), command, "--levels", "-2"])
+        assert code == 2
+        assert "need at least 1 refinement level, got -2" in capsys.readouterr().err
+        assert built == []
+
     def test_spectrum_cap_exits_1(self, tmp_path):
         r = run_cli("--out-dir", "out", "spectrum", "--mesh", "uniform1", "--N", "1",
                     "--cap", "1", cwd=tmp_path)

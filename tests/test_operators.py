@@ -240,6 +240,26 @@ class TestMatrixFreeProjection:
             assert np.max(np.abs(c - expect)) <= 1e-13 * max(np.max(np.abs(expect)), 1e-300)
         assert not got[2].any()
 
+    def test_zero_fields_skip_load_and_solve(self, pcg_meshes, monkeypatch):
+        # the Bessel start: a pressure and two identically zero velocities
+        mesh = pcg_meshes["disk"]
+        ref = rf.build_reference_element(3, 2 * 3 + 2 * mesh.N_geo)
+        g = geom.compute_volume_geometry(mesh, ref)
+        fn = lambda x, y: tuple(sv.bessel_initial_condition(x, y))
+        # every field through a load and a solve, as before zero fields were skipped
+        WVq = ref.wq[:, None] * ref.Vq
+        scale = 1.0 / (np.diag(ref.Mhat) * (g.Jq @ ref.Pq.T))
+        expect = [ops._pcg(ref.Vq, WVq, g.Jq, scale, (f * g.Jq) @ WVq)
+                  for f in fn(g.xq, g.yq)]
+        loads = []
+        pcg = ops._pcg
+        monkeypatch.setattr(ops, "_pcg", lambda *a: loads.append(a[-1]) or pcg(*a))
+        got = ops.l2_project(ref, g, fn)
+        assert len(loads) == 1 and loads[0].any()
+        for c, e in zip(got, expect):
+            assert np.array_equal(c, e) and np.array_equal(np.signbit(c), np.signbit(e))
+        assert got[0].any() and not got[1].any() and not got[2].any()
+
     def test_peak_memory_below_half_a_dense_mass_array(self):
         N = 6
         mesh = mg.disk_mesh(2, N)

@@ -54,6 +54,12 @@ def curved_mesh():
     return mg.warped_arnold_mesh(mg.WarpParams(1.0, 4), 3)
 
 
+@pytest.fixture(scope="module")
+def disk_family_n3():
+    """Disk meshes of levels 0..3 at N_geo = 3."""
+    return [mg.disk_mesh(level, 3) for level in range(4)]
+
+
 @lru_cache(maxsize=None)
 def disk1_wadg(N, N_geo):
     """WADG Discretization of the strong form on the curved disk1 mesh with
@@ -275,57 +281,64 @@ class TestMassInverse:
         ratio = errs[MassMode.WADG] / errs[MassMode.ExactCurvedMass]
         assert 0.99 <= ratio <= 1.01
 
-    def test_wadg_tracks_exact_mass_to_higher_order_on_disk(self):
-        # on the disk family (bounded kappa~) the WADG error converges at
-        # N + 1, and its distance to the exact-mass solution one order faster
-        N, T = 3, 0.5
+    @staticmethod
+    def _wadg_minus_exact(meshes, N, T, medium, exact_p=None):
+        """Per mesh, ||p_WADG - p_exact|| at T, both modes at the WADG run's
+        step, and the WADG run's diag."""
         ref = rf.build_reference_element(N, 2 * N + 4)
-        hs, errs, diffs = [], [], []
-        for level in range(4):
-            mesh = mg.disk_mesh(level, N)
+        diffs, diags = [], []
+        for mesh in meshes:
             out, dt = [], None
             for mode in (MassMode.WADG, MassMode.ExactCurvedMass):
                 out.append(sv.run(mesh, SolverConfig(N=N, mass_mode=mode),
-                                  sv.bessel_initial_condition, T,
-                                  exact_p=sv.bessel_pressure, n_outputs=1, dt=dt))
+                                  sv.bessel_initial_condition, T, medium=medium,
+                                  exact_p=exact_p, n_outputs=1, dt=dt))
                 dt = out[0][1]["dt"]
             (wadg, dw), (exact, de) = out
             assert de["steps"] == dw["steps"]
             geo = geom.compute_volume_geometry(mesh, ref)
             diffs.append(ops.global_l2_error(ref, geo, wadg.p - exact.p, lambda x, y: 0 * x))
-            hs.append(mesh.h)
-            errs.append(dw["l2_error_p"][-1])
+            diags.append(dw)
+        return diffs, diags
+
+    def test_wadg_tracks_exact_mass_to_higher_order_on_disk(self, disk_family_n3):
+        # on the disk family (bounded kappa~) the WADG error converges at
+        # N + 1, and its distance to the exact-mass solution one order faster
+        N = 3
+        hs = [mesh.h for mesh in disk_family_n3]
+        diffs, diags = self._wadg_minus_exact(disk_family_n3, N, 0.5, sv.MediumField(),
+                                              exact_p=sv.bessel_pressure)
+        errs = [d["l2_error_p"][-1] for d in diags]
         assert np.all(pairwise_slopes(hs, diffs) >= N + 2 - 0.3), pairwise_slopes(hs, diffs)
         assert abs(fit_slope(hs, errs) - (N + 1)) <= 0.35, fit_slope(hs, errs)
+
+    def test_wadg_tracks_exact_mass_to_higher_order_in_heterogeneous_medium(
+            self, disk_family_n3):
+        # the same on the disk with c^2 = 1 + 0.5 sin(pi r^2): no exact
+        # solution is needed to compare the two mass inverses
+        N = 3
+        hs = [mesh.h for mesh in disk_family_n3]
+        diffs, _ = self._wadg_minus_exact(disk_family_n3, N, 0.5, cli.MEDIA["radial_sine"]())
+        slopes = pairwise_slopes(hs, diffs)
+        assert np.all(slopes[-2:] >= N + 2 - 0.3), slopes
 
 
 class TestLSRK:
     def test_amplification_matches_exact_recurrence(self):
-        """Scalar y' = lam y: one step must reproduce the degree-5
-        amplification polynomial of the coefficient set, computed in exact
-        rational arithmetic."""
-        A = [Fraction(0), Fraction(-567301805773, 1357537059087),
-             Fraction(-2404267990393, 2016746695238),
-             Fraction(-3550918686646, 2091501179385),
-             Fraction(-1275806237668, 842570457699)]
-        B = [Fraction(1432997174477, 9575080441755),
-             Fraction(5161836677717, 13612068292357),
-             Fraction(1720146321549, 2090206949498),
-             Fraction(3134564353537, 4481467310338),
-             Fraction(2277821191437, 14882151754819)]
-        yp, rp = [Fraction(1)], [Fraction(0)]
-
-        def add(p, q):
-            n = max(len(p), len(q))
-            return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                    for i in range(n)]
-
-        for a, b in zip(A, B):
-            rp = add([a * c for c in rp], [Fraction(0)] + yp)  # r <- a r + z y
-            yp = add(yp, [b * c for c in rp])
+        """Scalar y' = lam y: one step must reproduce the degree-8 stability
+        polynomial, its nested recurrence y <- 1 + (a_{j+1}/a_j) z y,
+        j = 7..0, computed in exact rational arithmetic."""
+        a = [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 6), Fraction(1, 24),
+             Fraction(7.682414115158984e-3), Fraction(1.0421369945923574e-3),
+             Fraction(9.523467634490214e-5), Fraction(3.996575874160688e-6)]
+        yp = [Fraction(1)]
+        for j in reversed(range(8)):
+            yp = [Fraction(1)] + [a[j + 1] / a[j] * c for c in yp]   # 1 + b z y
+        assert yp == a
         R = [float(c) for c in yp]
-        # fourth-order: agrees with exp through z^4
+        # fourth order: agrees with exp through z^4
         assert R[:5] == pytest.approx([1, 1, 0.5, 1 / 6, 1 / 24], abs=1e-15)
+        assert R == pytest.approx(sv.STABILITY_POLYNOMIAL, rel=1e-15)
 
         lam, dt = -0.37, 0.21
         st = np.array([1.0, 0.0, 0.0]).reshape(3, 1, 1)
@@ -366,21 +379,21 @@ class TestStableDt:
     def test_formula_self_consistency(self):
         # N=1 uniform mesh, h = 0.5: per element area h^2, perimeter 4h ->
         # h_min = h/2; dt = cfl C_DT (h/2) / ((N+1)(N+2) max(c, tau_p c^2, tau_u))
-        # = 1 / (6 max(c, tau_p c^2, tau_u)) at cfl = 1, C_DT = 4
+        # = C_DT / (24 max(c, tau_p c^2, tau_u)) at cfl = 1
         m = mg.uniform_quad_mesh(4, domain=((0, 2), (0, 2)))
-        assert sv.C_DT == 4.0
-        for c2, tau_p, tau_u, expect in (
-                (1.0, 1.0, 1.0, 1 / 6),      # all three are 1
-                (4.0, 0.0, 0.0, 1 / 12),     # c = 2
-                (1.0, 5.0, 5.0, 1 / 30),     # tau c^2 = tau = 5
-                (4.0, 1.0, 1.0, 1 / 24),     # tau_p c^2 = 4
-                (0.25, 1.0, 1.0, 1 / 6),     # tau_u = 1 > c = 0.5
-                (0.25, 5.0, 5.0, 1 / 30),    # tau_u = 5 > tau_p c^2 = 1.25
-                (0.25, 5.0, 0.0, 1 / 7.5),   # tau_p c^2 = 1.25
-                (4.0, 0.0, 5.0, 1 / 30)):    # tau_u = 5 > c = 2
+        assert sv.C_DT == 7.71
+        for c2, tau_p, tau_u, rate in (
+                (1.0, 1.0, 1.0, 1.0),      # all three are 1
+                (4.0, 0.0, 0.0, 2.0),      # c = 2
+                (1.0, 5.0, 5.0, 5.0),      # tau c^2 = tau = 5
+                (4.0, 1.0, 1.0, 4.0),      # tau_p c^2 = 4
+                (0.25, 1.0, 1.0, 1.0),     # tau_u = 1 > c = 0.5
+                (0.25, 5.0, 5.0, 5.0),     # tau_u = 5 > tau_p c^2 = 1.25
+                (0.25, 5.0, 0.0, 1.25),    # tau_p c^2 = 1.25
+                (4.0, 0.0, 5.0, 5.0)):     # tau_u = 5 > c = 2
             cfg = SolverConfig(N=1, cfl=1.0, flux=FluxParams(tau_p, tau_u))
             dt = sv.stable_dt(sv.Discretization(m, cfg, sv.MediumField(c2)))
-            assert dt == pytest.approx(expect, rel=1e-12)
+            assert dt == pytest.approx(7.71 / (24 * rate), rel=1e-12)
 
     def test_default_cfl_is_fraction_of_calibrated_limit(self):
         m = mg.disk_mesh(1, 2)
@@ -445,7 +458,7 @@ class TestRun:
 
     @pytest.mark.parametrize("form", FORMS)
     def test_energy_conservation_tau0(self, form):
-        # at tau = 0 the recorded energy loses only the RK4 dissipation,
+        # at tau = 0 the recorded energy loses only the time step's dissipation,
         # O(1e-12) on this run, in both mass modes and media
         m = mg.disk_mesh(1, 3)
         for mode in MassMode:
@@ -547,9 +560,9 @@ class TestRun:
             assert np.min(np.abs(t - k * T / n_outputs)) <= 0.5 * h + 1e-15
 
     @pytest.mark.parametrize("level, N, form, mode, T, steps", [
-        (3, 6, "strong", "wadg", 0.012, 11),
-        (5, 2, "strong", "wadg", 0.005, 5),
-        (3, 4, "strong-weak", "exact", 0.04, 20),
+        (3, 6, "strong", "wadg", 0.012, 6),
+        (5, 2, "strong", "wadg", 0.005, 3),
+        (3, 4, "strong-weak", "exact", 0.04, 11),
     ], ids=["disk3-N6-strong-wadg", "disk5-N2-strong-wadg", "disk3-N4-sw-exact"])
     def test_benchmark_workload_step_counts(self, monkeypatch, level, N, form, mode,
                                             T, steps):
