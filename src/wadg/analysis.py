@@ -119,9 +119,10 @@ def assemble_evolution_matrix(disc, cap=6000):
     return A
 
 
-# |z| past which |R(z)| > 1 in every direction (the reach is 9.877 on the
-# negative real axis, its largest), the radial grid step, and the growth
-# of |R| above 1 that counts as leaving the stability region
+# |z| at which |R(z)| > 1 in every direction (min |R| on |z| = 12 is
+# about 143; the largest reach over the closed left half-plane is 8.978,
+# on the negative real axis), the radial grid step, and the growth of |R|
+# above 1 that counts as leaving the stability region
 _RAY_MAX, _RAY_STEP, _RAY_TOL = 12.0, 1e-2, 1e-12
 
 
@@ -130,7 +131,7 @@ def lsrk_stable_dt(eigenvalues):
     {|R(z)| <= 1} of solver.STABILITY_POLYNOMIAL for every eigenvalue
     lambda and every smaller step: the minimum over lambda of the first
     radius at which the ray through lambda leaves the region, over
-    |lambda|.  The reach is 4.639 on the imaginary axis and 9.877 on the
+    |lambda|.  The reach is 5.098 on the imaginary axis and 8.978 on the
     negative real axis.  Positive real parts are taken as round-off of an
     energy-stable operator and clipped to zero; zero eigenvalues set no
     limit.

@@ -395,24 +395,23 @@ def lsrk_step(q, dt, rhs_fn):
     autonomous rhs, as here, that is R(dt L) q exactly; a source term or
     time-dependent boundary data would need a genuine low-storage RK
     realization of the same R.  rhs_fn maps a state array to its time
-    derivative, which the step then scales in place; no stage time is
-    passed.  When rhs_fn is a Discretization the two registers are q and
-    whichever of its buffers `y` and `res` q is not, the result is that
-    buffer, and a warm step allocates no field-sized array.  Otherwise each
-    stage allocates.  q itself never changes.
+    derivative, which the step then scales in place, so that array must not
+    share memory with q; no stage time is passed.  The two
+    registers are q and y: when rhs_fn is a Discretization, y is whichever
+    of its buffers `y` and `res` q is not, and a warm step allocates no
+    field-sized array; otherwise y is a new array.  The result is y; q
+    itself never changes.
     """
     if isinstance(rhs_fn, Discretization):
         buf = rhs_fn.buffers
         y = buf.res if q is buf.y else buf.y
-        stage = q
-        for b in _NESTED:
-            d = rhs_fn(stage)
-            d *= b * dt
-            stage = np.add(q, d, out=y)
-        return y
-    y = q
+    else:
+        y = np.empty_like(q)
+    stage = q
     for b in _NESTED:
-        y = q + (b * dt) * rhs_fn(y)
+        d = rhs_fn(stage)
+        d *= b * dt
+        stage = np.add(q, d, out=y)
     return y
 
 
