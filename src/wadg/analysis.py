@@ -13,7 +13,6 @@ import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
 
 from . import geometry, meshgen, operators, refelem, solver
 from .solver import MassMode, MediumField, SolverConfig
@@ -89,33 +88,21 @@ class SpectrumResult:
                 out.writerow([repr(lam.real), repr(lam.imag)])
 
 
-def evolution_operator(disc):
-    """The semi-discrete evolution operator of disc, q -> rhs_full(q) (mass
-    inverse included), as a LinearOperator on vectors ordered in (p, u1, u2)
-    blocks of K*Np each."""
+def assemble_evolution_matrix(disc, cap=6000):
+    """Dense matrix of the semi-discrete evolution operator of disc, q ->
+    rhs_full(q) (mass inverse included), on vectors ordered in (p, u1, u2)
+    blocks of K*Np each: column j is the operator applied to unit vector
+    e_j."""
     shape = (3, disc.mesh.K, disc.ref.Np)
     n = int(np.prod(shape))
-
-    def matvec(x):
-        # rhs_full returns a buffer that the next call overwrites
-        return solver.rhs_full(np.reshape(x, shape), disc).ravel().copy()
-
-    return LinearOperator((n, n), matvec=matvec, dtype=float)
-
-
-def assemble_evolution_matrix(disc, cap=6000):
-    """Dense matrix of evolution_operator(disc): column j is the operator
-    applied to unit vector e_j."""
-    op = evolution_operator(disc)
-    n = op.shape[0]
     if n > cap:
         raise SizeCapExceeded(f"{n} unknowns exceed cap {cap}")
     A = np.empty((n, n))
-    e = np.zeros(n)
+    e = np.zeros(shape)
     for j in range(n):
-        e[j] = 1.0
-        A[:, j] = op.matvec(e)
-        e[j] = 0.0
+        e.flat[j] = 1.0
+        A[:, j] = solver.rhs_full(e, disc).ravel()
+        e.flat[j] = 0.0
     return A
 
 

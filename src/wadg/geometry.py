@@ -9,6 +9,7 @@ those coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -140,12 +141,21 @@ def check_points(mesh):
     """Reference point sets at which a mesh is checked: the Gauss volume rule
     and the stacked per-face Gauss rules exact to degree 4 N_geo + 2, and a
     dense corner-including Gauss-Lobatto grid, where near-degenerate
-    bilinear maps take their extremes."""
-    degree = 4 * mesh.N_geo + 2
-    vol = refelem.build_quadrature(degree)
+    bilinear maps take their extremes.  The arrays are cached per N_geo and
+    read-only."""
+    return dict(zip(("volume", "face", "grid"), _check_point_sets(mesh.N_geo)))
+
+
+@cache
+def _check_point_sets(N_geo):
+    degree = 4 * N_geo + 2
+    vol = refelem.build_quadrature(degree).points
     xi = refelem.gauss_legendre_1d((degree + 2) // 2).points
     face = np.vstack([refelem.face_points(f, xi) for f in range(refelem.N_FACES)])
-    return {"volume": vol.points, "face": face, "grid": _sample_grid(2 * mesh.N_geo + 3)}
+    sets = (vol, face, _sample_grid(2 * N_geo + 3))
+    for a in sets:
+        a.flags.writeable = False
+    return sets
 
 
 def validate_positive_jacobian(mesh):

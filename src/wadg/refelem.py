@@ -15,12 +15,19 @@ Conventions
   the outward normal direction is (y', -x') along the parametrization.
 
 All matrices are dense; intended for N <= 8.
+
+Reference data is process-wide and read-only.  The 1D Gauss and
+Gauss-Lobatto rules are built once per point count, a ReferenceElement
+once per (N, 1D point count) of its Gauss rule, and the mapping-node
+matrices of nodal_eval_matrix / nodal_grad_matrices once per (N, point
+set); every cached array has writeable = False, so a caller that needs
+to modify one takes a copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 from scipy import special as sps
@@ -67,14 +74,22 @@ class QuadratureRule:
         return self.weights.shape[0]
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@cache
 def gauss_legendre_1d(n):
     """Gauss-Legendre rule with n points on [-1, 1], exact to degree 2n-1."""
     if n < 1:
         raise ValueError(f"need at least one point, got n={n}")
     x, w = np.polynomial.legendre.leggauss(n)
+    _read_only(x, w)
     return QuadratureRule(points=x, weights=w, exactness_degree=2 * n - 1)
 
 
+@cache
 def gauss_lobatto_1d(n):
     """Gauss-Lobatto points/weights with n >= 2 points, exact to degree 2n-3."""
     if n < 2:
@@ -87,6 +102,7 @@ def gauss_lobatto_1d(n):
     # weights w_i = 2 / (n(n-1) P_{n-1}(x_i)^2)
     pn = np.polynomial.legendre.Legendre.basis(n - 1)(x)
     w = 2.0 / (n * (n - 1) * pn**2)
+    _read_only(x, w)
     return QuadratureRule(points=x, weights=w, exactness_degree=2 * n - 3)
 
 
@@ -171,40 +187,55 @@ def nodal_vandermonde(N, nodes):
     return V, cond
 
 
-@lru_cache(maxsize=None)
+@cache
 def _cached_nodal_basis(N, solution=False):
     """Nodes, Vandermonde and condition number of the mapping nodes, or of
     the solution nodes: the points of build_quadrature(2N+1), s fastest."""
     nodes = build_quadrature(2 * N + 1).points if solution else interpolation_nodes(N)
     V, cond = nodal_vandermonde(N, nodes)
+    _read_only(nodes, V)
     return nodes, V, cond
+
+
+@cache
+def _mapping_matrix(N, a, b, shape, data):
+    """d^(a+b)/dr^a ds^b of the Lagrange basis of the mapping nodes at the
+    points whose float64 bytes are `data`, one row per point."""
+    _, V, _ = _cached_nodal_basis(N)
+    M = modal_deriv_eval(N, np.frombuffer(data).reshape(shape), a, b)
+    E = np.linalg.solve(V.T, M.T).T
+    _read_only(E)
+    return E
+
+
+def _point_set_key(points):
+    pts = np.ascontiguousarray(points, dtype=float)
+    return pts.shape, pts.tobytes()
 
 
 def nodal_eval_matrix(N, points):
     """Matrix mapping nodal values on the mapping nodes (interpolation_nodes)
-    to values at `points`; rows are Lagrange basis evaluations."""
-    _, V, _ = _cached_nodal_basis(N)
-    M = modal_deriv_eval(N, points)
-    return np.linalg.solve(V.T, M.T).T
+    to values at `points`; rows are Lagrange basis evaluations.  Cached per
+    (N, point set), read-only."""
+    return _mapping_matrix(N, 0, 0, *_point_set_key(points))
 
 
 def nodal_grad_matrices(N, points):
     """(d/dr, d/ds) analogue of :func:`nodal_eval_matrix`."""
-    _, V, _ = _cached_nodal_basis(N)
-    Mr, Ms = modal_deriv_eval(N, points, 1, 0), modal_deriv_eval(N, points, 0, 1)
-    Dr = np.linalg.solve(V.T, Mr.T).T
-    Ds = np.linalg.solve(V.T, Ms.T).T
-    return Dr, Ds
+    key = _point_set_key(points)
+    return _mapping_matrix(N, 1, 0, *key), _mapping_matrix(N, 0, 1, *key)
 
 
 # ---------------------------------------------------------------------------
 # Reference element
 
-@dataclass
+@dataclass(frozen=True)
 class ReferenceElement:
     """Degree-N discretization data on the reference quadrilateral.
 
-    Immutable after construction; all consumers share it read-only.
+    One instance per (N, 1D point count) of its Gauss rule in a process,
+    from build_reference_element, shared by every mesh and Discretization:
+    its fields cannot be rebound and its arrays are read-only.
     """
 
     N: int
@@ -243,14 +274,21 @@ class ReferenceElement:
 
 
 def build_reference_element(N, degree=None):
-    """Assemble a :class:`ReferenceElement` whose volume rule and face rules
-    are Gauss rules exact to `degree` (default 2N+1).  The degree is floored
-    at 2N so the reference mass matrix is assembled exactly.
+    """The :class:`ReferenceElement` whose volume rule and face rules are
+    Gauss rules exact to `degree` (default 2N+1).  The degree is floored at
+    2N so the reference mass matrix is assembled exactly.  Degrees that land
+    on one Gauss rule return the same cached, read-only element.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     degree = max(2 * N + 1 if degree is None else degree, 2 * N)
+    return _reference_element(N, (degree + 2) // 2)
 
+
+@cache
+def _reference_element(N, n1d):
+    """Assemble the degree-N element on the n1d-point Gauss rule."""
+    degree = 2 * n1d - 1
     nodes, Vmodal, cond = _cached_nodal_basis(N, solution=True)
     quad = build_quadrature(degree)
 
@@ -267,7 +305,7 @@ def build_reference_element(N, degree=None):
     Mhat_inv = np.linalg.inv(Mhat)
     Pq = Mhat_inv @ (Vq.T * wq[None, :])
 
-    nf1d = gauss_legendre_1d(max(1, (degree + 2) // 2))
+    nf1d = gauss_legendre_1d(n1d)
     fq_pts = []
     Vf_blocks = []
     wf_blocks = []
@@ -288,6 +326,8 @@ def build_reference_element(N, degree=None):
         wfq=wfq, face_quad_points=face_quad_points, cond_nodal=cond,
     )
     _validate_reference_element(ref)
+    _read_only(quad.points, quad.weights, Vq, Pq, Drq, Dsq, Mhat, Mhat_inv,
+               Vfq, Pfq, wfq, face_quad_points)
     return ref
 
 

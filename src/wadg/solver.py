@@ -151,8 +151,9 @@ class StepBuffers:
 class Discretization:
     """Prepared operator data for one (mesh, config, medium) triple.
 
-    The only owner of reference elements and their geometry: `rule` builds
-    each distinct Gauss rule once.  Holds the volume/face rule of the
+    The only owner of the mesh geometry of its rules: `rule` evaluates it
+    once per distinct Gauss rule, on the process-wide, read-only reference
+    element of that rule.  Holds the volume/face rule of the
     formulation (`ref`, `geo`, of degree `sufficient_quadrature_degree`;
     the only rule with metric terms and face geometry), the mass rule
     `ref_upd` (degree 2N+1 for WADG, whose points are the nodes, or
@@ -186,10 +187,10 @@ class Discretization:
         self.w_upd_u = 1.0 / geo_upd.Jq
 
         self.mass_inv_p = self.mass_inv_u = None
-        if exact:   # M^-1 Mhat
+        if exact:   # M^-1 Mhat; the pressure weight J/c^2 overwrites c2
             self.mass_inv_p, self.mass_inv_u = (
                 np.linalg.solve(operators.weighted_mass_matrix(self.ref_upd, w), self.ref.Mhat)
-                for w in (geo_upd.Jq / c2, geo_upd.Jq))
+                for w in (np.divide(geo_upd.Jq, c2, out=c2), geo_upd.Jq))
 
         # fused factors, (K, Nq) and flat (K, n_faces*nfq); the projections
         # carry the minus sign of every volume and lift term
@@ -210,6 +211,11 @@ class Discretization:
         landing on one rule share it; only the formulation's rule carries
         metric terms and face geometry."""
         return self._rule(degree, geometry.compute_volume_geometry)
+
+    def release_rules(self):
+        """Drop the geometry of every rule but the formulation's; `rule`
+        evaluates a dropped one again on demand."""
+        self._rules = {n: r for n, r in self._rules.items() if r[1] is self.geo}
 
     def _rule(self, degree, evaluate):
         N = self.config.N
@@ -501,6 +507,8 @@ def run(mesh, config, initial_fn, T, medium=MediumField(), exact_p=None,
         # degree 2N+1 Gauss rules are blind to the leading P_{N+1} error
         # mode (its roots are the quadrature points); use a richer rule
         ref_err, geo_err = disc.rule(2 * config.N + 4)
+    # the projection and mass rules' geometry is not read again
+    disc.release_rules()
 
     def record(q, t):
         e = energy(q, disc)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from wadg import geometry as geom
 from wadg import refelem as rf
 
 
@@ -29,6 +30,16 @@ def face_points(mesh, ref):
     geometry."""
     E = rf.nodal_eval_matrix(mesh.N_geo, ref.face_quad_points)
     return mesh.elem_map_nodes[..., 0] @ E.T, mesh.elem_map_nodes[..., 1] @ E.T
+
+
+def clear_reference_caches():
+    """Empty the process-wide caches of the reference layer, every functools
+    cache in refelem and geometry, so the next build takes the cold path
+    whatever the tests before it built."""
+    for mod in (rf, geom):
+        for f in vars(mod).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
 
 
 @pytest.fixture

@@ -157,3 +157,36 @@ class TestReferenceElement:
     def test_invalid_degree(self):
         with pytest.raises(ValueError):
             rf.build_reference_element(0)
+
+
+class TestReferenceCache:
+    def test_degrees_on_one_gauss_rule_share_one_element(self):
+        # at N = 3, degrees 8 and 9 land on the 5-point Gauss rule, and the
+        # default 2N + 1 and the floor 2N on the 4-point one
+        ref = rf.build_reference_element(3, 9)
+        assert rf.build_reference_element(3, 8) is ref
+        assert rf.build_reference_element(3, 10) is not ref
+        assert rf.build_reference_element(3) is rf.build_reference_element(3, 2)
+        assert rf.build_reference_element(3).Nq == 16
+
+    def test_cached_arrays_are_read_only(self):
+        ref = rf.build_reference_element(2)
+        with pytest.raises(ValueError):
+            ref.Vq[0, 0] = 1.0
+        arrays = [v for v in vars(ref).values() if isinstance(v, np.ndarray)]
+        arrays += [ref.volume_quad.points, ref.volume_quad.weights,
+                   ref.face_quad_1d.points, rf.gauss_lobatto_1d(4).points,
+                   rf.nodal_eval_matrix(2, ref.face_quad_points),
+                   *rf.nodal_grad_matrices(2, ref.volume_quad.points)]
+        assert len(arrays) == 18 and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(AttributeError):
+            ref.Vq = np.zeros_like(ref.Vq)
+
+    def test_mapping_matrices_are_keyed_by_point_values(self):
+        pts = rf.build_quadrature(5).points
+        E = rf.nodal_eval_matrix(2, pts)
+        assert rf.nodal_eval_matrix(2, pts.copy()) is E
+        assert rf.nodal_eval_matrix(3, pts) is not E
+        moved = pts.copy()
+        moved[0, 0] = 0.5
+        assert not np.array_equal(rf.nodal_eval_matrix(2, moved)[0], E[0])

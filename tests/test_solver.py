@@ -13,7 +13,7 @@ from wadg import refelem as rf
 from wadg import solver as sv
 from wadg.solver import FluxParams, Formulation, MassMode, SolverConfig
 
-from conftest import fit_slope, pairwise_slopes
+from conftest import clear_reference_caches, fit_slope, pairwise_slopes
 
 
 FORMS = ["strong", "strong-weak"]
@@ -166,6 +166,46 @@ class TestQuadratureChoice:
         assert (disc.ref.volume_quad.exactness_degree,
                 disc.ref.face_quad_1d.exactness_degree,
                 disc.ref_upd.volume_quad.exactness_degree) == degrees
+
+
+class TestReferenceCache:
+    def test_discretizations_on_different_meshes_share_reference_elements(self):
+        cfg = SolverConfig(N=2, mass_mode=MassMode.ExactCurvedMass)
+        a = sv.Discretization(mg.disk_mesh(0, 2), cfg)
+        b = sv.Discretization(mg.warped_arnold_mesh(mg.WarpParams(1.0, 2), 2), cfg)
+        assert a.ref is b.ref and a.ref_upd is b.ref_upd
+        assert a.rule(2 * 2 + 4)[0] is b.rule(2 * 2 + 4)[0]
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_cold_build_matches_warm_bitwise(self, form, rng):
+        mesh = mg.disk_mesh(1, 3)
+        cfg = SolverConfig(N=3, formulation=Formulation(form))
+        warm = sv.Discretization(mesh, cfg)
+        q = random_state(warm, rng)
+        expect = sv.rhs_full(q, warm).copy()
+        clear_reference_caches()
+        cold = sv.Discretization(mesh, cfg)
+        assert cold.ref is not warm.ref
+        assert np.array_equal(sv.rhs_full(q, cold), expect)
+
+    def test_second_run_builds_no_reference_data(self, monkeypatch):
+        # every reference operator and mapping matrix is built from
+        # modal_deriv_eval, so a run whose reference data is all cached
+        # calls it zero times, mesh generation and validation included
+        cfg = SolverConfig(N=2, mass_mode=MassMode.ExactCurvedMass)
+        calls = []
+        modal = rf.modal_deriv_eval
+        monkeypatch.setattr(rf, "modal_deriv_eval", lambda *a: calls.append(a) or modal(*a))
+
+        def solve():
+            calls.clear()
+            sv.run(mg.disk_mesh(1, 2), cfg, sv.bessel_initial_condition, 0.02,
+                   exact_p=sv.bessel_pressure)
+            return len(calls)
+
+        clear_reference_caches()
+        assert solve() > 0
+        assert solve() == 0
 
 
 class TestMassInverse:

@@ -253,6 +253,17 @@ def test_auxiliary_rules_carry_volume_geometry_only():
             assert np.array_equal(getattr(g, name), getattr(full, name))
 
 
+def test_released_rules_keep_the_formulation_geometry():
+    disc = make_disc("strong", "exact", level=1)
+    ref_m, geo_m = disc.rule(disc.mass_deg)
+    disc.release_rules()
+    assert disc.rule(sv.sufficient_quadrature_degree(3, 3, Formulation.Strong))[1] is disc.geo
+    # a released rule is evaluated again on demand, on the same reference element
+    ref_again, geo_again = disc.rule(disc.mass_deg)
+    assert ref_again is ref_m and geo_again is not geo_m
+    assert all(np.array_equal(getattr(geo_again, f), getattr(geo_m, f)) for f in ("xq", "yq", "Jq"))
+
+
 @pytest.mark.parametrize("form, mode", [("strong", "wadg"), ("strong-weak", "wadg"),
                                         ("strong-weak", "exact")])
 def test_warm_step_allocates_nothing_field_sized(form, mode, monkeypatch):
