@@ -129,12 +129,25 @@ def element_perimeters(geo):
     return geo.Jfq @ wf
 
 
-def jacobian_at(mesh, points):
-    """Mapping Jacobian J = x_r y_s - x_s y_r of every element at reference
-    `points`, shape (K, n_points)."""
+def jacobian_at(mesh, points, elements=slice(None)):
+    """Mapping Jacobian J = x_r y_s - x_s y_r of the `elements` (default
+    all) at reference `points`, shape (n_elements, n_points)."""
     Er, Es = refelem.nodal_grad_matrices(mesh.N_geo, points)
-    X, Y = mesh.elem_map_nodes[..., 0], mesh.elem_map_nodes[..., 1]
+    X, Y = mesh.elem_map_nodes[elements, :, 0], mesh.elem_map_nodes[elements, :, 1]
     return (X @ Er.T) * (Y @ Es.T) - (X @ Es.T) * (Y @ Er.T)
+
+
+# Elements per block of every mesh-wide pointwise pipeline: the stage's
+# volume terms and fluxes, the error and projection point values, the mesh
+# checks and the jets of the sup norms.  Temporaries then scale with the
+# block, not with K.
+ELEMENT_BLOCK = 1024
+
+
+def element_blocks(K):
+    """Slices of at most ELEMENT_BLOCK consecutive elements, in order,
+    covering range(K)."""
+    return [slice(lo, min(lo + ELEMENT_BLOCK, K)) for lo in range(0, K, ELEMENT_BLOCK)]
 
 
 def check_points(mesh):
@@ -162,15 +175,17 @@ def validate_positive_jacobian(mesh):
     """Check J > 0 at the volume and face quadrature points and the dense
     grid of `check_points`, in that order.
     Raises NonPositiveJacobian for the first element failing in the first
-    failing set, with the point's index within that set; returns min J."""
+    failing set, with the point's index within that set; returns min J.
+    J is evaluated one element block at a time."""
     jmin = np.inf
     for points in check_points(mesh).values():
-        J = jacobian_at(mesh, points)
-        bad = ~(J > 0)
-        if bad.any():
-            k, q = np.argwhere(bad)[0]
-            raise NonPositiveJacobian(int(k), int(q), float(J[k, q]))
-        jmin = min(jmin, float(J.min()))
+        for blk in element_blocks(mesh.K):
+            J = jacobian_at(mesh, points, blk)
+            bad = ~(J > 0)
+            if bad.any():
+                k, q = np.argwhere(bad)[0]
+                raise NonPositiveJacobian(blk.start + int(k), int(q), float(J[k, q]))
+            jmin = min(jmin, float(J.min()))
     return jmin
 
 
@@ -246,9 +261,6 @@ def _sample_grid(n1d):
     return np.column_stack([r.ravel(), s.ravel()])
 
 
-_SUP_NORM_CHUNK = 1024   # elements per batch of jets
-
-
 def jacobian_sup_norms(mesh, order):
     """Per-element sup-norm estimates (||J||_{W^{order,inf}}, ||1/J||_{inf}).
 
@@ -279,16 +291,15 @@ def jacobian_sup_norms(mesh, order):
     K = mesh.K
     w_norm = np.zeros(K)
     inv_norm = np.zeros(K)
-    for lo in range(0, K, _SUP_NORM_CHUNK):
-        hi = min(lo + _SUP_NORM_CHUNK, K)
-        X = mesh.elem_map_nodes[lo:hi, :, 0]
-        Y = mesh.elem_map_nodes[lo:hi, :, 1]
+    for blk in element_blocks(K):
+        X = mesh.elem_map_nodes[blk, :, 0]
+        Y = mesh.elem_map_nodes[blk, :, 1]
         cx = np.linalg.solve(Vg, X.T)  # modal coefficients, (Npg, k)
         cy = np.linalg.solve(Vg, Y.T)
         Jg = (X @ Egr.T) * (Y @ Egs.T) - (X @ Egs.T) * (Y @ Egr.T)
         cJ = np.linalg.solve(Vj, Jg.T)
 
-        k = hi - lo
+        k = len(X)
         jet_x = np.zeros((k, P, S, S))
         jet_y = np.zeros((k, P, S, S))
         jet_J = np.zeros((k, P, S, S))
@@ -298,7 +309,7 @@ def jacobian_sup_norms(mesh, order):
         for (a, b), E in EJ.items():
             jet_J[..., a, b] = (E @ cJ).T
 
-        inv_norm[lo:hi] = (1.0 / jet_J[..., 0, 0]).max(axis=1)
+        inv_norm[blk] = (1.0 / jet_J[..., 0, 0]).max(axis=1)
 
         jrx = _jet_div(_jet_shift(jet_y, 1), jet_J, M)   # rx = y_s / J
         jsx = _jet_div(-_jet_shift(jet_y, 0), jet_J, M)  # sx = -y_r / J
@@ -325,7 +336,7 @@ def jacobian_sup_norms(mesh, order):
                     g = ddy(g, M - p - q)
                 if p + q > 0:
                     best = np.maximum(best, np.abs(g[..., 0, 0]).max(axis=1))
-        w_norm[lo:hi] = best
+        w_norm[blk] = best
     return w_norm, inv_norm
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import geometry
+
 
 class NotSPD(Exception):
     """A weighted mass matrix failed to be symmetric positive definite."""
@@ -71,20 +73,30 @@ def l2_project(ref, geo, exact_fn):
     Mhat^-1 M_{1/J~} Mhat^-1, in the Gauss-collocated basis the pointwise
     scale 1/(diag(Mhat) J~) with J~ the nodal values of J's degree-N
     projection.  It approximates M_J^-1 to high order, so a few iterations
-    reach max|r| <= PCG_RTOL max|b|; an identically zero field is returned
-    as zeros without a load or a solve.  Raises FloatingPointError when
-    Np + 2 iterations do not reach that residual.  When exact_fn
-    returns a tuple of fields, a tuple of coefficient arrays is returned.
+    reach max|r| <= PCG_RTOL max|b|.  exact_fn is evaluated one element
+    block at a time, straight into the loads; a field that is zero on every
+    block is returned as zeros without a load or a solve.  Raises
+    FloatingPointError when Np + 2 iterations do not reach that residual.
+    When exact_fn returns a tuple of fields, a tuple of coefficient arrays
+    is returned.
     """
-    fq = exact_fn(geo.xq, geo.yq)
-    single = not isinstance(fq, tuple)
+    K = len(geo.Jq)
     WVq = ref.wq[:, None] * ref.Vq
-    # an identically zero field projects to zeros: no load, no solve
-    loads = [(f * geo.Jq) @ WVq if f.any() else None for f in ((fq,) if single else fq)]
+    loads = None
+    for blk in geometry.element_blocks(K):
+        fq = exact_fn(geo.xq[blk], geo.yq[blk])
+        single = not isinstance(fq, tuple)
+        fq = (fq,) if single else fq
+        loads = loads or [None] * len(fq)
+        for i, f in enumerate(fq):
+            if f.any():     # a load only for a field nonzero on some block
+                if loads[i] is None:
+                    loads[i] = np.zeros((K, ref.Np))
+                np.matmul(f * geo.Jq[blk], WVq, out=loads[i][blk])
     del fq      # the point values are not needed by the solves
     scale = 1.0 / (np.diag(ref.Mhat) * (geo.Jq @ ref.Pq.T))
-    out = tuple(np.zeros((len(geo.Jq), ref.Np)) if b is None
-                else _pcg(ref.Vq, WVq, geo.Jq, scale, b) for b in loads)
+    out = tuple(np.zeros((K, ref.Np)) if b is None else _pcg(ref.Vq, WVq, geo.Jq, scale, b)
+                for b in loads)
     return out[0] if single else out
 
 
@@ -156,10 +168,16 @@ def lsc_projection_error(ref, geo, exact_fn):
 
 
 def global_l2_error(ref, geo, coeffs, exact_fn):
-    """sqrt(sum_k sum_q w_q J_q (u_h - u)^2) with fixed summation order."""
-    uq = coeffs @ ref.Vq.T
-    fq = exact_fn(geo.xq, geo.yq)
-    return float(np.sqrt(np.sum(ref.wq[None, :] * geo.Jq * (uq - fq) ** 2)))
+    """sqrt(sum_k sum_q w_q J_q (u_h - u)^2), with exact_fn evaluated and
+    the terms summed one element block at a time, in a fixed order."""
+    total = 0.0
+    for blk in geometry.element_blocks(len(geo.Jq)):
+        d = coeffs[blk] @ ref.Vq.T
+        d -= exact_fn(geo.xq[blk], geo.yq[blk])
+        d *= d
+        d *= ref.wq[None, :] * geo.Jq[blk]
+        total += np.sum(d)
+    return float(np.sqrt(total))
 
 
 def _monomials(M, points):

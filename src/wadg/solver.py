@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,21 +132,29 @@ class FieldState:
 
 class StepBuffers:
     """Every array that rhs_pre_mass, apply_mass_inverse and lsrk_step write
-    for one Discretization, reused by every step; `scratch` holds the surface
-    lift and a weak-divergence term, then the mass-inverse result."""
+    for one Discretization, reused by every step.  Mesh-sized: the interior
+    face `traces`, `rhs_pre` and the step registers `y` and `res`.  Sized by
+    one element block of geometry.ELEMENT_BLOCK at allocation: the
+    `exterior` traces and `work`, which holds the volume terms' point
+    values, then the fluxes and the surface lift, and in exact mode the
+    mass-inverse result.  The block arrays are flat; `_view` shapes them."""
 
     def __init__(self, disc):
         K, Np, Nq = disc.mesh.K, disc.ref.Np, disc.ref.Nq
-        face = disc._gather_idx.shape
+        nf = disc._gather_idx.shape[1]
+        B = min(K, geometry.ELEMENT_BLOCK)
         fields = (3, K, Np)
-        self.volume = np.empty((4, K, Nq))
-        self.traces = np.empty((2, 3) + face)      # interior, exterior
-        self.sw_flux = (np.empty((2,) + face)
-                        if disc.config.formulation is Formulation.StrongWeak else None)
-        self.scratch = np.empty(fields)
+        self.traces = np.empty((3, K, nf))
+        self.exterior = np.empty(3 * B * nf)
+        self.work = np.empty(B * max(4 * Nq, 5 * nf, 3 * Np))
         self.rhs_pre = np.empty(fields)
         self.y = np.empty(fields)       # step registers
         self.res = np.empty(fields)
+
+
+def _view(flat, *shape):
+    """The leading entries of the flat array `flat`, as an array of `shape`."""
+    return flat[:math.prod(shape)].reshape(shape)
 
 
 class Discretization:
@@ -164,7 +173,10 @@ class Discretization:
 
     Calling a Discretization on a (3, K, Np) array evaluates `rhs_full`.
     The right-hand sides and the arrays `lsrk_step` returns are those
-    buffers, each valid until the next call that writes it.
+    buffers, each valid until the next call that writes it.  A step holds
+    four mesh-sized arrays besides the data above: `rhs_pre`, the interior
+    face traces and the two step registers; its other scratch is sized by
+    one element block.
     """
 
     def __init__(self, mesh, config, medium=MediumField()):
@@ -235,6 +247,27 @@ class Discretization:
         self._gather_idx = idx.reshape(mesh.K, -1)
         self._bc_points = np.flatnonzero(self.bc_mask)
 
+    def nbytes(self):
+        """Bytes of the per-element arrays held, by component: `mass`, what
+        apply_mass_inverse reads (WADG: the weights c^2/J and 1/J; exact:
+        M^-1 Mhat of pressure and velocity); `geometry`, the geometry of
+        every rule held, c_max and, in exact mode, the weights `energy`
+        reads; `face`, the fused face factors and the gather tables;
+        `buffers`, the StepBuffers, allocated here if no step has run.  The
+        process-wide reference elements are not counted."""
+        exact = self.mass_inv_p is not None
+        weights = [self.w_upd_p, self.w_upd_u]
+        geo = [a for _, g in self._rules.values() for a in vars(g).values()
+               if isinstance(a, np.ndarray)]
+        parts = {
+            "mass": [self.mass_inv_p, self.mass_inv_u] if exact else weights,
+            "geometry": geo + [self.c_max] + (weights if exact else []),
+            "face": [self._Jf_half, self._Jfnx_half, self._Jfny_half,
+                     self._gather_idx, self.bc_mask, self._bc_points],
+            "buffers": [a for a in vars(self.buffers).values() if isinstance(a, np.ndarray)],
+        }
+        return {name: sum(a.nbytes for a in arrays) for name, arrays in parts.items()}
+
     @functools.cached_property
     def buffers(self):
         """The StepBuffers of this discretization, allocated at first use,
@@ -245,62 +278,68 @@ class Discretization:
         return rhs_full(q, self)
 
     def face_traces(self, q):
-        """Interior and exterior traces of the (3, K, Np) state q at the face
-        quadrature points, each (3, K, n_faces*nfq), written into
-        `buffers.traces`: one GEMM call and one gather for all fields.  The
-        exterior value of a boundary point is its own interior trace
-        (callers apply the mirror condition)."""
-        K, nf = self._gather_idx.shape
-        uf, up = self.buffers.traces
-        np.matmul(q, self.ref.Vfq.T, out=uf)
-        np.take(uf.reshape(-1, K * nf), self._gather_idx, axis=1, mode="clip",
-                out=up.reshape(-1, K, nf))
-        return uf, up
+        """Interior traces of the (3, K, Np) state q at the face quadrature
+        points, (3, K, n_faces*nfq), written into `buffers.traces`: one GEMM
+        call for all fields and the whole mesh.  rhs_pre_mass gathers the
+        exterior traces from them one element block at a time."""
+        return np.matmul(q, self.ref.Vfq.T, out=self.buffers.traces)
 
 
-def _surface_terms(q, disc, strong_weak, out):
-    """Lifted penalty-flux terms of the three fields into out (3, K, Np)."""
-    flux, geo = disc.flux, disc.geo
-    M, P = disc.face_traces(q)
-    np.negative.at(P[0].reshape(-1), disc._bc_points)   # Dirichlet p+ = -p-
+def _surface_terms(uf, disc, blk, strong_weak):
+    """Lifted penalty-flux terms of the three fields of the elements `blk`,
+    from the interior traces uf of the whole mesh; returns a (3, n, Np)
+    view of `buffers.work`."""
+    flux, geo, buf = disc.flux, disc.geo, disc.buffers
+    nf = uf.shape[2]
+    n, start = blk.stop - blk.start, blk.start * nf
+    M = uf[:, blk]
+    P = _view(buf.exterior, 3, n, nf)
+    # exterior traces; a boundary point is its own exterior point
+    np.take(uf.reshape(3, -1), disc._gather_idx[blk], axis=1, mode="clip", out=P)
+    bc = disc._bc_points
+    first, last = np.searchsorted(bc, (start, start + n * nf))
+    np.negative.at(P[0].reshape(-1), bc[first:last] - start)   # Dirichlet p+ = -p-
+    nx, ny = geo.nxq[blk], geo.nyq[blk]
+    s = _view(buf.work, 5 if strong_weak else 3, n, nf)
     if strong_weak:
         # pressure flux 1/2 (2{u}.n - tau_p [p]): the sum part, before the
         # exterior traces turn into jumps
-        fp, tmp = disc.buffers.sw_flux
-        np.add(P[1], M[1], out=fp)
-        fp *= geo.nxq
-        np.add(P[2], M[2], out=tmp)
-        tmp *= geo.nyq
+        fp = np.add(P[1], M[1], out=s[3])
+        fp *= nx
+        tmp = np.add(P[2], M[2], out=s[4])
+        tmp *= ny
         fp += tmp
     P -= M                                  # [p], [u1], [u2]
     dp, du1, du2 = P
-    dUn = np.multiply(du1, geo.nxq, out=M[0])
-    dUn += np.multiply(du2, geo.nyq, out=M[1])
-    tau_dp = np.multiply(dp, flux.tau_p, out=M[1])
+    dUn = np.multiply(du1, nx, out=s[0])
+    dUn += np.multiply(du2, ny, out=s[1])
+    tau_dp = np.multiply(dp, flux.tau_p, out=s[1])
     if strong_weak:
         fp -= tau_dp
     else:
-        fp = np.subtract(dUn, tau_dp, out=M[1])
+        fp = np.subtract(dUn, tau_dp, out=s[1])
     # velocity flux 1/2 ([p] - tau_u [u].n)
-    fu = np.multiply(dUn, flux.tau_u, out=M[2])
+    fu = np.multiply(dUn, flux.tau_u, out=s[2])
     np.subtract(dp, fu, out=fu)
 
-    np.multiply(fp, disc._Jf_half, out=P[0])
-    np.multiply(fu, disc._Jfnx_half, out=P[1])
-    np.multiply(fu, disc._Jfny_half, out=P[2])
-    np.matmul(P, disc._mPf.T, out=out)
+    np.multiply(fp, disc._Jf_half[blk], out=P[0])
+    np.multiply(fu, disc._Jfnx_half[blk], out=P[1])
+    np.multiply(fu, disc._Jfny_half[blk], out=P[2])
+    return np.matmul(P, disc._mPf.T, out=_view(buf.work, 3, n, disc.ref.Np))
 
 
-def _volume_terms(q, disc, strong_weak, out):
-    """Volume terms of the three fields into out (3, K, Np)."""
-    ref, geo = disc.ref, disc.geo
-    p, u1, u2 = q
-    buf = disc.buffers
-    a, b, c, d = buf.volume
+def _volume_terms(q, disc, blk, strong_weak, out):
+    """Volume terms of the three fields of the elements `blk` of the state q
+    into out (3, n, Np), through `buffers.work`."""
+    ref, geo, buf = disc.ref, disc.geo, disc.buffers
+    p, u1, u2 = q[:, blk]
+    rxJ, ryJ, sxJ, syJ = geo.rxJ[blk], geo.ryJ[blk], geo.sxJ[blk], geo.syJ[blk]
+    n = blk.stop - blk.start
+    a, b, c, d = _view(buf.work, 4, n, ref.Nq)
     # velocity rows: -Pq (grad p J), grad p J = p_r (rx, ry) J + p_s (sx, sy) J
     np.matmul(p, ref.Drq.T, out=a)
     np.matmul(p, ref.Dsq.T, out=b)
-    for row, rJ, sJ in ((1, geo.rxJ, geo.sxJ), (2, geo.ryJ, geo.syJ)):
+    for row, rJ, sJ in ((1, rxJ, sxJ), (2, ryJ, syJ)):
         np.multiply(a, rJ, out=c)
         c += np.multiply(b, sJ, out=d)
         np.matmul(c, disc._mPq.T, out=out[row])
@@ -309,17 +348,16 @@ def _volume_terms(q, disc, strong_weak, out):
         # weak divergence of u J, weighted and premultiplied by Mhat^-1
         u1q = np.matmul(u1, ref.Vq.T, out=a)
         u2q = np.matmul(u2, ref.Vq.T, out=b)
-        Fr = np.multiply(geo.rxJ, u1q, out=c)
-        Fr += np.multiply(geo.ryJ, u2q, out=d)
-        Fs = np.multiply(u1q, geo.sxJ, out=a)
-        Fs += np.multiply(u2q, geo.syJ, out=b)
+        Fr = np.multiply(rxJ, u1q, out=c)
+        Fr += np.multiply(ryJ, u2q, out=d)
+        Fs = np.multiply(u1q, sxJ, out=a)
+        Fs += np.multiply(u2q, syJ, out=b)
         np.matmul(Fr, disc._weak_r, out=out[0])
-        out[0] += np.matmul(Fs, disc._weak_s, out=buf.scratch[0])
+        out[0] += np.matmul(Fs, disc._weak_s, out=_view(d.reshape(-1), n, ref.Np))
     else:
         # -Pq (div u J), summed in the order u1_r, u1_s, u2_r, u2_s
-        divJ = np.multiply(np.matmul(u1, ref.Drq.T, out=a), geo.rxJ, out=c)
-        for u, D, G in ((u1, ref.Dsq, geo.sxJ), (u2, ref.Drq, geo.ryJ),
-                        (u2, ref.Dsq, geo.syJ)):
+        divJ = np.multiply(np.matmul(u1, ref.Drq.T, out=a), rxJ, out=c)
+        for u, D, G in ((u1, ref.Dsq, sxJ), (u2, ref.Drq, ryJ), (u2, ref.Dsq, syJ)):
             divJ += np.multiply(np.matmul(u, D.T, out=a), G, out=a)
         np.matmul(divJ, disc._mPq.T, out=out[0])
 
@@ -327,35 +365,46 @@ def _volume_terms(q, disc, strong_weak, out):
 def rhs_pre_mass(q, disc):
     """DG right-hand side of the (3, K, Np) state q in the configured
     formulation, Mhat^-1-premultiplied (no mass weighting applied yet).  The
-    strong-weak form integrates the pressure equation by parts once.  The
-    result is a buffer of disc."""
+    strong-weak form integrates the pressure equation by parts once.
+
+    One face_traces call gives the interior traces of the whole mesh; then
+    the volume terms, the exterior traces, the penalty fluxes and their
+    lift are evaluated one element block at a time.  The result is the
+    buffer `rhs_pre` of disc."""
     sw = disc.config.formulation is Formulation.StrongWeak
-    buf = disc.buffers
-    _volume_terms(q, disc, sw, buf.rhs_pre)
-    _surface_terms(q, disc, sw, buf.scratch)
-    buf.rhs_pre += buf.scratch
-    return buf.rhs_pre
+    rhs = disc.buffers.rhs_pre
+    uf = disc.face_traces(q)
+    for blk in geometry.element_blocks(disc.mesh.K):
+        out = rhs[:, blk]
+        _volume_terms(q, disc, blk, sw, out)
+        out += _surface_terms(uf, disc, blk, sw)
+    return rhs
 
 
 def apply_mass_inverse(z, disc):
-    """Complete the mass solve on a premultiplied right-hand side z.
+    """Complete the mass solve on a premultiplied right-hand side z, in
+    place, and return z.
 
     WADG mode applies Pq diag(w) Vq on the mass rule, whose points are the
     nodes: a pointwise scale by c^2/J (pressure) and 1/J (velocity).  Exact
     mode applies the stored per-element M^-1 Mhat as batched GEMMs, one for
-    the pressure and one for both velocity fields.  The result is the
-    buffer `scratch` of disc, so z must be another array.
+    the pressure and one for both velocity fields, one element block at a
+    time through `buffers.work`.
     """
-    out = disc.buffers.scratch
     if disc.config.mass_mode is MassMode.WADG:
         for f, w in enumerate((disc.w_upd_p, disc.w_upd_u, disc.w_upd_u)):
-            np.multiply(z[f], w, out=out[f])
-    else:
-        # (K, Np, Np) @ (K, Np, n): the fields of z stacked as columns
-        np.matmul(disc.mass_inv_p, z[0, :, :, None], out=out[0, :, :, None])
-        np.matmul(disc.mass_inv_u, z[1:].transpose(1, 2, 0),
+            z[f] *= w
+        return z
+    buf = disc.buffers
+    for blk in geometry.element_blocks(disc.mesh.K):
+        zb = z[:, blk]
+        out = _view(buf.work, *zb.shape)
+        # (n, Np, Np) @ (n, Np, m): the fields of z stacked as columns
+        np.matmul(disc.mass_inv_p[blk], zb[0, :, :, None], out=out[0, :, :, None])
+        np.matmul(disc.mass_inv_u[blk], zb[1:].transpose(1, 2, 0),
                   out=out[1:].transpose(1, 2, 0))
-    return out
+        zb[...] = out
+    return z
 
 
 def rhs_full(q, disc):

@@ -88,6 +88,23 @@ class TestMetricData:
             geom.validate_positive_jacobian(folded)
         assert exc.value.element == 0 and exc.value.value <= 0
 
+    @pytest.mark.parametrize("block", [4, 100])
+    def test_validate_names_the_global_element_index(self, block, monkeypatch):
+        # element 7 of 9 folds: in blocks of 4 it is the fourth of the second
+        # block, and the message names 7
+        monkeypatch.setattr(geom, "ELEMENT_BLOCK", block)
+        m = mg.uniform_quad_mesh(3)
+        bad = m.elem_map_nodes.copy()
+        bad[7, [0, 1]] = bad[7, [1, 0]]
+        folded = mg.CurvedMesh2D(N_geo=1, elem_map_nodes=bad,
+                                 face_connectivity=m.face_connectivity,
+                                 boundary_tags=m.boundary_tags, h=m.h, provenance={})
+        with pytest.raises(geom.NonPositiveJacobian, match="on element 7 ") as exc:
+            geom.validate_positive_jacobian(folded)
+        J = geom.jacobian_at(folded, geom.check_points(folded)["volume"])
+        assert exc.value.element == 7 and J[7, exc.value.point] == exc.value.value
+        assert geom.validate_positive_jacobian(m) == pytest.approx(0.1111111111111111)
+
     @staticmethod
     def lifted_edge_mesh(d):
         """Degree-2 identity element with the bottom-edge midpoint node

@@ -260,6 +260,26 @@ class TestMatrixFreeProjection:
             assert np.array_equal(c, e) and np.array_equal(np.signbit(c), np.signbit(e))
         assert got[0].any() and not got[1].any() and not got[2].any()
 
+    def test_field_zero_on_the_first_block_is_solved(self, monkeypatch):
+        # blocks of 4 elements, the first the bottom row of the warped mesh:
+        # the zero-field shortcut must look at every block, not the first
+        monkeypatch.setattr(geom, "ELEMENT_BLOCK", 4)
+        mesh = mg.warped_arnold_mesh(mg.WarpParams(1.0, 4), 3)
+        ref = rf.build_reference_element(3, 12)
+        g = geom.compute_volume_geometry(mesh, ref)
+        y0 = g.yq[:4].max()
+        assert g.yq[4:].max() > y0
+        fn = lambda x, y: (np.where(y > y0, 2.0 + np.cos(x + y), 0.0), np.zeros_like(x))
+        calls = []
+        got, zero = ops.l2_project(ref, g, lambda x, y: calls.append(len(x)) or fn(x, y))
+        assert calls == [4, 4, 4, 4]
+        M = ops.weighted_mass_matrix(ref, g.Jq)
+        load = (ref.wq * g.Jq * fn(g.xq, g.yq)[0]) @ ref.Vq
+        expect = np.linalg.solve(M, load[..., None])[..., 0]
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+        assert not got[:4].any() and np.all(np.abs(got[4:]).max(axis=1) > 0)
+        assert zero.shape == got.shape and not zero.any()
+
     def test_peak_memory_below_half_a_dense_mass_array(self):
         N = 6
         mesh = mg.disk_mesh(2, N)
@@ -350,6 +370,19 @@ class TestGlobalL2Error:
         c = ops.l2_project(ref, g, sin2d)
         assert (ops.global_l2_error(ref, g, c, sin2d)
                 == ops.global_l2_error(ref, g, c, sin2d))
+
+    # K = 1; K below the block; 9 = 2 x 4 + 1; 16 = 3 x 5 + 1
+    @pytest.mark.parametrize("K1D, block, sizes", [(1, 4, [1]), (3, 16, [9]), (3, 4, [4, 4, 1]),
+                                                   (4, 5, [5, 5, 5, 1])])
+    def test_element_blocks_match_one_shot_sum(self, K1D, block, sizes, rng, monkeypatch):
+        monkeypatch.setattr(geom, "ELEMENT_BLOCK", block)
+        ref, g = make_geo(mg.warped_arnold_mesh(mg.WarpParams(1.0, K1D), 3), 3, vdeg=10)
+        c = rng.standard_normal((g.K, ref.Np))
+        one_shot = np.sqrt(np.sum(ref.wq * g.Jq * (c @ ref.Vq.T - sin2d(g.xq, g.yq)) ** 2))
+        calls = []
+        err = ops.global_l2_error(ref, g, c, lambda x, y: calls.append(len(x)) or sin2d(x, y))
+        assert calls == sizes
+        assert abs(err - one_shot) <= 1e-14 * one_shot
 
 
 class TestConservation:

@@ -121,7 +121,9 @@ class TestRHS:
         dE = energy_rate(st, disc)
 
         geo_ = disc.geo
-        (pM, u1M, u2M), (pP, u1P, u2P) = disc.face_traces(st)
+        uf = disc.face_traces(st)
+        pM, u1M, u2M = uf
+        pP, u1P, u2P = uf.reshape(3, -1)[:, disc._gather_idx]
         bc = disc.bc_mask
         pP = np.where(bc, -pM, pP)
         u1P = np.where(bc, u1M, u1P)
@@ -239,7 +241,7 @@ class TestMassInverse:
     def test_pointwise_scale_is_the_weight_adjusted_inverse(self, N, N_geo, rng):
         disc = disk1_wadg(N, N_geo)
         z = random_state(disc, rng)
-        got = sv.apply_mass_inverse(z, disc)
+        got = sv.apply_mass_inverse(z.copy(), disc)
         for f, w in enumerate((disc.w_upd_p, disc.w_upd_u, disc.w_upd_u)):
             Mz = z[f] @ disc.ref_upd.Mhat.T
             expect = ops.apply_weight_adjusted_inverse(disc.ref_upd, w, Mz)
@@ -263,12 +265,30 @@ class TestMassInverse:
         assert sv.energy(q, disc) == pytest.approx(expect, rel=1e-13)
 
     @pytest.mark.parametrize("mode", ["wadg", "exact"])
-    def test_step_buffers_hold_four_field_arrays(self, curved_mesh, mode):
-        disc = sv.Discretization(curved_mesh, SolverConfig(N=3, mass_mode=MassMode(mode)))
-        shape = (3, curved_mesh.K, disc.ref.Np)
-        fields = {name for name, a in vars(disc.buffers).items()
-                  if isinstance(a, np.ndarray) and a.shape == shape}
-        assert fields == {"scratch", "rhs_pre", "y", "res"}
+    def test_step_buffers_hold_four_field_arrays(self, monkeypatch, rng, mode):
+        # a warm disk Discretization of 192 elements in blocks of 16: y, res,
+        # rhs_pre and the interior traces are the only step arrays as large
+        # as one (K, Np) array; the rest together stay below one
+        monkeypatch.setattr(geom, "ELEMENT_BLOCK", 16)
+        mesh = mg.disk_mesh(2, 3)
+        disc = sv.Discretization(mesh, SolverConfig(N=3, mass_mode=MassMode(mode)))
+        sv.lsrk_step(sv.lsrk_step(random_state(disc, rng), 1e-3, disc), 1e-3, disc)
+        one = mesh.K * disc.ref.Np * 8
+        arrays = vars(disc.buffers)
+        large = {name for name, a in arrays.items() if a.nbytes >= one}
+        assert large == {"traces", "rhs_pre", "y", "res"}
+        assert sum(arrays[name].nbytes for name in large) == 9 * one + disc.buffers.traces.nbytes
+        assert disc.nbytes()["buffers"] < 9 * one + disc.buffers.traces.nbytes + one
+
+    def test_exact_mass_data_is_Np_times_wadg(self):
+        N = 6
+        mesh = mg.disk_mesh(1, N)
+        held = {mode: sv.Discretization(mesh, SolverConfig(N=N, mass_mode=mode)).nbytes()
+                for mode in MassMode}
+        assert held[MassMode.ExactCurvedMass]["mass"] == (N + 1) ** 2 * held[MassMode.WADG]["mass"]
+        assert held[MassMode.WADG]["mass"] == 2 * mesh.K * (N + 1) ** 2 * 8
+        # the two modes share the formulation rule and the face tables
+        assert held[MassMode.WADG]["face"] == held[MassMode.ExactCurvedMass]["face"]
 
     @pytest.mark.parametrize("mode", ["wadg", "exact"])
     def test_wadg_run_forms_no_dense_element_matrix(self, monkeypatch, mode):

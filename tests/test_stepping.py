@@ -223,6 +223,44 @@ def test_exact_mass_mode_agrees_with_reference(form, rng):
     assert rel_diff(q, stacked(expect)) <= 1e-14
 
 
+# mesh and ELEMENT_BLOCK: K = 1, K below the block, K not a multiple of
+# the block (48 = 4 x 10 + 8) and K = 2 x 12 + 1
+BLOCK_EDGES = {
+    "K1": (lambda: mg.uniform_quad_mesh(1, N_geo=3), 4, 1),
+    "K-below-block": (lambda: mg.disk_mesh(1, 3), 64, 1),
+    "K-not-a-multiple": (lambda: mg.disk_mesh(1, 3), 10, 5),
+    "K-two-blocks-and-one": (lambda: mg.warped_arnold_mesh(mg.WarpParams(1.0, 5), 3), 12, 3),
+}
+
+
+@pytest.mark.parametrize("mode", ["wadg", "exact"])
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("edge", list(BLOCK_EDGES))
+def test_element_blocks_agree_with_reference(edge, form, mode, rng, monkeypatch):
+    """rhs_full and steps evaluated over blocks of ELEMENT_BLOCK elements
+    against the whole-mesh reference.  Within 1e-14, not bitwise: BLAS may
+    round a row differently at another row count (a one-row block goes
+    through gemv), by up to 7e-16 relative here, while an element skipped
+    or mixed up at a block edge is an O(1) error.  With K within one block
+    the WADG cases are bitwise equal, as the tests above check."""
+    make, block, n_blocks = BLOCK_EDGES[edge]
+    monkeypatch.setattr(geom, "ELEMENT_BLOCK", block)
+    cfg = SolverConfig(N=3, formulation=Formulation(form), mass_mode=MassMode(mode))
+    disc = sv.Discretization(make(), cfg, SMOOTH_MEDIUM)
+    assert len(geom.element_blocks(disc.mesh.K)) == n_blocks
+    ops_ = RefOperators(disc)
+    fields = random_fields(disc, rng)
+    full = ref_apply_mass_inverse(ref_rhs_pre_mass(RefState(*fields), ops_), ops_)
+    assert rel_diff(sv.rhs_full(np.stack(fields), disc), stacked(full)) <= 1e-14
+    dt = sv.stable_dt(disc)
+    expect, q = RefState(*fields), np.stack(fields)
+    for _ in range(3):
+        expect = ref_nested_step(expect, dt, lambda s: ref_apply_mass_inverse(
+            ref_rhs_pre_mass(s, ops_), ops_))
+        q = sv.lsrk_step(q, dt, disc)
+    assert rel_diff(q, stacked(expect)) <= 1e-14
+
+
 def test_weighted_mass_matrix_matches_einsum_and_is_symmetric():
     disc = make_disc("strong", "wadg")
     ref_m, geo_m = disc.rule(disc.mass_deg)
@@ -296,3 +334,35 @@ def test_warm_step_allocates_nothing_field_sized(form, mode, monkeypatch):
     assert len(warm) >= 3
     field_bytes = mesh.K * (N + 1) ** 2 * 8
     assert max(warm) < field_bytes, warm
+
+
+def test_record_allocates_less_than_one_error_array(monkeypatch):
+    """A record of `run`, energy and then the pressure error on the 2N + 4
+    rule, stays below one (K, Nq) array of that rule above its entry level
+    when K spans several element blocks."""
+    monkeypatch.setattr(geom, "ELEMENT_BLOCK", 64)
+    energy, error = sv.energy, ops.global_l2_error
+    entry, peaks = [], []
+
+    def traced_energy(q, disc):
+        tracemalloc.start()
+        entry.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return energy(q, disc)
+
+    def traced_error(*args):
+        try:
+            return error(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] - entry[-1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(sv, "energy", traced_energy)
+    monkeypatch.setattr(ops, "global_l2_error", traced_error)
+    N = 2
+    mesh = mg.disk_mesh(3, N)      # K = 768: 12 blocks
+    sv.run(mesh, SolverConfig(N=N), sv.bessel_initial_condition, 0.004,
+           exact_p=sv.bessel_pressure, n_outputs=2, dt=0.002)
+    assert len(peaks) == 3
+    error_array = mesh.K * (N + 3) ** 2 * 8
+    assert max(peaks) < error_array, [p / error_array for p in peaks]
