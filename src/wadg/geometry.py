@@ -91,21 +91,13 @@ def compute_geometric_data(mesh, ref):
     Raises NonPositiveJacobian identifying the first offending element and
     quadrature point.
     """
-    ngeo = mesh.N_geo
-    X = mesh.elem_map_nodes[:, :, 0]
-    Y = mesh.elem_map_nodes[:, :, 1]
-
-    E = refelem.nodal_eval_matrix(ngeo, ref.volume_quad.points)
-    Er, Es = refelem.nodal_grad_matrices(ngeo, ref.volume_quad.points)
-    xq, yq = X @ E.T, Y @ E.T
-    xr, xs = X @ Er.T, X @ Es.T
-    yr, ys = Y @ Er.T, Y @ Es.T
+    E = refelem.nodal_eval_matrix(mesh.N_geo, ref.volume_quad.points)
+    xq, yq = mesh.elem_map_nodes[:, :, 0] @ E.T, mesh.elem_map_nodes[:, :, 1] @ E.T
+    xr, xs, yr, ys = _mapping_derivatives(mesh, ref.volume_quad.points)
     Jq = xr * ys - xs * yr
     _check_jacobian(Jq)
 
-    Efr, Efs = refelem.nodal_grad_matrices(ngeo, ref.face_quad_points)
-    xfr, xfs = X @ Efr.T, X @ Efs.T
-    yfr, yfs = Y @ Efr.T, Y @ Efs.T
+    xfr, xfs, yfr, yfs = _mapping_derivatives(mesh, ref.face_quad_points)
 
     # tangent along the CCW face parameter; outward normal is (y', -x') / Jf
     dr, ds = np.repeat([d for _, d in refelem.FACES], ref.nfq, axis=0).T
@@ -129,11 +121,22 @@ def element_perimeters(geo):
     return geo.Jfq @ wf
 
 
+def _mapping_derivatives(mesh, points):
+    """(x_r, x_s, y_r, y_s) of every element at reference `points`, each
+    (K, n_points)."""
+    Er = refelem.nodal_eval_matrix(mesh.N_geo, points, 1, 0)
+    Es = refelem.nodal_eval_matrix(mesh.N_geo, points, 0, 1)
+    X, Y = mesh.elem_map_nodes[:, :, 0], mesh.elem_map_nodes[:, :, 1]
+    return X @ Er.T, X @ Es.T, Y @ Er.T, Y @ Es.T
+
+
 def jacobian_at(mesh, points, elements=slice(None)):
     """Mapping Jacobian J = x_r y_s - x_s y_r of the `elements` (default
     all) at reference `points`, shape (n_elements, n_points)."""
-    Er, Es = refelem.nodal_grad_matrices(mesh.N_geo, points)
+    Er = refelem.nodal_eval_matrix(mesh.N_geo, points, 1, 0)
+    Es = refelem.nodal_eval_matrix(mesh.N_geo, points, 0, 1)
     X, Y = mesh.elem_map_nodes[elements, :, 0], mesh.elem_map_nodes[elements, :, 1]
+    # product by product, so that only three (n, n_points) arrays are live
     return (X @ Er.T) * (Y @ Es.T) - (X @ Es.T) * (Y @ Er.T)
 
 
@@ -165,7 +168,7 @@ def _check_point_sets(N_geo):
     vol = refelem.build_quadrature(degree).points
     xi = refelem.gauss_legendre_1d((degree + 2) // 2).points
     face = np.vstack([refelem.face_points(f, xi) for f in range(refelem.N_FACES)])
-    sets = (vol, face, _sample_grid(2 * N_geo + 3))
+    sets = (vol, face, refelem.interpolation_nodes(2 * N_geo + 2))
     for a in sets:
         a.flags.writeable = False
     return sets
@@ -255,12 +258,6 @@ def _jet_shift(g, axis):
     return out
 
 
-def _sample_grid(n1d):
-    g = refelem.gauss_lobatto_1d(n1d).points
-    r, s = np.meshgrid(g, g, indexing="ij")
-    return np.column_stack([r.ravel(), s.ravel()])
-
-
 def jacobian_sup_norms(mesh, order):
     """Per-element sup-norm estimates (||J||_{W^{order,inf}}, ||1/J||_{inf}).
 
@@ -269,24 +266,13 @@ def jacobian_sup_norms(mesh, order):
     sample grid of quadrature degree >= 4 N_geo (corners included).
     """
     ngeo = mesh.N_geo
-    pts = _sample_grid(2 * ngeo + 2)  # GLL degree 2n-3 >= 4 N_geo
-    P = pts.shape[0]
+    pts = refelem.interpolation_nodes(2 * ngeo + 1)  # GLL degree 4 N_geo + 1
+    # J has per-coordinate degree <= 2 N_geo, so its values at the degree
+    # 2 N_geo mapping nodes interpolate it exactly
+    jgrid = refelem.interpolation_nodes(2 * ngeo)
     M = order
-
-    nodes = refelem.interpolation_nodes(ngeo)
-    Vg = refelem.modal_deriv_eval(ngeo, nodes)
-    # J is a polynomial of per-coordinate degree <= 2 ngeo; interpolate it
-    # exactly on a degree-2 ngeo GLL grid
-    nj = 2 * ngeo + 1
-    jgrid = _sample_grid(nj)
-    Vj = refelem.modal_deriv_eval(2 * ngeo, jgrid)
-    Egr, Egs = refelem.nodal_grad_matrices(ngeo, jgrid)
-
     S = M + 2
-    Exy = {(a, b): refelem.modal_deriv_eval(ngeo, pts, a, b)
-           for a in range(S) for b in range(S - a)}
-    EJ = {(a, b): refelem.modal_deriv_eval(2 * ngeo, pts, a, b)
-          for a in range(S) for b in range(S - a)}
+    orders = [(a, b) for a in range(S) for b in range(S - a)]
 
     K = mesh.K
     w_norm = np.zeros(K)
@@ -294,20 +280,13 @@ def jacobian_sup_norms(mesh, order):
     for blk in element_blocks(K):
         X = mesh.elem_map_nodes[blk, :, 0]
         Y = mesh.elem_map_nodes[blk, :, 1]
-        cx = np.linalg.solve(Vg, X.T)  # modal coefficients, (Npg, k)
-        cy = np.linalg.solve(Vg, Y.T)
-        Jg = (X @ Egr.T) * (Y @ Egs.T) - (X @ Egs.T) * (Y @ Egr.T)
-        cJ = np.linalg.solve(Vj, Jg.T)
-
-        k = len(X)
-        jet_x = np.zeros((k, P, S, S))
-        jet_y = np.zeros((k, P, S, S))
-        jet_J = np.zeros((k, P, S, S))
-        for (a, b), E in Exy.items():
-            jet_x[..., a, b] = (E @ cx).T
-            jet_y[..., a, b] = (E @ cy).T
-        for (a, b), E in EJ.items():
-            jet_J[..., a, b] = (E @ cJ).T
+        Jg = jacobian_at(mesh, jgrid, blk)
+        jet_x, jet_y, jet_J = (np.zeros((len(X), len(pts), S, S)) for _ in range(3))
+        for a, b in orders:
+            E = refelem.nodal_eval_matrix(ngeo, pts, a, b)
+            jet_x[..., a, b] = X @ E.T
+            jet_y[..., a, b] = Y @ E.T
+            jet_J[..., a, b] = Jg @ refelem.nodal_eval_matrix(2 * ngeo, pts, a, b).T
 
         inv_norm[blk] = (1.0 / jet_J[..., 0, 0]).max(axis=1)
 

@@ -7,9 +7,10 @@ Conventions
 * The reference element is the quadrilateral [-1, 1]^2; every element of
   a mesh is a quadrilateral.
 * The approximation space is Q^N (degree N in each coordinate), with the
-  Legendre tensor-product modal basis, a nodal solution basis at the points
-  of the degree 2N+1 Gauss rule (there Vq = Pq = I and Mhat is diagonal),
-  and tensor Gauss-Lobatto nodes for the degree-N_geo element mappings.
+  orthonormal Legendre tensor-product modal basis (numpy.polynomial.legendre),
+  a nodal solution basis at the points of the degree 2N+1 Gauss rule (there
+  Vq = Pq = I and Mhat is diagonal), and tensor Gauss-Lobatto nodes for the
+  degree-N_geo element mappings.
 * Quadrature exactness is per-coordinate degree.
 * Faces are ordered counterclockwise and parametrized by xi in [-1, 1];
   the outward normal direction is (y', -x') along the parametrization.
@@ -19,9 +20,10 @@ All matrices are dense; intended for N <= 8.
 Reference data is process-wide and read-only.  The 1D Gauss and
 Gauss-Lobatto rules are built once per point count, a ReferenceElement
 once per (N, 1D point count) of its Gauss rule, and the mapping-node
-matrices of nodal_eval_matrix / nodal_grad_matrices once per (N, point
-set); every cached array has writeable = False, so a caller that needs
-to modify one takes a copy.
+matrices of nodal_eval_matrix, the values and derivatives of the mapping
+nodes' Lagrange basis, once per (N, derivative orders, point set); every
+cached array has writeable = False, so a caller that needs to modify one
+takes a copy.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from scipy import special as sps
+from numpy.polynomial import legendre as leg
 
 
 class SingularNodalBasis(Exception):
@@ -84,51 +86,30 @@ def gauss_legendre_1d(n):
     """Gauss-Legendre rule with n points on [-1, 1], exact to degree 2n-1."""
     if n < 1:
         raise ValueError(f"need at least one point, got n={n}")
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = leg.leggauss(n)
     _read_only(x, w)
     return QuadratureRule(points=x, weights=w, exactness_degree=2 * n - 1)
 
 
 @cache
 def gauss_lobatto_1d(n):
-    """Gauss-Lobatto points/weights with n >= 2 points, exact to degree 2n-3."""
+    """Gauss-Lobatto points/weights with n >= 2 points, exact to degree 2n-3.
+
+    The interior points are the roots of P'_{n-1}, polished by two Newton
+    steps."""
     if n < 2:
         raise ValueError(f"need at least two points, got n={n}")
-    if n == 2:
-        x = np.array([-1.0, 1.0])
-    else:
-        xi, _ = sps.roots_jacobi(n - 2, 1.0, 1.0)
-        x = np.concatenate(([-1.0], np.sort(xi), [1.0]))
+    p = np.eye(n)[n - 1]                  # P_{n-1} in the Legendre basis
+    d1 = leg.legder(p)
+    d2 = leg.legder(d1)
+    xi = leg.legroots(d1)
+    for _ in range(2):
+        xi = xi - leg.legval(xi, d1) / leg.legval(xi, d2)
+    x = np.concatenate(([-1.0], xi, [1.0]))
     # weights w_i = 2 / (n(n-1) P_{n-1}(x_i)^2)
-    pn = np.polynomial.legendre.Legendre.basis(n - 1)(x)
-    w = 2.0 / (n * (n - 1) * pn**2)
+    w = 2.0 / (n * (n - 1) * leg.legval(x, p)**2)
     _read_only(x, w)
     return QuadratureRule(points=x, weights=w, exactness_degree=2 * n - 3)
-
-
-def jacobi_p(n, alpha, beta, x):
-    """Jacobi polynomial P_n^(alpha,beta), normalized to unit L2 weight norm."""
-    x = np.asarray(x, dtype=float)
-    lg = sps.gammaln
-    log_gamma = (
-        (alpha + beta + 1) * np.log(2.0)
-        + lg(n + alpha + 1) + lg(n + beta + 1)
-        - np.log(2 * n + alpha + beta + 1) - lg(n + 1) - lg(n + alpha + beta + 1)
-    )
-    return sps.eval_jacobi(n, alpha, beta, x) / np.exp(0.5 * log_gamma)
-
-
-def grad_jacobi_p(n, alpha, beta, x, order=1):
-    """order-th derivative of the orthonormal Jacobi polynomial."""
-    x = np.asarray(x, dtype=float)
-    coef = 1.0
-    for k in range(order):
-        if n - k <= 0:
-            return np.zeros_like(x)
-        coef *= np.sqrt((n - k) * (n + k + alpha + beta + 1))
-    if order == 0:
-        return jacobi_p(n, alpha, beta, x)
-    return coef * jacobi_p(n - order, alpha + order, beta + order, x)
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +134,20 @@ def build_quadrature(degree):
 # Orthonormal modal basis: Legendre tensor products, mode (i, j) in column
 # i (N+1) + j
 
+def _legendre_deriv(N, x, order):
+    """order-th derivative of the orthonormal Legendre polynomials
+    sqrt(i + 1/2) P_i, i = 0..N, at x, shape (len(x), N+1); orders above N
+    give exact zeros."""
+    C = leg.legder(np.diag(np.sqrt(np.arange(N + 1) + 0.5)), order)
+    return leg.legvander(x, C.shape[0] - 1) @ C
+
+
 def modal_deriv_eval(N, points, a=0, b=0):
     """d^(a+b)/dr^a ds^b of the Q^N orthonormal modal basis at `points`,
     shape (n_points, (N+1)^2)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    r, s = pts[:, 0], pts[:, 1]
-    A = np.column_stack([grad_jacobi_p(i, 0, 0, r, order=a) for i in range(N + 1)])
-    B = np.column_stack([grad_jacobi_p(j, 0, 0, s, order=b) for j in range(N + 1)])
+    A = _legendre_deriv(N, pts[:, 0], a)
+    B = _legendre_deriv(N, pts[:, 1], b)
     return np.einsum("pi,pj->pij", A, B).reshape(pts.shape[0], -1)
 
 
@@ -199,8 +187,7 @@ def _cached_nodal_basis(N, solution=False):
 
 @cache
 def _mapping_matrix(N, a, b, shape, data):
-    """d^(a+b)/dr^a ds^b of the Lagrange basis of the mapping nodes at the
-    points whose float64 bytes are `data`, one row per point."""
+    """nodal_eval_matrix at the points whose float64 bytes are `data`."""
     _, V, _ = _cached_nodal_basis(N)
     M = modal_deriv_eval(N, np.frombuffer(data).reshape(shape), a, b)
     E = np.linalg.solve(V.T, M.T).T
@@ -208,22 +195,13 @@ def _mapping_matrix(N, a, b, shape, data):
     return E
 
 
-def _point_set_key(points):
+def nodal_eval_matrix(N, points, a=0, b=0):
+    """d^(a+b)/dr^a ds^b of the Lagrange basis of the mapping nodes
+    (interpolation_nodes(N)) at `points`, one row per point: the matrix
+    mapping nodal values to that derivative at the points.  Cached per
+    (N, a, b, point values), read-only."""
     pts = np.ascontiguousarray(points, dtype=float)
-    return pts.shape, pts.tobytes()
-
-
-def nodal_eval_matrix(N, points):
-    """Matrix mapping nodal values on the mapping nodes (interpolation_nodes)
-    to values at `points`; rows are Lagrange basis evaluations.  Cached per
-    (N, point set), read-only."""
-    return _mapping_matrix(N, 0, 0, *_point_set_key(points))
-
-
-def nodal_grad_matrices(N, points):
-    """(d/dr, d/ds) analogue of :func:`nodal_eval_matrix`."""
-    key = _point_set_key(points)
-    return _mapping_matrix(N, 1, 0, *key), _mapping_matrix(N, 0, 1, *key)
+    return _mapping_matrix(N, a, b, pts.shape, pts.tobytes())
 
 
 # ---------------------------------------------------------------------------

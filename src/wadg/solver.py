@@ -230,10 +230,9 @@ class Discretization:
         self._rules = {n: r for n, r in self._rules.items() if r[1] is self.geo}
 
     def _rule(self, degree, evaluate):
-        N = self.config.N
-        n1d = (max(degree, 2 * N) + 2) // 2
+        ref = refelem.build_reference_element(self.config.N, degree)
+        n1d = ref.face_quad_1d.n_points
         if n1d not in self._rules:
-            ref = refelem.build_reference_element(N, 2 * n1d - 1)
             self._rules[n1d] = (ref, evaluate(self.mesh, ref))
         return self._rules[n1d]
 
@@ -242,10 +241,9 @@ class Discretization:
         self.bc_mask = np.repeat(mesh.boundary_tags > 0, nfq, axis=1)
         # a boundary point is its own exterior point, so the velocity mirror
         # u+ = u- is the gather itself, and the pressure mirror p+ = -p- a
-        # sign flip at _bc_points
+        # sign flip where bc_mask is set
         idx = geometry.exterior_face_index(mesh.face_connectivity, nfq)
         self._gather_idx = idx.reshape(mesh.K, -1)
-        self._bc_points = np.flatnonzero(self.bc_mask)
 
     def nbytes(self):
         """Bytes of the per-element arrays held, by component: `mass`, what
@@ -263,7 +261,7 @@ class Discretization:
             "mass": [self.mass_inv_p, self.mass_inv_u] if exact else weights,
             "geometry": geo + [self.c_max] + (weights if exact else []),
             "face": [self._Jf_half, self._Jfnx_half, self._Jfny_half,
-                     self._gather_idx, self.bc_mask, self._bc_points],
+                     self._gather_idx, self.bc_mask],
             "buffers": [a for a in vars(self.buffers).values() if isinstance(a, np.ndarray)],
         }
         return {name: sum(a.nbytes for a in arrays) for name, arrays in parts.items()}
@@ -291,14 +289,12 @@ def _surface_terms(uf, disc, blk, strong_weak):
     view of `buffers.work`."""
     flux, geo, buf = disc.flux, disc.geo, disc.buffers
     nf = uf.shape[2]
-    n, start = blk.stop - blk.start, blk.start * nf
+    n = blk.stop - blk.start
     M = uf[:, blk]
     P = _view(buf.exterior, 3, n, nf)
     # exterior traces; a boundary point is its own exterior point
     np.take(uf.reshape(3, -1), disc._gather_idx[blk], axis=1, mode="clip", out=P)
-    bc = disc._bc_points
-    first, last = np.searchsorted(bc, (start, start + n * nf))
-    np.negative.at(P[0].reshape(-1), bc[first:last] - start)   # Dirichlet p+ = -p-
+    np.negative(P[0], out=P[0], where=disc.bc_mask[blk])   # Dirichlet p+ = -p-
     nx, ny = geo.nxq[blk], geo.nyq[blk]
     s = _view(buf.work, 5 if strong_weak else 3, n, nf)
     if strong_weak:

@@ -165,7 +165,8 @@ class TestMetricData:
         ref = rf.build_reference_element(3, 9)
         g = geom.compute_geometric_data(m, ref)
         grid = rf.interpolation_nodes(2 * ngeo)
-        Er, Es = rf.nodal_grad_matrices(ngeo, grid)
+        Er = rf.nodal_eval_matrix(ngeo, grid, 1, 0)
+        Es = rf.nodal_eval_matrix(ngeo, grid, 0, 1)
         X, Y = m.elem_map_nodes[..., 0], m.elem_map_nodes[..., 1]
         Jg = (X @ Er.T) * (Y @ Es.T) - (X @ Es.T) * (Y @ Er.T)
         E_q = rf.nodal_eval_matrix(2 * ngeo, ref.volume_quad.points)
@@ -248,7 +249,7 @@ class TestSobolevNorms:
         fx = sympy.lambdify((r, s), xe, "numpy")
         fy = sympy.lambdify((r, s), ye, "numpy")
         m = single_element_mesh(fx, fy, 2)
-        pts = geom._sample_grid(2 * 2 + 2)
+        pts = rf.interpolation_nodes(2 * 2 + 1)
 
         best = 0.0
         col = Je

@@ -557,8 +557,9 @@ def ref_validate_positive_jacobian(mesh):
     deg = 4 * mesh.N_geo + 2
     ref = rf.build_reference_element(max(1, mesh.N_geo), deg)
     jmin = float(geom.compute_geometric_data(mesh, ref).Jq.min())
-    grid = geom._sample_grid(2 * mesh.N_geo + 3)
-    Er, Es = rf.nodal_grad_matrices(mesh.N_geo, grid)
+    grid = rf.interpolation_nodes(2 * mesh.N_geo + 2)
+    Er = rf.nodal_eval_matrix(mesh.N_geo, grid, 1, 0)
+    Es = rf.nodal_eval_matrix(mesh.N_geo, grid, 0, 1)
     X, Y = mesh.elem_map_nodes[..., 0], mesh.elem_map_nodes[..., 1]
     Jg = (X @ Er.T) * (Y @ Es.T) - (X @ Es.T) * (Y @ Er.T)
     if np.any(Jg <= 0):

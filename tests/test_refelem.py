@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from math import factorial, sqrt
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import special
 
+import wadg
 from wadg import refelem as rf
 
 from conftest import exact_monomial_integral
@@ -42,6 +50,25 @@ class TestGaussLegendre:
             rf.gauss_legendre_1d(0)
 
 
+class TestGaussLobatto:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_rule(self, n):
+        r = rf.gauss_lobatto_1d(n)
+        x = r.points
+        assert x[0] == -1.0 and x[-1] == 1.0
+        assert np.all(np.diff(x) > 0) and np.all(r.weights > 0)
+        assert np.max(np.abs(x + x[::-1])) <= 2.3e-16
+        assert r.exactness_degree == 2 * n - 3
+        for k in range(2 * n - 2):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(r.weights @ x**k - exact) < 1e-14, k
+        # the interior points are the roots of the Jacobi polynomial
+        # P^(1,1)_{n-2}, i.e. of P'_{n-1}
+        if n > 2:
+            roots = np.sort(special.roots_jacobi(n - 2, 1.0, 1.0)[0])
+            assert np.max(np.abs(x[1:-1] - roots)) <= 4.5e-16
+
+
 class TestBuildQuadrature:
     def test_quad_degree3_is_tensor_two_point(self):
         q = rf.build_quadrature(3)
@@ -73,6 +100,21 @@ class TestModalBasis:
         V = rf.modal_deriv_eval(N, q.points)
         G = V.T @ (q.weights[:, None] * V)
         assert np.max(np.abs(G - np.eye(V.shape[1]))) < 1e-10
+
+    @pytest.mark.parametrize("N", [1, 3, 6])
+    def test_derivatives_above_degree_vanish_exactly(self, N):
+        pts = np.array([[0.1, -0.3], [-1.0, 1.0], [0.7, 0.9]])
+        for a, b in [(N + 1, 0), (0, N + 1), (N + 1, 2), (N + 2, N + 3)]:
+            assert not np.any(rf.modal_deriv_eval(N, pts, a, b)), (a, b)
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 8])
+    def test_top_derivative_of_top_mode(self, N):
+        # d^N/dr^N of sqrt(N + 1/2) P_N is sqrt(N + 1/2) (2N)! / (2^N N!),
+        # a constant; mode (N, 0) carries the factor P_0 = 1/sqrt(2) in s
+        pts = np.array([[0.1, -0.3], [-1.0, 1.0], [0.7, 0.9]])
+        V = rf.modal_deriv_eval(N, pts, N, 0)
+        top = sqrt(N + 0.5) * factorial(2 * N) / (2**N * factorial(N)) / sqrt(2)
+        assert V[:, N * (N + 1)] == pytest.approx(np.full(3, top), rel=1e-14)
 
     @pytest.mark.parametrize("N", [4], ids=[QUAD])
     def test_gradient_matches_finite_differences(self, N):
@@ -177,7 +219,8 @@ class TestReferenceCache:
         arrays += [ref.volume_quad.points, ref.volume_quad.weights,
                    ref.face_quad_1d.points, rf.gauss_lobatto_1d(4).points,
                    rf.nodal_eval_matrix(2, ref.face_quad_points),
-                   *rf.nodal_grad_matrices(2, ref.volume_quad.points)]
+                   rf.nodal_eval_matrix(2, ref.volume_quad.points, 1, 0),
+                   rf.nodal_eval_matrix(2, ref.volume_quad.points, 0, 1)]
         assert len(arrays) == 18 and not any(a.flags.writeable for a in arrays)
         with pytest.raises(AttributeError):
             ref.Vq = np.zeros_like(ref.Vq)
@@ -190,3 +233,21 @@ class TestReferenceCache:
         moved = pts.copy()
         moved[0, 0] = 0.5
         assert not np.array_equal(rf.nodal_eval_matrix(2, moved)[0], E[0])
+
+
+def test_run_imports_no_scipy_linalg():
+    """Mesh generation, set-up and stepping in a fresh interpreter leave
+    scipy.linalg unimported: its cold import costs tens of milliseconds."""
+    src = str(Path(wadg.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "from wadg import meshgen, solver\n"
+        "mesh = meshgen.disk_mesh(1, 3)\n"
+        "solver.run(mesh, solver.SolverConfig(N=3), solver.bessel_initial_condition,\n"
+        "           0.01, exact_p=solver.bessel_pressure)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
