@@ -63,10 +63,32 @@ class GeometricData(VolumeGeometry):
     nyq: np.ndarray = field(repr=False)
 
 
-def _check_jacobian(Jq):
-    if np.any(Jq <= 0):
-        k, q = np.argwhere(Jq <= 0)[0]
-        raise NonPositiveJacobian(int(k), int(q), float(Jq[k, q]))
+def _check_jacobian(Jq, offset):     # Jq of the elements from offset on
+    bad = ~(Jq > 0)
+    if bad.any():
+        k, q = np.argwhere(bad)[0]
+        raise NonPositiveJacobian(offset + int(k), int(q), float(Jq[k, q]))
+
+
+def _volume_block(mesh, ref, blk):
+    """Mapped points and Jacobian (xq, yq, Jq) of the elements blk at the
+    volume quadrature points of ref."""
+    points = ref.volume_quad.points
+    E = refelem.nodal_eval_matrix(mesh.N_geo, points)
+    Jq = jacobian_at(mesh, points, blk)
+    _check_jacobian(Jq, blk.start)
+    return mesh.elem_map_nodes[blk, :, 0] @ E.T, mesh.elem_map_nodes[blk, :, 1] @ E.T, Jq
+
+
+def volume_blocks(geo, ref):
+    """(K, blocks): the element count of `geo` and, per element block in
+    order, (blk, xq, yq, Jq) on ref's volume rule.  `geo` holds those arrays
+    (a VolumeGeometry), or is a mesh, whose geometry is then evaluated one
+    block at a time and not kept."""
+    if hasattr(geo, "elem_map_nodes"):
+        return geo.K, ((blk, *_volume_block(geo, ref, blk)) for blk in element_blocks(geo.K))
+    K = len(geo.Jq)
+    return K, ((blk, geo.xq[blk], geo.yq[blk], geo.Jq[blk]) for blk in element_blocks(K))
 
 
 def compute_volume_geometry(mesh, ref):
@@ -76,40 +98,42 @@ def compute_volume_geometry(mesh, ref):
     Raises NonPositiveJacobian identifying the first offending element and
     quadrature point.
     """
-    points = ref.volume_quad.points
-    E = refelem.nodal_eval_matrix(mesh.N_geo, points)
-    Jq = jacobian_at(mesh, points)
-    _check_jacobian(Jq)
-    return VolumeGeometry(ref=ref, xq=mesh.elem_map_nodes[:, :, 0] @ E.T,
-                          yq=mesh.elem_map_nodes[:, :, 1] @ E.T, Jq=Jq)
+    return VolumeGeometry(ref, *_volume_block(mesh, ref, slice(0, mesh.K)))
 
 
 def compute_geometric_data(mesh, ref):
     """Evaluate the mapping metric of `mesh` at the volume and face
-    quadrature points of `ref`.
+    quadrature points of `ref`, one element block at a time.
 
     Raises NonPositiveJacobian identifying the first offending element and
     quadrature point.
     """
+    K, Nq, nf = mesh.K, ref.Nq, ref.n_faces * ref.nfq
+    geo = GeometricData(ref, *(np.empty((K, Nq)) for _ in range(7)),
+                        *(np.empty((K, nf)) for _ in range(3)))
     E = refelem.nodal_eval_matrix(mesh.N_geo, ref.volume_quad.points)
-    xq, yq = mesh.elem_map_nodes[:, :, 0] @ E.T, mesh.elem_map_nodes[:, :, 1] @ E.T
-    xr, xs, yr, ys = _mapping_derivatives(mesh, ref.volume_quad.points)
-    Jq = xr * ys - xs * yr
-    _check_jacobian(Jq)
-
-    xfr, xfs, yfr, yfs = _mapping_derivatives(mesh, ref.face_quad_points)
-
     # tangent along the CCW face parameter; outward normal is (y', -x') / Jf
     dr, ds = np.repeat([d for _, d in refelem.FACES], ref.nfq, axis=0).T
-    tx = xfr * dr + xfs * ds
-    ty = yfr * dr + yfs * ds
-    Jfq = np.hypot(tx, ty)
-    nxq = ty / Jfq
-    nyq = -tx / Jfq
+    for blk in element_blocks(K):
+        np.matmul(mesh.elem_map_nodes[blk, :, 0], E.T, out=geo.xq[blk])
+        np.matmul(mesh.elem_map_nodes[blk, :, 1], E.T, out=geo.yq[blk])
+        # the derivatives straight into the metric rxJ = y_s, ryJ = -x_s,
+        # sxJ = -y_r, syJ = x_r; the two signs follow J
+        xr, xs, yr, ys = _mapping_derivatives(
+            mesh, ref.volume_quad.points, blk,
+            (geo.syJ[blk], geo.ryJ[blk], geo.sxJ[blk], geo.rxJ[blk]))
+        Jq = np.subtract(xr * ys, xs * yr, out=geo.Jq[blk])
+        _check_jacobian(Jq, blk.start)
+        np.negative(xs, out=xs)
+        np.negative(yr, out=yr)
 
-    return GeometricData(ref=ref, xq=xq, yq=yq, Jq=Jq,
-                         rxJ=ys, ryJ=-xs, sxJ=-yr, syJ=xr,
-                         Jfq=Jfq, nxq=nxq, nyq=nyq)
+        xfr, xfs, yfr, yfs = _mapping_derivatives(mesh, ref.face_quad_points, blk)
+        tx = xfr * dr + xfs * ds
+        ty = yfr * dr + yfs * ds
+        Jfq = np.hypot(tx, ty, out=geo.Jfq[blk])
+        np.divide(ty, Jfq, out=geo.nxq[blk])
+        np.divide(-tx, Jfq, out=geo.nyq[blk])
+    return geo
 
 
 def element_areas(geo):
@@ -121,13 +145,14 @@ def element_perimeters(geo):
     return geo.Jfq @ wf
 
 
-def _mapping_derivatives(mesh, points):
-    """(x_r, x_s, y_r, y_s) of every element at reference `points`, each
-    (K, n_points)."""
+def _mapping_derivatives(mesh, points, elements, out=(None,) * 4):
+    """(x_r, x_s, y_r, y_s) of the `elements` at reference `points`, each
+    (n_elements, n_points), into the arrays of `out` where given."""
     Er = refelem.nodal_eval_matrix(mesh.N_geo, points, 1, 0)
     Es = refelem.nodal_eval_matrix(mesh.N_geo, points, 0, 1)
-    X, Y = mesh.elem_map_nodes[:, :, 0], mesh.elem_map_nodes[:, :, 1]
-    return X @ Er.T, X @ Es.T, Y @ Er.T, Y @ Es.T
+    X, Y = mesh.elem_map_nodes[elements, :, 0], mesh.elem_map_nodes[elements, :, 1]
+    return tuple(np.matmul(Z, D.T, out=o)
+                 for (Z, D), o in zip(((X, Er), (X, Es), (Y, Er), (Y, Es)), out))
 
 
 def jacobian_at(mesh, points, elements=slice(None)):
@@ -140,10 +165,9 @@ def jacobian_at(mesh, points, elements=slice(None)):
     return (X @ Er.T) * (Y @ Es.T) - (X @ Es.T) * (Y @ Er.T)
 
 
-# Elements per block of every mesh-wide pointwise pipeline: the stage's
-# volume terms and fluxes, the error and projection point values, the mesh
-# checks and the jets of the sup norms.  Temporaries then scale with the
-# block, not with K.
+# Elements per block of every mesh-wide pipeline: the stage, the projection,
+# the records, the mapped geometry, the mesh checks and the jets of the sup
+# norms.  Temporaries then scale with the block, not with K.
 ELEMENT_BLOCK = 1024
 
 
@@ -184,10 +208,7 @@ def validate_positive_jacobian(mesh):
     for points in check_points(mesh).values():
         for blk in element_blocks(mesh.K):
             J = jacobian_at(mesh, points, blk)
-            bad = ~(J > 0)
-            if bad.any():
-                k, q = np.argwhere(bad)[0]
-                raise NonPositiveJacobian(blk.start + int(k), int(q), float(J[k, q]))
+            _check_jacobian(J, blk.start)
             jmin = min(jmin, float(J.min()))
     return jmin
 
@@ -219,42 +240,42 @@ def exterior_face_index(face_connectivity, nfq):
 
 def _jet_mul(u, v, order):
     out = np.zeros_like(u)
-    S = u.shape[-1]
+    S = u.shape[0]
     for a in range(min(order + 1, S)):
         for b in range(min(order + 1 - a, S)):
-            acc = np.zeros_like(u[..., 0, 0])
+            acc = np.zeros_like(u[0, 0])
             for i in range(a + 1):
                 for j in range(b + 1):
-                    acc += (comb(a, i) * comb(b, j)) * u[..., i, j] * v[..., a - i, b - j]
-            out[..., a, b] = acc
+                    acc += (comb(a, i) * comb(b, j)) * u[i, j] * v[a - i, b - j]
+            out[a, b] = acc
     return out
 
 
 def _jet_div(u, v, order):
-    """Jet of u / v (v[...,0,0] nonzero)."""
+    """Jet of u / v (v[0, 0] nonzero)."""
     out = np.zeros_like(u)
-    S = u.shape[-1]
-    v00 = v[..., 0, 0]
+    S = u.shape[0]
+    v00 = v[0, 0]
     idx = sorted(
         [(a, b) for a in range(min(order + 1, S)) for b in range(min(order + 1 - a, S))],
         key=lambda ab: (ab[0] + ab[1], ab[0]))
     for a, b in idx:
-        acc = u[..., a, b].copy()
+        acc = u[a, b].copy()
         for i in range(a + 1):
             for j in range(b + 1):
                 if (i, j) == (a, b):
                     continue
-                acc -= (comb(a, i) * comb(b, j)) * out[..., i, j] * v[..., a - i, b - j]
-        out[..., a, b] = acc / v00
+                acc -= (comb(a, i) * comb(b, j)) * out[i, j] * v[a - i, b - j]
+        out[a, b] = acc / v00
     return out
 
 
 def _jet_shift(g, axis):
     out = np.zeros_like(g)
     if axis == 0:
-        out[..., :-1, :] = g[..., 1:, :]
+        out[:-1, :] = g[1:, :]
     else:
-        out[..., :, :-1] = g[..., :, 1:]
+        out[:, :-1] = g[:, 1:]
     return out
 
 
@@ -263,7 +284,9 @@ def jacobian_sup_norms(mesh, order):
 
     The W norm is the max of |D^alpha J| over all physical multi-indices
     |alpha| <= order; both maxima are taken over a tensor Gauss-Lobatto
-    sample grid of quadrature degree >= 4 N_geo (corners included).
+    sample grid of quadrature degree >= 4 N_geo (corners included).  A jet
+    is an (S, S, n, P) array: its coefficient [a, b] is the contiguous
+    (n elements, P points) array of d^(a+b)/dr^a ds^b.
     """
     ngeo = mesh.N_geo
     pts = refelem.interpolation_nodes(2 * ngeo + 1)  # GLL degree 4 N_geo + 1
@@ -281,14 +304,14 @@ def jacobian_sup_norms(mesh, order):
         X = mesh.elem_map_nodes[blk, :, 0]
         Y = mesh.elem_map_nodes[blk, :, 1]
         Jg = jacobian_at(mesh, jgrid, blk)
-        jet_x, jet_y, jet_J = (np.zeros((len(X), len(pts), S, S)) for _ in range(3))
+        jet_x, jet_y, jet_J = (np.zeros((S, S, len(X), len(pts))) for _ in range(3))
         for a, b in orders:
             E = refelem.nodal_eval_matrix(ngeo, pts, a, b)
-            jet_x[..., a, b] = X @ E.T
-            jet_y[..., a, b] = Y @ E.T
-            jet_J[..., a, b] = Jg @ refelem.nodal_eval_matrix(2 * ngeo, pts, a, b).T
+            jet_x[a, b] = X @ E.T
+            jet_y[a, b] = Y @ E.T
+            jet_J[a, b] = Jg @ refelem.nodal_eval_matrix(2 * ngeo, pts, a, b).T
 
-        inv_norm[blk] = (1.0 / jet_J[..., 0, 0]).max(axis=1)
+        inv_norm[blk] = (1.0 / jet_J[0, 0]).max(axis=1)
 
         jrx = _jet_div(_jet_shift(jet_y, 1), jet_J, M)   # rx = y_s / J
         jsx = _jet_div(-_jet_shift(jet_y, 0), jet_J, M)  # sx = -y_r / J
@@ -303,7 +326,7 @@ def jacobian_sup_norms(mesh, order):
             return (_jet_mul(jry, _jet_shift(g, 0), rem)
                     + _jet_mul(jsy, _jet_shift(g, 1), rem))
 
-        best = np.abs(jet_J[..., 0, 0]).max(axis=1)
+        best = np.abs(jet_J[0, 0]).max(axis=1)
         # lattice of D_x^p D_y^q J, built column by column in p
         col = jet_J
         for p in range(M + 1):
@@ -314,7 +337,7 @@ def jacobian_sup_norms(mesh, order):
                 if q > 0:
                     g = ddy(g, M - p - q)
                 if p + q > 0:
-                    best = np.maximum(best, np.abs(g[..., 0, 0]).max(axis=1))
+                    best = np.maximum(best, np.abs(g[0, 0]).max(axis=1))
         w_norm[blk] = best
     return w_norm, inv_norm
 

@@ -67,36 +67,36 @@ def l2_project(ref, geo, exact_fn):
     """Per-element coefficients of the J-weighted L2 projection of exact_fn.
 
     Solves M_J c = Vq^T diag(w J) f by conjugate gradients batched over
-    elements, one field at a time, without forming M_J: each product is
-    ((c Vq^T) J) diag(w) Vq on ref's rule, whose degree sets the accuracy
-    of M_J.  The preconditioner is the weight-adjusted inverse
+    elements, one element block and one field at a time, without forming
+    M_J: each product is ((c Vq^T) J) diag(w) Vq on ref's rule, whose degree
+    sets the accuracy of M_J.  `geo` is that rule's VolumeGeometry, or the
+    mesh, whose points and J are then evaluated per block and not kept.
+    The preconditioner is the weight-adjusted inverse
     Mhat^-1 M_{1/J~} Mhat^-1, in the Gauss-collocated basis the pointwise
     scale 1/(diag(Mhat) J~) with J~ the nodal values of J's degree-N
     projection.  It approximates M_J^-1 to high order, so a few iterations
-    reach max|r| <= PCG_RTOL max|b|.  exact_fn is evaluated one element
-    block at a time, straight into the loads; a field that is zero on every
-    block is returned as zeros without a load or a solve.  Raises
+    reach max|r| <= PCG_RTOL max|b|, maxima over one element block.
+    exact_fn is evaluated once per block, straight into the loads; a field
+    zero on a block is zero there without a load or a solve.  Raises
     FloatingPointError when Np + 2 iterations do not reach that residual.
-    When exact_fn returns a tuple of fields, a tuple of coefficient arrays
-    is returned.
+    When exact_fn returns a tuple of fields, the coefficients are one
+    (n_fields, K, Np) array.
     """
-    K = len(geo.Jq)
+    K, blocks = geometry.volume_blocks(geo, ref)
     WVq = ref.wq[:, None] * ref.Vq
-    loads = None
-    for blk in geometry.element_blocks(K):
-        fq = exact_fn(geo.xq[blk], geo.yq[blk])
+    out = None
+    for blk, xq, yq, Jq in blocks:
+        fq = exact_fn(xq, yq)
         single = not isinstance(fq, tuple)
         fq = (fq,) if single else fq
-        loads = loads or [None] * len(fq)
-        for i, f in enumerate(fq):
-            if f.any():     # a load only for a field nonzero on some block
-                if loads[i] is None:
-                    loads[i] = np.zeros((K, ref.Np))
-                np.matmul(f * geo.Jq[blk], WVq, out=loads[i][blk])
-    del fq      # the point values are not needed by the solves
-    scale = 1.0 / (np.diag(ref.Mhat) * (geo.Jq @ ref.Pq.T))
-    out = tuple(np.zeros((K, ref.Np)) if b is None else _pcg(ref.Vq, WVq, geo.Jq, scale, b)
-                for b in loads)
+        if out is None:
+            out = np.empty((len(fq), K, ref.Np))
+        # a load and a solve only where the field is nonzero
+        loads = [np.matmul(f * Jq, WVq) if f.any() else None for f in fq]
+        del fq, xq, yq      # the point values are not needed by the solves
+        scale = 1.0 / (np.diag(ref.Mhat) * (Jq @ ref.Pq.T))
+        for b, c in zip(loads, out):
+            c[blk] = 0.0 if b is None else _pcg(ref.Vq, WVq, Jq, scale, b)
     return out[0] if single else out
 
 
@@ -169,13 +169,14 @@ def lsc_projection_error(ref, geo, exact_fn):
 
 def global_l2_error(ref, geo, coeffs, exact_fn):
     """sqrt(sum_k sum_q w_q J_q (u_h - u)^2), with exact_fn evaluated and
-    the terms summed one element block at a time, in a fixed order."""
+    the terms summed one element block at a time, in a fixed order; `geo`
+    as in l2_project."""
     total = 0.0
-    for blk in geometry.element_blocks(len(geo.Jq)):
+    for blk, xq, yq, Jq in geometry.volume_blocks(geo, ref)[1]:
         d = coeffs[blk] @ ref.Vq.T
-        d -= exact_fn(geo.xq[blk], geo.yq[blk])
+        d -= exact_fn(xq, yq)
         d *= d
-        d *= ref.wq[None, :] * geo.Jq[blk]
+        d *= ref.wq[None, :] * Jq
         total += np.sum(d)
     return float(np.sqrt(total))
 

@@ -15,9 +15,10 @@ Right-hand sides follow the fused convention: volume and surface kernels
 return the Mhat^-1-premultiplied load, and the mass-inverse application
 supplies the rest per field, from one mass rule per mode that `energy`
 also reads; the nodes are the points of the WADG mass rule, which makes
-its mass inverse a pointwise scale.  Every array a time step writes
-belongs to the Discretization, so a warm step allocates no field-sized
-array.
+its mass inverse a pointwise scale.  A stage, the projection and the
+records each work one element block at a time, so a run holds only the
+operator data, the interior face traces and two step registers as
+mesh-sized arrays, and a warm step allocates no field-sized array.
 """
 
 from __future__ import annotations
@@ -131,25 +132,25 @@ class FieldState:
 
 
 class StepBuffers:
-    """Every array that rhs_pre_mass, apply_mass_inverse and lsrk_step write
-    for one Discretization, reused by every step.  Mesh-sized: the interior
-    face `traces`, `rhs_pre` and the step registers `y` and `res`.  Sized by
-    one element block of geometry.ELEMENT_BLOCK at allocation: the
-    `exterior` traces and `work`, which holds the volume terms' point
-    values, then the fluxes and the surface lift, and in exact mode the
-    mass-inverse result.  The block arrays are flat; `_view` shapes them."""
+    """Every array that a stage of lsrk_step writes for one Discretization,
+    reused by every step.  Mesh-sized: the interior face `traces` and the
+    step registers `y` (the given array, if any) and `res`.  Sized by one
+    element block of geometry.ELEMENT_BLOCK at allocation: `rhs`, the
+    block's right-hand side; the `exterior` traces; and `work`, which holds
+    the volume terms' point values, then the fluxes and the surface lift,
+    and in exact mode the mass-inverse result.  The block arrays are flat;
+    `_view` shapes them."""
 
-    def __init__(self, disc):
+    def __init__(self, disc, y=None):
         K, Np, Nq = disc.mesh.K, disc.ref.Np, disc.ref.Nq
         nf = disc._gather_idx.shape[1]
         B = min(K, geometry.ELEMENT_BLOCK)
-        fields = (3, K, Np)
         self.traces = np.empty((3, K, nf))
+        self.rhs = np.empty(3 * B * Np)
         self.exterior = np.empty(3 * B * nf)
         self.work = np.empty(B * max(4 * Nq, 5 * nf, 3 * Np))
-        self.rhs_pre = np.empty(fields)
-        self.y = np.empty(fields)       # step registers
-        self.res = np.empty(fields)
+        self.y = np.empty((3, K, Np)) if y is None else y     # step registers
+        self.res = np.empty((3, K, Np))
 
 
 def _view(flat, *shape):
@@ -160,23 +161,16 @@ def _view(flat, *shape):
 class Discretization:
     """Prepared operator data for one (mesh, config, medium) triple.
 
-    The only owner of the mesh geometry of its rules: `rule` evaluates it
-    once per distinct Gauss rule, on the process-wide, read-only reference
-    element of that rule.  Holds the volume/face rule of the
-    formulation (`ref`, `geo`, of degree `sufficient_quadrature_degree`;
-    the only rule with metric terms and face geometry), the mass rule
-    `ref_upd` (degree 2N+1 for WADG, whose points are the nodes, or
-    `mass_deg`) with the weights `w_upd_p` = c^2/J and `w_upd_u` = 1/J,
+    Holds the geometry of one rule, the volume/face rule of the formulation
+    (`ref`, `geo`, of degree `sufficient_quadrature_degree`, with metric
+    terms and face geometry); `rule` and `rule_source` give any other
+    rule's on demand.  Also holds the mass rule `ref_upd` (degree 2N+1 for
+    WADG, whose points are the nodes, or `mass_deg`) with the weights
+    `w_upd_p` = c^2/J and `w_upd_u` = 1/J, the face factor 1/2 Jf and the
     face-trace gather tables, (exact mode only) M^-1 Mhat on the mass rule,
     and the `buffers` every time step writes.  No dense per-element matrix
-    is held in WADG mode.
-
-    Calling a Discretization on a (3, K, Np) array evaluates `rhs_full`.
-    The right-hand sides and the arrays `lsrk_step` returns are those
-    buffers, each valid until the next call that writes it.  A step holds
-    four mesh-sized arrays besides the data above: `rhs_pre`, the interior
-    face traces and the two step registers; its other scratch is sized by
-    one element block.
+    is held in WADG mode.  The arrays `lsrk_step` returns are the step
+    registers, each valid until the next step that writes it.
     """
 
     def __init__(self, mesh, config, medium=MediumField()):
@@ -186,10 +180,9 @@ class Discretization:
         self.medium = medium
         self.flux = config.flux
         self.mass_deg = 2 * N + 2 * mesh.N_geo   # mass-exact rule
-        self._rules = {}
-        self.ref, self.geo = self._rule(
-            sufficient_quadrature_degree(N, mesh.N_geo, config.formulation),
-            geometry.compute_geometric_data)
+        self.ref = ref = refelem.build_reference_element(
+            N, sufficient_quadrature_degree(N, mesh.N_geo, config.formulation))
+        self.geo = geometry.compute_geometric_data(mesh, ref)
         self.c_max = np.sqrt(medium.values(self.geo.xq, self.geo.yq).max(axis=1))
         exact = config.mass_mode is MassMode.ExactCurvedMass
         self.ref_upd, geo_upd = self.rule(self.mass_deg if exact else 2 * N + 1)
@@ -204,12 +197,9 @@ class Discretization:
                 np.linalg.solve(operators.weighted_mass_matrix(self.ref_upd, w), self.ref.Mhat)
                 for w in (np.divide(geo_upd.Jq, c2, out=c2), geo_upd.Jq))
 
-        # fused factors, (K, Nq) and flat (K, n_faces*nfq); the projections
+        # fused factors, flat (K, n_faces*nfq) and (Nq, Np); the projections
         # carry the minus sign of every volume and lift term
-        ref, geo = self.ref, self.geo
-        self._Jf_half = 0.5 * geo.Jfq
-        self._Jfnx_half = self._Jf_half * geo.nxq
-        self._Jfny_half = self._Jf_half * geo.nyq
+        self._Jf_half = 0.5 * self.geo.Jfq
         self._mPq = -ref.Pq
         self._mPf = -ref.Pfq
         # weak derivatives (w_q D) Mhat^-1, (Nq, Np), of the strong-weak form
@@ -218,23 +208,19 @@ class Discretization:
         self._build_face_gather()
 
     def rule(self, degree):
-        """(ReferenceElement, VolumeGeometry) of the Gauss rule exact to
-        `degree` (floored at 2N).  Keyed by the 1D point count, so degrees
-        landing on one rule share it; only the formulation's rule carries
-        metric terms and face geometry."""
-        return self._rule(degree, geometry.compute_volume_geometry)
+        """(ReferenceElement, geometry) of the Gauss rule exact to `degree`
+        (floored at 2N): the formulation's own when they share a 1D point
+        count, else a VolumeGeometry evaluated now and not held."""
+        ref, geo = self.rule_source(degree)
+        return ref, (geo if geo is self.geo else geometry.compute_volume_geometry(self.mesh, ref))
 
-    def release_rules(self):
-        """Drop the geometry of every rule but the formulation's; `rule`
-        evaluates a dropped one again on demand."""
-        self._rules = {n: r for n, r in self._rules.items() if r[1] is self.geo}
-
-    def _rule(self, degree, evaluate):
+    def rule_source(self, degree):
+        """The same rule for geometry.volume_blocks: the formulation's
+        geometry when shared, else the mesh, evaluated one block at a time."""
         ref = refelem.build_reference_element(self.config.N, degree)
-        n1d = ref.face_quad_1d.n_points
-        if n1d not in self._rules:
-            self._rules[n1d] = (ref, evaluate(self.mesh, ref))
-        return self._rules[n1d]
+        if ref.face_quad_1d.n_points == self.ref.face_quad_1d.n_points:
+            return self.ref, self.geo
+        return ref, self.mesh
 
     def _build_face_gather(self):
         mesh, nfq = self.mesh, self.ref.nfq
@@ -248,20 +234,18 @@ class Discretization:
     def nbytes(self):
         """Bytes of the per-element arrays held, by component: `mass`, what
         apply_mass_inverse reads (WADG: the weights c^2/J and 1/J; exact:
-        M^-1 Mhat of pressure and velocity); `geometry`, the geometry of
-        every rule held, c_max and, in exact mode, the weights `energy`
-        reads; `face`, the fused face factors and the gather tables;
+        M^-1 Mhat of pressure and velocity); `geometry`, the formulation
+        rule's geometry, c_max and, in exact mode, the weights `energy`
+        reads; `face`, the face factor 1/2 Jf and the gather tables;
         `buffers`, the StepBuffers, allocated here if no step has run.  The
-        process-wide reference elements are not counted."""
+        process-wide reference elements and the mesh are not counted."""
         exact = self.mass_inv_p is not None
         weights = [self.w_upd_p, self.w_upd_u]
-        geo = [a for _, g in self._rules.values() for a in vars(g).values()
-               if isinstance(a, np.ndarray)]
+        geo = [a for a in vars(self.geo).values() if isinstance(a, np.ndarray)]
         parts = {
             "mass": [self.mass_inv_p, self.mass_inv_u] if exact else weights,
             "geometry": geo + [self.c_max] + (weights if exact else []),
-            "face": [self._Jf_half, self._Jfnx_half, self._Jfny_half,
-                     self._gather_idx, self.bc_mask],
+            "face": [self._Jf_half, self._gather_idx, self.bc_mask],
             "buffers": [a for a in vars(self.buffers).values() if isinstance(a, np.ndarray)],
         }
         return {name: sum(a.nbytes for a in arrays) for name, arrays in parts.items()}
@@ -271,9 +255,6 @@ class Discretization:
         """The StepBuffers of this discretization, allocated at first use,
         after set-up has freed its temporaries."""
         return StepBuffers(self)
-
-    def __call__(self, q):
-        return rhs_full(q, self)
 
     def face_traces(self, q):
         """Interior traces of the (3, K, Np) state q at the face quadrature
@@ -318,9 +299,10 @@ def _surface_terms(uf, disc, blk, strong_weak):
     fu = np.multiply(dUn, flux.tau_u, out=s[2])
     np.subtract(dp, fu, out=fu)
 
-    np.multiply(fp, disc._Jf_half[blk], out=P[0])
-    np.multiply(fu, disc._Jfnx_half[blk], out=P[1])
-    np.multiply(fu, disc._Jfny_half[blk], out=P[2])
+    Jh = disc._Jf_half[blk]     # times nx and ny into s[0], spent after dUn
+    np.multiply(fp, Jh, out=P[0])
+    np.multiply(fu, np.multiply(Jh, nx, out=s[0]), out=P[1])
+    np.multiply(fu, np.multiply(Jh, ny, out=s[0]), out=P[2])
     return np.matmul(P, disc._mPf.T, out=_view(buf.work, 3, n, disc.ref.Np))
 
 
@@ -358,53 +340,71 @@ def _volume_terms(q, disc, blk, strong_weak, out):
         np.matmul(divJ, disc._mPq.T, out=out[0])
 
 
-def rhs_pre_mass(q, disc):
-    """DG right-hand side of the (3, K, Np) state q in the configured
+def rhs_pre_mass(y, disc, finish=None):
+    """DG right-hand side of the (3, K, Np) state y in the configured
     formulation, Mhat^-1-premultiplied (no mass weighting applied yet).  The
     strong-weak form integrates the pressure equation by parts once.
 
     One face_traces call gives the interior traces of the whole mesh; then
-    the volume terms, the exterior traces, the penalty fluxes and their
-    lift are evaluated one element block at a time.  The result is the
-    buffer `rhs_pre` of disc."""
+    the volume terms and the lifted fluxes are summed one element block at
+    a time into `buffers.rhs`, handed to finish(blk, rhs).  Without finish
+    the blocks are copied into a new (3, K, Np) array, which is returned."""
     sw = disc.config.formulation is Formulation.StrongWeak
-    rhs = disc.buffers.rhs_pre
-    uf = disc.face_traces(q)
+    uf = disc.face_traces(y)
+    out = None
+    if finish is None:
+        out = np.empty_like(y)
+        finish = lambda blk, rhs: np.copyto(out[:, blk], rhs)
     for blk in geometry.element_blocks(disc.mesh.K):
-        out = rhs[:, blk]
-        _volume_terms(q, disc, blk, sw, out)
-        out += _surface_terms(uf, disc, blk, sw)
-    return rhs
+        rhs = _view(disc.buffers.rhs, 3, blk.stop - blk.start, disc.ref.Np)
+        _volume_terms(y, disc, blk, sw, rhs)
+        rhs += _surface_terms(uf, disc, blk, sw)
+        finish(blk, rhs)
+    return out
 
 
-def apply_mass_inverse(z, disc):
-    """Complete the mass solve on a premultiplied right-hand side z, in
-    place, and return z.
+def apply_mass_inverse(z, disc, blk=slice(None)):
+    """Complete the mass solve on the premultiplied right-hand side z,
+    (3, n, Np), of the elements blk (default all), in place, and return z.
 
     WADG mode applies Pq diag(w) Vq on the mass rule, whose points are the
     nodes: a pointwise scale by c^2/J (pressure) and 1/J (velocity).  Exact
     mode applies the stored per-element M^-1 Mhat as batched GEMMs, one for
-    the pressure and one for both velocity fields, one element block at a
-    time through `buffers.work`.
+    the pressure and one for both velocity fields, through `buffers.work`,
+    so there blk spans at most one element block.
     """
     if disc.config.mass_mode is MassMode.WADG:
         for f, w in enumerate((disc.w_upd_p, disc.w_upd_u, disc.w_upd_u)):
-            z[f] *= w
+            z[f] *= w[blk]
         return z
-    buf = disc.buffers
-    for blk in geometry.element_blocks(disc.mesh.K):
-        zb = z[:, blk]
-        out = _view(buf.work, *zb.shape)
-        # (n, Np, Np) @ (n, Np, m): the fields of z stacked as columns
-        np.matmul(disc.mass_inv_p[blk], zb[0, :, :, None], out=out[0, :, :, None])
-        np.matmul(disc.mass_inv_u[blk], zb[1:].transpose(1, 2, 0),
-                  out=out[1:].transpose(1, 2, 0))
-        zb[...] = out
+    out = _view(disc.buffers.work, *z.shape)
+    # (n, Np, Np) @ (n, Np, m): the fields of z stacked as columns
+    np.matmul(disc.mass_inv_p[blk], z[0, :, :, None], out=out[0, :, :, None])
+    np.matmul(disc.mass_inv_u[blk], z[1:].transpose(1, 2, 0),
+              out=out[1:].transpose(1, 2, 0))
+    z[...] = out
     return z
 
 
-def rhs_full(q, disc):
-    return apply_mass_inverse(rhs_pre_mass(q, disc), disc)
+def rhs_full(y, disc, q=None, c=1.0, out=None):
+    """q + c M^-1 L(y) of the (3, K, Np) state y (q = 0 by default), into
+    `out`, a new array by default; with q and c = b dt one stage of
+    lsrk_step.  Each block from rhs_pre_mass is mass-inverted, scaled and
+    added to q at once.  out may be y itself: other elements of y are read
+    only through the traces taken before the first block."""
+    if out is None:
+        out = np.empty_like(y)
+
+    def finish(blk, rhs):
+        apply_mass_inverse(rhs, disc, blk)
+        if q is None:
+            np.multiply(rhs, c, out=out[:, blk])
+        else:
+            rhs *= c
+            np.add(q[:, blk], rhs, out=out[:, blk])
+
+    rhs_pre_mass(y, disc, finish)
+    return out
 
 
 def energy(q, disc):
@@ -413,10 +413,11 @@ def energy(q, disc):
     inverts, the energy that the scheme conserves at zero penalty.  In WADG
     mode Vq = I and M_f = diag(w_q / w_f) = Mhat M_{w_f}^-1 Mhat."""
     total = 0.0
-    for qf, w in zip(q, (disc.w_upd_p, disc.w_upd_u, disc.w_upd_u)):
-        fq = qf @ disc.ref_upd.Vq.T
-        fq *= fq
-        total += np.sum(np.divide(fq, w, out=fq) @ disc.ref_upd.wq)
+    for blk in geometry.element_blocks(disc.mesh.K):
+        for qf, w in zip(q[:, blk], (disc.w_upd_p, disc.w_upd_u, disc.w_upd_u)):
+            fq = qf @ disc.ref_upd.Vq.T
+            fq *= fq
+            total += np.sum(np.divide(fq, w[blk], out=fq) @ disc.ref_upd.wq)
     return 0.5 * float(total)
 
 
@@ -447,18 +448,20 @@ def lsrk_step(q, dt, rhs_fn):
     time-dependent boundary data would need a genuine low-storage RK
     realization of the same R.  rhs_fn maps a state array to its time
     derivative, which the step then scales in place, so that array must not
-    share memory with q; no stage time is passed.  The two
-    registers are q and y: when rhs_fn is a Discretization, y is whichever
-    of its buffers `y` and `res` q is not, and a warm step allocates no
-    field-sized array; otherwise y is a new array.  The result is y; q
-    itself never changes.
+    share memory with q; no stage time is passed.  The two registers are q
+    and y.  When rhs_fn is a Discretization, y is whichever of its buffers
+    `y` and `res` q is not, each stage is one rhs_full pass into y, and a
+    warm step allocates no field-sized array; otherwise y is a new array.
+    The result is y; q itself never changes.
     """
+    stage = q
     if isinstance(rhs_fn, Discretization):
         buf = rhs_fn.buffers
         y = buf.res if q is buf.y else buf.y
-    else:
-        y = np.empty_like(q)
-    stage = q
+        for b in _NESTED:
+            stage = rhs_full(stage, rhs_fn, q, b * dt, out=y)
+        return y
+    y = np.empty_like(q)
     for b in _NESTED:
         d = rhs_fn(stage)
         d *= b * dt
@@ -503,10 +506,13 @@ def stable_dt(disc):
 
 def project_initial_condition(disc, initial_fn):
     """(3, K, Np) L2 projection of (p, u1, u2) at t = 0 on the mass-exact
-    rule: initial_fn is evaluated once, and operators.l2_project solves
-    for each field matrix-free, in both mass modes."""
-    ref, geo = disc.rule(disc.mass_deg)
-    return np.stack(operators.l2_project(ref, geo, lambda x, y: tuple(initial_fn(x, y))))
+    rule, per element block by operators.l2_project, in both mass modes.
+    The result is the register `y` of new StepBuffers of disc, allocated
+    once the projection's temporaries are freed."""
+    q = operators.l2_project(*disc.rule_source(disc.mass_deg),
+                             lambda x, y: tuple(initial_fn(x, y)))
+    disc.buffers = StepBuffers(disc, q)
+    return q
 
 
 FINITE_CHECK_STEPS = 10
@@ -550,10 +556,9 @@ def run(mesh, config, initial_fn, T, medium=MediumField(), exact_p=None,
     ref_err = geo_err = None
     if exact_p is not None:
         # degree 2N+1 Gauss rules are blind to the leading P_{N+1} error
-        # mode (its roots are the quadrature points); use a richer rule
-        ref_err, geo_err = disc.rule(2 * config.N + 4)
-    # the projection and mass rules' geometry is not read again
-    disc.release_rules()
+        # mode (its roots are the quadrature points); use a richer rule,
+        # whose geometry each record evaluates per block unless disc holds it
+        ref_err, geo_err = disc.rule_source(2 * config.N + 4)
 
     def record(q, t):
         e = energy(q, disc)

@@ -60,6 +60,23 @@ def disk_family_n3():
     return [mg.disk_mesh(level, 3) for level in range(4)]
 
 
+@pytest.fixture(scope="module")
+def warped_family_n3():
+    """Warped omega = 1 meshes of levels 0..3 at N_geo = 3."""
+    return [mg.warped_arnold_mesh(mg.WarpParams(1.0, 4 * 2**level), 3) for level in range(4)]
+
+
+def cosine_mode(x, y, t):
+    """Dirichlet standing mode of [-1, 1]^2,
+    p = cos(pi x / 2) cos(pi y / 2) cos(pi t / sqrt 2)."""
+    return np.cos(np.pi * x / 2) * np.cos(np.pi * y / 2) * np.cos(np.pi * t / np.sqrt(2))
+
+
+def cosine_initial(x, y):
+    p = cosine_mode(x, y, 0.0)
+    return p, np.zeros_like(p), np.zeros_like(p)
+
+
 @lru_cache(maxsize=None)
 def disk1_wadg(N, N_geo):
     """WADG Discretization of the strong form on the curved disk1 mesh with
@@ -265,20 +282,21 @@ class TestMassInverse:
         assert sv.energy(q, disc) == pytest.approx(expect, rel=1e-13)
 
     @pytest.mark.parametrize("mode", ["wadg", "exact"])
-    def test_step_buffers_hold_four_field_arrays(self, monkeypatch, rng, mode):
-        # a warm disk Discretization of 192 elements in blocks of 16: y, res,
-        # rhs_pre and the interior traces are the only step arrays as large
-        # as one (K, Np) array; the rest together stay below one
-        monkeypatch.setattr(geom, "ELEMENT_BLOCK", 16)
+    def test_step_buffers_hold_three_field_arrays(self, monkeypatch, rng, mode):
+        # a warm disk Discretization of 192 elements in blocks of 8: the
+        # step registers y and res and the interior traces are the only step
+        # arrays as large as one (K, Np) array; the block-sized rest
+        # together stays below one
+        monkeypatch.setattr(geom, "ELEMENT_BLOCK", 8)
         mesh = mg.disk_mesh(2, 3)
         disc = sv.Discretization(mesh, SolverConfig(N=3, mass_mode=MassMode(mode)))
         sv.lsrk_step(sv.lsrk_step(random_state(disc, rng), 1e-3, disc), 1e-3, disc)
         one = mesh.K * disc.ref.Np * 8
         arrays = vars(disc.buffers)
         large = {name for name, a in arrays.items() if a.nbytes >= one}
-        assert large == {"traces", "rhs_pre", "y", "res"}
-        assert sum(arrays[name].nbytes for name in large) == 9 * one + disc.buffers.traces.nbytes
-        assert disc.nbytes()["buffers"] < 9 * one + disc.buffers.traces.nbytes + one
+        assert large == {"traces", "y", "res"}
+        assert sum(arrays[name].nbytes for name in large) == 6 * one + disc.buffers.traces.nbytes
+        assert disc.nbytes()["buffers"] < 6 * one + disc.buffers.traces.nbytes + one
 
     def test_exact_mass_data_is_Np_times_wadg(self):
         N = 6
@@ -342,23 +360,24 @@ class TestMassInverse:
         assert 0.99 <= ratio <= 1.01
 
     @staticmethod
-    def _wadg_minus_exact(meshes, N, T, medium, exact_p=None):
+    def _wadg_minus_exact(meshes, N, T, medium, exact_p=None,
+                          initial=sv.bessel_initial_condition):
         """Per mesh, ||p_WADG - p_exact|| at T, both modes at the WADG run's
-        step, and the WADG run's diag."""
+        step, and the (WADG, exact) pair of the runs' diags."""
         ref = rf.build_reference_element(N, 2 * N + 4)
         diffs, diags = [], []
         for mesh in meshes:
             out, dt = [], None
             for mode in (MassMode.WADG, MassMode.ExactCurvedMass):
                 out.append(sv.run(mesh, SolverConfig(N=N, mass_mode=mode),
-                                  sv.bessel_initial_condition, T, medium=medium,
+                                  initial, T, medium=medium,
                                   exact_p=exact_p, n_outputs=1, dt=dt))
                 dt = out[0][1]["dt"]
             (wadg, dw), (exact, de) = out
             assert de["steps"] == dw["steps"]
             geo = geom.compute_volume_geometry(mesh, ref)
             diffs.append(ops.global_l2_error(ref, geo, wadg.p - exact.p, lambda x, y: 0 * x))
-            diags.append(dw)
+            diags.append((dw, de))
         return diffs, diags
 
     def test_wadg_tracks_exact_mass_to_higher_order_on_disk(self, disk_family_n3):
@@ -368,7 +387,7 @@ class TestMassInverse:
         hs = [mesh.h for mesh in disk_family_n3]
         diffs, diags = self._wadg_minus_exact(disk_family_n3, N, 0.5, sv.MediumField(),
                                               exact_p=sv.bessel_pressure)
-        errs = [d["l2_error_p"][-1] for d in diags]
+        errs = [dw["l2_error_p"][-1] for dw, _ in diags]
         assert np.all(pairwise_slopes(hs, diffs) >= N + 2 - 0.3), pairwise_slopes(hs, diffs)
         assert abs(fit_slope(hs, errs) - (N + 1)) <= 0.35, fit_slope(hs, errs)
 
@@ -381,6 +400,30 @@ class TestMassInverse:
         diffs, _ = self._wadg_minus_exact(disk_family_n3, N, 0.5, cli.MEDIA["radial_sine"]())
         slopes = pairwise_slopes(hs, diffs)
         assert np.all(slopes[-2:] >= N + 2 - 0.3), slopes
+
+    def test_both_modes_follow_the_projection_rate_on_warped_meshes(self, warped_family_n3):
+        # the other side of the dichotomy: on the warped omega = 1 family
+        # (kappa~ grows like h^-3) the L2 projection itself converges at
+        # about 2, not N + 1.  Both mass modes follow it, and WADG no longer
+        # tracks exact mass to higher order: their distance converges no
+        # faster than h^N.  N = N_geo = 3, so the WADG rule does not
+        # integrate the J-weighted mass exactly.
+        N = 3
+        meshes = warped_family_n3
+        hs = [mesh.h for mesh in meshes]
+        ref_m = rf.build_reference_element(N, 4 * N)        # 2N + 2N_geo
+        ref_e = rf.build_reference_element(N, 2 * N + 4)
+        p0 = lambda x, y: cosine_mode(x, y, 0.0)
+        proj = [ops.global_l2_error(ref_e, mesh, ops.l2_project(ref_m, mesh, p0), p0)
+                for mesh in meshes]
+        diffs, diags = self._wadg_minus_exact(meshes, N, 0.5, sv.MediumField(),
+                                              exact_p=cosine_mode, initial=cosine_initial)
+        rate = pairwise_slopes(hs, proj)
+        for mode, errs in zip(MassMode, zip(*[[d["l2_error_p"][-1] for d in pair]
+                                             for pair in diags])):
+            slopes = pairwise_slopes(hs, errs)
+            assert np.all(np.abs(slopes - rate) <= 0.35), (mode, slopes, rate)
+        assert np.all(pairwise_slopes(hs, diffs) <= N), pairwise_slopes(hs, diffs)
 
 
 class TestLSRK:

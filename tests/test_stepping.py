@@ -291,15 +291,22 @@ def test_auxiliary_rules_carry_volume_geometry_only():
             assert np.array_equal(getattr(g, name), getattr(full, name))
 
 
-def test_released_rules_keep_the_formulation_geometry():
+def test_only_the_formulation_rule_is_held():
     disc = make_disc("strong", "exact", level=1)
+    held = disc.nbytes()["geometry"]
+    form_deg = sv.sufficient_quadrature_degree(3, 3, Formulation.Strong)
+    for get in (disc.rule, disc.rule_source):
+        ref_f, geo_f = get(form_deg)
+        assert ref_f is disc.ref and geo_f is disc.geo
+    # another rule is evaluated on demand, on the same reference element,
+    # and not held; its blocked source is the mesh
     ref_m, geo_m = disc.rule(disc.mass_deg)
-    disc.release_rules()
-    assert disc.rule(sv.sufficient_quadrature_degree(3, 3, Formulation.Strong))[1] is disc.geo
-    # a released rule is evaluated again on demand, on the same reference element
     ref_again, geo_again = disc.rule(disc.mass_deg)
     assert ref_again is ref_m and geo_again is not geo_m
     assert all(np.array_equal(getattr(geo_again, f), getattr(geo_m, f)) for f in ("xq", "yq", "Jq"))
+    ref_s, source = disc.rule_source(disc.mass_deg)
+    assert ref_s is ref_m and source is disc.mesh
+    assert disc.nbytes()["geometry"] == held
 
 
 @pytest.mark.parametrize("form, mode", [("strong", "wadg"), ("strong-weak", "wadg"),
@@ -366,3 +373,34 @@ def test_record_allocates_less_than_one_error_array(monkeypatch):
     assert len(peaks) == 3
     error_array = mesh.K * (N + 3) ** 2 * 8
     assert max(peaks) < error_array, [p / error_array for p in peaks]
+
+
+def test_run_holds_little_more_than_its_data(monkeypatch):
+    """A whole `run` on 12 element blocks, set-up, projection, records and
+    steps, stays below the data it must hold, the Discretization's arrays
+    by nbytes() (operator data, face tables and step buffers) and the mesh,
+    plus one (K, Np) array of traced allocation above its entry level.  The
+    mesh is built before, and the reference data by a warm-up run, so the
+    mesh's share bounds the block-sized scratch of the run."""
+    monkeypatch.setattr(geom, "ELEMENT_BLOCK", 64)
+    N = 2
+    cfg = SolverConfig(N=N)
+
+    def solve(mesh):
+        return sv.run(mesh, cfg, sv.bessel_initial_condition, 0.004,
+                      exact_p=sv.bessel_pressure, n_outputs=2, dt=0.002)
+
+    solve(mg.disk_mesh(1, N))
+    mesh = mg.disk_mesh(3, N)      # K = 768
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        solve(mesh)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    held = sum(sv.Discretization(mesh, cfg).nbytes().values())
+    held += sum(a.nbytes for a in vars(mesh).values() if isinstance(a, np.ndarray))
+    one = mesh.K * (N + 1) ** 2 * 8
+    assert peak < held + one, (peak - held) / one
