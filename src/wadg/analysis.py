@@ -185,7 +185,7 @@ def projection_convergence_study(meshes, N, method):
     for mesh in meshes:
         deg = 2 * N + 2 * mesh.N_geo + 4
         ref = refelem.build_reference_element(N, deg)
-        geo = geometry.compute_volume_geometry(mesh, ref)
+        geo = geometry.compute_geometric_data(mesh, ref)
         if method == "l2":
             err = operators.global_l2_error(ref, geo, operators.l2_project(ref, geo, f), f)
         elif method == "wadg":
@@ -228,7 +228,7 @@ def conservation_rate_study(N=2, levels=(1, 2, 3, 4)):
     hs, errs = [], []
     for l in levels:
         mesh = meshgen.disk_mesh(l, N + 1)
-        geo = geometry.compute_volume_geometry(mesh, ref)
+        geo = geometry.compute_geometric_data(mesh, ref)
         hs.append(mesh.h)
         errs.append(operators.conservation_moment_error(ref, geo, geo.Jq, default_exact_fn, 0))
     return ConvergenceRecord(hs, errs, label=f"conservation-N{N}")

@@ -29,31 +29,19 @@ class NonPositiveJacobian(Exception):
 
 
 @dataclass
-class VolumeGeometry:
-    """Mapped volume quadrature points and the Jacobian determinant of one
-    reference element's rule, each (K, Nq): what mass matrices, projections
-    and error norms read."""
-
-    ref: refelem.ReferenceElement = field(repr=False)
-    xq: np.ndarray = field(repr=False)
-    yq: np.ndarray = field(repr=False)
-    Jq: np.ndarray = field(repr=False)
-
-    @property
-    def K(self):
-        return self.Jq.shape[0]
-
-
-@dataclass
-class GeometricData(VolumeGeometry):
-    """VolumeGeometry plus the scaled metric at the volume points, (K, Nq),
-    and the face geometry, (K, n_faces * nfq) with faces stacked in CCW
-    order: what the DG volume and surface terms read.
+class GeometricData:
+    """Mapped points, Jacobian and scaled metric at one rule's volume points,
+    (K, Nq), and the face geometry, (K, n_faces * nfq) with faces stacked in
+    CCW order: what the DG volume and surface terms read.
 
     The scaled metric is the cofactor form rxJ = r_x J = y_s, ryJ = -x_s,
     sxJ = -y_r, syJ = x_r (Hesthaven & Warburton, Nodal DG Methods, 2008):
     polynomial in the reference coordinates, so no division by J."""
 
+    ref: refelem.ReferenceElement = field(repr=False)
+    xq: np.ndarray = field(repr=False)
+    yq: np.ndarray = field(repr=False)
+    Jq: np.ndarray = field(repr=False)
     rxJ: np.ndarray = field(repr=False)
     ryJ: np.ndarray = field(repr=False)
     sxJ: np.ndarray = field(repr=False)
@@ -83,22 +71,12 @@ def _volume_block(mesh, ref, blk):
 def volume_blocks(geo, ref):
     """(K, blocks): the element count of `geo` and, per element block in
     order, (blk, xq, yq, Jq) on ref's volume rule.  `geo` holds those arrays
-    (a VolumeGeometry), or is a mesh, whose geometry is then evaluated one
-    block at a time and not kept."""
+    (that rule's GeometricData), or is a mesh, whose geometry is then
+    evaluated one block at a time and not kept."""
     if hasattr(geo, "elem_map_nodes"):
         return geo.K, ((blk, *_volume_block(geo, ref, blk)) for blk in element_blocks(geo.K))
     K = len(geo.Jq)
     return K, ((blk, geo.xq[blk], geo.yq[blk], geo.Jq[blk]) for blk in element_blocks(K))
-
-
-def compute_volume_geometry(mesh, ref):
-    """Mapped points and Jacobian of `mesh` at the volume quadrature points
-    of `ref`, with no metric terms and no face data.
-
-    Raises NonPositiveJacobian identifying the first offending element and
-    quadrature point.
-    """
-    return VolumeGeometry(ref, *_volume_block(mesh, ref, slice(0, mesh.K)))
 
 
 def compute_geometric_data(mesh, ref):

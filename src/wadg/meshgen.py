@@ -477,6 +477,12 @@ def load_mesh(path):
     if doc.get("shape") != MESH_SHAPE:
         raise ValueError(f"unsupported element shape {doc.get('shape')!r}; "
                          f"only {MESH_SHAPE!r} meshes are supported")
+    for key in ("K", "N_geo", "h", "elem_map_nodes", "face_connectivity", "boundary_tags"):
+        if key not in doc:
+            raise ValueError(f"mesh file lacks the key {key!r}")
+    for key in ("K", "N_geo"):
+        if type(doc[key]) is not int or doc[key] < 1:
+            raise ValueError(f"mesh key {key!r} must be an integer >= 1, got {doc[key]!r}")
     nodes = np.asarray(doc["elem_map_nodes"], dtype=float)
     conn = np.asarray(doc["face_connectivity"], dtype=np.int64)
     tags = np.asarray(doc["boundary_tags"], dtype=np.int64)

@@ -69,7 +69,7 @@ def l2_project(ref, geo, exact_fn):
     Solves M_J c = Vq^T diag(w J) f by conjugate gradients batched over
     elements, one element block and one field at a time, without forming
     M_J: each product is ((c Vq^T) J) diag(w) Vq on ref's rule, whose degree
-    sets the accuracy of M_J.  `geo` is that rule's VolumeGeometry, or the
+    sets the accuracy of M_J.  `geo` is that rule's GeometricData, or the
     mesh, whose points and J are then evaluated per block and not kept.
     The preconditioner is the weight-adjusted inverse
     Mhat^-1 M_{1/J~} Mhat^-1, in the Gauss-collocated basis the pointwise

@@ -13,12 +13,13 @@ array with its time.
 
 Right-hand sides follow the fused convention: volume and surface kernels
 return the Mhat^-1-premultiplied load, and the mass-inverse application
-supplies the rest per field, from one mass rule per mode that `energy`
-also reads; the nodes are the points of the WADG mass rule, which makes
-its mass inverse a pointwise scale.  A stage, the projection and the
-records each work one element block at a time, so a run holds only the
-operator data, the interior face traces and two step registers as
-mesh-sized arrays, and a warm step allocates no field-sized array.
+supplies the rest per field, from the weights c^2/J and 1/J on one mass
+rule per mode, which `energy` also reads; the nodes are the points of the
+WADG mass rule, which makes its mass inverse a pointwise scale.  A stage,
+the mass weights, the projection and the records work one element block
+at a time, so a run holds the formulation rule's geometry, the operator
+data, the interior face traces and two step registers as mesh-sized
+arrays, and a warm step allocates no field-sized array.
 """
 
 from __future__ import annotations
@@ -163,11 +164,11 @@ class Discretization:
 
     Holds the geometry of one rule, the volume/face rule of the formulation
     (`ref`, `geo`, of degree `sufficient_quadrature_degree`, with metric
-    terms and face geometry); `rule` and `rule_source` give any other
-    rule's on demand.  Also holds the mass rule `ref_upd` (degree 2N+1 for
-    WADG, whose points are the nodes, or `mass_deg`) with the weights
-    `w_upd_p` = c^2/J and `w_upd_u` = 1/J, the face factor 1/2 Jf and the
-    face-trace gather tables, (exact mode only) M^-1 Mhat on the mass rule,
+    terms and face geometry); `rule` reaches any other.  Also holds the mass
+    rule `ref_upd` (degree 2N+1 for WADG, whose points are the nodes, or
+    `mass_deg`) with the weights `w_upd_p` = c^2/J and `w_upd_u` = 1/J that
+    define both the inverted mass and `energy`, the face-trace gather
+    tables, (exact mode only) M^-1 Mhat, M of weight 1/w on the mass rule,
     and the `buffers` every time step writes.  No dense per-element matrix
     is held in WADG mode.  The arrays `lsrk_step` returns are the step
     registers, each valid until the next step that writes it.
@@ -185,38 +186,34 @@ class Discretization:
         self.geo = geometry.compute_geometric_data(mesh, ref)
         self.c_max = np.sqrt(medium.values(self.geo.xq, self.geo.yq).max(axis=1))
         exact = config.mass_mode is MassMode.ExactCurvedMass
-        self.ref_upd, geo_upd = self.rule(self.mass_deg if exact else 2 * N + 1)
-        c2 = medium.values(geo_upd.xq, geo_upd.yq)
+        self.ref_upd, source = self.rule(self.mass_deg if exact else 2 * N + 1)
         # mass weights: pressure gets c^2/J, velocity 1/J
-        self.w_upd_p = c2 / geo_upd.Jq
-        self.w_upd_u = 1.0 / geo_upd.Jq
+        K, blocks = geometry.volume_blocks(source, self.ref_upd)
+        self.w_upd_p, self.w_upd_u = (np.empty((K, self.ref_upd.Nq)) for _ in range(2))
+        for blk, xq, yq, Jq in blocks:
+            np.divide(medium.values(xq, yq), Jq, out=self.w_upd_p[blk])
+            np.divide(1.0, Jq, out=self.w_upd_u[blk])
 
         self.mass_inv_p = self.mass_inv_u = None
-        if exact:   # M^-1 Mhat; the pressure weight J/c^2 overwrites c2
+        if exact:   # M^-1 Mhat, M the mass of weight 1/w
             self.mass_inv_p, self.mass_inv_u = (
-                np.linalg.solve(operators.weighted_mass_matrix(self.ref_upd, w), self.ref.Mhat)
-                for w in (np.divide(geo_upd.Jq, c2, out=c2), geo_upd.Jq))
+                np.linalg.solve(operators.weighted_mass_matrix(self.ref_upd, 1.0 / w), ref.Mhat)
+                for w in (self.w_upd_p, self.w_upd_u))
 
-        # fused factors, flat (K, n_faces*nfq) and (Nq, Np); the projections
-        # carry the minus sign of every volume and lift term
-        self._Jf_half = 0.5 * self.geo.Jfq
+        # fused factors, (Np, Nq) and (Np, n_faces*nfq): the minus sign of
+        # every volume and lift term, and the 1/2 of the penalty fluxes
         self._mPq = -ref.Pq
-        self._mPf = -ref.Pfq
+        self._mPf = -0.5 * ref.Pfq
         # weak derivatives (w_q D) Mhat^-1, (Nq, Np), of the strong-weak form
         self._weak_r, self._weak_s = ((ref.wq[:, None] * D) @ ref.Mhat_inv
                                       for D in (ref.Drq, ref.Dsq))
         self._build_face_gather()
 
     def rule(self, degree):
-        """(ReferenceElement, geometry) of the Gauss rule exact to `degree`
-        (floored at 2N): the formulation's own when they share a 1D point
-        count, else a VolumeGeometry evaluated now and not held."""
-        ref, geo = self.rule_source(degree)
-        return ref, (geo if geo is self.geo else geometry.compute_volume_geometry(self.mesh, ref))
-
-    def rule_source(self, degree):
-        """The same rule for geometry.volume_blocks: the formulation's
-        geometry when shared, else the mesh, evaluated one block at a time."""
+        """(ReferenceElement, source for geometry.volume_blocks) of the Gauss
+        rule exact to `degree` (floored at 2N): the formulation's own and its
+        held geometry when they share a 1D point count, else the mesh, whose
+        geometry is then evaluated one block at a time and not held."""
         ref = refelem.build_reference_element(self.config.N, degree)
         if ref.face_quad_1d.n_points == self.ref.face_quad_1d.n_points:
             return self.ref, self.geo
@@ -236,16 +233,16 @@ class Discretization:
         apply_mass_inverse reads (WADG: the weights c^2/J and 1/J; exact:
         M^-1 Mhat of pressure and velocity); `geometry`, the formulation
         rule's geometry, c_max and, in exact mode, the weights `energy`
-        reads; `face`, the face factor 1/2 Jf and the gather tables;
-        `buffers`, the StepBuffers, allocated here if no step has run.  The
-        process-wide reference elements and the mesh are not counted."""
+        reads; `face`, the gather tables; `buffers`, the StepBuffers,
+        allocated here if no step has run.  The process-wide reference
+        elements and the mesh are not counted."""
         exact = self.mass_inv_p is not None
         weights = [self.w_upd_p, self.w_upd_u]
         geo = [a for a in vars(self.geo).values() if isinstance(a, np.ndarray)]
         parts = {
             "mass": [self.mass_inv_p, self.mass_inv_u] if exact else weights,
             "geometry": geo + [self.c_max] + (weights if exact else []),
-            "face": [self._Jf_half, self._gather_idx, self.bc_mask],
+            "face": [self._gather_idx, self.bc_mask],
             "buffers": [a for a in vars(self.buffers).values() if isinstance(a, np.ndarray)],
         }
         return {name: sum(a.nbytes for a in arrays) for name, arrays in parts.items()}
@@ -299,10 +296,10 @@ def _surface_terms(uf, disc, blk, strong_weak):
     fu = np.multiply(dUn, flux.tau_u, out=s[2])
     np.subtract(dp, fu, out=fu)
 
-    Jh = disc._Jf_half[blk]     # times nx and ny into s[0], spent after dUn
-    np.multiply(fp, Jh, out=P[0])
-    np.multiply(fu, np.multiply(Jh, nx, out=s[0]), out=P[1])
-    np.multiply(fu, np.multiply(Jh, ny, out=s[0]), out=P[2])
+    Jf = geo.Jfq[blk]           # times nx and ny into s[0], spent after dUn
+    np.multiply(fp, Jf, out=P[0])
+    np.multiply(fu, np.multiply(Jf, nx, out=s[0]), out=P[1])
+    np.multiply(fu, np.multiply(Jf, ny, out=s[0]), out=P[2])
     return np.matmul(P, disc._mPf.T, out=_view(buf.work, 3, n, disc.ref.Np))
 
 
@@ -509,7 +506,7 @@ def project_initial_condition(disc, initial_fn):
     rule, per element block by operators.l2_project, in both mass modes.
     The result is the register `y` of new StepBuffers of disc, allocated
     once the projection's temporaries are freed."""
-    q = operators.l2_project(*disc.rule_source(disc.mass_deg),
+    q = operators.l2_project(*disc.rule(disc.mass_deg),
                              lambda x, y: tuple(initial_fn(x, y)))
     disc.buffers = StepBuffers(disc, q)
     return q
@@ -558,7 +555,7 @@ def run(mesh, config, initial_fn, T, medium=MediumField(), exact_p=None,
         # degree 2N+1 Gauss rules are blind to the leading P_{N+1} error
         # mode (its roots are the quadrature points); use a richer rule,
         # whose geometry each record evaluates per block unless disc holds it
-        ref_err, geo_err = disc.rule_source(2 * config.N + 4)
+        ref_err, geo_err = disc.rule(2 * config.N + 4)
 
     def record(q, t):
         e = energy(q, disc)

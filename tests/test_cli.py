@@ -67,6 +67,23 @@ class TestExitCodes:
         assert r.returncode == 2, r.stderr
         assert "'triangle'" in r.stderr
 
+    @pytest.mark.parametrize("edit, key", [
+        ({"N_geo": 1.0}, "N_geo"), ({"N_geo": True}, "N_geo"), ({"N_geo": 0}, "N_geo"),
+        ({"K": 4.0}, "K"), ({"K": "4"}, "K"), ({"h": None}, "h"),
+        ({"face_connectivity": None}, "face_connectivity"),
+    ])
+    def test_malformed_mesh_file_exits_2(self, tmp_path, edit, key):
+        # a None value deletes the key
+        mg.save_mesh(mg.uniform_quad_mesh(2), tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        doc.update(edit)
+        doc = {k: v for k, v in doc.items() if v is not None}
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        (tmp_path / "c.json").write_text(json.dumps({"N": 1, "mesh": "m.json", "T": 0.1}))
+        r = run_cli("--out-dir", "out", "run", "--config", "c.json", cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert repr(key) in r.stderr and "Traceback" not in r.stderr
+
     @pytest.mark.parametrize("run_length, needle", [
         ({"T": 0.1, "output_interval": 0}, "output_interval"),
         ({"T": 0.1, "output_interval": 0.5}, "output_interval"),

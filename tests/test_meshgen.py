@@ -81,7 +81,7 @@ class TestArnold:
         ref, g = geo_for(mg.arnold_mesh(1))
         r = ref.volume_quad.points[:, 0]
         A = np.column_stack([np.ones_like(r), r])
-        for k in range(g.K):
+        for k in range(len(g.Jq)):
             resid = np.linalg.lstsq(A, g.Jq[k], rcond=None)[1]
             assert resid < 1e-24 if resid.size else True
             fit = A @ np.linalg.lstsq(A, g.Jq[k], rcond=None)[0]

@@ -231,7 +231,7 @@ class TestMatrixFreeProjection:
         # on the mass-exact rule, as the solver projects
         mesh = pcg_meshes[kind]
         ref = rf.build_reference_element(N, 2 * N + 2 * mesh.N_geo)
-        g = geom.compute_volume_geometry(mesh, ref)
+        g = geom.compute_geometric_data(mesh, ref)
         M = ops.weighted_mass_matrix(ref, g.Jq)
         wJ = ref.wq * g.Jq
         got = ops.l2_project(ref, g, three_fields)
@@ -244,7 +244,7 @@ class TestMatrixFreeProjection:
         # the Bessel start: a pressure and two identically zero velocities
         mesh = pcg_meshes["disk"]
         ref = rf.build_reference_element(3, 2 * 3 + 2 * mesh.N_geo)
-        g = geom.compute_volume_geometry(mesh, ref)
+        g = geom.compute_geometric_data(mesh, ref)
         fn = lambda x, y: tuple(sv.bessel_initial_condition(x, y))
         # every field through a load and a solve, as before zero fields were skipped
         WVq = ref.wq[:, None] * ref.Vq
@@ -266,7 +266,7 @@ class TestMatrixFreeProjection:
         monkeypatch.setattr(geom, "ELEMENT_BLOCK", 4)
         mesh = mg.warped_arnold_mesh(mg.WarpParams(1.0, 4), 3)
         ref = rf.build_reference_element(3, 12)
-        g = geom.compute_volume_geometry(mesh, ref)
+        g = geom.compute_geometric_data(mesh, ref)
         y0 = g.yq[:4].max()
         assert g.yq[4:].max() > y0
         fn = lambda x, y: (np.where(y > y0, 2.0 + np.cos(x + y), 0.0), np.zeros_like(x))
@@ -284,7 +284,7 @@ class TestMatrixFreeProjection:
         N = 6
         mesh = mg.disk_mesh(2, N)
         ref = rf.build_reference_element(N, 4 * N)
-        g = geom.compute_volume_geometry(mesh, ref)
+        g = geom.compute_geometric_data(mesh, ref)
         fn = lambda x, y: tuple(sv.bessel_initial_condition(x, y))
         tracemalloc.start()
         try:
@@ -302,7 +302,7 @@ class TestMatrixFreeProjection:
         # a weight scattered over 4 decades at random, which no degree-N
         # projection follows, or a non-finite load: Np + 2 iterations fail
         ref = rf.build_reference_element(3, 8)
-        g = geom.compute_volume_geometry(mg.uniform_quad_mesh(2), ref)
+        g = geom.compute_geometric_data(mg.uniform_quad_mesh(2), ref)
         fn = lambda x, y: np.cos(x + y)
         if case == "scattered-weight":
             J = 10.0 ** np.random.default_rng(0).uniform(-2, 2, g.Jq.shape)
@@ -377,7 +377,7 @@ class TestGlobalL2Error:
     def test_element_blocks_match_one_shot_sum(self, K1D, block, sizes, rng, monkeypatch):
         monkeypatch.setattr(geom, "ELEMENT_BLOCK", block)
         ref, g = make_geo(mg.warped_arnold_mesh(mg.WarpParams(1.0, K1D), 3), 3, vdeg=10)
-        c = rng.standard_normal((g.K, ref.Np))
+        c = rng.standard_normal((len(g.Jq), ref.Np))
         one_shot = np.sqrt(np.sum(ref.wq * g.Jq * (c @ ref.Vq.T - sin2d(g.xq, g.yq)) ** 2))
         calls = []
         err = ops.global_l2_error(ref, g, c, lambda x, y: calls.append(len(x)) or sin2d(x, y))

@@ -274,11 +274,27 @@ class TestMassInverse:
         if mode == "wadg":
             expect = wadg_energy(q, disc)
         else:
-            ref, g = disc.rule(disc.mass_deg)
+            ref = disc.rule(disc.mass_deg)[0]
+            g = geom.compute_geometric_data(curved_mesh, ref)
             c2 = medium.values(g.xq, g.yq)
             expect = sum(0.5 * np.einsum("ki,kij,kj->", qf,
                                          ops.weighted_mass_matrix(ref, w), qf)
                          for qf, w in zip(q, (g.Jq / c2, g.Jq, g.Jq)))
+        assert sv.energy(q, disc) == pytest.approx(expect, rel=1e-13)
+
+    @pytest.mark.parametrize("mode", ["wadg", "exact"])
+    def test_energy_is_the_norm_of_the_applied_mass_inverse(self, curved_mesh, rng, mode):
+        # 1/2 sum_f q_f . (Mhat A_f^-1) q_f with A_f the per-element operator
+        # apply_mass_inverse applies: one set of weights defines both
+        disc = sv.Discretization(curved_mesh, SolverConfig(N=3, mass_mode=MassMode(mode)),
+                                 cli.MEDIA["radial_sine"]())
+        q = random_state(disc, rng)
+        if mode == "wadg":
+            A_inv_q = [qf / w for qf, w in zip(q, (disc.w_upd_p, disc.w_upd_u, disc.w_upd_u))]
+        else:
+            A_inv_q = [np.linalg.solve(A, qf[..., None])[..., 0] for qf, A in
+                       zip(q, (disc.mass_inv_p, disc.mass_inv_u, disc.mass_inv_u))]
+        expect = 0.5 * sum(np.sum(qf * (z @ disc.ref.Mhat.T)) for qf, z in zip(q, A_inv_q))
         assert sv.energy(q, disc) == pytest.approx(expect, rel=1e-13)
 
     @pytest.mark.parametrize("mode", ["wadg", "exact"])
@@ -375,7 +391,7 @@ class TestMassInverse:
                 dt = out[0][1]["dt"]
             (wadg, dw), (exact, de) = out
             assert de["steps"] == dw["steps"]
-            geo = geom.compute_volume_geometry(mesh, ref)
+            geo = geom.compute_geometric_data(mesh, ref)
             diffs.append(ops.global_l2_error(ref, geo, wadg.p - exact.p, lambda x, y: 0 * x))
             diags.append((dw, de))
         return diffs, diags

@@ -49,8 +49,10 @@ def ref_weighted_mass_matrix(ref, w):
 
 
 class RefOperators:
-    """Fused face factors and the exterior-point gather, rebuilt from
-    disc's reference element and geometry only."""
+    """Fused face factors, the exterior-point gather and the mass weights
+    (exact mode: the inverse mass matrices), rebuilt from disc's reference
+    elements, its formulation geometry and the mass rule's whole-mesh
+    geometry."""
 
     def __init__(self, disc):
         ref, geo, mesh = disc.ref, disc.geo, disc.mesh
@@ -61,9 +63,11 @@ class RefOperators:
         idx = geom.exterior_face_index(mesh.face_connectivity, ref.nfq)
         self.gather = idx.reshape(mesh.K, mesh.n_faces * ref.nfq)
         self.bc = np.repeat(mesh.boundary_tags > 0, ref.nfq, axis=1)
+        ref_m = disc.ref_upd
+        geo_m = geom.compute_geometric_data(mesh, ref_m)
+        c2_m = disc.medium.values(geo_m.xq, geo_m.yq)
+        self.w_p, self.w_u = c2_m / geo_m.Jq, 1.0 / geo_m.Jq
         if disc.config.mass_mode is MassMode.ExactCurvedMass:
-            ref_m, geo_m = disc.rule(disc.mass_deg)
-            c2_m = disc.medium.values(geo_m.xq, geo_m.yq)
             self.mass_inv_p = np.linalg.inv(ref_weighted_mass_matrix(ref_m, geo_m.Jq / c2_m))
             self.mass_inv_u = np.linalg.inv(ref_weighted_mass_matrix(ref_m, geo_m.Jq))
 
@@ -134,8 +138,8 @@ def ref_apply_mass_inverse(rhs_pre, ops_):
     disc = ops_.disc
     if disc.config.mass_mode is MassMode.WADG:
         # Vq = Pq = I on the mass rule, whose points are the solution nodes
-        return RefState(disc.w_upd_p * rhs_pre.p, disc.w_upd_u * rhs_pre.u1,
-                        disc.w_upd_u * rhs_pre.u2)
+        return RefState(ops_.w_p * rhs_pre.p, ops_.w_u * rhs_pre.u1,
+                        ops_.w_u * rhs_pre.u2)
     Mh = disc.ref.Mhat
     return RefState(np.einsum("kij,kj->ki", ops_.mass_inv_p, rhs_pre.p @ Mh),
                     np.einsum("kij,kj->ki", ops_.mass_inv_u, rhs_pre.u1 @ Mh),
@@ -263,7 +267,8 @@ def test_element_blocks_agree_with_reference(edge, form, mode, rng, monkeypatch)
 
 def test_weighted_mass_matrix_matches_einsum_and_is_symmetric():
     disc = make_disc("strong", "wadg")
-    ref_m, geo_m = disc.rule(disc.mass_deg)
+    ref_m = disc.rule(disc.mass_deg)[0]
+    geo_m = geom.compute_geometric_data(disc.mesh, ref_m)
     w = geo_m.Jq / SMOOTH_MEDIUM.values(geo_m.xq, geo_m.yq)
     M = ops.weighted_mass_matrix(ref_m, w)
     expect = ref_weighted_mass_matrix(ref_m, w)
@@ -280,32 +285,35 @@ def test_callable_step_matches_closure_step(rng):
     assert np.array_equal(a, b)
 
 
-def test_auxiliary_rules_carry_volume_geometry_only():
+def test_auxiliary_rules_carry_volume_geometry_only(monkeypatch):
+    """Another rule carries its points and J only, evaluated block by block
+    from the mesh that `rule` returns, equal to the whole-mesh metric
+    evaluation bitwise."""
+    monkeypatch.setattr(geom, "ELEMENT_BLOCK", 64)
     disc = make_disc("strong", "exact")
-    assert type(disc.geo) is geom.GeometricData
+    assert len(geom.element_blocks(disc.mesh.K)) == 3
     for degree in (2 * disc.config.N + 1, disc.mass_deg):
-        _, g = disc.rule(degree)
-        assert type(g) is geom.VolumeGeometry
-        full = geom.compute_geometric_data(disc.mesh, g.ref)
-        for name in ("xq", "yq", "Jq"):
-            assert np.array_equal(getattr(g, name), getattr(full, name))
+        ref, source = disc.rule(degree)
+        assert source is disc.mesh
+        K, blocks = geom.volume_blocks(source, ref)
+        xq, yq, Jq = (np.concatenate(a) for a in zip(*(b[1:] for b in blocks)))
+        full = geom.compute_geometric_data(disc.mesh, ref)
+        assert K == disc.mesh.K
+        for name, a in (("xq", xq), ("yq", yq), ("Jq", Jq)):
+            assert np.array_equal(a, getattr(full, name))
 
 
 def test_only_the_formulation_rule_is_held():
     disc = make_disc("strong", "exact", level=1)
     held = disc.nbytes()["geometry"]
     form_deg = sv.sufficient_quadrature_degree(3, 3, Formulation.Strong)
-    for get in (disc.rule, disc.rule_source):
-        ref_f, geo_f = get(form_deg)
-        assert ref_f is disc.ref and geo_f is disc.geo
-    # another rule is evaluated on demand, on the same reference element,
-    # and not held; its blocked source is the mesh
-    ref_m, geo_m = disc.rule(disc.mass_deg)
-    ref_again, geo_again = disc.rule(disc.mass_deg)
-    assert ref_again is ref_m and geo_again is not geo_m
-    assert all(np.array_equal(getattr(geo_again, f), getattr(geo_m, f)) for f in ("xq", "yq", "Jq"))
-    ref_s, source = disc.rule_source(disc.mass_deg)
-    assert ref_s is ref_m and source is disc.mesh
+    ref_f, geo_f = disc.rule(form_deg)
+    assert ref_f is disc.ref and geo_f is disc.geo
+    # another rule is the same cached reference element each time, and its
+    # source is the mesh: nothing of it is held
+    ref_m, source = disc.rule(disc.mass_deg)
+    assert disc.rule(disc.mass_deg)[0] is ref_m is disc.ref_upd
+    assert source is disc.mesh
     assert disc.nbytes()["geometry"] == held
 
 
