@@ -472,6 +472,8 @@ def load_mesh(path):
     """Read a wadg-mesh-v1 JSON file and validate it (see `validate_mesh`)."""
     with open(path) as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a mesh file must hold a JSON object, got a {type(doc).__name__!r}")
     if doc.get("version") != MESH_SCHEMA_VERSION:
         raise ValueError(f"unsupported mesh schema version {doc.get('version')!r}")
     if doc.get("shape") != MESH_SHAPE:
@@ -483,6 +485,9 @@ def load_mesh(path):
     for key in ("K", "N_geo"):
         if type(doc[key]) is not int or doc[key] < 1:
             raise ValueError(f"mesh key {key!r} must be an integer >= 1, got {doc[key]!r}")
+    # a bool is not a number here, though Python counts it as an int
+    if type(doc["h"]) not in (int, float) or not (np.isfinite(doc["h"]) and doc["h"] > 0):
+        raise ValueError(f"mesh key 'h' must be a finite number > 0, got {doc['h']!r}")
     nodes = np.asarray(doc["elem_map_nodes"], dtype=float)
     conn = np.asarray(doc["face_connectivity"], dtype=np.int64)
     tags = np.asarray(doc["boundary_tags"], dtype=np.int64)

@@ -15,11 +15,14 @@ Right-hand sides follow the fused convention: volume and surface kernels
 return the Mhat^-1-premultiplied load, and the mass-inverse application
 supplies the rest per field, from the weights c^2/J and 1/J on one mass
 rule per mode, which `energy` also reads; the nodes are the points of the
-WADG mass rule, which makes its mass inverse a pointwise scale.  A stage,
-the mass weights, the projection and the records work one element block
-at a time, so a run holds the formulation rule's geometry, the operator
-data, the interior face traces and two step registers as mesh-sized
-arrays, and a warm step allocates no field-sized array.
+WADG mass rule, which makes its mass inverse a pointwise scale.  Exact
+mode holds the dense per-element M^-1 Mhat of each weight, or, where c^2
+is constant on every element, M_J^-1 Mhat alone with the elements' c^2,
+which scales its pressure row.  A stage, the mass weights, the projection
+and the records work one element block at a time, so a run holds the
+formulation rule's geometry, the operator data, the interior face traces
+and two step registers as mesh-sized arrays, and a warm step allocates no
+field-sized array.
 """
 
 from __future__ import annotations
@@ -159,6 +162,26 @@ def _view(flat, *shape):
     return flat[:math.prod(shape)].reshape(shape)
 
 
+def _mass_weights(source, ref, medium, exact):
+    """The mass weights c^2/J (pressure) and 1/J (velocity) at the points of
+    ref's rule, (K, Nq) each, filled one element block at a time from
+    geometry.volume_blocks(source, ref), and, in exact mode, the (K, 1) c^2
+    of each element when c^2 is exactly equal across the points of every
+    element; else None."""
+    K, blocks = geometry.volume_blocks(source, ref)
+    w_p, w_u = (np.empty((K, ref.Nq)) for _ in range(2))
+    c2 = np.empty((K, 1)) if exact else None
+    for blk, xq, yq, Jq in blocks:
+        c2_q = medium.values(xq, yq)
+        if c2 is not None:
+            c2[blk] = c2_q[:, :1]
+            if not np.all(c2_q == c2[blk]):
+                c2 = None
+        np.divide(c2_q, Jq, out=w_p[blk])
+        np.divide(1.0, Jq, out=w_u[blk])
+    return w_p, w_u, c2
+
+
 class Discretization:
     """Prepared operator data for one (mesh, config, medium) triple.
 
@@ -169,9 +192,13 @@ class Discretization:
     `mass_deg`) with the weights `w_upd_p` = c^2/J and `w_upd_u` = 1/J that
     define both the inverted mass and `energy`, the face-trace gather
     tables, (exact mode only) M^-1 Mhat, M of weight 1/w on the mass rule,
-    and the `buffers` every time step writes.  No dense per-element matrix
-    is held in WADG mode.  The arrays `lsrk_step` returns are the step
-    registers, each valid until the next step that writes it.
+    and the `buffers` every time step writes.  Exact mode holds one such
+    stack, the velocity's `mass_inv_u` = M_J^-1 Mhat, and the (K, 1)
+    per-element `c2` when c^2 is exactly equal across the mass rule's
+    points of every element (M_{J/c^2}^-1 = c^2 M_J^-1 there); otherwise
+    it holds `mass_inv_p` too.  No dense per-element matrix is held in WADG
+    mode.  The arrays `lsrk_step` returns are the step registers, each
+    valid until the next step that writes it.
     """
 
     def __init__(self, mesh, config, medium=MediumField()):
@@ -187,18 +214,17 @@ class Discretization:
         self.c_max = np.sqrt(medium.values(self.geo.xq, self.geo.yq).max(axis=1))
         exact = config.mass_mode is MassMode.ExactCurvedMass
         self.ref_upd, source = self.rule(self.mass_deg if exact else 2 * N + 1)
-        # mass weights: pressure gets c^2/J, velocity 1/J
-        K, blocks = geometry.volume_blocks(source, self.ref_upd)
-        self.w_upd_p, self.w_upd_u = (np.empty((K, self.ref_upd.Nq)) for _ in range(2))
-        for blk, xq, yq, Jq in blocks:
-            np.divide(medium.values(xq, yq), Jq, out=self.w_upd_p[blk])
-            np.divide(1.0, Jq, out=self.w_upd_u[blk])
+        self.w_upd_p, self.w_upd_u, self.c2 = _mass_weights(source, self.ref_upd, medium, exact)
 
         self.mass_inv_p = self.mass_inv_u = None
         if exact:   # M^-1 Mhat, M the mass of weight 1/w
-            self.mass_inv_p, self.mass_inv_u = (
-                np.linalg.solve(operators.weighted_mass_matrix(self.ref_upd, 1.0 / w), ref.Mhat)
-                for w in (self.w_upd_p, self.w_upd_u))
+            def mass_inv(w):
+                return np.linalg.solve(operators.weighted_mass_matrix(self.ref_upd, 1.0 / w),
+                                       ref.Mhat)
+            self.mass_inv_u = mass_inv(self.w_upd_u)
+            # with c^2 constant on each element, M_{J/c^2}^-1 = c^2 M_J^-1
+            if self.c2 is None:
+                self.mass_inv_p = mass_inv(self.w_upd_p)
 
         # fused factors, (Np, Nq) and (Np, n_faces*nfq): the minus sign of
         # every volume and lift term, and the 1/2 of the penalty fluxes
@@ -230,18 +256,19 @@ class Discretization:
 
     def nbytes(self):
         """Bytes of the per-element arrays held, by component: `mass`, what
-        apply_mass_inverse reads (WADG: the weights c^2/J and 1/J; exact:
-        M^-1 Mhat of pressure and velocity); `geometry`, the formulation
-        rule's geometry, c_max and, in exact mode, the weights `energy`
-        reads; `face`, the gather tables; `buffers`, the StepBuffers,
-        allocated here if no step has run.  The process-wide reference
-        elements and the mesh are not counted."""
-        exact = self.mass_inv_p is not None
+        apply_mass_inverse reads, each array once (WADG: the weights c^2/J
+        and 1/J; exact: M^-1 Mhat of pressure and velocity, or the one
+        M_J^-1 Mhat and c2 when c^2 is constant on each element);
+        `geometry`, the formulation rule's geometry, c_max and, in exact
+        mode, the weights `energy` reads; `face`, the gather tables;
+        `buffers`, the StepBuffers, allocated here if no step has run.  The
+        process-wide reference elements and the mesh are not counted."""
+        exact_data = [a for a in (self.mass_inv_p, self.mass_inv_u, self.c2) if a is not None]
         weights = [self.w_upd_p, self.w_upd_u]
         geo = [a for a in vars(self.geo).values() if isinstance(a, np.ndarray)]
         parts = {
-            "mass": [self.mass_inv_p, self.mass_inv_u] if exact else weights,
-            "geometry": geo + [self.c_max] + (weights if exact else []),
+            "mass": exact_data or weights,
+            "geometry": geo + [self.c_max] + (weights if exact_data else []),
             "face": [self._gather_idx, self.bc_mask],
             "buffers": [a for a in vars(self.buffers).values() if isinstance(a, np.ndarray)],
         }
@@ -366,9 +393,11 @@ def apply_mass_inverse(z, disc, blk=slice(None)):
 
     WADG mode applies Pq diag(w) Vq on the mass rule, whose points are the
     nodes: a pointwise scale by c^2/J (pressure) and 1/J (velocity).  Exact
-    mode applies the stored per-element M^-1 Mhat as batched GEMMs, one for
-    the pressure and one for both velocity fields, through `buffers.work`,
-    so there blk spans at most one element block.
+    mode applies the stored per-element M^-1 Mhat as batched GEMMs through
+    `buffers.work`, so there blk spans at most one element block: with one
+    stack, a GEMM of M_J^-1 Mhat against all three fields and the pressure
+    row scaled by c2; with two, one for the pressure and one for both
+    velocity fields.
     """
     if disc.config.mass_mode is MassMode.WADG:
         for f, w in enumerate((disc.w_upd_p, disc.w_upd_u, disc.w_upd_u)):
@@ -376,6 +405,13 @@ def apply_mass_inverse(z, disc, blk=slice(None)):
         return z
     out = _view(disc.buffers.work, *z.shape)
     # (n, Np, Np) @ (n, Np, m): the fields of z stacked as columns
+    if disc.mass_inv_p is None:
+        np.matmul(disc.mass_inv_u[blk], z.transpose(1, 2, 0), out=out.transpose(1, 2, 0))
+        # the pressure row times c^2, by einsum: a broadcasting multiply
+        # would allocate a ufunc buffer of up to the row's size
+        np.einsum("ki,k->ki", out[0], disc.c2[blk, 0], out=z[0])
+        z[1:] = out[1:]
+        return z
     np.matmul(disc.mass_inv_p[blk], z[0, :, :, None], out=out[0, :, :, None])
     np.matmul(disc.mass_inv_u[blk], z[1:].transpose(1, 2, 0),
               out=out[1:].transpose(1, 2, 0))

@@ -71,13 +71,20 @@ class TestExitCodes:
         ({"N_geo": 1.0}, "N_geo"), ({"N_geo": True}, "N_geo"), ({"N_geo": 0}, "N_geo"),
         ({"K": 4.0}, "K"), ({"K": "4"}, "K"), ({"h": None}, "h"),
         ({"face_connectivity": None}, "face_connectivity"),
+        ({"h": -1.0}, "h"), ({"h": 0}, "h"), ({"h": "abc"}, "h"), ({"h": True}, "h"),
+        ({"h": float("inf")}, "h"), ({"h": float("nan")}, "h"),
+        # a list edit is the whole document
+        ([1, 2], "list"),
     ])
     def test_malformed_mesh_file_exits_2(self, tmp_path, edit, key):
         # a None value deletes the key
         mg.save_mesh(mg.uniform_quad_mesh(2), tmp_path / "m.json")
         doc = json.loads((tmp_path / "m.json").read_text())
-        doc.update(edit)
-        doc = {k: v for k, v in doc.items() if v is not None}
+        if isinstance(edit, list):
+            doc = edit
+        else:
+            doc.update(edit)
+            doc = {k: v for k, v in doc.items() if v is not None}
         (tmp_path / "m.json").write_text(json.dumps(doc))
         (tmp_path / "c.json").write_text(json.dumps({"N": 1, "mesh": "m.json", "T": 0.1}))
         r = run_cli("--out-dir", "out", "run", "--config", "c.json", cwd=tmp_path)

@@ -240,7 +240,7 @@ class TestMassInverse:
 
     def test_wadg_mode_stores_no_dense_matrices(self, curved_mesh):
         disc = sv.Discretization(curved_mesh, SolverConfig(N=3))
-        assert disc.mass_inv_p is None and disc.mass_inv_u is None
+        assert disc.mass_inv_p is None and disc.mass_inv_u is None and disc.c2 is None
         # per-element update data is pointwise weights only
         assert disc.w_upd_p.shape == (curved_mesh.K, disc.ref_upd.Nq)
         assert disc.w_upd_u.shape == (curved_mesh.K, disc.ref_upd.Nq)
@@ -285,17 +285,22 @@ class TestMassInverse:
     @pytest.mark.parametrize("mode", ["wadg", "exact"])
     def test_energy_is_the_norm_of_the_applied_mass_inverse(self, curved_mesh, rng, mode):
         # 1/2 sum_f q_f . (Mhat A_f^-1) q_f with A_f the per-element operator
-        # apply_mass_inverse applies: one set of weights defines both
-        disc = sv.Discretization(curved_mesh, SolverConfig(N=3, mass_mode=MassMode(mode)),
-                                 cli.MEDIA["radial_sine"]())
-        q = random_state(disc, rng)
-        if mode == "wadg":
-            A_inv_q = [qf / w for qf, w in zip(q, (disc.w_upd_p, disc.w_upd_u, disc.w_upd_u))]
-        else:
-            A_inv_q = [np.linalg.solve(A, qf[..., None])[..., 0] for qf, A in
-                       zip(q, (disc.mass_inv_p, disc.mass_inv_u, disc.mass_inv_u))]
-        expect = 0.5 * sum(np.sum(qf * (z @ disc.ref.Mhat.T)) for qf, z in zip(q, A_inv_q))
-        assert sv.energy(q, disc) == pytest.approx(expect, rel=1e-13)
+        # apply_mass_inverse applies: one set of weights defines both.  With
+        # a constant c^2, exact mode applies c^2 M_J^-1 Mhat to the pressure
+        for medium in (cli.MEDIA["radial_sine"](), sv.MediumField(2.25)):
+            disc = sv.Discretization(curved_mesh, SolverConfig(N=3, mass_mode=MassMode(mode)),
+                                     medium)
+            q = random_state(disc, rng)
+            if mode == "wadg":
+                A_inv_q = [qf / w for qf, w in zip(q, (disc.w_upd_p, disc.w_upd_u, disc.w_upd_u))]
+            else:
+                A_inv_q = [np.linalg.solve(disc.mass_inv_u, qf[..., None])[..., 0] for qf in q]
+                if disc.c2 is None:
+                    A_inv_q[0] = np.linalg.solve(disc.mass_inv_p, q[0][..., None])[..., 0]
+                else:
+                    A_inv_q[0] /= disc.c2
+            expect = 0.5 * sum(np.sum(qf * (z @ disc.ref.Mhat.T)) for qf, z in zip(q, A_inv_q))
+            assert sv.energy(q, disc) == pytest.approx(expect, rel=1e-13)
 
     @pytest.mark.parametrize("mode", ["wadg", "exact"])
     def test_step_buffers_hold_three_field_arrays(self, monkeypatch, rng, mode):
@@ -317,12 +322,20 @@ class TestMassInverse:
     def test_exact_mass_data_is_Np_times_wadg(self):
         N = 6
         mesh = mg.disk_mesh(1, N)
-        held = {mode: sv.Discretization(mesh, SolverConfig(N=N, mass_mode=mode)).nbytes()
-                for mode in MassMode}
-        assert held[MassMode.ExactCurvedMass]["mass"] == (N + 1) ** 2 * held[MassMode.WADG]["mass"]
-        assert held[MassMode.WADG]["mass"] == 2 * mesh.K * (N + 1) ** 2 * 8
-        # the two modes share the formulation rule and the face tables
-        assert held[MassMode.WADG]["face"] == held[MassMode.ExactCurvedMass]["face"]
+        K, Np = mesh.K, (N + 1) ** 2
+        media = {"radial_sine": cli.MEDIA["radial_sine"](), "constant": sv.MediumField()}
+        held = {(name, mode): sv.Discretization(mesh, SolverConfig(N=N, mass_mode=mode),
+                                                medium).nbytes()
+                for name, medium in media.items() for mode in MassMode}
+        for name in media:
+            wadg, exact = held[name, MassMode.WADG], held[name, MassMode.ExactCurvedMass]
+            assert wadg["mass"] == 2 * K * Np * 8
+            # the two modes share the formulation rule and the face tables
+            assert wadg["face"] == exact["face"]
+        # radial_sine: M^-1 Mhat of both weights, Np times the WADG weights;
+        # a constant c^2: one M_J^-1 Mhat stack and the (K, 1) c^2
+        assert held["radial_sine", MassMode.ExactCurvedMass]["mass"] == Np * 2 * K * Np * 8
+        assert held["constant", MassMode.ExactCurvedMass]["mass"] == K * Np**2 * 8 + K * 8
 
     @pytest.mark.parametrize("mode", ["wadg", "exact"])
     def test_wadg_run_forms_no_dense_element_matrix(self, monkeypatch, mode):

@@ -211,9 +211,8 @@ def test_wadg_steps_bitwise_equal_to_reference(form, rng):
         assert np.array_equal(q, stacked(expect))
 
 
-@pytest.mark.parametrize("form", FORMS)
-def test_exact_mass_mode_agrees_with_reference(form, rng):
-    disc = make_disc(form, "exact")
+def assert_agrees_with_reference(disc, rng):
+    """rhs_full and three steps of disc within 1e-14 of the reference."""
     ops_ = RefOperators(disc)
     fields = random_fields(disc, rng)
     full = ref_apply_mass_inverse(ref_rhs_pre_mass(RefState(*fields), ops_), ops_)
@@ -225,6 +224,55 @@ def test_exact_mass_mode_agrees_with_reference(form, rng):
             ref_rhs_pre_mass(s, ops_), ops_))
         q = sv.lsrk_step(q, dt, disc)
     assert rel_diff(q, stacked(expect)) <= 1e-14
+
+
+# media whose c^2 is constant on every element of the disk meshes, where
+# exact mode holds the one stack M_J^-1 Mhat and scales the pressure by c^2:
+# a constant other than 1, so that a missing scale shows, and a piecewise
+# constant aligned with the elements, so that a mixed-up element shows
+ELEMENTWISE_MEDIA = {
+    "constant": sv.MediumField(2.25),
+    "piecewise": sv.MediumField(lambda x, y: 1.0 + 3.0 * (x > 0)),
+}
+
+
+def counted_mass_matrices(monkeypatch):
+    """A list that gains one entry per weighted_mass_matrix call."""
+    calls, build = [], ops.weighted_mass_matrix
+
+    def counted(*args):
+        calls.append(None)
+        return build(*args)
+
+    monkeypatch.setattr(ops, "weighted_mass_matrix", counted)
+    return calls
+
+
+def held_mass_stacks(disc):
+    return sum(a is not None for a in (disc.mass_inv_p, disc.mass_inv_u))
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_exact_mass_mode_agrees_with_reference(form, rng, monkeypatch):
+    calls = counted_mass_matrices(monkeypatch)
+    disc = make_disc(form, "exact")
+    # c^2 varies within elements: a mass inverse per weight
+    assert len(calls) == held_mass_stacks(disc) == 2 and disc.c2 is None
+    assert_agrees_with_reference(disc, rng)
+
+
+@pytest.mark.parametrize("medium", list(ELEMENTWISE_MEDIA))
+@pytest.mark.parametrize("form", FORMS)
+def test_exact_mass_shares_one_stack_where_c2_is_constant_per_element(
+        form, medium, rng, monkeypatch):
+    calls = counted_mass_matrices(monkeypatch)
+    cfg = SolverConfig(N=3, formulation=Formulation(form), mass_mode=MassMode.ExactCurvedMass)
+    disc = sv.Discretization(mg.disk_mesh(2, 3), cfg, ELEMENTWISE_MEDIA[medium])
+    assert len(calls) == held_mass_stacks(disc) == 1 and disc.mass_inv_p is None
+    assert disc.c2.shape == (disc.mesh.K, 1)
+    expect = {"constant": {2.25}, "piecewise": {1.0, 4.0}}[medium]
+    assert set(np.unique(disc.c2)) == expect
+    assert_agrees_with_reference(disc, rng)
 
 
 # mesh and ELEMENT_BLOCK: K = 1, K below the block, K not a multiple of
@@ -252,17 +300,27 @@ def test_element_blocks_agree_with_reference(edge, form, mode, rng, monkeypatch)
     cfg = SolverConfig(N=3, formulation=Formulation(form), mass_mode=MassMode(mode))
     disc = sv.Discretization(make(), cfg, SMOOTH_MEDIUM)
     assert len(geom.element_blocks(disc.mesh.K)) == n_blocks
-    ops_ = RefOperators(disc)
-    fields = random_fields(disc, rng)
-    full = ref_apply_mass_inverse(ref_rhs_pre_mass(RefState(*fields), ops_), ops_)
-    assert rel_diff(sv.rhs_full(np.stack(fields), disc), stacked(full)) <= 1e-14
-    dt = sv.stable_dt(disc)
-    expect, q = RefState(*fields), np.stack(fields)
-    for _ in range(3):
-        expect = ref_nested_step(expect, dt, lambda s: ref_apply_mass_inverse(
-            ref_rhs_pre_mass(s, ops_), ops_))
-        q = sv.lsrk_step(q, dt, disc)
-    assert rel_diff(q, stacked(expect)) <= 1e-14
+    assert_agrees_with_reference(disc, rng)
+
+
+# the piecewise medium is constant per element on the disk edges only
+SHARED_STACK_BLOCK_CASES = [("constant", edge) for edge in BLOCK_EDGES] + [
+    ("piecewise", "K-below-block"), ("piecewise", "K-not-a-multiple")]
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("medium, edge", SHARED_STACK_BLOCK_CASES)
+def test_element_blocks_agree_with_reference_on_one_mass_stack(edge, medium, form, rng,
+                                                               monkeypatch):
+    """The exact cases above with one held mass stack, whose per-element c2
+    each block must read at its own elements."""
+    make, block, n_blocks = BLOCK_EDGES[edge]
+    monkeypatch.setattr(geom, "ELEMENT_BLOCK", block)
+    cfg = SolverConfig(N=3, formulation=Formulation(form), mass_mode=MassMode.ExactCurvedMass)
+    disc = sv.Discretization(make(), cfg, ELEMENTWISE_MEDIA[medium])
+    assert len(geom.element_blocks(disc.mesh.K)) == n_blocks
+    assert held_mass_stacks(disc) == 1 and disc.c2 is not None
+    assert_agrees_with_reference(disc, rng)
 
 
 def test_weighted_mass_matrix_matches_einsum_and_is_symmetric():
