@@ -96,6 +96,8 @@ _CONFIG_KEYS = {
 
 def _check_config(doc):
     """Raise ConfigError, naming the key, for an unknown key or a bad value."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a config must hold a JSON or TOML object, got a {type(doc).__name__!r}")
     if unknown := sorted(set(doc) - set(_CONFIG_KEYS)):
         raise ConfigError(f"unknown config keys: {unknown}")
     for key, value in doc.items():

@@ -9,7 +9,9 @@ A state is one (3, K, Np) array q whose rows are the nodal coefficients
 of p, u1 and u2; the step functions take and return that bare array.  The
 semi-discrete system is autonomous, so no step function takes a time:
 only `run` keeps the clock, and it returns a FieldState pairing the final
-array with its time.
+array with its time.  A step has one path: each stage of `lsrk_step` is
+one `rhs_full` pass, which hands every element block of `rhs_pre_mass` to
+`apply_mass_inverse` and adds it to a register.
 
 Right-hand sides follow the fused convention: volume and surface kernels
 return the Mhat^-1-premultiplied load, and the mass-inverse application
@@ -364,40 +366,34 @@ def _volume_terms(q, disc, blk, strong_weak, out):
         np.matmul(divJ, disc._mPq.T, out=out[0])
 
 
-def rhs_pre_mass(y, disc, finish=None):
+def rhs_pre_mass(y, disc, finish):
     """DG right-hand side of the (3, K, Np) state y in the configured
     formulation, Mhat^-1-premultiplied (no mass weighting applied yet).  The
     strong-weak form integrates the pressure equation by parts once.
 
     One face_traces call gives the interior traces of the whole mesh; then
     the volume terms and the lifted fluxes are summed one element block at
-    a time into `buffers.rhs`, handed to finish(blk, rhs).  Without finish
-    the blocks are copied into a new (3, K, Np) array, which is returned."""
+    a time into `buffers.rhs`, handed to finish(blk, rhs), which must
+    consume the block before the next one overwrites it."""
     sw = disc.config.formulation is Formulation.StrongWeak
     uf = disc.face_traces(y)
-    out = None
-    if finish is None:
-        out = np.empty_like(y)
-        finish = lambda blk, rhs: np.copyto(out[:, blk], rhs)
     for blk in geometry.element_blocks(disc.mesh.K):
         rhs = _view(disc.buffers.rhs, 3, blk.stop - blk.start, disc.ref.Np)
         _volume_terms(y, disc, blk, sw, rhs)
         rhs += _surface_terms(uf, disc, blk, sw)
         finish(blk, rhs)
-    return out
 
 
-def apply_mass_inverse(z, disc, blk=slice(None)):
-    """Complete the mass solve on the premultiplied right-hand side z,
-    (3, n, Np), of the elements blk (default all), in place, and return z.
+def apply_mass_inverse(z, disc, blk):
+    """Complete, in place, the mass solve on the premultiplied right-hand
+    side z, (3, n, Np), of the elements blk, at most one element block.
 
     WADG mode applies Pq diag(w) Vq on the mass rule, whose points are the
     nodes: a pointwise scale by c^2/J (pressure) and 1/J (velocity).  Exact
     mode applies the stored per-element M^-1 Mhat as batched GEMMs through
-    `buffers.work`, so there blk spans at most one element block: with one
-    stack, a GEMM of M_J^-1 Mhat against all three fields and the pressure
-    row scaled by c2; with two, one for the pressure and one for both
-    velocity fields.
+    the block-sized `buffers.work`: with one stack, a GEMM of M_J^-1 Mhat
+    against all three fields and the pressure row scaled by c2; with two,
+    one for the pressure and one for both velocity fields.
     """
     if disc.config.mass_mode is MassMode.WADG:
         for f, w in enumerate((disc.w_upd_p, disc.w_upd_u, disc.w_upd_u)):
@@ -470,35 +466,24 @@ _NESTED = tuple(STABILITY_POLYNOMIAL[j + 1] / STABILITY_POLYNOMIAL[j]
                 for j in reversed(range(len(STABILITY_POLYNOMIAL) - 1)))
 
 
-def lsrk_step(q, dt, rhs_fn):
+def lsrk_step(q, dt, disc):
     """Advance the (3, K, Np) state q by one step y = R(dt L) q of the
-    eight-stage fourth-order STABILITY_POLYNOMIAL, and return the advanced
-    array.
+    eight-stage fourth-order STABILITY_POLYNOMIAL, L the DG operator of the
+    Discretization disc, and return the advanced array.
 
-    R is evaluated in nested (Horner) form, one rhs evaluation per stage:
+    R is evaluated in nested (Horner) form, one rhs_full pass per stage:
     y <- q, then y <- q + (a_{j+1}/a_j) dt L(y) for j = 7..0.  For a linear,
-    autonomous rhs, as here, that is R(dt L) q exactly; a source term or
-    time-dependent boundary data would need a genuine low-storage RK
-    realization of the same R.  rhs_fn maps a state array to its time
-    derivative, which the step then scales in place, so that array must not
-    share memory with q; no stage time is passed.  The two registers are q
-    and y.  When rhs_fn is a Discretization, y is whichever of its buffers
-    `y` and `res` q is not, each stage is one rhs_full pass into y, and a
-    warm step allocates no field-sized array; otherwise y is a new array.
-    The result is y; q itself never changes.
+    autonomous operator, as here, that is R(dt L) q exactly; a source term
+    or time-dependent boundary data would need a genuine low-storage RK
+    realization of the same R.  The two registers are q and y, whichever of
+    the buffers `y` and `res` q is not, so a warm step allocates no
+    field-sized array.  The result is y; q itself never changes.
     """
+    buf = disc.buffers
+    y = buf.res if q is buf.y else buf.y
     stage = q
-    if isinstance(rhs_fn, Discretization):
-        buf = rhs_fn.buffers
-        y = buf.res if q is buf.y else buf.y
-        for b in _NESTED:
-            stage = rhs_full(stage, rhs_fn, q, b * dt, out=y)
-        return y
-    y = np.empty_like(q)
     for b in _NESTED:
-        d = rhs_fn(stage)
-        d *= b * dt
-        stage = np.add(q, d, out=y)
+        stage = rhs_full(stage, disc, q, b * dt, out=y)
     return y
 
 

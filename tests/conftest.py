@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from wadg import geometry as geom
 from wadg import refelem as rf
+from wadg import solver as sv
 
 
 def fit_slope(h, e, window=3):
@@ -40,6 +41,14 @@ def clear_reference_caches():
         for f in vars(mod).values():
             if hasattr(f, "cache_clear"):
                 f.cache_clear()
+
+
+def premultiplied_rhs(y, disc):
+    """The Mhat^-1-premultiplied right-hand side of the (3, K, Np) state y
+    as a new array: sv.rhs_pre_mass with a finish that copies each block."""
+    out = np.empty_like(y)
+    sv.rhs_pre_mass(y, disc, lambda blk, rhs: np.copyto(out[:, blk], rhs))
+    return out
 
 
 @pytest.fixture

@@ -35,12 +35,18 @@ class TestExitCodes:
         assert r.returncode == 2, r.stderr
         assert "unrecognized arguments: --frobnicate" in r.stderr
 
-    def test_unknown_config_key_exits_2(self, tmp_path):
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"N": 2, "mesh": "disk0", "bogus": 1}))
         r = run_cli("--out-dir", "out", "run", "--config", str(cfg), cwd=tmp_path)
         assert r.returncode == 2, r.stderr
         assert "bogus" in r.stderr
+        # a config that is not an object is named by its type, in process:
+        # any other exception would escape main and fail the test
+        for doc, kind in (([], "list"), (3, "int"), ("N", "str"), (["N"], "list")):
+            cfg.write_text(json.dumps(doc))
+            assert cli.main(["--out-dir", str(tmp_path / "out"), "run", "--config", str(cfg)]) == 2
+            assert f"got a {kind!r}" in capsys.readouterr().err
 
     def test_bad_mesh_spec_exits_2(self, tmp_path):
         for spec in ("nonsense99", "warped1", "uniformx", "disk1.5"):
