@@ -18,9 +18,13 @@ return the Mhat^-1-premultiplied load, and the mass-inverse application
 supplies the rest per field, from the weights c^2/J and 1/J on one mass
 rule per mode, which `energy` also reads; the nodes are the points of the
 WADG mass rule, which makes its mass inverse a pointwise scale.  Exact
-mode holds the dense per-element M^-1 Mhat of each weight, or, where c^2
-is constant on every element, M_J^-1 Mhat alone with the elements' c^2,
-which scales its pressure row.  A stage, the mass weights, the projection
+mode holds the dense per-element (M^-1 Mhat)^T of each weight, each
+matrix C-contiguous so that one batched GEMM multiplies it into the
+fields as rows, or, where c^2 is constant on every element, that of M_J
+alone with the elements' c^2, which scales the pressure.  The strong-weak
+form always, and the strong form when N_geo <= 2, uses the node rule,
+the 2N+1 Gauss rule whose points are the nodes: there Vq = Pq = I, so
+the volume kernel applies neither.  A stage, the mass weights, the projection
 and the records work one element block at a time, so a run holds the
 formulation rule's geometry, the operator data, the interior face traces
 and two step registers as mesh-sized arrays, and a warm step allocates no
@@ -86,6 +90,11 @@ class MediumField:
         return v
 
 
+def _is_int(value):
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Settings of one solver run.  The quadrature is not a setting:
@@ -98,6 +107,8 @@ class SolverConfig:
     cfl: float = 0.8                        # fraction of the calibrated limit
 
     def __post_init__(self):
+        if not _is_int(self.N):
+            raise ConfigError(f"N must be an integer, got {self.N!r}")
         if not (self.N >= 1 and self.cfl > 0 and np.isfinite(self.cfl)):
             raise ConfigError(f"need N >= 1 and finite cfl > 0, got N = {self.N}, cfl = {self.cfl}")
 
@@ -193,14 +204,16 @@ class Discretization:
     rule `ref_upd` (degree 2N+1 for WADG, whose points are the nodes, or
     `mass_deg`) with the weights `w_upd_p` = c^2/J and `w_upd_u` = 1/J that
     define both the inverted mass and `energy`, the face-trace gather
-    tables, (exact mode only) M^-1 Mhat, M of weight 1/w on the mass rule,
-    and the `buffers` every time step writes.  Exact mode holds one such
-    stack, the velocity's `mass_inv_u` = M_J^-1 Mhat, and the (K, 1)
+    tables, (exact mode only) the transpose (M^-1 Mhat)^T, M of weight 1/w
+    on the mass rule, as a (K, Np, Np) stack of C-contiguous matrices, and
+    the `buffers` every time step writes.  Exact mode holds one such stack,
+    the velocity's `mass_inv_u` = (M_J^-1 Mhat)^T, and the (K, 1)
     per-element `c2` when c^2 is exactly equal across the mass rule's
     points of every element (M_{J/c^2}^-1 = c^2 M_J^-1 there); otherwise
     it holds `mass_inv_p` too.  No dense per-element matrix is held in WADG
-    mode.  The arrays `lsrk_step` returns are the step registers, each
-    valid until the next step that writes it.
+    mode.  `_mPq` = -Pq is None when the formulation rule is the node
+    rule, where Pq = I.  The arrays `lsrk_step` returns are the step
+    registers, each valid until the next step that writes it.
     """
 
     def __init__(self, mesh, config, medium=MediumField()):
@@ -219,18 +232,24 @@ class Discretization:
         self.w_upd_p, self.w_upd_u, self.c2 = _mass_weights(source, self.ref_upd, medium, exact)
 
         self.mass_inv_p = self.mass_inv_u = None
-        if exact:   # M^-1 Mhat, M the mass of weight 1/w
+        if exact:   # (M^-1 Mhat)^T, M the mass of weight 1/w
+            # = Mhat M^-1 (both symmetric), and Mhat is diagonal in the
+            # Gauss-collocated basis: M^-1 with row i scaled by Mhat_ii,
+            # in place, so set-up holds no second (K, Np, Np) stack
             def mass_inv(w):
-                return np.linalg.solve(operators.weighted_mass_matrix(self.ref_upd, 1.0 / w),
-                                       ref.Mhat)
+                X = np.linalg.inv(operators.weighted_mass_matrix(self.ref_upd, 1.0 / w))
+                X *= np.diag(ref.Mhat)[:, None]
+                return X
             self.mass_inv_u = mass_inv(self.w_upd_u)
             # with c^2 constant on each element, M_{J/c^2}^-1 = c^2 M_J^-1
             if self.c2 is None:
                 self.mass_inv_p = mass_inv(self.w_upd_p)
 
         # fused factors, (Np, Nq) and (Np, n_faces*nfq): the minus sign of
-        # every volume and lift term, and the 1/2 of the penalty fluxes
-        self._mPq = -ref.Pq
+        # every volume and lift term, and the 1/2 of the penalty fluxes.  On
+        # the node rule, the 2N+1 Gauss rule whose points are the nodes,
+        # Vq = Pq = I: _mPq is None and _volume_terms skips those GEMMs
+        self._mPq = None if ref.Nq == ref.Np else -ref.Pq
         self._mPf = -0.5 * ref.Pfq
         # weak derivatives (w_q D) Mhat^-1, (Nq, Np), of the strong-weak form
         self._weak_r, self._weak_s = ((ref.wq[:, None] * D) @ ref.Mhat_inv
@@ -259,8 +278,9 @@ class Discretization:
     def nbytes(self):
         """Bytes of the per-element arrays held, by component: `mass`, what
         apply_mass_inverse reads, each array once (WADG: the weights c^2/J
-        and 1/J; exact: M^-1 Mhat of pressure and velocity, or the one
-        M_J^-1 Mhat and c2 when c^2 is constant on each element);
+        and 1/J; exact: the transposed (M^-1 Mhat)^T of pressure and
+        velocity, or the one (M_J^-1 Mhat)^T and c2 when c^2 is constant on
+        each element);
         `geometry`, the formulation rule's geometry, c_max and, in exact
         mode, the weights `energy` reads; `face`, the gather tables;
         `buffers`, the StepBuffers, allocated here if no step has run.  The
@@ -334,8 +354,10 @@ def _surface_terms(uf, disc, blk, strong_weak):
 
 def _volume_terms(q, disc, blk, strong_weak, out):
     """Volume terms of the three fields of the elements `blk` of the state q
-    into out (3, n, Np), through `buffers.work`."""
-    ref, geo, buf = disc.ref, disc.geo, disc.buffers
+    into out (3, n, Np), through `buffers.work`.  On the node rule, which
+    the strong-weak form always uses and the strong form when N_geo <= 2,
+    Vq = Pq = I and neither is applied: -Pq is a negation."""
+    ref, geo, buf, mPq = disc.ref, disc.geo, disc.buffers, disc._mPq
     p, u1, u2 = q[:, blk]
     rxJ, ryJ, sxJ, syJ = geo.rxJ[blk], geo.ryJ[blk], geo.sxJ[blk], geo.syJ[blk]
     n = blk.stop - blk.start
@@ -346,16 +368,18 @@ def _volume_terms(q, disc, blk, strong_weak, out):
     for row, rJ, sJ in ((1, rxJ, sxJ), (2, ryJ, syJ)):
         np.multiply(a, rJ, out=c)
         c += np.multiply(b, sJ, out=d)
-        np.matmul(c, disc._mPq.T, out=out[row])
+        if mPq is None:
+            np.negative(c, out=out[row])
+        else:
+            np.matmul(c, mPq.T, out=out[row])
 
     if strong_weak:
-        # weak divergence of u J, weighted and premultiplied by Mhat^-1
-        u1q = np.matmul(u1, ref.Vq.T, out=a)
-        u2q = np.matmul(u2, ref.Vq.T, out=b)
-        Fr = np.multiply(rxJ, u1q, out=c)
-        Fr += np.multiply(ryJ, u2q, out=d)
-        Fs = np.multiply(u1q, sxJ, out=a)
-        Fs += np.multiply(u2q, syJ, out=b)
+        # weak divergence of u J, weighted and premultiplied by Mhat^-1; u
+        # at the points of the node rule is u itself
+        Fr = np.multiply(rxJ, u1, out=c)
+        Fr += np.multiply(ryJ, u2, out=d)
+        Fs = np.multiply(u1, sxJ, out=a)
+        Fs += np.multiply(u2, syJ, out=b)
         np.matmul(Fr, disc._weak_r, out=out[0])
         out[0] += np.matmul(Fs, disc._weak_s, out=_view(d.reshape(-1), n, ref.Np))
     else:
@@ -363,7 +387,10 @@ def _volume_terms(q, disc, blk, strong_weak, out):
         divJ = np.multiply(np.matmul(u1, ref.Drq.T, out=a), rxJ, out=c)
         for u, D, G in ((u1, ref.Dsq, sxJ), (u2, ref.Drq, ryJ), (u2, ref.Dsq, syJ)):
             divJ += np.multiply(np.matmul(u, D.T, out=a), G, out=a)
-        np.matmul(divJ, disc._mPq.T, out=out[0])
+        if mPq is None:
+            np.negative(divJ, out=out[0])
+        else:
+            np.matmul(divJ, mPq.T, out=out[0])
 
 
 def rhs_pre_mass(y, disc, finish):
@@ -385,47 +412,54 @@ def rhs_pre_mass(y, disc, finish):
 
 
 def apply_mass_inverse(z, disc, blk):
-    """Complete, in place, the mass solve on the premultiplied right-hand
-    side z, (3, n, Np), of the elements blk, at most one element block.
+    """Complete the mass solve on the premultiplied right-hand side z,
+    (3, n, Np), of the elements blk, at most one element block, and return
+    the (3, n, Np) result.
 
     WADG mode applies Pq diag(w) Vq on the mass rule, whose points are the
-    nodes: a pointwise scale by c^2/J (pressure) and 1/J (velocity).  Exact
-    mode applies the stored per-element M^-1 Mhat as batched GEMMs through
-    the block-sized `buffers.work`: with one stack, a GEMM of M_J^-1 Mhat
-    against all three fields and the pressure row scaled by c2; with two,
-    one for the pressure and one for both velocity fields.
+    nodes: a pointwise scale of z in place by c^2/J (pressure) and 1/J
+    (velocity), and returns z.  Exact mode multiplies the fields, as rows,
+    by the stored per-element (M^-1 Mhat)^T in batched GEMMs into the
+    block-sized `buffers.work`, and returns that view of it, which z's rows
+    may have been used to fill: with one stack, one GEMM of all three
+    fields against (M_J^-1 Mhat)^T and the pressure row scaled by c2; with
+    two, one for the pressure and one for both velocity fields.
     """
     if disc.config.mass_mode is MassMode.WADG:
         for f, w in enumerate((disc.w_upd_p, disc.w_upd_u, disc.w_upd_u)):
             z[f] *= w[blk]
         return z
-    out = _view(disc.buffers.work, *z.shape)
-    # (n, Np, Np) @ (n, Np, m): the fields of z stacked as columns
+    # (n, m, Np) @ (n, Np, Np): the fields of each element as the rows of a
+    # GEMM against the C-contiguous (M^-1 Mhat)^T, the layout in which
+    # matmul reaches BLAS speed, written into the (3, n, Np) result
+    n, Np = z.shape[1:]
+    out = _view(disc.buffers.work, 3, n, Np)
+    zt, out_t = z.transpose(1, 0, 2), out.transpose(1, 0, 2)
     if disc.mass_inv_p is None:
-        np.matmul(disc.mass_inv_u[blk], z.transpose(1, 2, 0), out=out.transpose(1, 2, 0))
-        # the pressure row times c^2, by einsum: a broadcasting multiply
-        # would allocate a ufunc buffer of up to the row's size
+        np.matmul(zt, disc.mass_inv_u[blk], out=out_t)
+        # the pressure row times c^2, by einsum through z's spent pressure
+        # row: a broadcasting multiply would allocate a ufunc buffer of up
+        # to the row's size, and so would an einsum in place
         np.einsum("ki,k->ki", out[0], disc.c2[blk, 0], out=z[0])
-        z[1:] = out[1:]
-        return z
-    np.matmul(disc.mass_inv_p[blk], z[0, :, :, None], out=out[0, :, :, None])
-    np.matmul(disc.mass_inv_u[blk], z[1:].transpose(1, 2, 0),
-              out=out[1:].transpose(1, 2, 0))
-    z[...] = out
-    return z
+        out[0] = z[0]
+    else:
+        np.matmul(zt[:, :1], disc.mass_inv_p[blk], out=out_t[:, :1])
+        np.matmul(zt[:, 1:], disc.mass_inv_u[blk], out=out_t[:, 1:])
+    return out
 
 
 def rhs_full(y, disc, q=None, c=1.0, out=None):
     """q + c M^-1 L(y) of the (3, K, Np) state y (q = 0 by default), into
     `out`, a new array by default; with q and c = b dt one stage of
     lsrk_step.  Each block from rhs_pre_mass is mass-inverted, scaled and
-    added to q at once.  out may be y itself: other elements of y are read
-    only through the traces taken before the first block."""
+    added to q at once, read where apply_mass_inverse left it.  out may be
+    y itself: other elements of y are read only through the traces taken
+    before the first block."""
     if out is None:
         out = np.empty_like(y)
 
     def finish(blk, rhs):
-        apply_mass_inverse(rhs, disc, blk)
+        rhs = apply_mass_inverse(rhs, disc, blk)
         if q is None:
             np.multiply(rhs, c, out=out[:, blk])
         else:
@@ -549,10 +583,13 @@ def run(mesh, config, initial_fn, T, medium=MediumField(), exact_p=None,
     diag["dt"] is h and diag["steps"] n.  Raises BlowUp when the energy at a
     record exceeds 1e6 x its initial value, or when a field holds non-finite
     values (checked every FINITE_CHECK_STEPS steps).  Raises ConfigError,
-    before any setup, for T not finite and >= 0, n_outputs < 1 or dt not
-    finite and > 0, and before the first step when n exceeds MAX_STEPS;
-    T = 0 projects and records the initial state only, once.
+    before any setup, for T not finite and >= 0, n_outputs not an integer
+    >= 1 (a bool is not one) or dt not finite and > 0, and before the first
+    step when n exceeds MAX_STEPS; T = 0 projects and records the initial
+    state only, once.
     """
+    if not _is_int(n_outputs):
+        raise ConfigError(f"n_outputs must be an integer, got {n_outputs!r}")
     if not 0 <= T < np.inf or n_outputs < 1:
         raise ConfigError(f"need finite T >= 0 and n_outputs >= 1, got T = {T}, "
                           f"n_outputs = {n_outputs}")

@@ -288,7 +288,8 @@ class TestMassInverse:
     def test_energy_is_the_norm_of_the_applied_mass_inverse(self, curved_mesh, rng, mode):
         # 1/2 sum_f q_f . (Mhat A_f^-1) q_f with A_f the per-element operator
         # apply_mass_inverse applies: one set of weights defines both.  With
-        # a constant c^2, exact mode applies c^2 M_J^-1 Mhat to the pressure
+        # a constant c^2, exact mode applies c^2 M_J^-1 Mhat to the pressure.
+        # Exact mode holds the transpose of each A_f = M^-1 Mhat
         for medium in (cli.MEDIA["radial_sine"](), sv.MediumField(2.25)):
             disc = sv.Discretization(curved_mesh, SolverConfig(N=3, mass_mode=MassMode(mode)),
                                      medium)
@@ -296,13 +297,45 @@ class TestMassInverse:
             if mode == "wadg":
                 A_inv_q = [qf / w for qf, w in zip(q, (disc.w_upd_p, disc.w_upd_u, disc.w_upd_u))]
             else:
-                A_inv_q = [np.linalg.solve(disc.mass_inv_u, qf[..., None])[..., 0] for qf in q]
+                A_u, A_p = (None if X is None else X.transpose(0, 2, 1)
+                            for X in (disc.mass_inv_u, disc.mass_inv_p))
+                A_inv_q = [np.linalg.solve(A_u, qf[..., None])[..., 0] for qf in q]
                 if disc.c2 is None:
-                    A_inv_q[0] = np.linalg.solve(disc.mass_inv_p, q[0][..., None])[..., 0]
+                    A_inv_q[0] = np.linalg.solve(A_p, q[0][..., None])[..., 0]
                 else:
                     A_inv_q[0] /= disc.c2
             expect = 0.5 * sum(np.sum(qf * (z @ disc.ref.Mhat.T)) for qf, z in zip(q, A_inv_q))
             assert sv.energy(q, disc) == pytest.approx(expect, rel=1e-13)
+
+    @pytest.mark.parametrize("medium", ["constant", "radial_sine"])
+    @pytest.mark.parametrize("form", FORMS)
+    def test_exact_product_is_the_per_element_solve(self, monkeypatch, rng, form, medium):
+        # a disk of 192 elements in blocks of 40: five blocks, the last one
+        # short.  A constant c^2 other than 1 holds one stack and scales the
+        # pressure; radial_sine holds a stack per weight
+        monkeypatch.setattr(geom, "ELEMENT_BLOCK", 40)
+        mesh = mg.disk_mesh(2, 3)
+        med = sv.MediumField(2.25) if medium == "constant" else cli.MEDIA[medium]()
+        disc = sv.Discretization(mesh, SolverConfig(
+            N=3, formulation=Formulation(form), mass_mode=MassMode.ExactCurvedMass), med)
+        assert (disc.mass_inv_p is None) == (medium == "constant")
+        Mhat = disc.ref.Mhat
+        M_p, M_u = (ops.weighted_mass_matrix(disc.ref_upd, 1.0 / w)
+                    for w in (disc.w_upd_p, disc.w_upd_u))
+        # the held stacks: C-contiguous, the transpose of solve(M, Mhat)
+        for held, M in ((disc.mass_inv_u, M_u), (disc.mass_inv_p, M_p)):
+            if held is not None:
+                assert held.flags.c_contiguous and held.shape == (mesh.K, 16, 16)
+                X = np.linalg.solve(M, Mhat)
+                assert np.max(np.abs(held - X.transpose(0, 2, 1))) <= 1e-15 * np.max(np.abs(X))
+        z = random_state(disc, rng)
+        blocks = geom.element_blocks(mesh.K)
+        assert len(blocks) == 5
+        for blk in blocks:
+            got = sv.apply_mass_inverse(z[:, blk].copy(), disc, blk)
+            for f, M in enumerate((M_p, M_u, M_u)):
+                expect = np.linalg.solve(M[blk], (z[f, blk] @ Mhat.T)[..., None])[..., 0]
+                assert np.max(np.abs(got[f] - expect)) <= 1e-14 * np.max(np.abs(expect))
 
     @pytest.mark.parametrize("mode", ["wadg", "exact"])
     def test_step_buffers_hold_three_field_arrays(self, monkeypatch, rng, mode):
@@ -736,6 +769,15 @@ class TestRun:
             sv.run(mg.disk_mesh(0, 1), SolverConfig(N=1), sv.bessel_initial_condition,
                    1.0, dt=0.19)
 
+    @pytest.mark.parametrize("n_outputs", [2.5, True, "3"])
+    def test_non_integer_n_outputs_rejected_before_setup(self, monkeypatch, n_outputs):
+        built = []
+        monkeypatch.setattr(sv, "Discretization", lambda *a: built.append(a))
+        with pytest.raises(sv.ConfigError, match="n_outputs must be an integer"):
+            sv.run(mg.disk_mesh(0, 1), SolverConfig(N=1),
+                   sv.bessel_initial_condition, 0.1, n_outputs=n_outputs)
+        assert built == []
+
     @pytest.mark.parametrize("dt", [0.0, -0.1, np.nan, np.inf])
     def test_bad_dt_rejected_before_setup(self, monkeypatch, dt):
         # checked before any set-up; dt = inf would otherwise take one step of T
@@ -801,6 +843,11 @@ class TestExactSolution:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("N", [2.5, "3", True, None])
+    def test_non_integer_degree_rejected(self, N):
+        with pytest.raises(sv.ConfigError, match=f"N must be an integer, got {N!r}"):
+            SolverConfig(N=N)
+
     def test_negative_penalty_rejected(self):
         with pytest.raises(sv.ConfigError):
             FluxParams(-0.1, 0.0)

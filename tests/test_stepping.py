@@ -7,9 +7,11 @@ nested step of the stability polynomial on that per-field state, and the
 einsum assembly of weighted mass matrices.  Both
 read the scaled metric geo.rxJ... of the formulation rule.  They follow
 the operation order of the Gauss-collocated basis: the WADG mass inverse
-is a pointwise scale at the solution nodes, and the strong-weak
+is a pointwise scale at the solution nodes, the strong-weak
 divergence applies the weak-derivative matrices (w_q Dr) Mhat^-1 and
-(w_q Ds) Mhat^-1.  Only the storage differs, not the arithmetic, so the
+(w_q Ds) Mhat^-1, and on the node rule, whose points are the solution
+nodes, the volume terms apply neither Vq nor Pq, both the identity there.
+Only the storage differs, not the arithmetic, so the
 WADG right-hand side and steps must agree bitwise.  Exact mass mode uses
 the reassembled mass matrices, which agree to round-off.
 """
@@ -104,17 +106,24 @@ def ref_surface_terms(state, ops_, strong_weak):
 
 def ref_volume_terms(state, ops_, strong_weak):
     ref, geo = ops_.disc.ref, ops_.disc.geo
+    # on the node rule, the degree 2N+1 Gauss rule whose points are the
+    # solution nodes, Vq = Pq = I is not applied
+    node_rule = ref.Nq == ref.Np
+
+    def minus_Pq(x):
+        return -x if node_rule else -(x @ ref.Pq.T)
+
     pq_r = state.p @ ref.Drq.T
     pq_s = state.p @ ref.Dsq.T
     pxJ = pq_r * geo.rxJ
     pxJ += pq_s * geo.sxJ
     pyJ = pq_r * geo.ryJ
     pyJ += pq_s * geo.syJ
-    ru1 = -(pxJ @ ref.Pq.T)
-    ru2 = -(pyJ @ ref.Pq.T)
+    ru1 = minus_Pq(pxJ)
+    ru2 = minus_Pq(pyJ)
     if strong_weak:
-        u1q = state.u1 @ ref.Vq.T
-        u2q = state.u2 @ ref.Vq.T
+        assert node_rule     # the strong-weak form's rule
+        u1q, u2q = state.u1, state.u2
         weak_r = (ref.wq[:, None] * ref.Drq) @ ref.Mhat_inv
         weak_s = (ref.wq[:, None] * ref.Dsq) @ ref.Mhat_inv
         Fr = geo.rxJ * u1q + geo.ryJ * u2q
@@ -125,7 +134,7 @@ def ref_volume_terms(state, ops_, strong_weak):
         divJ += (state.u1 @ ref.Dsq.T) * geo.sxJ
         divJ += (state.u2 @ ref.Drq.T) * geo.ryJ
         divJ += (state.u2 @ ref.Dsq.T) * geo.syJ
-        rp = -(divJ @ ref.Pq.T)
+        rp = minus_Pq(divJ)
     return rp, ru1, ru2
 
 
@@ -323,6 +332,53 @@ def test_element_blocks_agree_with_reference_on_one_mass_stack(edge, medium, for
     assert len(geom.element_blocks(disc.mesh.K)) == n_blocks
     assert held_mass_stacks(disc) == 1 and disc.c2 is not None
     assert_agrees_with_reference(disc, rng)
+
+
+def gemm_volume_terms(q, disc):
+    """Volume terms of the (3, K, Np) state q with every GEMM of the
+    formula applied: the fields at the rule's points as u @ Vq.T and the
+    projections as -c @ Pq.T, whatever the rule."""
+    ref, geo = disc.ref, disc.geo
+    p, u1, u2 = q
+    pr, ps = p @ ref.Drq.T, p @ ref.Dsq.T
+    ru1 = -((pr * geo.rxJ + ps * geo.sxJ) @ ref.Pq.T)
+    ru2 = -((pr * geo.ryJ + ps * geo.syJ) @ ref.Pq.T)
+    if disc.config.formulation is Formulation.StrongWeak:
+        u1q, u2q = u1 @ ref.Vq.T, u2 @ ref.Vq.T
+        weak_r, weak_s = ((ref.wq[:, None] * D) @ ref.Mhat_inv for D in (ref.Drq, ref.Dsq))
+        rp = (geo.rxJ * u1q + geo.ryJ * u2q) @ weak_r + (geo.sxJ * u1q + geo.syJ * u2q) @ weak_s
+    else:
+        divJ = ((u1 @ ref.Drq.T) * geo.rxJ + (u1 @ ref.Dsq.T) * geo.sxJ
+                + (u2 @ ref.Drq.T) * geo.ryJ + (u2 @ ref.Dsq.T) * geo.syJ)
+        rp = -(divJ @ ref.Pq.T)
+    return np.stack([rp, ru1, ru2])
+
+
+# (form, N, N_geo): the strong-weak form, and the strong form at N_geo <= 2,
+# run on the node rule; the strong form at N_geo = 3 on a richer rule
+NODE_RULE_CASES = ([("strong-weak", N, 3) for N in range(1, 7)]
+                   + [("strong", N, N_geo) for N in (1, 3, 6) for N_geo in (1, 2)])
+
+
+@pytest.mark.parametrize("form, N, N_geo", NODE_RULE_CASES + [("strong", 3, 3)])
+def test_node_rule_volume_terms_skip_identity_gemms(form, N, N_geo, rng):
+    """On the node rule, where Vq = Pq = I to round-off, _volume_terms
+    applies neither and agrees with the full GEMM formula; elsewhere it
+    applies Pq."""
+    cfg = SolverConfig(N=N, formulation=Formulation(form))
+    disc = sv.Discretization(mg.disk_mesh(1, N_geo), cfg, SMOOTH_MEDIUM)
+    ref = disc.ref
+    node_rule = (form, N, N_geo) in NODE_RULE_CASES
+    assert (disc._mPq is None) == node_rule == (ref.Nq == ref.Np)
+    if node_rule:
+        assert np.array_equal(ref.volume_quad.points, ref.nodes)
+    else:
+        assert np.array_equal(disc._mPq, -ref.Pq)
+    q = rng.standard_normal((3, disc.mesh.K, ref.Np))
+    blk, = geom.element_blocks(disc.mesh.K)
+    got = np.empty_like(q)
+    sv._volume_terms(q, disc, blk, form == "strong-weak", got)
+    assert rel_diff(got, gemm_volume_terms(q, disc)) <= 1e-14
 
 
 def test_weighted_mass_matrix_matches_einsum_and_is_symmetric():
