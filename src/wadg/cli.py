@@ -316,7 +316,8 @@ def main(argv=None):
     rd = _RunDir(args.out_dir, args)
     try:
         code = args.func(args, rd)
-    except (ConfigError, ValueError, FileNotFoundError, KeyError) as exc:
+    # OSError: a config or mesh path that is missing, a directory or unreadable
+    except (ConfigError, ValueError, OSError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         rd.log(f"configuration error: {exc}")
         code = EXIT_CONFIG

@@ -191,6 +191,28 @@ def validate_positive_jacobian(mesh):
     return jmin
 
 
+# Tolerance of `bilinear_elements`, relative to an element's largest
+# |coordinate|: the round-off of mapping nodes computed from a bilinear map,
+# such as the children of `meshgen.subdivide`, is a few ulps of it
+BILINEAR_RTOL = 1e-13
+
+
+def bilinear_elements(mesh):
+    """(K,) bool, True where an element's mapping nodes equal the bilinear
+    interpolant of its four corner nodes to BILINEAR_RTOL of its largest
+    |coordinate|.  There J is affine in each reference coordinate, so the
+    degree 2N+1 Gauss rule integrates J phi_i phi_j exactly: in the
+    Gauss-collocated basis the J-weighted mass is diag(w_q J_q)."""
+    n = mesh.N_geo + 1
+    u, v = (0.5 * (refelem.interpolation_nodes(mesh.N_geo) + 1.0)).T
+    # bilinear hats of the corners bl, br, tr, tl at the nodes, (Npg, 4)
+    hats = np.column_stack([(1 - u) * (1 - v), u * (1 - v), u * v, (1 - u) * v])
+    X = mesh.elem_map_nodes
+    corners = X[:, [0, n - 1, n * n - 1, n * (n - 1)]]
+    deviation = np.abs(X - hats @ corners).max(axis=(1, 2))
+    return deviation <= BILINEAR_RTOL * np.abs(X).max(axis=(1, 2))
+
+
 def exterior_face_index(face_connectivity, nfq):
     """Flat index, shape (K, n_faces, nfq), of the exterior value of each
     face point in an array of face values laid out (K, n_faces, nfq).  Point

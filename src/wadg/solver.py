@@ -21,7 +21,10 @@ WADG mass rule, which makes its mass inverse a pointwise scale.  Exact
 mode holds the dense per-element (M^-1 Mhat)^T of each weight, each
 matrix C-contiguous so that one batched GEMM multiplies it into the
 fields as rows, or, where c^2 is constant on every element, that of M_J
-alone with the elements' c^2, which scales the pressure.  The strong-weak
+alone with the elements' c^2, which scales the pressure.  There a
+bilinear element, whose J is affine in each reference coordinate, has the
+exact mass diag(w J) on the nodes, so its M_J^-1 Mhat is WADG's scale
+1/J: the stack holds the curved elements only.  The strong-weak
 form always, and the strong form when N_geo <= 2, uses the node rule,
 the 2N+1 Gauss rule whose points are the nodes: there Vq = Pq = I, so
 the volume kernel applies neither.  A stage, the mass weights, the projection
@@ -155,7 +158,8 @@ class StepBuffers:
     element block of geometry.ELEMENT_BLOCK at allocation: `rhs`, the
     block's right-hand side; the `exterior` traces; and `work`, which holds
     the volume terms' point values, then the fluxes and the surface lift,
-    and in exact mode the mass-inverse result.  The block arrays are flat;
+    and in exact mode the mass-inverse result and behind it the block's
+    gathered curved elements.  The block arrays are flat;
     `_view` shapes them."""
 
     def __init__(self, disc, y=None):
@@ -165,7 +169,8 @@ class StepBuffers:
         self.traces = np.empty((3, K, nf))
         self.rhs = np.empty(3 * B * Np)
         self.exterior = np.empty(3 * B * nf)
-        self.work = np.empty(B * max(4 * Nq, 5 * nf, 3 * Np))
+        curved = 0 if disc.curved is None else min(B, len(disc.curved))
+        self.work = np.empty(max(B * max(4 * Nq, 5 * nf, 3 * Np), 3 * Np * (B + curved)))
         self.y = np.empty((3, K, Np)) if y is None else y     # step registers
         self.res = np.empty((3, K, Np))
 
@@ -205,13 +210,18 @@ class Discretization:
     `mass_deg`) with the weights `w_upd_p` = c^2/J and `w_upd_u` = 1/J that
     define both the inverted mass and `energy`, the face-trace gather
     tables, (exact mode only) the transpose (M^-1 Mhat)^T, M of weight 1/w
-    on the mass rule, as a (K, Np, Np) stack of C-contiguous matrices, and
-    the `buffers` every time step writes.  Exact mode holds one such stack,
-    the velocity's `mass_inv_u` = (M_J^-1 Mhat)^T, and the (K, 1)
-    per-element `c2` when c^2 is exactly equal across the mass rule's
-    points of every element (M_{J/c^2}^-1 = c^2 M_J^-1 there); otherwise
-    it holds `mass_inv_p` too.  No dense per-element matrix is held in WADG
-    mode.  `_mPq` = -Pq is None when the formulation rule is the node
+    on the mass rule, as a stack of C-contiguous (Np, Np) matrices, and
+    the `buffers` every time step writes.  When c^2 varies within an
+    element, exact mode holds `mass_inv_p` and `mass_inv_u` on every
+    element.  When c^2 is exactly equal across the mass rule's points of
+    every element (M_{J/c^2}^-1 = c^2 M_J^-1 there), it holds the (K, 1)
+    per-element `c2` and one stack, the velocity's `mass_inv_u` =
+    (M_J^-1 Mhat)^T, of the elements that geometry.bilinear_elements finds
+    curved, their indices `curved` in order, and `w_node` = 1/J at the
+    nodes, (K, Np), the exact M_J^-1 Mhat of the bilinear ones; on a mesh
+    without a bilinear element the stack covers every element and
+    `curved` and `w_node` are None.  No dense per-element matrix is held
+    in WADG mode.  `_mPq` = -Pq is None when the formulation rule is the node
     rule, where Pq = I.  The arrays `lsrk_step` returns are the step
     registers, each valid until the next step that writes it.
     """
@@ -231,7 +241,7 @@ class Discretization:
         self.ref_upd, source = self.rule(self.mass_deg if exact else 2 * N + 1)
         self.w_upd_p, self.w_upd_u, self.c2 = _mass_weights(source, self.ref_upd, medium, exact)
 
-        self.mass_inv_p = self.mass_inv_u = None
+        self.mass_inv_p = self.mass_inv_u = self.curved = self.w_node = None
         if exact:   # (M^-1 Mhat)^T, M the mass of weight 1/w
             # = Mhat M^-1 (both symmetric), and Mhat is diagonal in the
             # Gauss-collocated basis: M^-1 with row i scaled by Mhat_ii,
@@ -240,10 +250,21 @@ class Discretization:
                 X = np.linalg.inv(operators.weighted_mass_matrix(self.ref_upd, 1.0 / w))
                 X *= np.diag(ref.Mhat)[:, None]
                 return X
-            self.mass_inv_u = mass_inv(self.w_upd_u)
-            # with c^2 constant on each element, M_{J/c^2}^-1 = c^2 M_J^-1
             if self.c2 is None:
+                self.mass_inv_u = mass_inv(self.w_upd_u)
                 self.mass_inv_p = mass_inv(self.w_upd_p)
+            else:
+                # M_{J/c^2}^-1 = c^2 M_J^-1, and on a bilinear element
+                # M_J^-1 Mhat = diag(1/J) at the nodes: the stack holds the
+                # curved elements only, unless every element is curved
+                bilinear = geometry.bilinear_elements(mesh)
+                w_u = self.w_upd_u
+                if bilinear.any():
+                    self.curved = np.flatnonzero(~bilinear)
+                    ref_node, source = self.rule(2 * N + 1)    # points: the nodes
+                    self.w_node = _mass_weights(source, ref_node, medium, False)[1]
+                    w_u = w_u[self.curved]
+                self.mass_inv_u = mass_inv(w_u)
 
         # fused factors, (Np, Nq) and (Np, n_faces*nfq): the minus sign of
         # every volume and lift term, and the 1/2 of the penalty fluxes.  On
@@ -279,13 +300,15 @@ class Discretization:
         """Bytes of the per-element arrays held, by component: `mass`, what
         apply_mass_inverse reads, each array once (WADG: the weights c^2/J
         and 1/J; exact: the transposed (M^-1 Mhat)^T of pressure and
-        velocity, or the one (M_J^-1 Mhat)^T and c2 when c^2 is constant on
-        each element);
+        velocity, or, when c^2 is constant on each element, c2 and the one
+        (M_J^-1 Mhat)^T stack, with `curved` and `w_node` when some element
+        is bilinear);
         `geometry`, the formulation rule's geometry, c_max and, in exact
         mode, the weights `energy` reads; `face`, the gather tables;
         `buffers`, the StepBuffers, allocated here if no step has run.  The
         process-wide reference elements and the mesh are not counted."""
-        exact_data = [a for a in (self.mass_inv_p, self.mass_inv_u, self.c2) if a is not None]
+        exact_data = [a for a in (self.mass_inv_p, self.mass_inv_u, self.c2, self.curved,
+                                  self.w_node) if a is not None]
         weights = [self.w_upd_p, self.w_upd_u]
         geo = [a for a in vars(self.geo).values() if isinstance(a, np.ndarray)]
         parts = {
@@ -421,9 +444,12 @@ def apply_mass_inverse(z, disc, blk):
     (velocity), and returns z.  Exact mode multiplies the fields, as rows,
     by the stored per-element (M^-1 Mhat)^T in batched GEMMs into the
     block-sized `buffers.work`, and returns that view of it, which z's rows
-    may have been used to fill: with one stack, one GEMM of all three
-    fields against (M_J^-1 Mhat)^T and the pressure row scaled by c2; with
-    two, one for the pressure and one for both velocity fields.
+    may have been used to fill.  With two stacks: one GEMM for the
+    pressure and one for both velocity fields.  With one: the block scaled
+    by `w_node` = 1/J, the exact inverse of its bilinear elements, its
+    curved elements gathered and overwritten by one GEMM of all three
+    fields against their stack rows (the whole block's, when no element is
+    bilinear), and the pressure row scaled by c2.
     """
     if disc.config.mass_mode is MassMode.WADG:
         for f, w in enumerate((disc.w_upd_p, disc.w_upd_u, disc.w_upd_u)):
@@ -433,18 +459,33 @@ def apply_mass_inverse(z, disc, blk):
     # GEMM against the C-contiguous (M^-1 Mhat)^T, the layout in which
     # matmul reaches BLAS speed, written into the (3, n, Np) result
     n, Np = z.shape[1:]
-    out = _view(disc.buffers.work, 3, n, Np)
+    work = disc.buffers.work
+    out = _view(work, 3, n, Np)
     zt, out_t = z.transpose(1, 0, 2), out.transpose(1, 0, 2)
-    if disc.mass_inv_p is None:
-        np.matmul(zt, disc.mass_inv_u[blk], out=out_t)
-        # the pressure row times c^2, by einsum through z's spent pressure
-        # row: a broadcasting multiply would allocate a ufunc buffer of up
-        # to the row's size, and so would an einsum in place
-        np.einsum("ki,k->ki", out[0], disc.c2[blk, 0], out=z[0])
-        out[0] = z[0]
-    else:
+    if disc.mass_inv_p is not None:
         np.matmul(zt[:, :1], disc.mass_inv_p[blk], out=out_t[:, :1])
         np.matmul(zt[:, 1:], disc.mass_inv_u[blk], out=out_t[:, 1:])
+        return out
+    if disc.curved is None:
+        np.matmul(zt, disc.mass_inv_u[blk], out=out_t)
+    else:
+        # the block's curved elements, gathered behind out, and their stack
+        # rows lo:hi; every element scaled by 1/J, then the curved ones
+        # overwritten by their GEMM, which z's spent rows receive
+        lo, hi = np.searchsorted(disc.curved, (blk.start, blk.stop))
+        c = disc.curved[lo:hi] - blk.start
+        zc = _view(work[out.size:], 3, hi - lo, Np)
+        np.take(z, c, axis=1, out=zc, mode="clip")
+        for f in range(3):      # a broadcast over the fields would buffer
+            np.multiply(z[f], disc.w_node[blk], out=out[f])
+        mc = _view(z.reshape(-1), 3, hi - lo, Np)
+        np.matmul(zc.transpose(1, 0, 2), disc.mass_inv_u[lo:hi], out=mc.transpose(1, 0, 2))
+        out[:, c] = mc
+    # the pressure row times c^2, by einsum through z's spent pressure row:
+    # a broadcasting multiply would allocate a ufunc buffer of up to the
+    # row's size, and so would an einsum in place
+    np.einsum("ki,k->ki", out[0], disc.c2[blk, 0], out=z[0])
+    out[0] = z[0]
     return out
 
 

@@ -131,6 +131,15 @@ class TestExitCodes:
         assert r.returncode == 2, r.stderr
         assert needle in r.stderr
 
+    def test_directory_as_config_or_mesh_exits_2(self, tmp_path):
+        # each names the path; neither is the numerical-failure exit 1
+        (tmp_path / "d").mkdir()
+        (tmp_path / "c.json").write_text(json.dumps({"N": 1, "mesh": "d", "T": 0.1}))
+        for config in ("d", "c.json"):
+            r = run_cli("--out-dir", "out", "run", "--config", config, cwd=tmp_path)
+            assert r.returncode == 2, r.stderr
+            assert "Is a directory: 'd'" in r.stderr and "Traceback" not in r.stderr
+
     @pytest.mark.parametrize("family", ["disk", "uniform", "random"])
     def test_negative_mesh_level_exits_2(self, tmp_path, family):
         r = run_cli("--out-dir", "out", "mesh", "--family", family, "--level", "-1",

@@ -282,3 +282,56 @@ class TestSobolevNorms:
             hs.append(m.h)
             ks.append(geom.kappa_tilde(m, 4))
         assert fit_slope(hs, ks) == pytest.approx(-1.0, abs=0.1)
+
+
+def deviation_from_bilinear(mesh):
+    """Per element, the largest distance of a mapping node from the map of
+    meshgen's own bilinear blend of the element's corners, and the element
+    size (largest coordinate extent)."""
+    X = mesh.elem_map_nodes
+    lin = mg._bilinear(X[:, mg._corner_indices(mesh.N_geo)], mesh.N_geo)
+    return np.abs(X - lin).max(axis=(1, 2)), np.ptp(X, axis=1).max(axis=1)
+
+
+class TestBilinearElements:
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_disk_elements_without_a_boundary_face(self, level):
+        for N_geo in range(2, 7):
+            mesh = mg.disk_mesh(level, N_geo)
+            interior = ~mesh.boundary_tags.any(axis=1)
+            assert np.array_equal(geom.bilinear_elements(mesh), interior)
+            # a wide margin on both sides of the tolerance
+            dev, size = deviation_from_bilinear(mesh)
+            assert np.all(dev[interior] == 0.0)
+            assert np.all(dev[~interior] >= 2e-3 * size[~interior])
+
+    def test_straight_meshes_are_bilinear_and_warped_ones_curved(self):
+        for mesh in (mg.uniform_quad_mesh(3, N_geo=3), mg.disk_mesh(2, 1), mg.arnold_mesh(1),
+                     mg.random_perturbed_mesh(4, 1, 0.15, 0),
+                     mg.warped_arnold_mesh(mg.WarpParams(1.0, 4), 1)):
+            assert geom.bilinear_elements(mesh).all()
+        assert not geom.bilinear_elements(mg.warped_arnold_mesh(mg.WarpParams(1.0, 4), 3)).any()
+
+    def test_subdivided_bilinear_elements_stay_bilinear(self):
+        parent = mg.disk_mesh(2, 4)
+        mesh = mg.subdivide(parent)
+        lin = geom.bilinear_elements(mesh)
+        # the children of element k are 4k .. 4k + 3
+        assert lin.sum() == 640 and mesh.K == 768
+        assert np.array_equal(lin, np.repeat(geom.bilinear_elements(parent), 4))
+        dev, size = deviation_from_bilinear(mesh)
+        assert np.all(dev[lin] <= 1e-13 * size[lin])
+
+    def test_moved_interior_node_is_curved(self):
+        mesh = mg.disk_mesh(1, 3)
+        k = int(np.flatnonzero(~mesh.boundary_tags.any(axis=1))[0])
+        size = np.ptp(mesh.elem_map_nodes[k], axis=0).max()
+        mesh.elem_map_nodes[k, 5, 0] += 1e-9 * size      # node (1, 1) of the 4 x 4
+        lin = geom.bilinear_elements(mesh)
+        assert not lin[k] and lin.sum() == 31
+
+    def test_save_load_keeps_the_classification(self, tmp_path):
+        for mesh in (mg.disk_mesh(1, 4), mg.subdivide(mg.disk_mesh(1, 3))):
+            mg.save_mesh(mesh, tmp_path / "m.json")
+            assert np.array_equal(geom.bilinear_elements(mg.load_mesh(tmp_path / "m.json")),
+                                  geom.bilinear_elements(mesh))

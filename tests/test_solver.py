@@ -311,23 +311,34 @@ class TestMassInverse:
     @pytest.mark.parametrize("form", FORMS)
     def test_exact_product_is_the_per_element_solve(self, monkeypatch, rng, form, medium):
         # a disk of 192 elements in blocks of 40: five blocks, the last one
-        # short.  A constant c^2 other than 1 holds one stack and scales the
-        # pressure; radial_sine holds a stack per weight
+        # short.  A constant c^2 other than 1 holds one stack, of the 32
+        # curved elements (those with a boundary face), scales the bilinear
+        # ones by 1/J and the pressure by c^2; radial_sine holds a stack
+        # per weight on every element
         monkeypatch.setattr(geom, "ELEMENT_BLOCK", 40)
         mesh = mg.disk_mesh(2, 3)
         med = sv.MediumField(2.25) if medium == "constant" else cli.MEDIA[medium]()
         disc = sv.Discretization(mesh, SolverConfig(
             N=3, formulation=Formulation(form), mass_mode=MassMode.ExactCurvedMass), med)
         assert (disc.mass_inv_p is None) == (medium == "constant")
+        lin = ~mesh.boundary_tags.any(axis=1) & (medium == "constant")
+        assert lin.sum() == (160 if medium == "constant" else 0)
         Mhat = disc.ref.Mhat
         M_p, M_u = (ops.weighted_mass_matrix(disc.ref_upd, 1.0 / w)
                     for w in (disc.w_upd_p, disc.w_upd_u))
         # the held stacks: C-contiguous, the transpose of solve(M, Mhat)
-        for held, M in ((disc.mass_inv_u, M_u), (disc.mass_inv_p, M_p)):
+        for held, M in ((disc.mass_inv_u, M_u[~lin]), (disc.mass_inv_p, M_p)):
             if held is not None:
-                assert held.flags.c_contiguous and held.shape == (mesh.K, 16, 16)
+                assert held.flags.c_contiguous and held.shape == (len(M), 16, 16)
                 X = np.linalg.solve(M, Mhat)
                 assert np.max(np.abs(held - X.transpose(0, 2, 1))) <= 1e-15 * np.max(np.abs(X))
+        # on a bilinear element M_J^-1 Mhat is diag(1/J) at the nodes; the
+        # dense solve on the mass rule reaches it only to its round-off
+        J = geom.compute_geometric_data(mesh, disc.rule(2 * 3 + 1)[0]).Jq
+        if lin.any():
+            X = np.linalg.solve(M_u[lin], Mhat)
+            closed = (1.0 / J[lin])[:, :, None] * np.eye(16)
+            assert np.max(np.abs(X - closed)) <= 1e-12 * np.max(np.abs(closed))
         z = random_state(disc, rng)
         blocks = geom.element_blocks(mesh.K)
         assert len(blocks) == 5
@@ -335,6 +346,8 @@ class TestMassInverse:
             got = sv.apply_mass_inverse(z[:, blk].copy(), disc, blk)
             for f, M in enumerate((M_p, M_u, M_u)):
                 expect = np.linalg.solve(M[blk], (z[f, blk] @ Mhat.T)[..., None])[..., 0]
+                scale = 2.25 if f == 0 else 1.0
+                expect[lin[blk]] = scale * z[f, blk][lin[blk]] / J[blk][lin[blk]]
                 assert np.max(np.abs(got[f] - expect)) <= 1e-14 * np.max(np.abs(expect))
 
     @pytest.mark.parametrize("mode", ["wadg", "exact"])
@@ -356,21 +369,35 @@ class TestMassInverse:
 
     def test_exact_mass_data_is_Np_times_wadg(self):
         N = 6
-        mesh = mg.disk_mesh(1, N)
-        K, Np = mesh.K, (N + 1) ** 2
+        Np = (N + 1) ** 2
         media = {"radial_sine": cli.MEDIA["radial_sine"](), "constant": sv.MediumField()}
-        held = {(name, mode): sv.Discretization(mesh, SolverConfig(N=N, mass_mode=mode),
-                                                medium).nbytes()
-                for name, medium in media.items() for mode in MassMode}
+
+        def held(mesh):
+            return {(name, mode): sv.Discretization(mesh, SolverConfig(N=N, mass_mode=mode),
+                                                    medium).nbytes()
+                    for name, medium in media.items() for mode in MassMode}
+
+        # every element curved: exact mode holds a dense matrix per element
+        mesh = mg.warped_arnold_mesh(mg.WarpParams(1.0, 4), N)
+        assert not geom.bilinear_elements(mesh).any()
+        K, by_mesh = mesh.K, held(mesh)
         for name in media:
-            wadg, exact = held[name, MassMode.WADG], held[name, MassMode.ExactCurvedMass]
+            wadg, exact = by_mesh[name, MassMode.WADG], by_mesh[name, MassMode.ExactCurvedMass]
             assert wadg["mass"] == 2 * K * Np * 8
             # the two modes share the formulation rule and the face tables
             assert wadg["face"] == exact["face"]
         # radial_sine: M^-1 Mhat of both weights, Np times the WADG weights;
         # a constant c^2: one M_J^-1 Mhat stack and the (K, 1) c^2
-        assert held["radial_sine", MassMode.ExactCurvedMass]["mass"] == Np * 2 * K * Np * 8
-        assert held["constant", MassMode.ExactCurvedMass]["mass"] == K * Np**2 * 8 + K * 8
+        assert by_mesh["radial_sine", MassMode.ExactCurvedMass]["mass"] == Np * 2 * K * Np * 8
+        assert by_mesh["constant", MassMode.ExactCurvedMass]["mass"] == K * Np**2 * 8 + K * 8
+
+        # the disk: radial_sine as above; a constant c^2 holds the stack of
+        # the 16 curved elements and their indices, c^2 and 1/J at the nodes
+        mesh = mg.disk_mesh(1, N)
+        K, Kc, by_mesh = mesh.K, 16, held(mesh)
+        assert by_mesh["radial_sine", MassMode.ExactCurvedMass]["mass"] == Np * 2 * K * Np * 8
+        assert by_mesh["constant", MassMode.ExactCurvedMass]["mass"] == (
+            Kc * Np**2 * 8 + Kc * 8 + K * 8 + K * Np * 8)
 
     @pytest.mark.parametrize("mode", ["wadg", "exact"])
     def test_wadg_run_forms_no_dense_element_matrix(self, monkeypatch, mode):

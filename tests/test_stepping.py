@@ -13,7 +13,9 @@ divergence applies the weak-derivative matrices (w_q Dr) Mhat^-1 and
 nodes, the volume terms apply neither Vq nor Pq, both the identity there.
 Only the storage differs, not the arithmetic, so the
 WADG right-hand side and steps must agree bitwise.  Exact mass mode uses
-the reassembled mass matrices, which agree to round-off.
+the reassembled mass matrices, which agree to round-off, and, where c^2
+is constant on every element, the closed-form inverse diag(1/(w J)) of
+the bilinear elements on the node rule.
 """
 
 import tracemalloc
@@ -52,11 +54,26 @@ def ref_weighted_mass_matrix(ref, w):
     return 0.5 * (M + np.swapaxes(M, 1, 2))
 
 
+def bilinear_by_construction(mesh):
+    """(K,) bool of the elements whose map each generator builds bilinear:
+    every element of a uniform mesh, a disk mesh's elements without a
+    boundary face, none of a warped mesh.  Read from the mesh family, not
+    from geometry.bilinear_elements."""
+    kind = mesh.provenance["kind"]
+    if kind == "uniform" or mesh.N_geo == 1:
+        return np.ones(mesh.K, dtype=bool)
+    if kind == "disk":
+        return ~mesh.boundary_tags.any(axis=1)
+    assert kind == "warped" and mesh.provenance["omega"] > 0, kind
+    return np.zeros(mesh.K, dtype=bool)
+
+
 class RefOperators:
     """Fused face factors, the exterior-point gather and the mass weights
-    (exact mode: the inverse mass matrices), rebuilt from disc's reference
-    elements, its formulation geometry and the mass rule's whole-mesh
-    geometry."""
+    (exact mode: the inverse mass matrices, in closed form on bilinear
+    elements where c^2 is constant on every element), rebuilt from disc's
+    reference elements, its formulation geometry and the whole-mesh
+    geometry of the mass rule and the node rule."""
 
     def __init__(self, disc):
         ref, geo, mesh = disc.ref, disc.geo, disc.mesh
@@ -74,6 +91,15 @@ class RefOperators:
         if disc.config.mass_mode is MassMode.ExactCurvedMass:
             self.mass_inv_p = np.linalg.inv(ref_weighted_mass_matrix(ref_m, geo_m.Jq / c2_m))
             self.mass_inv_u = np.linalg.inv(ref_weighted_mass_matrix(ref_m, geo_m.Jq))
+            if np.all(c2_m == c2_m[:, :1]):
+                # c^2 constant on every element: on a bilinear element the
+                # closed form M^-1 = diag(1 / (w J)) on the node rule, in
+                # place of the dense inverse's round-off of about 3e-13
+                lin = bilinear_by_construction(mesh)
+                ref_n = disc.rule(2 * ref.N + 1)[0]
+                d = 1.0 / (ref_n.wq * geom.compute_geometric_data(mesh, ref_n).Jq[lin])
+                self.mass_inv_u[lin] = d[:, :, None] * np.eye(ref.Np)
+                self.mass_inv_p[lin] = (c2_m[lin, :1] * d)[:, :, None] * np.eye(ref.Np)
 
     def face_traces(self, u):
         uf = u @ self.disc.ref.Vfq.T
