@@ -36,7 +36,9 @@ class GeometricData:
 
     The scaled metric is the cofactor form rxJ = r_x J = y_s, ryJ = -x_s,
     sxJ = -y_r, syJ = x_r (Hesthaven & Warburton, Nodal DG Methods, 2008):
-    polynomial in the reference coordinates, so no division by J."""
+    polynomial in the reference coordinates, so no division by J.  Its rows
+    are those of the sorted element indices `metric_elements`, or of every
+    element when that is None."""
 
     ref: refelem.ReferenceElement = field(repr=False)
     xq: np.ndarray = field(repr=False)
@@ -49,6 +51,7 @@ class GeometricData:
     Jfq: np.ndarray = field(repr=False)
     nxq: np.ndarray = field(repr=False)
     nyq: np.ndarray = field(repr=False)
+    metric_elements: np.ndarray | None = field(default=None, repr=False)
 
 
 def _check_jacobian(Jq, offset):     # Jq of the elements from offset on
@@ -79,31 +82,36 @@ def volume_blocks(geo, ref):
     return K, ((blk, geo.xq[blk], geo.yq[blk], geo.Jq[blk]) for blk in element_blocks(K))
 
 
-def compute_geometric_data(mesh, ref):
+def compute_geometric_data(mesh, ref, metric=None):
     """Evaluate the mapping metric of `mesh` at the volume and face
-    quadrature points of `ref`, one element block at a time.
+    quadrature points of `ref`, one element block at a time.  The scaled
+    metric covers the sorted element indices `metric`, in order, or every
+    element by default; the points, J and the face geometry every element.
 
     Raises NonPositiveJacobian identifying the first offending element and
     quadrature point.
     """
     K, Nq, nf = mesh.K, ref.Nq, ref.n_faces * ref.nfq
-    geo = GeometricData(ref, *(np.empty((K, Nq)) for _ in range(7)),
-                        *(np.empty((K, nf)) for _ in range(3)))
+    Km = K if metric is None else len(metric)
+    geo = GeometricData(ref, *(np.empty((K, Nq)) for _ in range(3)),
+                        *(np.empty((Km, Nq)) for _ in range(4)),
+                        *(np.empty((K, nf)) for _ in range(3)), metric)
     E = refelem.nodal_eval_matrix(mesh.N_geo, ref.volume_quad.points)
     # tangent along the CCW face parameter; outward normal is (y', -x') / Jf
     dr, ds = np.repeat([d for _, d in refelem.FACES], ref.nfq, axis=0).T
+    held = (geo.rxJ, geo.ryJ, geo.sxJ, geo.syJ)
     for blk in element_blocks(K):
         np.matmul(mesh.elem_map_nodes[blk, :, 0], E.T, out=geo.xq[blk])
         np.matmul(mesh.elem_map_nodes[blk, :, 1], E.T, out=geo.yq[blk])
-        # the derivatives straight into the metric rxJ = y_s, ryJ = -x_s,
-        # sxJ = -y_r, syJ = x_r; the two signs follow J
-        xr, xs, yr, ys = _mapping_derivatives(
-            mesh, ref.volume_quad.points, blk,
-            (geo.syJ[blk], geo.ryJ[blk], geo.sxJ[blk], geo.rxJ[blk]))
-        Jq = np.subtract(xr * ys, xs * yr, out=geo.Jq[blk])
+        rxJ, ryJ, sxJ, syJ = _scaled_metric(mesh, ref.volume_quad.points, blk,
+                                            [a[blk] for a in held] if metric is None else None)
+        # J = x_r y_s - x_s y_r
+        Jq = np.subtract(syJ * rxJ, ryJ * sxJ, out=geo.Jq[blk])
         _check_jacobian(Jq, blk.start)
-        np.negative(xs, out=xs)
-        np.negative(yr, out=yr)
+        if metric is not None:
+            lo, hi = np.searchsorted(metric, (blk.start, blk.stop))
+            for a, m in zip(held, (rxJ, ryJ, sxJ, syJ)):
+                np.take(m, metric[lo:hi] - blk.start, axis=0, out=a[lo:hi])
 
         xfr, xfs, yfr, yfs = _mapping_derivatives(mesh, ref.face_quad_points, blk)
         tx = xfr * dr + xfs * ds
@@ -112,6 +120,16 @@ def compute_geometric_data(mesh, ref):
         np.divide(ty, Jfq, out=geo.nxq[blk])
         np.divide(-tx, Jfq, out=geo.nyq[blk])
     return geo
+
+
+def scaled_metric(mesh, ref):
+    """(rxJ, ryJ, sxJ, syJ) of every element at the volume points of ref,
+    (K, Nq) each, one element block at a time: the metric alone, without
+    the points, J and face geometry of compute_geometric_data."""
+    metric = [np.empty((mesh.K, ref.Nq)) for _ in range(4)]
+    for blk in element_blocks(mesh.K):
+        _scaled_metric(mesh, ref.volume_quad.points, blk, [a[blk] for a in metric])
+    return tuple(metric)
 
 
 def element_areas(geo):
@@ -131,6 +149,17 @@ def _mapping_derivatives(mesh, points, elements, out=(None,) * 4):
     X, Y = mesh.elem_map_nodes[elements, :, 0], mesh.elem_map_nodes[elements, :, 1]
     return tuple(np.matmul(Z, D.T, out=o)
                  for (Z, D), o in zip(((X, Er), (X, Es), (Y, Er), (Y, Es)), out))
+
+
+def _scaled_metric(mesh, points, elements, out=None):
+    """(rxJ, ryJ, sxJ, syJ) = (y_s, -x_s, -y_r, x_r) of the `elements` at
+    reference `points`, into the four arrays of `out` where given: the
+    derivatives go straight into the metric, and two signs follow."""
+    rxJ, ryJ, sxJ, syJ = out or (None,) * 4
+    syJ, ryJ, sxJ, rxJ = _mapping_derivatives(mesh, points, elements, (syJ, ryJ, sxJ, rxJ))
+    np.negative(ryJ, out=ryJ)
+    np.negative(sxJ, out=sxJ)
+    return rxJ, ryJ, sxJ, syJ
 
 
 def jacobian_at(mesh, points, elements=slice(None)):

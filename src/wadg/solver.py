@@ -27,11 +27,15 @@ exact mass diag(w J) on the nodes, so its M_J^-1 Mhat is WADG's scale
 1/J: the stack holds the curved elements only.  The strong-weak
 form always, and the strong form when N_geo <= 2, uses the node rule,
 the 2N+1 Gauss rule whose points are the nodes: there Vq = Pq = I, so
-the volume kernel applies neither.  A stage, the mass weights, the projection
-and the records work one element block at a time, so a run holds the
-formulation rule's geometry, the operator data, the interior face traces
-and two step registers as mesh-sized arrays, and a warm step allocates no
-field-sized array.
+the volume kernel applies neither.  The strong form with N_geo >= 3 needs
+its 2N + N_geo - 1 rule on the faces and on the volume of curved elements
+only: a bilinear element's metric is affine in each reference coordinate,
+so the node rule integrates its strong volume term exactly, and each
+element's volume metric is held once, on its own rule.  A stage, the mass
+weights, the projection and the records work one element block at a time,
+so a run holds the formulation rule's geometry, the volume metric, the
+operator data, the interior face traces and two step registers as
+mesh-sized arrays, and a warm step allocates no field-sized array.
 """
 
 from __future__ import annotations
@@ -157,10 +161,11 @@ class StepBuffers:
     step registers `y` (the given array, if any) and `res`.  Sized by one
     element block of geometry.ELEMENT_BLOCK at allocation: `rhs`, the
     block's right-hand side; the `exterior` traces; and `work`, which holds
-    the volume terms' point values, then the fluxes and the surface lift,
-    and in exact mode the mass-inverse result and behind it the block's
-    gathered curved elements.  The block arrays are flat;
-    `_view` shapes them."""
+    the volume terms' point values (of the pass over the block, then of the
+    curved pass, behind which its gathered fields and result lie), then the
+    fluxes and the surface lift, and in exact mode the mass-inverse result
+    and behind it the block's gathered curved elements.  The block arrays
+    are flat; `_view` shapes them."""
 
     def __init__(self, disc, y=None):
         K, Np, Nq = disc.mesh.K, disc.ref.Np, disc.ref.Nq
@@ -169,8 +174,12 @@ class StepBuffers:
         self.traces = np.empty((3, K, nf))
         self.rhs = np.empty(3 * B * Np)
         self.exterior = np.empty(3 * B * nf)
-        curved = 0 if disc.curved is None else min(B, len(disc.curved))
-        self.work = np.empty(max(B * max(4 * Nq, 5 * nf, 3 * Np), 3 * Np * (B + curved)))
+        # the block's pass on vol_ref, the fluxes and lift; a curved pass,
+        # its gathered fields and result; the exact mass result and its
+        # gathered curved elements
+        c = 0 if disc.curved is None else min(B, len(disc.curved))
+        self.work = np.empty(max(B * max(4 * disc.vol_ref.Nq, 5 * nf, 3 * Np),
+                                 c * (4 * Nq + 6 * Np), 3 * Np * (B + c)))
         self.y = np.empty((3, K, Np)) if y is None else y     # step registers
         self.res = np.empty((3, K, Np))
 
@@ -204,8 +213,17 @@ class Discretization:
     """Prepared operator data for one (mesh, config, medium) triple.
 
     Holds the geometry of one rule, the volume/face rule of the formulation
-    (`ref`, `geo`, of degree `sufficient_quadrature_degree`, with metric
-    terms and face geometry); `rule` reaches any other.  Also holds the mass
+    (`ref`, `geo`, of degree `sufficient_quadrature_degree`, with points, J,
+    metric terms and face geometry); `rule` reaches any other.  The volume
+    terms read `vol_metric` = (rxJ, ryJ, sxJ, syJ) of every element on
+    `vol_ref`: geo's own arrays, or, in the strong form off the node rule
+    on a mesh with a bilinear element, the (K, Np) metric on the node rule
+    `ref_node`, which integrates a bilinear element's strong volume term
+    exactly; geo's metric then holds the rows of the `curved` elements
+    only.  `curved` holds, in order, the indices of the elements that
+    geometry.bilinear_elements, called once, finds curved, when the volume
+    terms or exact mode split by it and some element is bilinear; else
+    None.  Also holds the mass
     rule `ref_upd` (degree 2N+1 for WADG, whose points are the nodes, or
     `mass_deg`) with the weights `w_upd_p` = c^2/J and `w_upd_u` = 1/J that
     define both the inverted mass and `energy`, the face-trace gather
@@ -216,11 +234,12 @@ class Discretization:
     element.  When c^2 is exactly equal across the mass rule's points of
     every element (M_{J/c^2}^-1 = c^2 M_J^-1 there), it holds the (K, 1)
     per-element `c2` and one stack, the velocity's `mass_inv_u` =
-    (M_J^-1 Mhat)^T, of the elements that geometry.bilinear_elements finds
-    curved, their indices `curved` in order, and `w_node` = 1/J at the
-    nodes, (K, Np), the exact M_J^-1 Mhat of the bilinear ones; on a mesh
-    without a bilinear element the stack covers every element and
-    `curved` and `w_node` are None.  No dense per-element matrix is held
+    (M_J^-1 Mhat)^T, of the `curved` elements, and `w_node` = 1/J at the
+    nodes, (K, Np), the exact M_J^-1 Mhat of the bilinear ones, whose mass
+    `energy` reads on the node rule; the mass-rule weights then hold the
+    curved elements' rows only.  On a mesh without a bilinear element the
+    stack and the weights cover every element and `curved` and `w_node`
+    are None.  No dense per-element matrix is held
     in WADG mode.  `_mPq` = -Pq is None when the formulation rule is the node
     rule, where Pq = I.  The arrays `lsrk_step` returns are the step
     registers, each valid until the next step that writes it.
@@ -235,13 +254,26 @@ class Discretization:
         self.mass_deg = 2 * N + 2 * mesh.N_geo   # mass-exact rule
         self.ref = ref = refelem.build_reference_element(
             N, sufficient_quadrature_degree(N, mesh.N_geo, config.formulation))
-        self.geo = geometry.compute_geometric_data(mesh, ref)
-        self.c_max = np.sqrt(medium.values(self.geo.xq, self.geo.yq).max(axis=1))
         exact = config.mass_mode is MassMode.ExactCurvedMass
+        # fused factors, (Np, Nq) and (Np, n_faces*nfq): the minus sign of
+        # every volume and lift term, and the 1/2 of the penalty fluxes.  On
+        # the node rule, the 2N+1 Gauss rule whose points are the nodes,
+        # Vq = Pq = I: _mPq is None and _volume_terms skips those GEMMs
+        self._mPq = None if ref.Nq == ref.Np else -ref.Pq
+        self._mPf = -0.5 * ref.Pfq
+        # the one bilinear mask: the strong form off the node rule splits
+        # its volume terms by it, and exact mode its mass
+        lin = geometry.bilinear_elements(mesh) if exact or self._mPq is not None else None
+        self.curved = np.flatnonzero(~lin) if lin is not None and lin.any() else None
+        split_volume = self._mPq is not None and self.curved is not None
+        self.geo = geometry.compute_geometric_data(mesh, ref, self.curved if split_volume else None)
+        self.c_max = np.sqrt(medium.values(self.geo.xq, self.geo.yq).max(axis=1))
         self.ref_upd, source = self.rule(self.mass_deg if exact else 2 * N + 1)
         self.w_upd_p, self.w_upd_u, self.c2 = _mass_weights(source, self.ref_upd, medium, exact)
+        # the node rule, on which a split reads the bilinear elements
+        self.ref_node, node_source = (None, None) if self.curved is None else self.rule(2 * N + 1)
 
-        self.mass_inv_p = self.mass_inv_u = self.curved = self.w_node = None
+        self.mass_inv_p = self.mass_inv_u = self.w_node = None
         if exact:   # (M^-1 Mhat)^T, M the mass of weight 1/w
             # = Mhat M^-1 (both symmetric), and Mhat is diagonal in the
             # Gauss-collocated basis: M^-1 with row i scaled by Mhat_ii,
@@ -255,23 +287,22 @@ class Discretization:
                 self.mass_inv_p = mass_inv(self.w_upd_p)
             else:
                 # M_{J/c^2}^-1 = c^2 M_J^-1, and on a bilinear element
-                # M_J^-1 Mhat = diag(1/J) at the nodes: the stack holds the
-                # curved elements only, unless every element is curved
-                bilinear = geometry.bilinear_elements(mesh)
-                w_u = self.w_upd_u
-                if bilinear.any():
-                    self.curved = np.flatnonzero(~bilinear)
-                    ref_node, source = self.rule(2 * N + 1)    # points: the nodes
-                    self.w_node = _mass_weights(source, ref_node, medium, False)[1]
-                    w_u = w_u[self.curved]
-                self.mass_inv_u = mass_inv(w_u)
+                # M_J^-1 Mhat = diag(1/J) at the nodes, whose rule also
+                # gives its energy: the stack and the mass-rule weights hold
+                # the curved elements only, unless every element is curved
+                if self.curved is not None:
+                    self.w_node = _mass_weights(node_source, self.ref_node, medium, False)[1]
+                    self.w_upd_p = self.w_upd_p[self.curved]
+                    self.w_upd_u = self.w_upd_u[self.curved]
+                self.mass_inv_u = mass_inv(self.w_upd_u)
 
-        # fused factors, (Np, Nq) and (Np, n_faces*nfq): the minus sign of
-        # every volume and lift term, and the 1/2 of the penalty fluxes.  On
-        # the node rule, the 2N+1 Gauss rule whose points are the nodes,
-        # Vq = Pq = I: _mPq is None and _volume_terms skips those GEMMs
-        self._mPq = None if ref.Nq == ref.Np else -ref.Pq
-        self._mPf = -0.5 * ref.Pfq
+        # split, the node rule integrates the strong volume term of a
+        # bilinear element exactly, and geo's metric holds the curved rows
+        self.vol_ref = ref
+        self.vol_metric = (self.geo.rxJ, self.geo.ryJ, self.geo.sxJ, self.geo.syJ)
+        if split_volume:
+            self.vol_ref = self.ref_node
+            self.vol_metric = geometry.scaled_metric(mesh, self.ref_node)
         # weak derivatives (w_q D) Mhat^-1, (Nq, Np), of the strong-weak form
         self._weak_r, self._weak_s = ((ref.wq[:, None] * D) @ ref.Mhat_inv
                                       for D in (ref.Drq, ref.Dsq))
@@ -297,27 +328,35 @@ class Discretization:
         self._gather_idx = idx.reshape(mesh.K, -1)
 
     def nbytes(self):
-        """Bytes of the per-element arrays held, by component: `mass`, what
-        apply_mass_inverse reads, each array once (WADG: the weights c^2/J
-        and 1/J; exact: the transposed (M^-1 Mhat)^T of pressure and
-        velocity, or, when c^2 is constant on each element, c2 and the one
-        (M_J^-1 Mhat)^T stack, with `curved` and `w_node` when some element
-        is bilinear);
-        `geometry`, the formulation rule's geometry, c_max and, in exact
-        mode, the weights `energy` reads; `face`, the gather tables;
-        `buffers`, the StepBuffers, allocated here if no step has run.  The
-        process-wide reference elements and the mesh are not counted."""
-        exact_data = [a for a in (self.mass_inv_p, self.mass_inv_u, self.c2, self.curved,
-                                  self.w_node) if a is not None]
-        weights = [self.w_upd_p, self.w_upd_u]
-        geo = [a for a in vars(self.geo).values() if isinstance(a, np.ndarray)]
+        """Bytes of the per-element arrays held, by component, each array
+        once, in the first component that names it: `mass`, what
+        apply_mass_inverse reads (WADG: the weights c^2/J and 1/J; exact:
+        the transposed (M^-1 Mhat)^T of pressure and velocity, or, when c^2
+        is constant on each element, c2 and the one (M_J^-1 Mhat)^T stack,
+        with `curved` and `w_node` when some element is bilinear);
+        `geometry`, the formulation rule's geometry, the volume metric,
+        c_max, `curved` and, in exact mode, the weights `energy` reads;
+        `face`, the gather tables; `buffers`, the StepBuffers, allocated
+        here if no step has run.  The process-wide reference elements and
+        the mesh are not counted."""
+        if self.config.mass_mode is MassMode.WADG:
+            mass = [self.w_upd_p, self.w_upd_u]
+        else:
+            mass = [self.mass_inv_p, self.mass_inv_u, self.c2]
+            if self.w_node is not None:
+                mass += [self.curved, self.w_node]
         parts = {
-            "mass": exact_data or weights,
-            "geometry": geo + [self.c_max] + (weights if exact_data else []),
+            "mass": mass,
+            "geometry": [*vars(self.geo).values(), *self.vol_metric, self.c_max, self.curved,
+                         self.w_upd_p, self.w_upd_u],
             "face": [self._gather_idx, self.bc_mask],
-            "buffers": [a for a in vars(self.buffers).values() if isinstance(a, np.ndarray)],
+            "buffers": list(vars(self.buffers).values()),
         }
-        return {name: sum(a.nbytes for a in arrays) for name, arrays in parts.items()}
+        seen = set()
+        held = {name: [a for a in arrays if isinstance(a, np.ndarray)
+                       and not (id(a) in seen or seen.add(id(a)))]
+                for name, arrays in parts.items()}
+        return {name: sum(a.nbytes for a in arrays) for name, arrays in held.items()}
 
     @functools.cached_property
     def buffers(self):
@@ -375,16 +414,16 @@ def _surface_terms(uf, disc, blk, strong_weak):
     return np.matmul(P, disc._mPf.T, out=_view(buf.work, 3, n, disc.ref.Np))
 
 
-def _volume_terms(q, disc, blk, strong_weak, out):
-    """Volume terms of the three fields of the elements `blk` of the state q
-    into out (3, n, Np), through `buffers.work`.  On the node rule, which
-    the strong-weak form always uses and the strong form when N_geo <= 2,
-    Vq = Pq = I and neither is applied: -Pq is a negation."""
-    ref, geo, buf, mPq = disc.ref, disc.geo, disc.buffers, disc._mPq
-    p, u1, u2 = q[:, blk]
-    rxJ, ryJ, sxJ, syJ = geo.rxJ[blk], geo.ryJ[blk], geo.sxJ[blk], geo.syJ[blk]
-    n = blk.stop - blk.start
-    a, b, c, d = _view(buf.work, 4, n, ref.Nq)
+def _volume_pass(q, disc, ref, metric, mPq, strong_weak, out):
+    """Volume terms of the (3, n, Np) fields q on ref's rule, with the scaled
+    metric (rxJ, ryJ, sxJ, syJ), (n, ref.Nq) each, into out (3, n, Np),
+    through the leading 4 n Nq entries of `buffers.work`.  On the node rule,
+    which the strong-weak form always uses, mPq is None: Vq = Pq = I and
+    neither is applied, and -Pq is a negation."""
+    p, u1, u2 = q
+    rxJ, ryJ, sxJ, syJ = metric
+    n = q.shape[1]
+    a, b, c, d = _view(disc.buffers.work, 4, n, ref.Nq)
     # velocity rows: -Pq (grad p J), grad p J = p_r (rx, ry) J + p_s (sx, sy) J
     np.matmul(p, ref.Drq.T, out=a)
     np.matmul(p, ref.Dsq.T, out=b)
@@ -414,6 +453,32 @@ def _volume_terms(q, disc, blk, strong_weak, out):
             np.negative(divJ, out=out[0])
         else:
             np.matmul(divJ, mPq.T, out=out[0])
+
+
+def _volume_terms(q, disc, blk, strong_weak, out):
+    """Volume terms of the three fields of the elements `blk` of the state q
+    into out (3, n, Np), through `buffers.work`: every element on
+    `disc.vol_ref` with `vol_metric`.  Where that is the node rule and the
+    formulation's is not (the strong form with N_geo >= 3 on a mesh with a
+    bilinear element), the block's curved elements are then gathered behind
+    the scratch of their pass, run on the formulation rule with geo's rows
+    of their metric, and overwrite their rows of out."""
+    ref, geo, work = disc.ref, disc.geo, disc.buffers.work
+    split = disc.vol_ref is not ref
+    _volume_pass(q[:, blk], disc, disc.vol_ref, [m[blk] for m in disc.vol_metric],
+                 None if split else disc._mPq, strong_weak, out)
+    if not split:
+        return
+    lo, hi = np.searchsorted(disc.curved, (blk.start, blk.stop))
+    if hi == lo:        # no curved element in the block
+        return
+    n = hi - lo
+    qc = _view(work[4 * n * ref.Nq:], 3, n, ref.Np)
+    oc = _view(work[4 * n * ref.Nq + qc.size:], 3, n, ref.Np)
+    np.take(q, disc.curved[lo:hi], axis=1, out=qc, mode="clip")
+    metric = [m[lo:hi] for m in (geo.rxJ, geo.ryJ, geo.sxJ, geo.syJ)]
+    _volume_pass(qc, disc, ref, metric, disc._mPq, False, oc)
+    out[:, disc.curved[lo:hi] - blk.start] = oc
 
 
 def rhs_pre_mass(y, disc, finish):
@@ -515,13 +580,34 @@ def energy(q, disc):
     """1/2 sum_f sum_q w_q (Vq q_f)^2 / w_f of the (3, K, Np) state q on the
     mass rule: 1/2 sum_f q_f^T M_f q_f with M_f the mass apply_mass_inverse
     inverts, the energy that the scheme conserves at zero penalty.  In WADG
-    mode Vq = I and M_f = diag(w_q / w_f) = Mhat M_{w_f}^-1 Mhat."""
+    mode Vq = I and M_f = diag(w_q / w_f) = Mhat M_{w_f}^-1 Mhat.  Where
+    exact mode holds `w_node`, a bilinear element's M_f is diag(w_q / w_f)
+    on the node rule, with w_f = c^2 w_node (pressure) or w_node; the
+    mass-rule weights then hold the curved elements only."""
     total = 0.0
+    Vq, wq = disc.ref_upd.Vq, disc.ref_upd.wq
     for blk in geometry.element_blocks(disc.mesh.K):
-        for qf, w in zip(q[:, blk], (disc.w_upd_p, disc.w_upd_u, disc.w_upd_u)):
-            fq = qf @ disc.ref_upd.Vq.T
+        rows = blk
+        if disc.w_node is not None:
+            # the block's bilinear elements on the node rule; its curved
+            # ones, rows lo:hi of the weights, on the mass rule below
+            lo, hi = np.searchsorted(disc.curved, (blk.start, blk.stop))
+            rows = slice(lo, hi)
+            p, u1, u2 = q[:, blk]
+            e = np.divide(p * p, disc.c2[blk])
+            e += u1 * u1
+            e += u2 * u2
+            e /= disc.w_node[blk]
+            e = e @ disc.ref_node.wq
+            e[disc.curved[rows] - blk.start] = 0.0
+            total += np.sum(e)
+            q_rows = q[:, disc.curved[rows]]
+        else:
+            q_rows = q[:, blk]
+        for qf, w in zip(q_rows, (disc.w_upd_p, disc.w_upd_u, disc.w_upd_u)):
+            fq = qf @ Vq.T
             fq *= fq
-            total += np.sum(np.divide(fq, w[blk], out=fq) @ disc.ref_upd.wq)
+            total += np.sum(np.divide(fq, w[rows], out=fq) @ wq)
     return 0.5 * float(total)
 
 

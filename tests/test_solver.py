@@ -130,32 +130,46 @@ class TestRHS:
 
     @pytest.mark.parametrize("form", FORMS)
     def test_energy_rate_equals_face_jump_dissipation(self, curved_mesh, rng, form):
-        # tau >= 0: dE/dt = -1/2 sum_f int tau_p [p]^2 + tau_u ([u].n)^2
+        # tau >= 0: dE/dt = -1/2 sum_f int tau_p [p]^2 + tau_u ([u].n)^2, on
+        # the warped mesh, whose elements are all curved, and on a disk,
+        # where the strong form takes the node rule on the bilinear ones
         tau_p, tau_u = 0.7, 1.3
         cfg = SolverConfig(N=3, formulation=Formulation(form),
                            flux=FluxParams(tau_p, tau_u))
-        disc = sv.Discretization(curved_mesh, cfg)
+        for mesh in (curved_mesh, mg.disk_mesh(1, 3)):
+            disc = sv.Discretization(mesh, cfg)
+            st = random_state(disc, rng)
+            dE = energy_rate(st, disc)
+            geo_ = disc.geo
+            uf = disc.face_traces(st)
+            pM, u1M, u2M = uf
+            pP, u1P, u2P = uf.reshape(3, -1)[:, disc._gather_idx]
+            bc = disc.bc_mask
+            pP = np.where(bc, -pM, pP)
+            u1P = np.where(bc, u1M, u1P)
+            u2P = np.where(bc, u2M, u2P)
+            dp = pP - pM
+            dun = (u1P - u1M) * geo_.nxq + (u2P - u2M) * geo_.nyq
+            # interior faces visited from both sides at -1/2 per unique face;
+            # mirror boundary faces appear once and carry -1/4 [p]^2 directly
+            quad = np.sum(disc.ref.wfq[None, :] * geo_.Jfq
+                          * (tau_p * dp**2 + tau_u * dun**2))
+            oracle = -0.25 * quad
+            assert dE == pytest.approx(oracle, rel=1e-10)
+            assert dE < 0
+
+    @pytest.mark.parametrize("N", [2, 4])
+    def test_zero_penalty_energy_rate_on_mixed_elements(self, rng, N):
+        # tau = 0, strong form on a disk of bilinear elements (node-rule
+        # volume terms) and curved ones (the 2N + N_geo - 1 rule): discrete
+        # integration by parts holds on each, so the energy rate is
+        # round-off of the terms it sums, element by element
+        disc = sv.Discretization(mg.disk_mesh(1, 3), SolverConfig(N=N, flux=FluxParams(0, 0)))
+        assert disc.vol_ref.Nq == disc.ref.Np < disc.ref.Nq
         st = random_state(disc, rng)
-        dE = energy_rate(st, disc)
-
-        geo_ = disc.geo
-        uf = disc.face_traces(st)
-        pM, u1M, u2M = uf
-        pP, u1P, u2P = uf.reshape(3, -1)[:, disc._gather_idx]
-        bc = disc.bc_mask
-        pP = np.where(bc, -pM, pP)
-        u1P = np.where(bc, u1M, u1P)
-        u2P = np.where(bc, u2M, u2P)
-        dp = pP - pM
-        dun = (u1P - u1M) * geo_.nxq + (u2P - u2M) * geo_.nyq
-        # interior faces visited from both sides at -1/2 per unique face;
-        # mirror boundary faces appear once and carry -1/4 [p]^2 directly
-        quad = np.sum(disc.ref.wfq[None, :] * geo_.Jfq
-                      * (tau_p * dp**2 + tau_u * dun**2))
-        oracle = -0.25 * quad
-        assert dE == pytest.approx(oracle, rel=1e-10)
-        assert dE < 0
-
+        pre = premultiplied_rhs(st, disc)
+        terms = np.einsum("fki,ij,fkj->fki", st, disc.ref.Mhat, pre)
+        assert abs(energy_rate(st, disc)) <= 1e-14 * np.sum(np.abs(terms))
 
 
 class TestQuadratureChoice:
@@ -284,6 +298,30 @@ class TestMassInverse:
                          for qf, w in zip(q, (g.Jq / c2, g.Jq, g.Jq)))
         assert sv.energy(q, disc) == pytest.approx(expect, rel=1e-13)
 
+    @pytest.mark.parametrize("medium", ["constant", "piecewise"])
+    @pytest.mark.parametrize("form", FORMS)
+    def test_energy_reads_the_node_rule_on_bilinear_elements(self, monkeypatch, rng, form,
+                                                             medium):
+        # c^2 constant on each element of a disk, in blocks of 40: exact
+        # mode holds the mass-rule weights of the 32 curved elements only,
+        # and `energy` takes diag(w J) / c^2 on the node rule of the 160
+        # bilinear ones, which is their exact mass
+        monkeypatch.setattr(geom, "ELEMENT_BLOCK", 40)
+        mesh = mg.disk_mesh(2, 3)
+        med = sv.MediumField(2.25 if medium == "constant" else
+                             lambda x, y: 1.0 + 3.0 * (x > 0))
+        disc = sv.Discretization(mesh, SolverConfig(
+            N=3, formulation=Formulation(form), mass_mode=MassMode.ExactCurvedMass), med)
+        ref = disc.ref_upd
+        assert disc.w_upd_p.shape == disc.w_upd_u.shape == (32, ref.Nq)
+        assert np.array_equal(disc.curved, np.flatnonzero(mesh.boundary_tags.any(axis=1)))
+        q = random_state(disc, rng)
+        g = geom.compute_geometric_data(mesh, ref)
+        c2 = med.values(g.xq, g.yq)
+        expect = sum(0.5 * np.einsum("ki,kij,kj->", qf, ops.weighted_mass_matrix(ref, w), qf)
+                     for qf, w in zip(q, (g.Jq / c2, g.Jq, g.Jq)))
+        assert sv.energy(q, disc) == pytest.approx(expect, rel=1e-13)
+
     @pytest.mark.parametrize("mode", ["wadg", "exact"])
     def test_energy_is_the_norm_of_the_applied_mass_inverse(self, curved_mesh, rng, mode):
         # 1/2 sum_f q_f . (Mhat A_f^-1) q_f with A_f the per-element operator
@@ -324,8 +362,11 @@ class TestMassInverse:
         lin = ~mesh.boundary_tags.any(axis=1) & (medium == "constant")
         assert lin.sum() == (160 if medium == "constant" else 0)
         Mhat = disc.ref.Mhat
-        M_p, M_u = (ops.weighted_mass_matrix(disc.ref_upd, 1.0 / w)
-                    for w in (disc.w_upd_p, disc.w_upd_u))
+        # the mass-rule weights of every element; disc holds those of the
+        # curved elements only when some element is bilinear
+        w_p, w_u, _ = sv._mass_weights(mesh, disc.ref_upd, med, True)
+        assert np.array_equal(disc.w_upd_p, w_p[~lin]) and np.array_equal(disc.w_upd_u, w_u[~lin])
+        M_p, M_u = (ops.weighted_mass_matrix(disc.ref_upd, 1.0 / w) for w in (w_p, w_u))
         # the held stacks: C-contiguous, the transpose of solve(M, Mhat)
         for held, M in ((disc.mass_inv_u, M_u[~lin]), (disc.mass_inv_p, M_p)):
             if held is not None:

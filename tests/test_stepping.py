@@ -4,18 +4,23 @@ replaced, and its allocation budget.
 The reference functions below are the per-field right-hand side and mass
 inverse as they were before the state became one (3, K, Np) array, the
 nested step of the stability polynomial on that per-field state, and the
-einsum assembly of weighted mass matrices.  Both
-read the scaled metric geo.rxJ... of the formulation rule.  They follow
-the operation order of the Gauss-collocated basis: the WADG mass inverse
-is a pointwise scale at the solution nodes, the strong-weak
-divergence applies the weak-derivative matrices (w_q Dr) Mhat^-1 and
-(w_q Ds) Mhat^-1, and on the node rule, whose points are the solution
-nodes, the volume terms apply neither Vq nor Pq, both the identity there.
-Only the storage differs, not the arithmetic, so the
-WADG right-hand side and steps must agree bitwise.  Exact mass mode uses
-the reassembled mass matrices, which agree to round-off, and, where c^2
-is constant on every element, the closed-form inverse diag(1/(w J)) of
-the bilinear elements on the node rule.
+einsum assembly of weighted mass matrices.  They
+compute their own whole-mesh geometry with geometry.compute_geometric_data
+and read none of the solver's geometry.  They follow the operation order of the
+Gauss-collocated basis: the WADG mass inverse is a pointwise scale at the
+solution nodes, the strong-weak divergence applies the weak-derivative
+matrices (w_q Dr) Mhat^-1 and (w_q Ds) Mhat^-1, and on the node rule,
+whose points are the solution nodes, the volume terms apply neither Vq nor
+Pq, both the identity there.  The volume terms take each element's rule
+as the solver does: the formulation rule, except that the strong form off
+the node rule evaluates its bilinear elements, read from the mesh family,
+on the node rule, which integrates their volume term exactly.  Only the
+storage differs, not the arithmetic, so the WADG right-hand side and steps
+must agree bitwise.  With `per_element=False` every element takes the
+formulation rule, the independent oracle of that choice.  Exact mass mode
+uses the reassembled mass matrices, which agree to round-off, and, where
+c^2 is constant on every element, the closed-form inverse diag(1/(w J))
+of the bilinear elements on the node rule.
 """
 
 import tracemalloc
@@ -68,16 +73,36 @@ def bilinear_by_construction(mesh):
     return np.zeros(mesh.K, dtype=bool)
 
 
-class RefOperators:
-    """Fused face factors, the exterior-point gather and the mass weights
-    (exact mode: the inverse mass matrices, in closed form on bilinear
-    elements where c^2 is constant on every element), rebuilt from disc's
-    reference elements, its formulation geometry and the whole-mesh
-    geometry of the mass rule and the node rule."""
+def volume_rules(disc, per_element=True):
+    """[(ref, geo, rows)]: each rule on which the volume terms of disc's
+    fields are evaluated, its whole-mesh geometry, computed here, and the
+    (K,) bool mask of the elements that take it.  Per element, the strong
+    form off the node rule takes the node rule on the elements that
+    bilinear_by_construction finds; else every element takes disc.ref."""
+    ref, mesh = disc.ref, disc.mesh
+    rich = geom.compute_geometric_data(mesh, ref)
+    lin = np.zeros(mesh.K, dtype=bool)
+    if per_element and disc.config.formulation is Formulation.Strong and ref.Nq != ref.Np:
+        lin = bilinear_by_construction(mesh)
+    if not lin.any():
+        return [(ref, rich, ~lin)]
+    ref_n = disc.rule(2 * ref.N + 1)[0]
+    return [(ref_n, geom.compute_geometric_data(mesh, ref_n), lin), (ref, rich, ~lin)]
 
-    def __init__(self, disc):
-        ref, geo, mesh = disc.ref, disc.geo, disc.mesh
+
+class RefOperators:
+    """Fused face factors, the exterior-point gather, the volume rules of
+    `volume_rules` and the mass weights (exact mode: the inverse mass
+    matrices, in closed form on bilinear elements where c^2 is constant on
+    every element), rebuilt from disc's reference elements and the
+    whole-mesh geometry of the formulation rule, the mass rule and the node
+    rule, computed here."""
+
+    def __init__(self, disc, per_element=True):
+        ref, mesh = disc.ref, disc.mesh
         self.disc = disc
+        self.rules = volume_rules(disc, per_element)
+        self.geo = geo = self.rules[-1][1]      # the formulation rule's
         self.Jf_half = 0.5 * geo.Jfq
         self.Jfnx_half = self.Jf_half * geo.nxq
         self.Jfny_half = self.Jf_half * geo.nyq
@@ -108,7 +133,7 @@ class RefOperators:
 
 def ref_surface_terms(state, ops_, strong_weak):
     disc = ops_.disc
-    ref, flux, geo, bc = disc.ref, disc.flux, disc.geo, ops_.bc
+    ref, flux, geo, bc = disc.ref, disc.flux, ops_.geo, ops_.bc
     pM, pP = ops_.face_traces(state.p)
     u1M, u1P = ops_.face_traces(state.u1)
     u2M, u2P = ops_.face_traces(state.u2)
@@ -130,8 +155,7 @@ def ref_surface_terms(state, ops_, strong_weak):
             -((fu * ops_.Jfny_half) @ Pf))
 
 
-def ref_volume_terms(state, ops_, strong_weak):
-    ref, geo = ops_.disc.ref, ops_.disc.geo
+def ref_volume_terms(state, ref, geo, strong_weak):
     # on the node rule, the degree 2N+1 Gauss rule whose points are the
     # solution nodes, Vq = Pq = I is not applied
     node_rule = ref.Nq == ref.Np
@@ -166,9 +190,11 @@ def ref_volume_terms(state, ops_, strong_weak):
 
 def ref_rhs_pre_mass(state, ops_):
     sw = ops_.disc.config.formulation is Formulation.StrongWeak
-    vp, vu1, vu2 = ref_volume_terms(state, ops_, sw)
+    vol = np.empty((3, *state.p.shape))
+    for ref, geo, rows in ops_.rules:
+        vol[:, rows] = np.stack(ref_volume_terms(state, ref, geo, sw))[:, rows]
     sp, su1, su2 = ref_surface_terms(state, ops_, sw)
-    return RefState(vp + sp, vu1 + su1, vu2 + su2)
+    return RefState(vol[0] + sp, vol[1] + su1, vol[2] + su2)
 
 
 def ref_apply_mass_inverse(rhs_pre, ops_):
@@ -363,21 +389,25 @@ def test_element_blocks_agree_with_reference_on_one_mass_stack(edge, medium, for
 def gemm_volume_terms(q, disc):
     """Volume terms of the (3, K, Np) state q with every GEMM of the
     formula applied: the fields at the rule's points as u @ Vq.T and the
-    projections as -c @ Pq.T, whatever the rule."""
-    ref, geo = disc.ref, disc.geo
+    projections as -c @ Pq.T, whatever the rule, each element on its rule
+    of `volume_rules`."""
     p, u1, u2 = q
-    pr, ps = p @ ref.Drq.T, p @ ref.Dsq.T
-    ru1 = -((pr * geo.rxJ + ps * geo.sxJ) @ ref.Pq.T)
-    ru2 = -((pr * geo.ryJ + ps * geo.syJ) @ ref.Pq.T)
-    if disc.config.formulation is Formulation.StrongWeak:
-        u1q, u2q = u1 @ ref.Vq.T, u2 @ ref.Vq.T
-        weak_r, weak_s = ((ref.wq[:, None] * D) @ ref.Mhat_inv for D in (ref.Drq, ref.Dsq))
-        rp = (geo.rxJ * u1q + geo.ryJ * u2q) @ weak_r + (geo.sxJ * u1q + geo.syJ * u2q) @ weak_s
-    else:
-        divJ = ((u1 @ ref.Drq.T) * geo.rxJ + (u1 @ ref.Dsq.T) * geo.sxJ
-                + (u2 @ ref.Drq.T) * geo.ryJ + (u2 @ ref.Dsq.T) * geo.syJ)
-        rp = -(divJ @ ref.Pq.T)
-    return np.stack([rp, ru1, ru2])
+    out = np.empty_like(q)
+    for ref, geo, rows in volume_rules(disc):
+        pr, ps = p @ ref.Drq.T, p @ ref.Dsq.T
+        ru1 = -((pr * geo.rxJ + ps * geo.sxJ) @ ref.Pq.T)
+        ru2 = -((pr * geo.ryJ + ps * geo.syJ) @ ref.Pq.T)
+        if disc.config.formulation is Formulation.StrongWeak:
+            u1q, u2q = u1 @ ref.Vq.T, u2 @ ref.Vq.T
+            weak_r, weak_s = ((ref.wq[:, None] * D) @ ref.Mhat_inv for D in (ref.Drq, ref.Dsq))
+            rp = ((geo.rxJ * u1q + geo.ryJ * u2q) @ weak_r
+                  + (geo.sxJ * u1q + geo.syJ * u2q) @ weak_s)
+        else:
+            divJ = ((u1 @ ref.Drq.T) * geo.rxJ + (u1 @ ref.Dsq.T) * geo.sxJ
+                    + (u2 @ ref.Drq.T) * geo.ryJ + (u2 @ ref.Dsq.T) * geo.syJ)
+            rp = -(divJ @ ref.Pq.T)
+        out[:, rows] = np.stack([rp, ru1, ru2])[:, rows]
+    return out
 
 
 # (form, N, N_geo): the strong-weak form, and the strong form at N_geo <= 2,
@@ -390,7 +420,8 @@ NODE_RULE_CASES = ([("strong-weak", N, 3) for N in range(1, 7)]
 def test_node_rule_volume_terms_skip_identity_gemms(form, N, N_geo, rng):
     """On the node rule, where Vq = Pq = I to round-off, _volume_terms
     applies neither and agrees with the full GEMM formula; elsewhere it
-    applies Pq."""
+    applies Pq.  On the disk at N_geo = 3 the strong form takes the node
+    rule on its bilinear elements, and the formulation rule on the rest."""
     cfg = SolverConfig(N=N, formulation=Formulation(form))
     disc = sv.Discretization(mg.disk_mesh(1, N_geo), cfg, SMOOTH_MEDIUM)
     ref = disc.ref
@@ -400,11 +431,96 @@ def test_node_rule_volume_terms_skip_identity_gemms(form, N, N_geo, rng):
         assert np.array_equal(ref.volume_quad.points, ref.nodes)
     else:
         assert np.array_equal(disc._mPq, -ref.Pq)
+        assert disc.vol_ref.Nq == ref.Np and len(disc.curved) == 16
     q = rng.standard_normal((3, disc.mesh.K, ref.Np))
     blk, = geom.element_blocks(disc.mesh.K)
     got = np.empty_like(q)
     sv._volume_terms(q, disc, blk, form == "strong-weak", got)
     assert rel_diff(got, gemm_volume_terms(q, disc)) <= 1e-14
+
+
+@pytest.mark.parametrize("mode", ["wadg", "exact"])
+@pytest.mark.parametrize("N", [2, 4])
+@pytest.mark.parametrize("N_geo", [3, 4])
+def test_rhs_full_matches_the_rich_rule_oracle(N_geo, N, mode, rng):
+    """The strong form on a disk, of bilinear and curved elements, takes the
+    node rule on the bilinear ones: rhs_full within 1e-12 of the oracle
+    that evaluates every element on the formulation rule, and within 1e-14
+    of the per-element one, three steps included.  Exact mode with a
+    constant c^2 splits its mass inverse by the same elements."""
+    medium = ELEMENTWISE_MEDIA["constant"] if mode == "exact" else SMOOTH_MEDIUM
+    cfg = SolverConfig(N=N, mass_mode=MassMode(mode))
+    disc = sv.Discretization(mg.disk_mesh(1, N_geo), cfg, medium)
+    assert disc.vol_ref.Nq == disc.ref.Np < disc.ref.Nq
+    assert np.array_equal(disc.curved, np.flatnonzero(~bilinear_by_construction(disc.mesh)))
+    assert (disc.w_node is not None) == (mode == "exact")
+    ops_ = RefOperators(disc, per_element=False)
+    fields = random_fields(disc, rng)
+    full = ref_apply_mass_inverse(ref_rhs_pre_mass(RefState(*fields), ops_), ops_)
+    assert rel_diff(sv.rhs_full(np.stack(fields), disc), stacked(full)) <= 1e-12
+    assert_agrees_with_reference(disc, rng)
+
+
+@pytest.mark.parametrize("mode", ["wadg", "exact"])
+def test_no_bilinear_element_keeps_one_volume_rule(mode, rng):
+    """A warped mesh has no bilinear element: every element takes the
+    formulation rule with geo's metric of every element, one pass per
+    block, as before the split; WADG is bitwise equal to the reference."""
+    mesh = mg.warped_arnold_mesh(mg.WarpParams(1.0, 4), 3)
+    disc = sv.Discretization(mesh, SolverConfig(N=3, mass_mode=MassMode(mode)), SMOOTH_MEDIUM)
+    geo = disc.geo
+    assert disc.curved is None and geo.metric_elements is None and disc.vol_ref is disc.ref
+    assert all(a is b for a, b in zip(disc.vol_metric, (geo.rxJ, geo.ryJ, geo.sxJ, geo.syJ)))
+    assert geo.rxJ.shape == (mesh.K, disc.ref.Nq)
+    ops_ = RefOperators(disc, per_element=False)
+    fields = random_fields(disc, rng)
+    full = stacked(ref_apply_mass_inverse(ref_rhs_pre_mass(RefState(*fields), ops_), ops_))
+    got = sv.rhs_full(np.stack(fields), disc)
+    if mode == "wadg":
+        assert np.array_equal(got, full)
+    else:
+        assert rel_diff(got, full) <= 1e-14
+
+
+# (mesh, ELEMENT_BLOCK, blocks, volume passes): every element of the uniform
+# mesh is bilinear, so a block takes no curved pass; the disk's curved
+# elements 20-23, 28-31, 36-39 and 44-47 fall in five of its eight blocks of
+# six, and 28-31 straddle the block edge at 30
+SPLIT_CASES = {
+    "all-bilinear": (lambda: mg.uniform_quad_mesh(4, N_geo=3), 1024, 1, 1),
+    "curved-across-block-edges": (lambda: mg.disk_mesh(1, 3), 6, 8, 13),
+}
+
+
+@pytest.mark.parametrize("mode", ["wadg", "exact"])
+@pytest.mark.parametrize("case", list(SPLIT_CASES))
+def test_curved_pass_per_block(case, mode, rng, monkeypatch):
+    """A block takes one pass on the node rule over all its elements, and a
+    second on the formulation rule over its curved elements, if any."""
+    make, block, n_blocks, n_passes = SPLIT_CASES[case]
+    monkeypatch.setattr(geom, "ELEMENT_BLOCK", block)
+    passes, kernel = [], sv._volume_pass
+
+    def counted(q, disc, ref, *args):
+        passes.append((q.shape[1], ref.Nq))
+        return kernel(q, disc, ref, *args)
+
+    monkeypatch.setattr(sv, "_volume_pass", counted)
+    cfg = SolverConfig(N=3, mass_mode=MassMode(mode))
+    disc = sv.Discretization(make(), cfg, ELEMENTWISE_MEDIA["constant"])
+    K, Np, Nq = disc.mesh.K, disc.ref.Np, disc.ref.Nq
+    assert len(geom.element_blocks(K)) == n_blocks
+    ops_ = RefOperators(disc, per_element=False)
+    fields = random_fields(disc, rng)
+    full = ref_apply_mass_inverse(ref_rhs_pre_mass(RefState(*fields), ops_), ops_)
+    assert rel_diff(sv.rhs_full(np.stack(fields), disc), stacked(full)) <= 1e-12
+    assert len(disc.curved) == K - bilinear_by_construction(disc.mesh).sum()
+    assert len(passes) == n_passes
+    # per block: all its elements on the node rule, then its curved ones
+    assert [n for n, nq in passes if nq == Np] == [b.stop - b.start for b in
+                                                   geom.element_blocks(K)]
+    assert sum(n for n, nq in passes if nq == Nq) == len(disc.curved)
+    assert_agrees_with_reference(disc, rng)
 
 
 def test_weighted_mass_matrix_matches_einsum_and_is_symmetric():
@@ -437,8 +553,22 @@ def test_auxiliary_rules_carry_volume_geometry_only(monkeypatch):
 
 
 def test_only_the_formulation_rule_is_held():
+    """The formulation rule's geometry is held, its metric on the 16 curved
+    elements only, and the node rule's metric of every element, which the
+    volume terms read on the bilinear ones; nothing of another rule."""
     disc = make_disc("strong", "exact", level=1)
     held = disc.nbytes()["geometry"]
+    K, Kc, Np, Nq = disc.mesh.K, 16, disc.ref.Np, disc.ref.Nq
+    assert disc.geo.metric_elements is disc.curved and len(disc.curved) == Kc
+    assert disc.geo.rxJ.shape == (Kc, Nq) and disc.geo.Jq.shape == (K, Nq)
+    assert disc.vol_ref is disc.rule(2 * 3 + 1)[0]
+    assert all(a.shape == (K, Np) for a in disc.vol_metric)
+    # c^2 varies within elements: exact mode holds the mass-rule weights of
+    # every element, and `curved` counts as geometry
+    assert disc.w_node is None
+    nf = disc.geo.Jfq.shape[1]
+    assert held == 8 * (3 * K * Nq + 4 * Kc * Nq + 4 * K * Np + 3 * K * nf + K
+                        + 2 * K * disc.ref_upd.Nq + Kc)
     form_deg = sv.sufficient_quadrature_degree(3, 3, Formulation.Strong)
     ref_f, geo_f = disc.rule(form_deg)
     assert ref_f is disc.ref and geo_f is disc.geo
@@ -451,10 +581,12 @@ def test_only_the_formulation_rule_is_held():
 
 
 @pytest.mark.parametrize("form, mode", [("strong", "wadg"), ("strong-weak", "wadg"),
-                                        ("strong-weak", "exact")])
+                                        ("strong-weak", "exact"), ("strong", "exact")])
 def test_warm_step_allocates_nothing_field_sized(form, mode, monkeypatch):
     """Every step of `run` after the first two stays below one (K, Np)
-    array of traced allocation above its entry level."""
+    array of traced allocation above its entry level.  The strong form at
+    N_geo = 3 gathers the curved elements of its volume terms into
+    `buffers.work`, and exact mode with c^2 = 1 those of its mass inverse."""
     peaks = []
     step = sv.lsrk_step
 
