@@ -112,13 +112,27 @@ def _check_config(doc):
             raise ConfigError(f"config key {key!r} must be {names}, got {value!r}")
 
 
+def _order(flag, value):
+    """The value of the polynomial-order flag `flag`, checked >= 1."""
+    if value < 1:
+        raise ConfigError(f"{flag} must be >= 1, got {value}")
+    return value
+
+
+def _mapping_order(args):
+    """--N-geo, defaulting to --N, with both checked before any mesh is
+    built."""
+    N = _order("--N", args.N)
+    return _order("--N-geo", N if args.N_geo is None else args.N_geo)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
 def cmd_mesh(args, rd):
     if args.level < 0:
         raise ConfigError(f"mesh level must be >= 0, got {args.level}")
-    mesh = meshgen.mesh_family(args.family, args.level + 1, N_geo=args.N_geo,
+    mesh = meshgen.mesh_family(args.family, args.level + 1, N_geo=_order("--N-geo", args.N_geo),
                                omega=args.omega, amplitude=args.amplitude,
                                seed=args.seed)[-1]
     out = rd.path / (args.out or f"{args.family}{args.level}.json")
@@ -128,7 +142,7 @@ def cmd_mesh(args, rd):
 
 
 def cmd_project_convergence(args, rd):
-    meshes = meshgen.mesh_family(args.family, args.levels, N_geo=args.N_geo or args.N,
+    meshes = meshgen.mesh_family(args.family, args.levels, N_geo=_mapping_order(args),
                                  omega=args.omega, amplitude=args.amplitude,
                                  seed=args.seed)
     rec = analysis.projection_convergence_study(meshes, args.N, args.method)
@@ -147,7 +161,8 @@ def _level_count(args):
 
 
 def cmd_wave_convergence(args, rd):
-    meshes = [meshgen.disk_mesh(l, args.N_geo or args.N) for l in range(_level_count(args))]
+    N_geo = _mapping_order(args)
+    meshes = [meshgen.disk_mesh(l, N_geo) for l in range(_level_count(args))]
     modes = [MassMode.WADG, MassMode.ExactCurvedMass] if args.both_modes else [MassMode.WADG]
     recs = analysis.wave_convergence_study(
         meshes, args.N, config=_solver_config(vars(args)), T=args.T,
@@ -161,7 +176,7 @@ def cmd_wave_convergence(args, rd):
 
 
 def cmd_kappa_study(args, rd):
-    rec = analysis.kappa_growth_study(args.omega, args.N, levels=args.levels)
+    rec = analysis.kappa_growth_study(args.omega, _order("--N", args.N), levels=args.levels)
     out = rd.path / f"kappa_omega{args.omega}_N{args.N}.csv"
     rec.to_csv(out)
     rd.log(f"{rec.label}: growth slope {rec.fitted_slope:.3f}")
@@ -171,7 +186,7 @@ def cmd_kappa_study(args, rd):
 
 def cmd_conservation_study(args, rd):
     rec = analysis.conservation_rate_study(
-        N=args.N, levels=tuple(range(1, _level_count(args) + 1)))
+        N=_order("--N", args.N), levels=tuple(range(1, _level_count(args) + 1)))
     out = rd.path / f"conservation_N{args.N}.csv"
     rec.to_csv(out)
     rd.log(f"{rec.label}: slope {rec.fitted_slope:.3f}")
@@ -180,7 +195,7 @@ def cmd_conservation_study(args, rd):
 
 
 def cmd_spectrum(args, rd):
-    mesh = _parse_mesh_spec(args.mesh, args.N_geo or args.N)
+    mesh = _parse_mesh_spec(args.mesh, _mapping_order(args))
     cfg = _solver_config(vars(args))
     medium = MEDIA[args.medium]()
     disc = solver.Discretization(mesh, cfg, medium)

@@ -109,9 +109,9 @@ def compute_geometric_data(mesh, ref, metric=None):
         Jq = np.subtract(syJ * rxJ, ryJ * sxJ, out=geo.Jq[blk])
         _check_jacobian(Jq, blk.start)
         if metric is not None:
-            lo, hi = np.searchsorted(metric, (blk.start, blk.stop))
+            lo, hi, local = block_rows(metric, blk)
             for a, m in zip(held, (rxJ, ryJ, sxJ, syJ)):
-                np.take(m, metric[lo:hi] - blk.start, axis=0, out=a[lo:hi])
+                np.take(m, local, axis=0, out=a[lo:hi])
 
         xfr, xfs, yfr, yfs = _mapping_derivatives(mesh, ref.face_quad_points, blk)
         tx = xfr * dr + xfs * ds
@@ -182,6 +182,14 @@ def element_blocks(K):
     """Slices of at most ELEMENT_BLOCK consecutive elements, in order,
     covering range(K)."""
     return [slice(lo, min(lo + ELEMENT_BLOCK, K)) for lo in range(0, K, ELEMENT_BLOCK)]
+
+
+def block_rows(index, blk):
+    """(lo, hi, local) of the sorted element indices `index` and the element
+    block `blk`: index[lo:hi] are the block's elements among them, and
+    `local` their positions within the block."""
+    lo, hi = np.searchsorted(index, (blk.start, blk.stop))
+    return lo, hi, index[lo:hi] - blk.start
 
 
 def check_points(mesh):

@@ -14,28 +14,31 @@ one `rhs_full` pass, which hands every element block of `rhs_pre_mass` to
 `apply_mass_inverse` and adds it to a register.
 
 Right-hand sides follow the fused convention: volume and surface kernels
-return the Mhat^-1-premultiplied load, and the mass-inverse application
-supplies the rest per field, from the weights c^2/J and 1/J on one mass
-rule per mode, which `energy` also reads; the nodes are the points of the
-WADG mass rule, which makes its mass inverse a pointwise scale.  Exact
-mode holds the dense per-element (M^-1 Mhat)^T of each weight, each
-matrix C-contiguous so that one batched GEMM multiplies it into the
-fields as rows, or, where c^2 is constant on every element, that of M_J
-alone with the elements' c^2, which scales the pressure.  There a
-bilinear element, whose J is affine in each reference coordinate, has the
-exact mass diag(w J) on the nodes, so its M_J^-1 Mhat is WADG's scale
-1/J: the stack holds the curved elements only.  The strong-weak
-form always, and the strong form when N_geo <= 2, uses the node rule,
-the 2N+1 Gauss rule whose points are the nodes: there Vq = Pq = I, so
-the volume kernel applies neither.  The strong form with N_geo >= 3 needs
-its 2N + N_geo - 1 rule on the faces and on the volume of curved elements
-only: a bilinear element's metric is affine in each reference coordinate,
-so the node rule integrates its strong volume term exactly, and each
-element's volume metric is held once, on its own rule.  A stage, the mass
-weights, the projection and the records work one element block at a time,
-so a run holds the formulation rule's geometry, the volume metric, the
-operator data, the interior face traces and two step registers as
-mesh-sized arrays, and a warm step allocates no field-sized array.
+return the Mhat^-1-premultiplied load, and `apply_mass_inverse` supplies
+the rest per field.  In both mass modes that is first the paper's
+weight-adjusted inverse, a pointwise scale of each field by c^2/J
+(pressure) or 1/J (velocity) at the nodes, the points of the node rule,
+where Pq diag(w) Vq = diag(w).  Exact mode then overwrites its `dense`
+elements with a per-element (M^-1 Mhat)^T GEMM, M the mass of weight
+1/w on the 2N + 2N_geo rule: every element, unless c^2 is constant on
+each element, where M_{J/c^2}^-1 = c^2 M_J^-1 and only the curved
+elements are dense.  A bilinear element's J is affine in each reference
+coordinate, so there the node rule integrates the mass exactly and the
+scale is its exact inverse.  `energy` sums the same weights, on the
+node rule and on the dense elements' mass rule.
+
+The strong-weak form always, and the strong form when N_geo <= 2, uses the
+node rule, the 2N+1 Gauss rule whose points are the nodes: there
+Vq = Pq = I, so the volume kernel applies neither.  The strong form with
+N_geo >= 3 needs its 2N + N_geo - 1 rule on the faces and on the volume of
+curved elements only: a bilinear element's metric is affine in each
+reference coordinate, so the node rule integrates its strong volume term
+exactly, and each element's volume metric is held once, on its own rule.
+A stage, the mass weights, the projection and the records work one element
+block at a time, so a run holds the formulation rule's geometry, the
+volume metric, the operator data, the interior face traces and two step
+registers as mesh-sized arrays, and a warm step allocates no field-sized
+array.
 """
 
 from __future__ import annotations
@@ -163,9 +166,9 @@ class StepBuffers:
     block's right-hand side; the `exterior` traces; and `work`, which holds
     the volume terms' point values (of the pass over the block, then of the
     curved pass, behind which its gathered fields and result lie), then the
-    fluxes and the surface lift, and in exact mode the mass-inverse result
-    and behind it the block's gathered curved elements.  The block arrays
-    are flat; `_view` shapes them."""
+    fluxes and the surface lift, and then the block's gathered `dense`
+    elements and behind them their GEMM result, 6 Np min(B, len(dense))
+    entries.  The block arrays are flat; `_view` shapes them."""
 
     def __init__(self, disc, y=None):
         K, Np, Nq = disc.mesh.K, disc.ref.Np, disc.ref.Nq
@@ -175,11 +178,11 @@ class StepBuffers:
         self.rhs = np.empty(3 * B * Np)
         self.exterior = np.empty(3 * B * nf)
         # the block's pass on vol_ref, the fluxes and lift; a curved pass,
-        # its gathered fields and result; the exact mass result and its
-        # gathered curved elements
+        # its gathered fields and result; the gathered dense elements and
+        # their result
         c = 0 if disc.curved is None else min(B, len(disc.curved))
         self.work = np.empty(max(B * max(4 * disc.vol_ref.Nq, 5 * nf, 3 * Np),
-                                 c * (4 * Nq + 6 * Np), 3 * Np * (B + c)))
+                                 c * (4 * Nq + 6 * Np), 6 * Np * min(B, len(disc.dense))))
         self.y = np.empty((3, K, Np)) if y is None else y     # step registers
         self.res = np.empty((3, K, Np))
 
@@ -189,15 +192,15 @@ def _view(flat, *shape):
     return flat[:math.prod(shape)].reshape(shape)
 
 
-def _mass_weights(source, ref, medium, exact):
+def _mass_weights(source, ref, medium):
     """The mass weights c^2/J (pressure) and 1/J (velocity) at the points of
     ref's rule, (K, Nq) each, filled one element block at a time from
-    geometry.volume_blocks(source, ref), and, in exact mode, the (K, 1) c^2
-    of each element when c^2 is exactly equal across the points of every
-    element; else None."""
+    geometry.volume_blocks(source, ref), and the (K, 1) c^2 of each element
+    when c^2 is exactly equal across the points of every element; else
+    None."""
     K, blocks = geometry.volume_blocks(source, ref)
     w_p, w_u = (np.empty((K, ref.Nq)) for _ in range(2))
-    c2 = np.empty((K, 1)) if exact else None
+    c2 = np.empty((K, 1))
     for blk, xq, yq, Jq in blocks:
         c2_q = medium.values(xq, yq)
         if c2 is not None:
@@ -217,32 +220,28 @@ class Discretization:
     metric terms and face geometry); `rule` reaches any other.  The volume
     terms read `vol_metric` = (rxJ, ryJ, sxJ, syJ) of every element on
     `vol_ref`: geo's own arrays, or, in the strong form off the node rule
-    on a mesh with a bilinear element, the (K, Np) metric on the node rule
-    `ref_node`, which integrates a bilinear element's strong volume term
-    exactly; geo's metric then holds the rows of the `curved` elements
-    only.  `curved` holds, in order, the indices of the elements that
+    on a mesh with a bilinear element, the (K, Np) metric on the node rule,
+    which integrates a bilinear element's strong volume term exactly; geo's
+    metric then holds the rows of the `curved` elements only.  `curved`
+    holds, in order, the indices of the elements that
     geometry.bilinear_elements, called once, finds curved, when the volume
-    terms or exact mode split by it and some element is bilinear; else
-    None.  Also holds the mass
-    rule `ref_upd` (degree 2N+1 for WADG, whose points are the nodes, or
-    `mass_deg`) with the weights `w_upd_p` = c^2/J and `w_upd_u` = 1/J that
-    define both the inverted mass and `energy`, the face-trace gather
-    tables, (exact mode only) the transpose (M^-1 Mhat)^T, M of weight 1/w
-    on the mass rule, as a stack of C-contiguous (Np, Np) matrices, and
-    the `buffers` every time step writes.  When c^2 varies within an
-    element, exact mode holds `mass_inv_p` and `mass_inv_u` on every
-    element.  When c^2 is exactly equal across the mass rule's points of
-    every element (M_{J/c^2}^-1 = c^2 M_J^-1 there), it holds the (K, 1)
-    per-element `c2` and one stack, the velocity's `mass_inv_u` =
-    (M_J^-1 Mhat)^T, of the `curved` elements, and `w_node` = 1/J at the
-    nodes, (K, Np), the exact M_J^-1 Mhat of the bilinear ones, whose mass
-    `energy` reads on the node rule; the mass-rule weights then hold the
-    curved elements' rows only.  On a mesh without a bilinear element the
-    stack and the weights cover every element and `curved` and `w_node`
-    are None.  No dense per-element matrix is held
-    in WADG mode.  `_mPq` = -Pq is None when the formulation rule is the node
-    rule, where Pq = I.  The arrays `lsrk_step` returns are the step
-    registers, each valid until the next step that writes it.
+    terms or exact mode split by it and some element is bilinear; else None.
+
+    The mass inverse and `energy` read: the node rule `ref_node` (degree
+    2N+1, whose points are the nodes) with the weights `w_node_p` = c^2/J
+    and `w_node_u` = 1/J at its points, (K, Np) each, or None when every
+    element is dense; and `dense`, the sorted indices of the elements whose
+    inverse is a dense GEMM, empty in WADG mode.  Exact mode holds, for
+    the dense elements in that order, the mass rule `ref_mass` (degree
+    `mass_deg`) with its weights `w_mass_p` and `w_mass_u`, (len(dense),
+    Nq) each, and the C-contiguous stacks (M^-1 Mhat)^T, M of weight 1/w on
+    that rule: `mass_inv_u` of 1/J and `mass_inv_p` of c^2/J, or, where c^2
+    is constant on every element, the per-element (len(dense), 1) `c2` in
+    place of `mass_inv_p`; all None in WADG mode.  Also holds the
+    face-trace gather tables and the `buffers` every time step writes.
+    `_mPq` = -Pq is None when the formulation rule is the node rule, where
+    Pq = I.  The arrays `lsrk_step` returns are the step registers, each
+    valid until the next step that writes it.
     """
 
     def __init__(self, mesh, config, medium=MediumField()):
@@ -268,33 +267,34 @@ class Discretization:
         split_volume = self._mPq is not None and self.curved is not None
         self.geo = geometry.compute_geometric_data(mesh, ref, self.curved if split_volume else None)
         self.c_max = np.sqrt(medium.values(self.geo.xq, self.geo.yq).max(axis=1))
-        self.ref_upd, source = self.rule(self.mass_deg if exact else 2 * N + 1)
-        self.w_upd_p, self.w_upd_u, self.c2 = _mass_weights(source, self.ref_upd, medium, exact)
-        # the node rule, on which a split reads the bilinear elements
-        self.ref_node, node_source = (None, None) if self.curved is None else self.rule(2 * N + 1)
+        self.ref_node, node_source = self.rule(2 * N + 1)
 
-        self.mass_inv_p = self.mass_inv_u = self.w_node = None
-        if exact:   # (M^-1 Mhat)^T, M the mass of weight 1/w
-            # = Mhat M^-1 (both symmetric), and Mhat is diagonal in the
-            # Gauss-collocated basis: M^-1 with row i scaled by Mhat_ii,
-            # in place, so set-up holds no second (K, Np, Np) stack
+        self.dense = np.empty(0, dtype=np.intp)
+        self.ref_mass = self.w_mass_p = self.w_mass_u = None
+        self.mass_inv_p = self.mass_inv_u = self.c2 = None
+        if exact:
+            self.ref_mass, source = self.rule(self.mass_deg)
+            w_p, w_u, c2 = _mass_weights(source, self.ref_mass, medium)
+            # M_{J/c^2}^-1 = c^2 M_J^-1, and on a bilinear element M_J^-1
+            # Mhat = diag(1/J) at the nodes, the node rule's scale
+            self.dense = np.arange(mesh.K) if c2 is None or self.curved is None else self.curved
+            if len(self.dense) < mesh.K:
+                w_p, w_u, c2 = w_p[self.dense], w_u[self.dense], c2[self.dense]
+            self.w_mass_p, self.w_mass_u, self.c2 = w_p, w_u, c2
+
+            # (M^-1 Mhat)^T = Mhat M^-1 (both symmetric), and Mhat is
+            # diagonal in the Gauss-collocated basis: M^-1 with row i scaled
+            # by Mhat_ii, in place, so set-up holds no second stack
             def mass_inv(w):
-                X = np.linalg.inv(operators.weighted_mass_matrix(self.ref_upd, 1.0 / w))
+                X = np.linalg.inv(operators.weighted_mass_matrix(self.ref_mass, 1.0 / w))
                 X *= np.diag(ref.Mhat)[:, None]
                 return X
-            if self.c2 is None:
-                self.mass_inv_u = mass_inv(self.w_upd_u)
-                self.mass_inv_p = mass_inv(self.w_upd_p)
-            else:
-                # M_{J/c^2}^-1 = c^2 M_J^-1, and on a bilinear element
-                # M_J^-1 Mhat = diag(1/J) at the nodes, whose rule also
-                # gives its energy: the stack and the mass-rule weights hold
-                # the curved elements only, unless every element is curved
-                if self.curved is not None:
-                    self.w_node = _mass_weights(node_source, self.ref_node, medium, False)[1]
-                    self.w_upd_p = self.w_upd_p[self.curved]
-                    self.w_upd_u = self.w_upd_u[self.curved]
-                self.mass_inv_u = mass_inv(self.w_upd_u)
+            self.mass_inv_u = mass_inv(w_u)
+            if c2 is None:
+                self.mass_inv_p = mass_inv(w_p)
+        self.w_node_p = self.w_node_u = None
+        if len(self.dense) < mesh.K:
+            self.w_node_p, self.w_node_u, _ = _mass_weights(node_source, self.ref_node, medium)
 
         # split, the node rule integrates the strong volume term of a
         # bilinear element exactly, and geo's metric holds the curved rows
@@ -330,25 +330,17 @@ class Discretization:
     def nbytes(self):
         """Bytes of the per-element arrays held, by component, each array
         once, in the first component that names it: `mass`, what
-        apply_mass_inverse reads (WADG: the weights c^2/J and 1/J; exact:
-        the transposed (M^-1 Mhat)^T of pressure and velocity, or, when c^2
-        is constant on each element, c2 and the one (M_J^-1 Mhat)^T stack,
-        with `curved` and `w_node` when some element is bilinear);
-        `geometry`, the formulation rule's geometry, the volume metric,
-        c_max, `curved` and, in exact mode, the weights `energy` reads;
-        `face`, the gather tables; `buffers`, the StepBuffers, allocated
-        here if no step has run.  The process-wide reference elements and
-        the mesh are not counted."""
-        if self.config.mass_mode is MassMode.WADG:
-            mass = [self.w_upd_p, self.w_upd_u]
-        else:
-            mass = [self.mass_inv_p, self.mass_inv_u, self.c2]
-            if self.w_node is not None:
-                mass += [self.curved, self.w_node]
+        apply_mass_inverse reads (the node weights, `dense`, the stacks and
+        c2, each where held); `geometry`, the formulation rule's geometry,
+        the volume metric, c_max, `curved` and the mass-rule weights that
+        `energy` reads; `face`, the gather tables; `buffers`, the
+        StepBuffers, allocated here if no step has run.  The process-wide
+        reference elements and the mesh are not counted."""
         parts = {
-            "mass": mass,
+            "mass": [self.w_node_p, self.w_node_u, self.dense,
+                     self.mass_inv_p, self.mass_inv_u, self.c2],
             "geometry": [*vars(self.geo).values(), *self.vol_metric, self.c_max, self.curved,
-                         self.w_upd_p, self.w_upd_u],
+                         self.w_mass_p, self.w_mass_u],
             "face": [self._gather_idx, self.bc_mask],
             "buffers": list(vars(self.buffers).values()),
         }
@@ -469,16 +461,16 @@ def _volume_terms(q, disc, blk, strong_weak, out):
                  None if split else disc._mPq, strong_weak, out)
     if not split:
         return
-    lo, hi = np.searchsorted(disc.curved, (blk.start, blk.stop))
+    lo, hi, local = geometry.block_rows(disc.curved, blk)
     if hi == lo:        # no curved element in the block
         return
     n = hi - lo
     qc = _view(work[4 * n * ref.Nq:], 3, n, ref.Np)
     oc = _view(work[4 * n * ref.Nq + qc.size:], 3, n, ref.Np)
-    np.take(q, disc.curved[lo:hi], axis=1, out=qc, mode="clip")
+    np.take(q[:, blk], local, axis=1, out=qc, mode="clip")
     metric = [m[lo:hi] for m in (geo.rxJ, geo.ryJ, geo.sxJ, geo.syJ)]
     _volume_pass(qc, disc, ref, metric, disc._mPq, False, oc)
-    out[:, disc.curved[lo:hi] - blk.start] = oc
+    out[:, local] = oc
 
 
 def rhs_pre_mass(y, disc, finish):
@@ -501,66 +493,43 @@ def rhs_pre_mass(y, disc, finish):
 
 def apply_mass_inverse(z, disc, blk):
     """Complete the mass solve on the premultiplied right-hand side z,
-    (3, n, Np), of the elements blk, at most one element block, and return
-    the (3, n, Np) result.
+    (3, n, Np), of the elements blk, at most one element block, in place,
+    and return z.
 
-    WADG mode applies Pq diag(w) Vq on the mass rule, whose points are the
-    nodes: a pointwise scale of z in place by c^2/J (pressure) and 1/J
-    (velocity), and returns z.  Exact mode multiplies the fields, as rows,
-    by the stored per-element (M^-1 Mhat)^T in batched GEMMs into the
-    block-sized `buffers.work`, and returns that view of it, which z's rows
-    may have been used to fill.  With two stacks: one GEMM for the
-    pressure and one for both velocity fields.  With one: the block scaled
-    by `w_node` = 1/J, the exact inverse of its bilinear elements, its
-    curved elements gathered and overwritten by one GEMM of all three
-    fields against their stack rows (the whole block's, when no element is
-    bilinear), and the pressure row scaled by c2.
+    The block's `dense` elements are gathered into `buffers.work`; z is
+    scaled by the node weights c^2/J (pressure) and 1/J (velocity), where
+    held: Pq diag(w) Vq on the node rule, the whole WADG inverse and the
+    exact one of a bilinear element; then the dense elements' rows are
+    overwritten by batched GEMMs of their fields, as rows, against their
+    C-contiguous (M^-1 Mhat)^T, the layout in which matmul reaches BLAS
+    speed: one GEMM per stack, and with one stack the pressure times c2.
     """
-    if disc.config.mass_mode is MassMode.WADG:
-        for f, w in enumerate((disc.w_upd_p, disc.w_upd_u, disc.w_upd_u)):
+    lo, hi, local = geometry.block_rows(disc.dense, blk)
+    if hi > lo:
+        zd = _view(disc.buffers.work, 3, hi - lo, z.shape[2])
+        np.take(z, local, axis=1, out=zd, mode="clip")
+    if disc.w_node_p is not None:
+        for f, w in enumerate((disc.w_node_p, disc.w_node_u, disc.w_node_u)):
             z[f] *= w[blk]
-        return z
-    # (n, m, Np) @ (n, Np, Np): the fields of each element as the rows of a
-    # GEMM against the C-contiguous (M^-1 Mhat)^T, the layout in which
-    # matmul reaches BLAS speed, written into the (3, n, Np) result
-    n, Np = z.shape[1:]
-    work = disc.buffers.work
-    out = _view(work, 3, n, Np)
-    zt, out_t = z.transpose(1, 0, 2), out.transpose(1, 0, 2)
-    if disc.mass_inv_p is not None:
-        np.matmul(zt[:, :1], disc.mass_inv_p[blk], out=out_t[:, :1])
-        np.matmul(zt[:, 1:], disc.mass_inv_u[blk], out=out_t[:, 1:])
-        return out
-    if disc.curved is None:
-        np.matmul(zt, disc.mass_inv_u[blk], out=out_t)
-    else:
-        # the block's curved elements, gathered behind out, and their stack
-        # rows lo:hi; every element scaled by 1/J, then the curved ones
-        # overwritten by their GEMM, which z's spent rows receive
-        lo, hi = np.searchsorted(disc.curved, (blk.start, blk.stop))
-        c = disc.curved[lo:hi] - blk.start
-        zc = _view(work[out.size:], 3, hi - lo, Np)
-        np.take(z, c, axis=1, out=zc, mode="clip")
-        for f in range(3):      # a broadcast over the fields would buffer
-            np.multiply(z[f], disc.w_node[blk], out=out[f])
-        mc = _view(z.reshape(-1), 3, hi - lo, Np)
-        np.matmul(zc.transpose(1, 0, 2), disc.mass_inv_u[lo:hi], out=mc.transpose(1, 0, 2))
-        out[:, c] = mc
-    # the pressure row times c^2, by einsum through z's spent pressure row:
-    # a broadcasting multiply would allocate a ufunc buffer of up to the
-    # row's size, and so would an einsum in place
-    np.einsum("ki,k->ki", out[0], disc.c2[blk, 0], out=z[0])
-    out[0] = z[0]
-    return out
+    if hi > lo:
+        out = _view(disc.buffers.work[zd.size:], *zd.shape)
+        zt, out_t = zd.transpose(1, 0, 2), out.transpose(1, 0, 2)
+        if disc.c2 is None:
+            np.matmul(zt[:, :1], disc.mass_inv_p[lo:hi], out=out_t[:, :1])
+            np.matmul(zt[:, 1:], disc.mass_inv_u[lo:hi], out=out_t[:, 1:])
+        else:
+            np.matmul(zt, disc.mass_inv_u[lo:hi], out=out_t)
+            out[0] *= disc.c2[lo:hi]    # its ufunc buffer is block-sized at most
+        z[:, local] = out
+    return z
 
 
 def rhs_full(y, disc, q=None, c=1.0, out=None):
     """q + c M^-1 L(y) of the (3, K, Np) state y (q = 0 by default), into
     `out`, a new array by default; with q and c = b dt one stage of
-    lsrk_step.  Each block from rhs_pre_mass is mass-inverted, scaled and
-    added to q at once, read where apply_mass_inverse left it.  out may be
-    y itself: other elements of y are read only through the traces taken
-    before the first block."""
+    lsrk_step.  Each block from rhs_pre_mass is mass-inverted in place,
+    scaled and added to q at once.  out may be y itself: other elements of
+    y are read only through the traces taken before the first block."""
     if out is None:
         out = np.empty_like(y)
 
@@ -577,37 +546,27 @@ def rhs_full(y, disc, q=None, c=1.0, out=None):
 
 
 def energy(q, disc):
-    """1/2 sum_f sum_q w_q (Vq q_f)^2 / w_f of the (3, K, Np) state q on the
-    mass rule: 1/2 sum_f q_f^T M_f q_f with M_f the mass apply_mass_inverse
-    inverts, the energy that the scheme conserves at zero penalty.  In WADG
-    mode Vq = I and M_f = diag(w_q / w_f) = Mhat M_{w_f}^-1 Mhat.  Where
-    exact mode holds `w_node`, a bilinear element's M_f is diag(w_q / w_f)
-    on the node rule, with w_f = c^2 w_node (pressure) or w_node; the
-    mass-rule weights then hold the curved elements only."""
+    """1/2 sum_f q_f^T M_f q_f of the (3, K, Np) state q, M_f the mass that
+    apply_mass_inverse inverts: the energy that the scheme conserves at
+    zero penalty.  Per element, 1/2 sum_f sum_q w_q (Vq q_f)^2 / w_f: on
+    the node rule, where Vq = I, with the node weights w_f = c^2/J
+    (pressure) or 1/J, where held, and on each dense element, in its place,
+    on the mass rule with the mass-rule weights."""
     total = 0.0
-    Vq, wq = disc.ref_upd.Vq, disc.ref_upd.wq
     for blk in geometry.element_blocks(disc.mesh.K):
-        rows = blk
-        if disc.w_node is not None:
-            # the block's bilinear elements on the node rule; its curved
-            # ones, rows lo:hi of the weights, on the mass rule below
-            lo, hi = np.searchsorted(disc.curved, (blk.start, blk.stop))
-            rows = slice(lo, hi)
-            p, u1, u2 = q[:, blk]
-            e = np.divide(p * p, disc.c2[blk])
-            e += u1 * u1
-            e += u2 * u2
-            e /= disc.w_node[blk]
-            e = e @ disc.ref_node.wq
-            e[disc.curved[rows] - blk.start] = 0.0
-            total += np.sum(e)
-            q_rows = q[:, disc.curved[rows]]
-        else:
-            q_rows = q[:, blk]
-        for qf, w in zip(q_rows, (disc.w_upd_p, disc.w_upd_u, disc.w_upd_u)):
-            fq = qf @ Vq.T
-            fq *= fq
-            total += np.sum(np.divide(fq, w[rows], out=fq) @ wq)
+        lo, hi, local = geometry.block_rows(disc.dense, blk)
+        e = np.zeros(blk.stop - blk.start)
+        if disc.w_node_p is not None:
+            for qf, w in zip(q[:, blk], (disc.w_node_p, disc.w_node_u, disc.w_node_u)):
+                fq = qf * qf
+                e += np.divide(fq, w[blk], out=fq) @ disc.ref_node.wq
+        if hi > lo:
+            e[local] = 0.0
+            for qf, w in zip(q[:, blk][:, local], (disc.w_mass_p, disc.w_mass_u, disc.w_mass_u)):
+                fq = qf @ disc.ref_mass.Vq.T
+                fq *= fq
+                e[local] += np.divide(fq, w[lo:hi], out=fq) @ disc.ref_mass.wq
+        total += np.sum(e)
     return 0.5 * float(total)
 
 

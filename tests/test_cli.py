@@ -179,6 +179,30 @@ class TestExitCodes:
         assert "need at least 1 refinement level, got -2" in capsys.readouterr().err
         assert built == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--mesh", "disk0", "--N", "1", "--N-geo", "0"],
+         "--N-geo must be >= 1, got 0"),
+        (["spectrum", "--N", "0"], "--N must be >= 1, got 0"),
+        (["mesh", "--family", "disk", "--N-geo", "0"], "--N-geo must be >= 1, got 0"),
+        (["wave-convergence", "--N-geo", "0", "--levels", "1"], "--N-geo must be >= 1, got 0"),
+        (["wave-convergence", "--N", "0", "--levels", "1"], "--N must be >= 1, got 0"),
+        (["project-convergence", "--N-geo", "0"], "--N-geo must be >= 1, got 0"),
+        (["project-convergence", "--N", "-1", "--N-geo", "2"], "--N must be >= 1, got -1"),
+        (["kappa-study", "--omega", "1", "--N", "0"], "--N must be >= 1, got 0"),
+        (["conservation-study", "--N", "0"], "--N must be >= 1, got 0"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_order_below_one_exits_2_naming_its_flag(self, tmp_path, monkeypatch, capsys,
+                                                     argv, message):
+        # --N-geo defaults to --N only when not given; each is checked,
+        # and named, before any mesh is built
+        built = []
+        for name in ("disk_mesh", "mesh_family"):
+            build = getattr(mg, name)
+            monkeypatch.setattr(mg, name, lambda *a, _b=build, **k: built.append(a) or _b(*a, **k))
+        assert cli.main(["--out-dir", str(tmp_path / "out"), *argv]) == 2
+        assert message in capsys.readouterr().err
+        assert built == []
+
     def test_spectrum_cap_exits_1(self, tmp_path):
         r = run_cli("--out-dir", "out", "spectrum", "--mesh", "uniform1", "--N", "1",
                     "--cap", "1", cwd=tmp_path)

@@ -40,11 +40,11 @@ def energy_rate(q, disc):
 
 def wadg_energy(q, disc):
     """1/2 sum_f (Mhat q_f)^T M_w^-1 (Mhat q_f), M_w the mass matrix weighted
-    by c^2/J (pressure) or 1/J (velocity) on the update rule: the norm in
+    by c^2/J (pressure) or 1/J (velocity) on the node rule: the norm in
     which the weight-adjusted scheme conserves energy exactly at tau = 0."""
     total = 0.0
-    for qf, w in zip(q, (disc.w_upd_p, disc.w_upd_u, disc.w_upd_u)):
-        Mw = ops.weighted_mass_matrix(disc.ref_upd, w)
+    for qf, w in zip(q, (disc.w_node_p, disc.w_node_u, disc.w_node_u)):
+        Mw = ops.weighted_mass_matrix(disc.ref_node, w)
         z = qf @ disc.ref.Mhat
         total += 0.5 * np.sum(z * np.linalg.solve(Mw, z[..., None])[..., 0])
     return total
@@ -186,7 +186,8 @@ class TestQuadratureChoice:
         assert disc.ref.volume_quad.exactness_degree == odd
         assert disc.ref.face_quad_1d.exactness_degree == odd
         need = 2 * N + 1 if mode == "wadg" else 2 * N + 2 * N_geo
-        assert disc.ref_upd.volume_quad.exactness_degree >= need
+        mass_rule = disc.ref_node if mode == "wadg" else disc.ref_mass
+        assert mass_rule.volume_quad.exactness_degree >= need
 
     @pytest.mark.parametrize("N, form, mode, degrees", [
         (6, "strong", "wadg", (17, 17, 13)),
@@ -197,9 +198,10 @@ class TestQuadratureChoice:
         # degrees depend on (N, N_geo, form, mode) only, so level 0 will do
         disc = sv.Discretization(mg.disk_mesh(0, N), SolverConfig(
             N=N, formulation=Formulation(form), mass_mode=MassMode(mode)))
+        mass_rule = disc.ref_node if mode == "wadg" else disc.ref_mass
         assert (disc.ref.volume_quad.exactness_degree,
                 disc.ref.face_quad_1d.exactness_degree,
-                disc.ref_upd.volume_quad.exactness_degree) == degrees
+                mass_rule.volume_quad.exactness_degree) == degrees
 
 
 class TestReferenceCache:
@@ -207,7 +209,7 @@ class TestReferenceCache:
         cfg = SolverConfig(N=2, mass_mode=MassMode.ExactCurvedMass)
         a = sv.Discretization(mg.disk_mesh(0, 2), cfg)
         b = sv.Discretization(mg.warped_arnold_mesh(mg.WarpParams(1.0, 2), 2), cfg)
-        assert a.ref is b.ref and a.ref_upd is b.ref_upd
+        assert a.ref is b.ref and a.ref_node is b.ref_node and a.ref_mass is b.ref_mass
         assert a.rule(2 * 2 + 4)[0] is b.rule(2 * 2 + 4)[0]
 
     @pytest.mark.parametrize("form", FORMS)
@@ -256,14 +258,15 @@ class TestMassInverse:
     def test_wadg_mode_stores_no_dense_matrices(self, curved_mesh):
         disc = sv.Discretization(curved_mesh, SolverConfig(N=3))
         assert disc.mass_inv_p is None and disc.mass_inv_u is None and disc.c2 is None
+        assert len(disc.dense) == 0 and disc.ref_mass is None
         # per-element update data is pointwise weights only
-        assert disc.w_upd_p.shape == (curved_mesh.K, disc.ref_upd.Nq)
-        assert disc.w_upd_u.shape == (curved_mesh.K, disc.ref_upd.Nq)
+        assert disc.w_node_p.shape == (curved_mesh.K, disc.ref_node.Nq)
+        assert disc.w_node_u.shape == (curved_mesh.K, disc.ref_node.Nq)
 
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("N_geo", [1, 2, 3])
     def test_wadg_mass_rule_is_the_solution_nodes(self, N, N_geo):
-        ref = disk1_wadg(N, N_geo).ref_upd
+        ref = disk1_wadg(N, N_geo).ref_node
         assert np.array_equal(ref.volume_quad.points, disk1_wadg(N, N_geo).ref.nodes)
         assert np.max(np.abs(ref.Vq - np.eye(ref.Np))) <= 1e-13
         assert np.max(np.abs(ref.Pq - np.eye(ref.Np))) <= 1e-13
@@ -275,9 +278,9 @@ class TestMassInverse:
         z = random_state(disc, rng)
         blk, = geom.element_blocks(disc.mesh.K)
         got = sv.apply_mass_inverse(z.copy(), disc, blk)
-        for f, w in enumerate((disc.w_upd_p, disc.w_upd_u, disc.w_upd_u)):
-            Mz = z[f] @ disc.ref_upd.Mhat.T
-            expect = ops.apply_weight_adjusted_inverse(disc.ref_upd, w, Mz)
+        for f, w in enumerate((disc.w_node_p, disc.w_node_u, disc.w_node_u)):
+            Mz = z[f] @ disc.ref_node.Mhat.T
+            expect = ops.apply_weight_adjusted_inverse(disc.ref_node, w, Mz)
             assert np.max(np.abs(got[f] - expect)) <= 1e-14 * np.max(np.abs(expect))
 
     @pytest.mark.parametrize("mode", ["wadg", "exact"])
@@ -312,9 +315,9 @@ class TestMassInverse:
                              lambda x, y: 1.0 + 3.0 * (x > 0))
         disc = sv.Discretization(mesh, SolverConfig(
             N=3, formulation=Formulation(form), mass_mode=MassMode.ExactCurvedMass), med)
-        ref = disc.ref_upd
-        assert disc.w_upd_p.shape == disc.w_upd_u.shape == (32, ref.Nq)
-        assert np.array_equal(disc.curved, np.flatnonzero(mesh.boundary_tags.any(axis=1)))
+        ref = disc.ref_mass
+        assert disc.w_mass_p.shape == disc.w_mass_u.shape == (32, ref.Nq)
+        assert np.array_equal(disc.dense, np.flatnonzero(mesh.boundary_tags.any(axis=1)))
         q = random_state(disc, rng)
         g = geom.compute_geometric_data(mesh, ref)
         c2 = med.values(g.xq, g.yq)
@@ -333,7 +336,8 @@ class TestMassInverse:
                                      medium)
             q = random_state(disc, rng)
             if mode == "wadg":
-                A_inv_q = [qf / w for qf, w in zip(q, (disc.w_upd_p, disc.w_upd_u, disc.w_upd_u))]
+                w = (disc.w_node_p, disc.w_node_u, disc.w_node_u)
+                A_inv_q = [qf / wf for qf, wf in zip(q, w)]
             else:
                 A_u, A_p = (None if X is None else X.transpose(0, 2, 1)
                             for X in (disc.mass_inv_u, disc.mass_inv_p))
@@ -344,6 +348,60 @@ class TestMassInverse:
                     A_inv_q[0] /= disc.c2
             expect = 0.5 * sum(np.sum(qf * (z @ disc.ref.Mhat.T)) for qf, z in zip(q, A_inv_q))
             assert sv.energy(q, disc) == pytest.approx(expect, rel=1e-13)
+
+    # (mesh, medium, mode) of each mass layout: the node scale alone
+    # (WADG, or exact on an all-bilinear mesh, with no dense element), the
+    # scale and one stack on the curved elements 20-23, 28-31, 36-39 and
+    # 44-47 of the disk, whose 28-31 straddle the block edge at 30 in
+    # blocks of 6, and the stacks alone on every element
+    MASS_LAYOUTS = {
+        "wadg": (lambda: mg.disk_mesh(1, 3), "radial_sine", "wadg"),
+        "exact-mixed": (lambda: mg.disk_mesh(1, 3), "constant", "exact"),
+        "exact-one-stack-all-dense": (
+            lambda: mg.warped_arnold_mesh(mg.WarpParams(1.0, 4), 3), "constant", "exact"),
+        "exact-two-stacks": (lambda: mg.disk_mesh(1, 3), "radial_sine", "exact"),
+        "exact-no-dense": (lambda: mg.uniform_quad_mesh(4, N_geo=3), "constant", "exact"),
+    }
+
+    @pytest.mark.parametrize("layout", list(MASS_LAYOUTS))
+    def test_energy_polarizes_to_the_applied_mass_inverse(self, monkeypatch, rng, layout):
+        # E(q) = 1/2 sum_f q_f^T M_f q_f, and apply_mass_inverse maps z to
+        # r = M_f^-1 Mhat z_f: E(q + r) - E(q) - E(r) = sum_f q_f^T Mhat z_f
+        make, medium, mode = self.MASS_LAYOUTS[layout]
+        monkeypatch.setattr(geom, "ELEMENT_BLOCK", 6)
+        med = sv.MediumField(2.25) if medium == "constant" else cli.MEDIA[medium]()
+        disc = sv.Discretization(make(), SolverConfig(N=3, mass_mode=MassMode(mode)), med)
+        K = disc.mesh.K
+        n_dense = {"wadg": 0, "exact-mixed": 16, "exact-no-dense": 0}.get(layout, K)
+        assert len(disc.dense) == n_dense and len(geom.element_blocks(K)) > 1
+        assert (disc.w_node_p is None) == (n_dense == K)
+        q, z = random_state(disc, rng), random_state(disc, rng)
+        r = np.empty_like(z)
+        for blk in geom.element_blocks(K):
+            r[:, blk] = sv.apply_mass_inverse(z[:, blk].copy(), disc, blk)
+        E = lambda s: sv.energy(s, disc)
+        q *= np.sqrt(E(r) / E(q))     # |q| ~ |r|, so E(q + r) cancels little
+        expect = np.einsum("fki,ij,fkj->", q, disc.ref.Mhat, z)
+        assert E(q + r) - E(q) - E(r) == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("medium", ["constant", "piecewise"])
+    @pytest.mark.parametrize("form", FORMS)
+    def test_exact_equals_wadg_bitwise_without_a_curved_element(self, rng, form, medium):
+        # every element bilinear and c^2 constant on each: no element is
+        # dense, and exact mode's inverse is WADG's node scale, bit for bit
+        mesh = mg.uniform_quad_mesh(4, N_geo=3)
+        med = sv.MediumField(2.25 if medium == "constant" else
+                             lambda x, y: 1.0 + 3.0 * (x > 0))
+        wadg, exact = (sv.Discretization(mesh, SolverConfig(
+            N=3, formulation=Formulation(form), mass_mode=mode), med) for mode in MassMode)
+        assert len(exact.dense) == 0 and exact.c2.shape == (0, 1)
+        q = random_state(wadg, rng)
+        assert np.array_equal(sv.rhs_full(q, wadg), sv.rhs_full(q, exact))
+        assert sv.energy(q, wadg) == sv.energy(q, exact)
+        (a, diag_a), (b, diag_b) = (sv.run(mesh, disc.config, cosine_initial, 0.2, medium=med,
+                                           n_outputs=2) for disc in (wadg, exact))
+        assert diag_a["steps"] >= 5
+        assert np.array_equal(a.q, b.q) and np.array_equal(diag_a["energy"], diag_b["energy"])
 
     @pytest.mark.parametrize("medium", ["constant", "radial_sine"])
     @pytest.mark.parametrize("form", FORMS)
@@ -363,10 +421,12 @@ class TestMassInverse:
         assert lin.sum() == (160 if medium == "constant" else 0)
         Mhat = disc.ref.Mhat
         # the mass-rule weights of every element; disc holds those of the
-        # curved elements only when some element is bilinear
-        w_p, w_u, _ = sv._mass_weights(mesh, disc.ref_upd, med, True)
-        assert np.array_equal(disc.w_upd_p, w_p[~lin]) and np.array_equal(disc.w_upd_u, w_u[~lin])
-        M_p, M_u = (ops.weighted_mass_matrix(disc.ref_upd, 1.0 / w) for w in (w_p, w_u))
+        # dense elements, the curved ones when some element is bilinear
+        assert np.array_equal(disc.dense, np.flatnonzero(~lin))
+        w_p, w_u, _ = sv._mass_weights(mesh, disc.ref_mass, med)
+        assert np.array_equal(disc.w_mass_p, w_p[~lin])
+        assert np.array_equal(disc.w_mass_u, w_u[~lin])
+        M_p, M_u = (ops.weighted_mass_matrix(disc.ref_mass, 1.0 / w) for w in (w_p, w_u))
         # the held stacks: C-contiguous, the transpose of solve(M, Mhat)
         for held, M in ((disc.mass_inv_u, M_u[~lin]), (disc.mass_inv_p, M_p)):
             if held is not None:
@@ -409,36 +469,45 @@ class TestMassInverse:
         assert disc.nbytes()["buffers"] < 6 * one + disc.buffers.traces.nbytes + one
 
     def test_exact_mass_data_is_Np_times_wadg(self):
-        N = 6
-        Np = (N + 1) ** 2
         media = {"radial_sine": cli.MEDIA["radial_sine"](), "constant": sv.MediumField()}
 
-        def held(mesh):
+        def held(mesh, N):
             return {(name, mode): sv.Discretization(mesh, SolverConfig(N=N, mass_mode=mode),
                                                     medium).nbytes()
                     for name, medium in media.items() for mode in MassMode}
 
-        # every element curved: exact mode holds a dense matrix per element
-        mesh = mg.warped_arnold_mesh(mg.WarpParams(1.0, 4), N)
-        assert not geom.bilinear_elements(mesh).any()
-        K, by_mesh = mesh.K, held(mesh)
-        for name in media:
-            wadg, exact = by_mesh[name, MassMode.WADG], by_mesh[name, MassMode.ExactCurvedMass]
-            assert wadg["mass"] == 2 * K * Np * 8
-            # the two modes share the formulation rule and the face tables
-            assert wadg["face"] == exact["face"]
-        # radial_sine: M^-1 Mhat of both weights, Np times the WADG weights;
-        # a constant c^2: one M_J^-1 Mhat stack and the (K, 1) c^2
-        assert by_mesh["radial_sine", MassMode.ExactCurvedMass]["mass"] == Np * 2 * K * Np * 8
-        assert by_mesh["constant", MassMode.ExactCurvedMass]["mass"] == K * Np**2 * 8 + K * 8
+        for N in range(1, 9):
+            Np = (N + 1) ** 2
+            # every element curved (the warp's nodes at N_geo <= 2 lie on a
+            # bilinear map): exact mode holds a dense matrix per element,
+            # `dense` indexes all K of them, and no node weights are held
+            mesh = mg.warped_arnold_mesh(mg.WarpParams(1.0, 4), max(N, 3))
+            assert not geom.bilinear_elements(mesh).any()
+            K, by_mesh = mesh.K, held(mesh, N)
+            for name in media:
+                wadg, exact = by_mesh[name, MassMode.WADG], by_mesh[name, MassMode.ExactCurvedMass]
+                assert wadg["mass"] == 2 * K * Np * 8
+                # the two modes share the formulation rule and the face tables
+                assert wadg["face"] == exact["face"]
+            # radial_sine: M^-1 Mhat of both weights, Np times the WADG weights;
+            # a constant c^2: one M_J^-1 Mhat stack and the (K, 1) c^2; each
+            # with the (K,) index array `dense`
+            dense = K * 8
+            assert by_mesh["radial_sine", MassMode.ExactCurvedMass]["mass"] == (
+                Np * 2 * K * Np * 8 + dense)
+            assert by_mesh["constant", MassMode.ExactCurvedMass]["mass"] == (
+                K * Np**2 * 8 + K * 8 + dense)
 
-        # the disk: radial_sine as above; a constant c^2 holds the stack of
-        # the 16 curved elements and their indices, c^2 and 1/J at the nodes
-        mesh = mg.disk_mesh(1, N)
-        K, Kc, by_mesh = mesh.K, 16, held(mesh)
-        assert by_mesh["radial_sine", MassMode.ExactCurvedMass]["mass"] == Np * 2 * K * Np * 8
-        assert by_mesh["constant", MassMode.ExactCurvedMass]["mass"] == (
-            Kc * Np**2 * 8 + Kc * 8 + K * 8 + K * Np * 8)
+            # the disk (polygonal, every element bilinear, at N_geo = 1):
+            # radial_sine as above; a constant c^2 holds the stack, c^2 and
+            # indices of the Kc curved elements and both node weights
+            mesh = mg.disk_mesh(1, N)
+            K, Kc, by_mesh = mesh.K, 16 if N > 1 else 0, held(mesh, N)
+            assert by_mesh["radial_sine", MassMode.WADG]["mass"] == 2 * K * Np * 8
+            assert by_mesh["radial_sine", MassMode.ExactCurvedMass]["mass"] == (
+                Np * 2 * K * Np * 8 + K * 8)
+            assert by_mesh["constant", MassMode.ExactCurvedMass]["mass"] == (
+                Kc * Np**2 * 8 + Kc * 8 + Kc * 8 + 2 * K * Np * 8)
 
     @pytest.mark.parametrize("mode", ["wadg", "exact"])
     def test_wadg_run_forms_no_dense_element_matrix(self, monkeypatch, mode):
@@ -475,9 +544,9 @@ class TestMassInverse:
         c2 = lambda x, y: 1.0 + 0.5 * np.sin(np.pi * np.hypot(x, y))
         med = sv.MediumField(c2)
         disc = sv.Discretization(curved_mesh, SolverConfig(N=2), med)
-        geo_upd = geom.compute_geometric_data(curved_mesh, disc.ref_upd)
-        expect = c2(geo_upd.xq, geo_upd.yq) / geo_upd.Jq
-        assert np.max(np.abs(disc.w_upd_p - expect)) < 1e-14
+        geo_node = geom.compute_geometric_data(curved_mesh, disc.ref_node)
+        expect = c2(geo_node.xq, geo_node.yq) / geo_node.Jq
+        assert np.max(np.abs(disc.w_node_p - expect)) < 1e-14
 
     def test_wadg_vs_exact_disk_error_ratio(self):
         m = mg.disk_mesh(1, 3)

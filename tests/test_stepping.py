@@ -109,7 +109,7 @@ class RefOperators:
         idx = geom.exterior_face_index(mesh.face_connectivity, ref.nfq)
         self.gather = idx.reshape(mesh.K, mesh.n_faces * ref.nfq)
         self.bc = np.repeat(mesh.boundary_tags > 0, ref.nfq, axis=1)
-        ref_m = disc.ref_upd
+        ref_m = disc.ref_node if disc.ref_mass is None else disc.ref_mass
         geo_m = geom.compute_geometric_data(mesh, ref_m)
         c2_m = disc.medium.values(geo_m.xq, geo_m.yq)
         self.w_p, self.w_u = c2_m / geo_m.Jq, 1.0 / geo_m.Jq
@@ -332,7 +332,7 @@ def test_exact_mass_shares_one_stack_where_c2_is_constant_per_element(
     cfg = SolverConfig(N=3, formulation=Formulation(form), mass_mode=MassMode.ExactCurvedMass)
     disc = sv.Discretization(mg.disk_mesh(2, 3), cfg, ELEMENTWISE_MEDIA[medium])
     assert len(calls) == held_mass_stacks(disc) == 1 and disc.mass_inv_p is None
-    assert disc.c2.shape == (disc.mesh.K, 1)
+    assert disc.c2.shape == (len(disc.dense), 1)
     expect = {"constant": {2.25}, "piecewise": {1.0, 4.0}}[medium]
     assert set(np.unique(disc.c2)) == expect
     assert_agrees_with_reference(disc, rng)
@@ -453,7 +453,7 @@ def test_rhs_full_matches_the_rich_rule_oracle(N_geo, N, mode, rng):
     disc = sv.Discretization(mg.disk_mesh(1, N_geo), cfg, medium)
     assert disc.vol_ref.Nq == disc.ref.Np < disc.ref.Nq
     assert np.array_equal(disc.curved, np.flatnonzero(~bilinear_by_construction(disc.mesh)))
-    assert (disc.w_node is not None) == (mode == "exact")
+    assert np.array_equal(disc.dense, disc.curved if mode == "exact" else [])
     ops_ = RefOperators(disc, per_element=False)
     fields = random_fields(disc, rng)
     full = ref_apply_mass_inverse(ref_rhs_pre_mass(RefState(*fields), ops_), ops_)
@@ -565,17 +565,17 @@ def test_only_the_formulation_rule_is_held():
     assert all(a.shape == (K, Np) for a in disc.vol_metric)
     # c^2 varies within elements: exact mode holds the mass-rule weights of
     # every element, and `curved` counts as geometry
-    assert disc.w_node is None
+    assert disc.w_node_p is None and disc.w_node_u is None
     nf = disc.geo.Jfq.shape[1]
     assert held == 8 * (3 * K * Nq + 4 * Kc * Nq + 4 * K * Np + 3 * K * nf + K
-                        + 2 * K * disc.ref_upd.Nq + Kc)
+                        + 2 * K * disc.ref_mass.Nq + Kc)
     form_deg = sv.sufficient_quadrature_degree(3, 3, Formulation.Strong)
     ref_f, geo_f = disc.rule(form_deg)
     assert ref_f is disc.ref and geo_f is disc.geo
     # another rule is the same cached reference element each time, and its
     # source is the mesh: nothing of it is held
     ref_m, source = disc.rule(disc.mass_deg)
-    assert disc.rule(disc.mass_deg)[0] is ref_m is disc.ref_upd
+    assert disc.rule(disc.mass_deg)[0] is ref_m is disc.ref_mass
     assert source is disc.mesh
     assert disc.nbytes()["geometry"] == held
 
