@@ -9,7 +9,7 @@ those coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 from math import comb
 
 import numpy as np
@@ -54,30 +54,39 @@ class GeometricData:
     metric_elements: np.ndarray | None = field(default=None, repr=False)
 
 
-def _check_jacobian(Jq, offset):     # Jq of the elements from offset on
+def _check_jacobian(Jq, elements):   # Jq of the elements, row by row
     bad = ~(Jq > 0)
     if bad.any():
         k, q = np.argwhere(bad)[0]
-        raise NonPositiveJacobian(offset + int(k), int(q), float(Jq[k, q]))
+        raise NonPositiveJacobian(int(elements[k]), int(q), float(Jq[k, q]))
 
 
-def _volume_block(mesh, ref, blk):
+def _volume_block(mesh, ref, blk, metric):
     """Mapped points and Jacobian (xq, yq, Jq) of the elements blk at the
-    volume quadrature points of ref."""
+    volume quadrature points of ref; J from the rows blk of `metric` where
+    given."""
     points = ref.volume_quad.points
     E = refelem.nodal_eval_matrix(mesh.N_geo, points)
-    Jq = jacobian_at(mesh, points, blk)
-    _check_jacobian(Jq, blk.start)
+    if metric is None:
+        Jq = jacobian_at(mesh, points, blk)
+    else:
+        rxJ, ryJ, sxJ, syJ = (a[blk] for a in metric)
+        Jq = syJ * rxJ - ryJ * sxJ
+    _check_jacobian(Jq, range(blk.start, blk.stop))
     return mesh.elem_map_nodes[blk, :, 0] @ E.T, mesh.elem_map_nodes[blk, :, 1] @ E.T, Jq
 
 
-def volume_blocks(geo, ref):
+def volume_blocks(geo, ref, metric=None):
     """(K, blocks): the element count of `geo` and, per element block in
     order, (blk, xq, yq, Jq) on ref's volume rule.  `geo` holds those arrays
     (that rule's GeometricData), or is a mesh, whose geometry is then
-    evaluated one block at a time and not kept."""
+    evaluated one block at a time and not kept; its J then comes from
+    `metric` where given, the (rxJ, ryJ, sxJ, syJ) of every element on that
+    rule from `scaled_metric`: J = rxJ syJ - ryJ sxJ is jacobian_at's J
+    bit for bit, without its four derivative GEMMs."""
     if hasattr(geo, "elem_map_nodes"):
-        return geo.K, ((blk, *_volume_block(geo, ref, blk)) for blk in element_blocks(geo.K))
+        return geo.K, ((blk, *_volume_block(geo, ref, blk, metric))
+                       for blk in element_blocks(geo.K))
     K = len(geo.Jq)
     return K, ((blk, geo.xq[blk], geo.yq[blk], geo.Jq[blk]) for blk in element_blocks(K))
 
@@ -107,7 +116,7 @@ def compute_geometric_data(mesh, ref, metric=None):
                                             [a[blk] for a in held] if metric is None else None)
         # J = x_r y_s - x_s y_r
         Jq = np.subtract(syJ * rxJ, ryJ * sxJ, out=geo.Jq[blk])
-        _check_jacobian(Jq, blk.start)
+        _check_jacobian(Jq, range(blk.start, blk.stop))
         if metric is not None:
             lo, hi, local = block_rows(metric, blk)
             for a, m in zip(held, (rxJ, ryJ, sxJ, syJ)):
@@ -218,14 +227,126 @@ def validate_positive_jacobian(mesh):
     grid of `check_points`, in that order.
     Raises NonPositiveJacobian for the first element failing in the first
     failing set, with the point's index within that set; returns min J.
-    J is evaluated one element block at a time."""
+
+    For the corner blend B of an element the r s terms of x_r y_s - x_s y_r
+    cancel, so J_B is affine in (r, s) and its minimum over the element is
+    at a corner.  Every element of a block holding a marked element costs J
+    at its four corners.  The check sets are evaluated, one block of such
+    elements at a time, only on the elements that `bilinear_elements` does
+    not mark and on those whose smallest corner J does not exceed
+    `_corner_margin`: twice a bound, from the element's measured node
+    deviation from B, on |J - J_B| at every check point and corner, plus
+    the round-off of computing J.  A cleared
+    element then has J > 0 at every check point, and its smallest corner J
+    stands in for its min J, to within that margin.  A failure is evaluated
+    again on its whole element block, so that the reported value is bit
+    for bit that of evaluating every element.
+    """
+    K = mesh.K
     jmin = np.inf
+    checked = np.empty(K, dtype=bool)
+    for blk in element_blocks(K):
+        deviation, scale = _blend_deviation(mesh, blk)
+        clear = deviation <= BILINEAR_RTOL * scale
+        if clear.any():
+            # the minimum over 4 columns as 3 ufunc calls: .min(axis=1) is slower
+            Jc = reduce(np.minimum, jacobian_at(mesh, _CORNERS, blk).T)
+            clear &= Jc > _corner_margin(deviation, scale, mesh.N_geo)
+            jmin = min(jmin, float(Jc[clear].min(initial=np.inf)))
+        checked[blk] = ~clear
+    rows = np.flatnonzero(checked)
     for points in check_points(mesh).values():
-        for blk in element_blocks(mesh.K):
-            J = jacobian_at(mesh, points, blk)
-            _check_jacobian(J, blk.start)
+        for sub in element_blocks(len(rows)):
+            J = jacobian_at(mesh, points, rows[sub])
+            if not np.all(J > 0):
+                k = int(rows[sub][np.argwhere(~(J > 0))[0, 0]])
+                blk = element_blocks(K)[k // ELEMENT_BLOCK]
+                _check_jacobian(jacobian_at(mesh, points, blk), range(blk.start, blk.stop))
+                _check_jacobian(J, rows[sub])
             jmin = min(jmin, float(J.min()))
     return jmin
+
+
+# Reference corners bl, br, tr, tl
+_CORNERS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+_CORNERS.flags.writeable = False
+
+
+def _corner_hats(points):
+    """Bilinear hats of the corners bl, br, tr, tl at reference `points`,
+    (n, 4) each: their values and their r and s derivatives."""
+    u, v = (0.5 * (points + 1.0)).T
+    return (np.column_stack([(1 - u) * (1 - v), u * (1 - v), u * v, (1 - u) * v]),
+            0.5 * np.column_stack([v - 1, 1 - v, v, -v]),
+            0.5 * np.column_stack([u - 1, -u, u, 1 - u]))
+
+
+@cache
+def _blend_matrix(N_geo):
+    """kron(hats.T, I2), (8, 2 Npg), hats the corner hats at the mapping
+    nodes: an element's corners as one row (x, y of bl, br, tr, tl) times it
+    are their bilinear blend, laid out as the element's mapping nodes."""
+    M = np.kron(_corner_hats(refelem.interpolation_nodes(N_geo))[0].T, np.eye(2))
+    M.flags.writeable = False
+    return M
+
+
+def _blend_deviation(mesh, blk):
+    """(deviation, scale) of the elements blk: the largest |mapping node -
+    bilinear blend of the corner nodes|, from one GEMM, and the largest
+    |coordinate|.  Both are reduced over the leading axis of (2 Npg, n)
+    arrays, as a reduction over a short last axis is several times slower."""
+    X = mesh.elem_map_nodes[blk]
+    n = mesh.N_geo + 1
+    corners = np.take(X, [0, n - 1, n * n - 1, n * (n - 1)], axis=1).reshape(len(X), 8)
+    Xt = X.reshape(len(X), -1).T.copy()     # a copy: it is overwritten below
+    dev = _blend_matrix(mesh.N_geo).T @ corners.T
+    np.abs(np.subtract(Xt, dev, out=dev), out=dev)
+    return dev.max(axis=0), np.abs(Xt, out=Xt).max(axis=0)
+
+
+@cache
+def _margin_constants(N_geo):
+    """(L, eH, g) of `_corner_margin` at degree N_geo, over the rows p of the
+    r and s derivative matrices E that `jacobian_at` uses at every check set
+    and at the corners: L bounds sum_i |E_pi|, the derivative's Lebesgue
+    constant there; eH bounds sum_c |(E hats)_pc - (corner hat c)'(p)|, the
+    error with which E differentiates a bilinear map, as measured plus the
+    round-off of measuring it; g = n eps / (1 - n eps), n = Npg, bounds the
+    relative round-off of an n-term sum."""
+    n = (N_geo + 1) ** 2
+    eps = np.finfo(float).eps
+    g = n * eps / (1 - n * eps)
+    hats = _corner_hats(refelem.interpolation_nodes(N_geo))[0]
+    L = eH = 0.0
+    for points in (*_check_point_sets(N_geo), _CORNERS):
+        _, dr, ds = _corner_hats(points)
+        for (a, b), dhats in (((1, 0), dr), ((0, 1), ds)):
+            E = refelem.nodal_eval_matrix(N_geo, points, a, b)
+            L = max(L, float(np.abs(E).sum(axis=1).max()))
+            eH = max(eH, float(np.abs(E @ hats - dhats).sum(axis=1).max()))
+    L *= 1 + g
+    return L, eH + 8 * g * L, g
+
+
+def _corner_margin(deviation, scale, N_geo):
+    """Margin that an element's smallest corner J must exceed for J > 0 at
+    every check point, given its node `deviation` from the corner blend B,
+    at most BILINEAR_RTOL of `scale`, its largest |coordinate|.  In the
+    notation of `_margin_constants`, at every check point and corner: each
+    mapping derivative is at most G = L scale, and differs from B's by at
+    most d = L (deviation + 32 eps scale) + eH scale, 32 eps scale bounding
+    the round-off of the measured blend; so J in exact arithmetic differs
+    from the affine J_B by at most 2 d (2 G + d), and the computed J from
+    that by at most 4 G e + 2 e^2 + 4 eps (G + e)^2, e = g G the round-off
+    of one derivative.  The margin is twice their sum: once for the corner,
+    once for the check point."""
+    L, eH, g = _margin_constants(N_geo)
+    eps = np.finfo(float).eps
+    G = L * scale
+    d = L * (deviation + 32 * eps * scale) + eH * scale
+    e = g * G
+    return 2 * (2 * d * (2 * G + d) + 4 * G * e + 2 * e * e + 4 * eps * (G + e) ** 2)
 
 
 # Tolerance of `bilinear_elements`, relative to an element's largest
@@ -236,18 +357,16 @@ BILINEAR_RTOL = 1e-13
 
 def bilinear_elements(mesh):
     """(K,) bool, True where an element's mapping nodes equal the bilinear
-    interpolant of its four corner nodes to BILINEAR_RTOL of its largest
-    |coordinate|.  There J is affine in each reference coordinate, so the
-    degree 2N+1 Gauss rule integrates J phi_i phi_j exactly: in the
-    Gauss-collocated basis the J-weighted mass is diag(w_q J_q)."""
-    n = mesh.N_geo + 1
-    u, v = (0.5 * (refelem.interpolation_nodes(mesh.N_geo) + 1.0)).T
-    # bilinear hats of the corners bl, br, tr, tl at the nodes, (Npg, 4)
-    hats = np.column_stack([(1 - u) * (1 - v), u * (1 - v), u * v, (1 - u) * v])
-    X = mesh.elem_map_nodes
-    corners = X[:, [0, n - 1, n * n - 1, n * (n - 1)]]
-    deviation = np.abs(X - hats @ corners).max(axis=(1, 2))
-    return deviation <= BILINEAR_RTOL * np.abs(X).max(axis=(1, 2))
+    blend of its four corner nodes to BILINEAR_RTOL of its largest
+    |coordinate|, from one corner-to-node GEMM per element block.  For that
+    blend the r s terms of x_r y_s - x_s y_r cancel, so J is affine in
+    (r, s) and the degree 2N+1 Gauss rule integrates J phi_i phi_j exactly:
+    in the Gauss-collocated basis the J-weighted mass is diag(w_q J_q)."""
+    lin = np.empty(mesh.K, dtype=bool)
+    for blk in element_blocks(mesh.K):
+        deviation, scale = _blend_deviation(mesh, blk)
+        lin[blk] = deviation <= BILINEAR_RTOL * scale
+    return lin
 
 
 def exterior_face_index(face_connectivity, nfq):

@@ -134,10 +134,22 @@ def _unit_nodes(N_geo):
 
 def _bilinear(corners, N_geo):
     """Bilinear map of corners (K, 4, 2), ordered bl, br, tr, tl, at the
-    degree-N_geo tensor Gauss-Lobatto nodes: (K, Npg, 2)."""
+    degree-N_geo tensor Gauss-Lobatto nodes: (K, Npg, 2), the sum
+    w0 c0 + w1 c1 + w2 c2 + w3 c3 of the corners' hat weights w times the
+    corners, in that order.  Its r s terms cancel in J, which is then affine
+    in (r, s) (see geometry.bilinear_elements).  The sum runs on (Npg, 2, K)
+    arrays, element index innermost, into one array and one temporary, which
+    then receives it transposed to (K, Npg, 2)."""
     _, U, V = _unit_nodes(N_geo)
-    c0, c1, c2, c3 = (corners[:, None, i, :] for i in range(4))
-    return (1 - U) * (1 - V) * c0 + U * (1 - V) * c1 + U * V * c2 + (1 - U) * V * c3
+    weights = ((1 - U) * (1 - V), U * (1 - V), U * V, (1 - U) * V)   # (Npg, 1) each
+    c = np.ascontiguousarray(corners.transpose(1, 2, 0))             # (4, 2, K)
+    out = np.multiply(weights[0][:, :, None], c[0])
+    tmp = np.empty_like(out)
+    for w, ci in zip(weights[1:], c[1:]):
+        out += np.multiply(w[:, :, None], ci, out=tmp)
+    nodes = tmp.reshape(len(corners), -1, 2)
+    np.copyto(nodes, out.transpose(2, 0, 1))
+    return nodes
 
 
 def _grid_corners(G):
@@ -469,7 +481,9 @@ def _fail_at(bad, check):
 
 
 def load_mesh(path):
-    """Read a wadg-mesh-v1 JSON file and validate it (see `validate_mesh`)."""
+    """Read a wadg-mesh-v1 JSON file and validate it (see `validate_mesh`),
+    after checking its keys, their types and shapes, and that every mapping
+    node is finite."""
     with open(path) as f:
         doc = json.load(f)
     if not isinstance(doc, dict):
@@ -494,6 +508,10 @@ def load_mesh(path):
     npg = refelem.basis_dimension(doc["N_geo"])
     if nodes.shape != (doc["K"], npg, 2):
         raise ValueError("elem_map_nodes shape inconsistent with K and N_geo")
+    bad = ~np.isfinite(nodes).all(axis=2)
+    if bad.any():
+        k, i = np.argwhere(bad)[0]
+        raise ValueError(f"mapping node {i} of element {k} is not finite: {nodes[k, i].tolist()}")
     nf = refelem.N_FACES
     if conn.shape != (doc["K"], nf, 2) or tags.shape != (doc["K"], nf):
         raise ValueError("connectivity arrays inconsistent with K")

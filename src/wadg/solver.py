@@ -192,13 +192,13 @@ def _view(flat, *shape):
     return flat[:math.prod(shape)].reshape(shape)
 
 
-def _mass_weights(source, ref, medium):
+def _mass_weights(source, ref, medium, metric=None):
     """The mass weights c^2/J (pressure) and 1/J (velocity) at the points of
     ref's rule, (K, Nq) each, filled one element block at a time from
-    geometry.volume_blocks(source, ref), and the (K, 1) c^2 of each element
-    when c^2 is exactly equal across the points of every element; else
-    None."""
-    K, blocks = geometry.volume_blocks(source, ref)
+    geometry.volume_blocks(source, ref, metric), and the (K, 1) c^2 of each
+    element when c^2 is exactly equal across the points of every element;
+    else None."""
+    K, blocks = geometry.volume_blocks(source, ref, metric)
     w_p, w_u = (np.empty((K, ref.Nq)) for _ in range(2))
     c2 = np.empty((K, 1))
     for blk, xq, yq, Jq in blocks:
@@ -292,10 +292,6 @@ class Discretization:
             self.mass_inv_u = mass_inv(w_u)
             if c2 is None:
                 self.mass_inv_p = mass_inv(w_p)
-        self.w_node_p = self.w_node_u = None
-        if len(self.dense) < mesh.K:
-            self.w_node_p, self.w_node_u, _ = _mass_weights(node_source, self.ref_node, medium)
-
         # split, the node rule integrates the strong volume term of a
         # bilinear element exactly, and geo's metric holds the curved rows
         self.vol_ref = ref
@@ -303,6 +299,11 @@ class Discretization:
         if split_volume:
             self.vol_ref = self.ref_node
             self.vol_metric = geometry.scaled_metric(mesh, self.ref_node)
+        self.w_node_p = self.w_node_u = None
+        if len(self.dense) < mesh.K:
+            # J from the node-rule metric where it is held
+            self.w_node_p, self.w_node_u, _ = _mass_weights(
+                node_source, self.ref_node, medium, self.vol_metric if split_volume else None)
         # weak derivatives (w_q D) Mhat^-1, (Nq, Np), of the strong-weak form
         self._weak_r, self._weak_s = ((ref.wq[:, None] * D) @ ref.Mhat_inv
                                       for D in (ref.Drq, ref.Dsq))
@@ -503,12 +504,16 @@ def apply_mass_inverse(z, disc, blk):
     overwritten by batched GEMMs of their fields, as rows, against their
     C-contiguous (M^-1 Mhat)^T, the layout in which matmul reaches BLAS
     speed: one GEMM per stack, and with one stack the pressure times c2.
+    Where every row of the block is dense, the GEMMs read z itself, which
+    is neither gathered nor scaled, and one slice copies their result back.
     """
     lo, hi, local = geometry.block_rows(disc.dense, blk)
-    if hi > lo:
+    whole = hi - lo == z.shape[1]       # every row dense: the GEMMs read z
+    zd = z
+    if lo < hi and not whole:
         zd = _view(disc.buffers.work, 3, hi - lo, z.shape[2])
         np.take(z, local, axis=1, out=zd, mode="clip")
-    if disc.w_node_p is not None:
+    if disc.w_node_p is not None and not whole:
         for f, w in enumerate((disc.w_node_p, disc.w_node_u, disc.w_node_u)):
             z[f] *= w[blk]
     if hi > lo:
@@ -520,7 +525,7 @@ def apply_mass_inverse(z, disc, blk):
         else:
             np.matmul(zt, disc.mass_inv_u[lo:hi], out=out_t)
             out[0] *= disc.c2[lo:hi]    # its ufunc buffer is block-sized at most
-        z[:, local] = out
+        z[:, slice(None) if whole else local] = out
     return z
 
 

@@ -97,6 +97,19 @@ class TestExitCodes:
         assert r.returncode == 2, r.stderr
         assert repr(key) in r.stderr and "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_mapping_node_exits_2(self, tmp_path, value):
+        # rejected before the Jacobian check, which would report J = nan
+        mg.save_mesh(mg.uniform_quad_mesh(2, N_geo=2), tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        doc["elem_map_nodes"][3][5][1] = value
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        (tmp_path / "c.json").write_text(json.dumps({"N": 1, "mesh": "m.json", "T": 0.1}))
+        r = run_cli("--out-dir", "out", "run", "--config", "c.json", cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "mapping node 5 of element 3 is not finite" in r.stderr
+        assert "Jacobian" not in r.stderr and "Traceback" not in r.stderr
+
     @pytest.mark.parametrize("run_length, needle", [
         ({"T": 0.1, "output_interval": 0}, "output_interval"),
         ({"T": 0.1, "output_interval": 0.5}, "output_interval"),

@@ -335,3 +335,164 @@ class TestBilinearElements:
             mg.save_mesh(mesh, tmp_path / "m.json")
             assert np.array_equal(geom.bilinear_elements(mg.load_mesh(tmp_path / "m.json")),
                                   geom.bilinear_elements(mesh))
+
+
+def full_check(mesh):
+    """validate_positive_jacobian without the corner pass: J on every check
+    set at every element, one element block at a time."""
+    jmin = np.inf
+    for points in geom.check_points(mesh).values():
+        for blk in geom.element_blocks(mesh.K):
+            J = geom.jacobian_at(mesh, points, blk)
+            if not np.all(J > 0):
+                k, q = np.argwhere(~(J > 0))[0]
+                raise geom.NonPositiveJacobian(blk.start + int(k), int(q), float(J[k, q]))
+            jmin = min(jmin, float(J.min()))
+    return jmin
+
+
+def check_outcome(check, mesh):
+    """("ok", min J) or ("fail", element, point, value) of check(mesh)."""
+    try:
+        return "ok", check(mesh)
+    except geom.NonPositiveJacobian as exc:
+        return "fail", exc.element, exc.point, exc.value
+
+
+def assert_check_agrees(mesh):
+    """The corner-pass check against full_check: the same decision, the same
+    failure, and min J within 1e-12 relative."""
+    ref, new = check_outcome(full_check, mesh), check_outcome(geom.validate_positive_jacobian, mesh)
+    if ref[0] == "ok":
+        assert new[0] == "ok" and new[1] == pytest.approx(ref[1], rel=1e-12, abs=0)
+    else:
+        assert new == ref
+    return ref
+
+
+def with_nodes(nodes, N_geo):
+    """Mesh of the (K, Npg, 2) mapping nodes; the check reads nothing else."""
+    K = len(nodes)
+    return mg.CurvedMesh2D(N_geo=N_geo, elem_map_nodes=np.ascontiguousarray(nodes),
+                           face_connectivity=np.full((K, 4, 2), -1, dtype=np.int64),
+                           boundary_tags=np.ones((K, 4), dtype=np.int64))
+
+
+def sliver_nodes(t, N_geo):
+    """Bilinear nodes of the rectangle [0, 1] x [0, t]: J = t / 4."""
+    return mg._bilinear(np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, t], [0.0, t]]]), N_geo)
+
+
+def count_check_rows(monkeypatch, mesh):
+    """Per check set, the element rows on which jacobian_at evaluates it
+    during validate_positive_jacobian(mesh)."""
+    sets = geom.check_points(mesh)
+    rows = {name: [] for name in sets}
+    real = geom.jacobian_at
+
+    def spy(m, points, elements=slice(None)):
+        J = real(m, points, elements)
+        for name, p in sets.items():
+            if points is p:
+                rows[name].extend(np.arange(m.K)[elements].tolist())
+        return J
+    with monkeypatch.context() as mp:
+        mp.setattr(geom, "jacobian_at", spy)
+        geom.validate_positive_jacobian(mesh)
+    return rows
+
+
+def folded_bilinear(mesh, k):
+    """Copy of mesh whose element k is the bilinear map of its corners with
+    bl and br swapped: still marked bilinear, and folded at its corners."""
+    X = mesh.elem_map_nodes.copy()
+    corners = X[k, mg._corner_indices(mesh.N_geo)][[1, 0, 2, 3]]
+    X[k] = mg._bilinear(corners[None], mesh.N_geo)[0]
+    return with_nodes(X, mesh.N_geo)
+
+
+CHECK_MESHES = {
+    "uniform": lambda: mg.uniform_quad_mesh(3, N_geo=2),
+    "arnold": lambda: mg.arnold_mesh(2, N_geo=3),
+    "random": lambda: mg.random_perturbed_mesh(4, 3, 0.2, seed=3),
+    "warped": lambda: mg.warped_arnold_mesh(mg.WarpParams(1.0, 4), 3),
+    "warped-N1": lambda: mg.warped_arnold_mesh(mg.WarpParams(1.0, 4), 1),
+    "disk-N3": lambda: mg.disk_mesh(1, 3),
+    "disk-N6": lambda: mg.disk_mesh(2, 6),
+    "subdivided-disk": lambda: mg.subdivide(mg.disk_mesh(1, 4)),
+    "folded-uniform": lambda: folded_bilinear(mg.uniform_quad_mesh(3, N_geo=3), 5),
+    "folded-disk": lambda: folded_bilinear(mg.disk_mesh(1, 2), 9),
+}
+
+
+class TestCornerCheck:
+    @pytest.mark.parametrize("block", [4, geom.ELEMENT_BLOCK])
+    @pytest.mark.parametrize("name", list(CHECK_MESHES))
+    def test_agrees_with_the_full_evaluation(self, name, block, monkeypatch):
+        monkeypatch.setattr(geom, "ELEMENT_BLOCK", block)
+        outcome = assert_check_agrees(CHECK_MESHES[name]())
+        assert (outcome[0] == "fail") == name.startswith("folded")
+
+    def test_folded_bilinear_element_is_marked_and_rejected(self):
+        mesh = folded_bilinear(mg.uniform_quad_mesh(3, N_geo=3), 5)
+        assert geom.bilinear_elements(mesh)[5]
+        assert geom.jacobian_at(mesh, geom._CORNERS, [5]).min() < 0
+        assert assert_check_agrees(mesh)[:2] == ("fail", 5)
+
+    @pytest.mark.parametrize("lin", [False, True])
+    def test_interior_node_folds_off_the_corners(self, lin):
+        # the middle node of a degree-2 element, moved in y by d, adds
+        # d (1 - r^2)(1 - s^2) to y: J is unchanged at the corners and falls
+        # by d |s| (1 - r^2) elsewhere.  Above BILINEAR_RTOL on the unit
+        # square (J = 1/4), below it on the sliver [0, 1] x [0, 1e-13]
+        # (J = 2.5e-14), where a move of 0.9e-13 of its largest coordinate
+        # still folds it
+        nodes, d = (sliver_nodes(1e-13, 2), 0.9e-13) if lin else (sliver_nodes(1.0, 2), 0.4)
+        nodes[0, 4, 1] += d
+        mesh = with_nodes(nodes, 2)
+        assert geom.bilinear_elements(mesh)[0] == lin
+        assert geom.jacobian_at(mesh, geom._CORNERS).min() > 0
+        outcome = assert_check_agrees(mesh)
+        assert outcome[:2] == ("fail", 0) and outcome[3] < 0
+
+    def test_bilinear_element_below_the_margin_is_evaluated(self, monkeypatch):
+        # a unit square clears the margin; the sliver, bilinear and positive,
+        # does not, so the check sets are evaluated on it alone
+        mesh = with_nodes(np.concatenate([sliver_nodes(1.0, 3), sliver_nodes(1e-13, 3)]), 3)
+        assert geom.bilinear_elements(mesh).all()
+        Jc = geom.jacobian_at(mesh, geom._CORNERS).min(axis=1)
+        margin = geom._corner_margin(*geom._blend_deviation(mesh, slice(None)), 3)
+        assert Jc[0] > margin[0] and 0 < Jc[1] <= margin[1]
+        assert all(r == [1] for r in count_check_rows(monkeypatch, mesh).values())
+        assert assert_check_agrees(mesh)[1] == pytest.approx(2.5e-14, rel=1e-9)
+
+    def test_disk_evaluates_the_check_sets_on_curved_elements_only(self, monkeypatch):
+        mesh = mg.disk_mesh(3, 6)
+        curved = np.flatnonzero(mesh.boundary_tags.any(axis=1))
+        assert len(curved) == 64
+        rows = count_check_rows(monkeypatch, mesh)
+        assert list(rows) == ["volume", "face", "grid"]
+        assert all(r == curved.tolist() for r in rows.values())
+
+    def test_margin_covers_random_marked_elements(self, rng):
+        # single elements with random corners, moved by up to BILINEAR_RTOL
+        # of their largest coordinate, many of them slivers or nearly
+        # folded: the decision and any failure agree with the full
+        # evaluation, and a cleared element's min J lies within its margin
+        for trial in range(120):
+            N_geo = 2 + trial % 3
+            corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+            corners = corners + rng.uniform(-0.6, 0.6, (4, 2))
+            corners[:, 1] *= 10.0 ** rng.uniform(-14, 0)
+            nodes = mg._bilinear(corners[None], N_geo)
+            size = np.abs(nodes).max()
+            nodes += rng.uniform(-1, 1, nodes.shape) * 10.0 ** rng.uniform(-17, -13) * size
+            mesh = with_nodes(nodes, N_geo)
+            ref = check_outcome(full_check, mesh)
+            new = check_outcome(geom.validate_positive_jacobian, mesh)
+            assert new[0] == ref[0]
+            if ref[0] == "fail":
+                assert new == ref
+            else:
+                margin = geom._corner_margin(*geom._blend_deviation(mesh, slice(None)), N_geo)
+                assert abs(new[1] - ref[1]) <= margin[0]

@@ -626,6 +626,51 @@ class TestMassInverse:
             assert np.all(np.abs(slopes - rate) <= 0.35), (mode, slopes, rate)
         assert np.all(pairwise_slopes(hs, diffs) <= N), pairwise_slopes(hs, diffs)
 
+    @pytest.mark.parametrize("level, N", [(3, 6), (2, 3), (1, 4)])
+    def test_node_weights_take_J_from_the_node_rule_metric(self, level, N, monkeypatch):
+        # the strong form with N_geo = N >= 3 holds the node-rule metric on
+        # a disk: the node weights read J from it, bit for bit jacobian_at's,
+        # and never evaluate jacobian_at on the node rule
+        mesh = mg.disk_mesh(level, N)
+        node_points = rf.build_reference_element(N, 2 * N + 1).volume_quad.points
+        calls = []
+        real = geom.jacobian_at
+        monkeypatch.setattr(geom, "jacobian_at",
+                            lambda m, points, *a: calls.append(points) or real(m, points, *a))
+        disc = sv.Discretization(mesh, SolverConfig(N=N))
+        assert disc.vol_ref is disc.ref_node and disc.curved is not None
+        assert not any(p.shape == node_points.shape and np.array_equal(p, node_points)
+                       for p in calls)
+        monkeypatch.undo()
+        w_p, w_u, _ = sv._mass_weights(mesh, disc.ref_node, disc.medium)
+        assert np.array_equal(disc.w_node_p, w_p) and np.array_equal(disc.w_node_u, w_u)
+
+    def test_all_dense_block_is_read_in_place(self, monkeypatch, rng):
+        # a disk of 48 elements in blocks of 4: elements 20-23 of each ring
+        # block have a boundary face, so some blocks are wholly dense while
+        # the node weights are held.  Their GEMMs read z itself, which the
+        # node weights must not scale first
+        monkeypatch.setattr(geom, "ELEMENT_BLOCK", 4)
+        mesh = mg.disk_mesh(1, 3)
+        disc = sv.Discretization(mesh, SolverConfig(
+            N=3, formulation=Formulation.StrongWeak, mass_mode=MassMode.ExactCurvedMass))
+        assert disc.w_node_p is not None and disc.c2 is not None
+        dense = np.zeros(mesh.K, dtype=bool)
+        dense[disc.dense] = True
+        blocks = geom.element_blocks(mesh.K)
+        assert sum(dense[blk].all() for blk in blocks) == 4
+        z = random_state(disc, rng)
+        for blk in blocks:
+            got = sv.apply_mass_inverse(z[:, blk].copy(), disc, blk)
+            for f, w in enumerate((disc.w_node_p, disc.w_node_u, disc.w_node_u)):
+                expect = z[f, blk] * w[blk]
+                for i in np.flatnonzero(dense[blk]):
+                    d = np.searchsorted(disc.dense, blk.start + i)
+                    expect[i] = z[f, blk.start + i] @ disc.mass_inv_u[d]
+                    if f == 0:
+                        expect[i] *= disc.c2[d]
+                assert np.max(np.abs(got[f] - expect)) <= 1e-14 * np.max(np.abs(expect))
+
 
 class TestLSRK:
     def test_amplification_matches_exact_recurrence(self):
